@@ -911,7 +911,6 @@ impl CjoinStage {
                         continue;
                     }
                 };
-                ctx.charge(CostKind::Scan, inner.cost.scan_page_fixed_ns);
                 // One snapshot of the active-query set per page, shared by
                 // `Arc` with every downstream stage (workers and the
                 // distributor read the same copy; nothing re-clones it).
@@ -919,14 +918,21 @@ impl CjoinStage {
                 // budget and filter entries visible (entries-then-activate).
                 inner.wrap.snapshot_cached(&mut stamp);
                 let members = Arc::clone(&stamp);
-                // Preprocessor bookkeeping: stamping the page with the
-                // active-query set and maintaining per-query entry/exit
-                // watermarks ("these responsibilities slow down the circular
-                // scan significantly", §5.2.2).
-                ctx.charge(
-                    CostKind::Routing,
-                    2_000.0 + 60.0 * members.count_ones() as f64,
-                );
+                // The page's fixed fetch cost, then the preprocessor
+                // bookkeeping: stamping the page with the active-query set
+                // and maintaining per-query entry/exit watermarks ("these
+                // responsibilities slow down the circular scan
+                // significantly", §5.2.2). One CPU job for both, which is
+                // why the snapshot is taken before the fetch cost rather
+                // than between the two: a query activating during those
+                // `scan_page_fixed_ns` is stamped from the next page on.
+                ctx.charge_many(&[
+                    (CostKind::Scan, inner.cost.scan_page_fixed_ns),
+                    (
+                        CostKind::Routing,
+                        2_000.0 + 60.0 * members.count_ones() as f64,
+                    ),
+                ]);
                 let batch = Arc::new(WorkBatch {
                     page,
                     members: Arc::clone(&members),
@@ -1004,10 +1010,6 @@ impl CjoinStage {
                     // keeping the circular-scan thread free of per-tuple
                     // work.
                     let rows = batch.page.decode_all(&schema);
-                    ctx.charge(
-                        CostKind::Scan,
-                        inner.cost.scan_tuple_ns * rows.len() as f64,
-                    );
                     // Lock-free filter probe: the epoch observed here is at
                     // least as new as the one whose activation stamped this
                     // page's members (publish happens-before activate
@@ -1037,30 +1039,32 @@ impl CjoinStage {
                             0.1,
                         );
                     }
-                    // Shared-operator bookkeeping costs (the §5.2.2
-                    // overhead). The scalar path charges per tuple; the
+                    // The page's decode cost and the shared-operator
+                    // bookkeeping costs (the §5.2.2 overhead), charged as one
+                    // CPU job once the kernel has run and its counters are
+                    // known. The scalar path charges per tuple; the
                     // vectorized path charges per key run + per bank word.
-                    if scalar {
-                        ctx.charge(
-                            CostKind::Hashing,
+                    let (hashing_ns, join_ns) = if scalar {
+                        (
                             inner.cost.hash_probe_tuple_ns * counters.probes as f64,
-                        );
-                        ctx.charge(
-                            CostKind::Join,
                             inner.cost.shared_probe_extra_ns * counters.probes as f64
                                 + inner.cost.bitmap_word_and_ns
                                     * counters.bitmap_words as f64,
-                        );
+                        )
                     } else {
-                        ctx.charge(
-                            CostKind::Hashing,
+                        (
                             inner.cost.filter_probe_run_ns * counters.key_runs as f64,
-                        );
-                        ctx.charge(
-                            CostKind::Join,
                             inner.cost.filter_batch_cost(0, counters.bitmap_words),
-                        );
-                    }
+                        )
+                    };
+                    ctx.charge_many(&[
+                        (
+                            CostKind::Scan,
+                            inner.cost.scan_tuple_ns * rows.len() as f64,
+                        ),
+                        (CostKind::Hashing, hashing_ns),
+                        (CostKind::Join, join_ns),
+                    ]);
                     let dist = DistBatch {
                         rows,
                         members: Arc::clone(&batch.members),
@@ -1166,20 +1170,20 @@ impl CjoinStage {
                             }
                         }
                     }
-                    ctx.charge(
-                        CostKind::Routing,
-                        inner.cost.route_tuple_ns * routed as f64,
-                    );
-                    ctx.charge(
-                        CostKind::Join,
-                        inner.cost.join_output_tuple_ns * out_rows as f64,
-                    );
-                    if agg_rows > 0 {
-                        ctx.charge(
+                    ctx.charge_many(&[
+                        (
+                            CostKind::Routing,
+                            inner.cost.route_tuple_ns * routed as f64,
+                        ),
+                        (
+                            CostKind::Join,
+                            inner.cost.join_output_tuple_ns * out_rows as f64,
+                        ),
+                        (
                             CostKind::Aggregation,
                             inner.cost.agg_update_tuple_ns * agg_rows as f64,
-                        );
-                    }
+                        ),
+                    ]);
                     // Completion bookkeeping: the part that processes a
                     // query's last page finalizes it. **Ordering
                     // invariant**: the decrement is `AcqRel` so the winner

@@ -106,6 +106,9 @@ pub struct StageRow {
     /// Whether the stage was still running at report time (idle stages are
     /// torn down once their last in-flight query completes).
     pub live: bool,
+    /// Stage pipelines built for this fact table so far: the live one plus
+    /// every torn-down one. A lone closed-loop client pays one per query.
+    pub incarnations: u64,
     /// The stage's CJOIN counters (lifetime, including torn-down
     /// incarnations).
     pub stats: CjoinStats,
@@ -132,6 +135,7 @@ impl Leased for FactStage {
     fn retire_into(&self, served: u64, cell: &mut RetiredStage) {
         cell.fact_name = self.fact_name.clone();
         cell.served += served;
+        cell.incarnations += 1;
         cell.stats.absorb(&self.stage.stats());
         cell.last_runtime = Some(self.stage.runtime_stats());
     }
@@ -147,6 +151,7 @@ impl Leased for FactStage {
 struct RetiredStage {
     fact_name: String,
     served: u64,
+    incarnations: u64,
     stats: CjoinStats,
     /// Last runtime signals before teardown: the governor's selectivity /
     /// key-run EWMAs survive stage churn.
@@ -462,6 +467,7 @@ impl StageRegistry {
                     label: format!("Shared({})", cell.fact_name),
                     shared_queries: cell.served,
                     live: false,
+                    incarnations: cell.incarnations,
                     stats: cell.stats.clone(),
                 },
             );
@@ -472,9 +478,11 @@ impl StageRegistry {
                 label: format!("Shared({})", entry.value.fact_name),
                 shared_queries: 0,
                 live: true,
+                incarnations: 0,
                 stats: CjoinStats::default(),
             });
             row.live = true;
+            row.incarnations += 1;
             row.shared_queries += entry.served;
             row.stats.absorb(&entry.value.stage.stats());
         });
@@ -586,6 +594,34 @@ impl RouteFeedback {
     fn abandon(&self) {
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
+}
+
+/// Give back everything a finished query holds on the engine — its stage
+/// lease, its admission-queue permit, its in-flight count and latency
+/// feedback — **before** its completion is published. Publishing wakes the
+/// client in the same virtual instant; a client that resubmits at once then
+/// races, in real time, whatever the producer has not yet released: it
+/// checks out the dying stage or a fresh one, is shed at the cap or not, is
+/// routed on the old in-flight count or the new. Released first, the next
+/// submission always sees the engine as the finished query left it.
+/// `ok = false` keeps a faulted query's abnormally short non-latency out of
+/// the governor's calibration EWMAs.
+fn release_claims(
+    feedback: Option<RouteFeedback>,
+    lease: Option<StageLease>,
+    permit: Option<SlotPermit>,
+    ok: bool,
+    latency_ns: f64,
+) {
+    match feedback {
+        Some(fb) if ok => fb.complete(latency_ns / 1e9),
+        Some(fb) => fb.abandon(),
+        None => {}
+    }
+    if let Some(lease) = lease {
+        lease.release();
+    }
+    drop(permit);
 }
 
 /// An engine instance bound to one machine and one mounted database.
@@ -1018,29 +1054,13 @@ impl Engine {
                 // An admission fault surfaced into the aggregate result
                 // (see `AggResult::fail`) turns this query into a typed
                 // error outcome — never a hang, never a partial aggregate.
-                match agg.error() {
-                    Some(msg) => {
-                        slot2.complete_error(format!("query {qid}: {msg}"), now);
-                        guard.disarm();
-                        if let Some(fb) = &feedback {
-                            // Faulted queries complete abnormally fast;
-                            // keep their non-latency out of the
-                            // calibration EWMAs.
-                            fb.abandon();
-                        }
-                    }
-                    None => {
-                        slot2.complete(rows, now);
-                        guard.disarm();
-                        if let Some(fb) = &feedback {
-                            fb.complete((now - start_ns) / 1e9);
-                        }
-                    }
+                let error = agg.error();
+                release_claims(feedback, lease, permit, error.is_none(), now - start_ns);
+                match error {
+                    Some(msg) => slot2.complete_error(format!("query {qid}: {msg}"), now),
+                    None => slot2.complete(rows, now),
                 }
-                if let Some(l) = &lease {
-                    l.release();
-                }
-                drop(permit);
+                guard.disarm();
             });
             return Ticket::Slot(slot);
         }
@@ -1087,26 +1107,13 @@ impl Engine {
             // unreadable fact page) is checked after the stream drains:
             // the reader sees a normal end-of-stream, the waiter a typed
             // error outcome instead of a silently partial result.
-            match output.fault.lock().clone() {
-                Some(msg) => {
-                    slot2.complete_error(format!("query {qid}: {msg}"), now);
-                    guard.disarm();
-                    if let Some(fb) = &feedback {
-                        fb.abandon();
-                    }
-                }
-                None => {
-                    slot2.complete(Arc::new(rows), now);
-                    guard.disarm();
-                    if let Some(fb) = &feedback {
-                        fb.complete((now - start_ns) / 1e9);
-                    }
-                }
+            let error = output.fault.lock().clone();
+            release_claims(feedback, lease, permit, error.is_none(), now - start_ns);
+            match error {
+                Some(msg) => slot2.complete_error(format!("query {qid}: {msg}"), now),
+                None => slot2.complete(Arc::new(rows), now),
             }
-            if let Some(l) = &lease {
-                l.release();
-            }
-            drop(permit);
+            guard.disarm();
         });
         Ticket::Slot(slot)
     }
@@ -1156,28 +1163,17 @@ impl Engine {
             if fault.is_some_and(|s| s > 0 && q.id.is_multiple_of(s)) {
                 panic!("injected fault: query {}", q.id);
             }
-            match try_run_volcano_query(ctx, &storage, &q, &cost) {
-                Ok(rows) => {
-                    let now = ctx.machine().now_ns();
-                    slot2.complete(Arc::new(rows), now);
-                    guard.disarm();
-                    if let Some(fb) = &feedback {
-                        fb.complete((now - start_ns) / 1e9);
-                    }
-                }
-                Err(e) => {
-                    // An unrecoverable page read (permanent fault, torn
-                    // page past rebuild) ends the query in a typed error
-                    // outcome instead of a vthread panic.
-                    let now = ctx.machine().now_ns();
-                    slot2.complete_error(format!("query {}: {e}", q.id), now);
-                    guard.disarm();
-                    if let Some(fb) = &feedback {
-                        fb.abandon();
-                    }
-                }
+            let result = try_run_volcano_query(ctx, &storage, &q, &cost);
+            let now = ctx.machine().now_ns();
+            release_claims(feedback, None, permit, result.is_ok(), now - start_ns);
+            match result {
+                Ok(rows) => slot2.complete(Arc::new(rows), now),
+                // An unrecoverable page read (permanent fault, torn page
+                // past rebuild) ends the query in a typed error outcome
+                // instead of a vthread panic.
+                Err(e) => slot2.complete_error(format!("query {}: {e}", q.id), now),
             }
-            drop(permit);
+            guard.disarm();
         });
         Ticket::Slot(slot)
     }

@@ -23,10 +23,30 @@
 //!   memory-resident vs disk-resident vs direct-I/O comparisons.
 //!
 //! Virtual time only advances when every live vthread is parked (charging,
-//! sleeping, doing I/O, or blocked on a [`WaitSet`]); the last thread to park
-//! drives the event loop. All per-category CPU charges are accumulated in
-//! [`CpuBreakdown`], which is also the source for the paper's Figure 11/12
-//! CPU-time breakdowns.
+//! sleeping, doing I/O, or blocked on a [`WaitSet`] or [`SimQueue`]); the
+//! last thread to park drives the event loop. All per-category CPU charges
+//! are accumulated in [`CpuBreakdown`], which is also the source for the
+//! paper's Figure 11/12 CPU-time breakdowns.
+//!
+//! ## Blocking protocol
+//!
+//! Two primitives block a vthread outside the scheduler's own events, and
+//! they share one mechanism: a waiter lists its thread id where the notifier
+//! will find it, then parks; the notifier hands the ids to the scheduler,
+//! which unparks those that are parked and leaves the others a *token* that
+//! makes their next park return at once. The token belongs to the thread,
+//! not to what it waits on, and ids are reused after a vthread exits — so a
+//! park may end early, and every wait loops on its condition.
+//!
+//! * [`WaitSet`] — predicate waits. The list is the wait set's;
+//!   `notify_all` wakes everyone on it. Right where at most one thread waits.
+//! * [`SimQueue`] — item waits. The lists (parked poppers, parked pushers)
+//!   live under the queue's own mutex; an operation wakes the one oldest
+//!   waiter it made progress possible for, `close` wakes all.
+//!
+//! What each handoff costs the host, and how [`SimCtx::charge_many`] avoids
+//! some without moving the virtual clock, is in the `machine` module docs;
+//! [`Machine::handoff_counts`] counts them.
 //!
 //! ```
 //! use workshare_sim::{Machine, MachineConfig, CostKind};
@@ -47,7 +67,7 @@ mod stats;
 mod waitset;
 
 pub use disk::{DiskConfig, DiskStats};
-pub use machine::{JoinHandle, Machine, MachineConfig, SimCtx, ThreadState};
+pub use machine::{HandoffCounts, JoinHandle, Machine, MachineConfig, SimCtx, ThreadState};
 pub use queue::{QueueClosed, SimQueue};
 pub use stats::{CostKind, CpuBreakdown, LatencyHistogram, COST_KINDS};
 pub use waitset::WaitSet;

@@ -5,9 +5,10 @@
 //! Every vthread is a real OS thread. Virtual time is **frozen while any
 //! vthread executes user code** and advances only when all of them are parked
 //! (charging CPU cost, sleeping, waiting for disk I/O, or blocked on a
-//! [`WaitSet`](crate::WaitSet)). The last thread to park *drives* the event
-//! loop: it advances the clock to the next completion, wakes the affected
-//! threads, and repeats until some thread is running again.
+//! [`WaitSet`](crate::WaitSet) or a [`SimQueue`](crate::SimQueue)). The last
+//! thread to park *drives* the event loop: it advances the clock to the next
+//! completion, wakes the affected threads, and repeats until some thread is
+//! running again.
 //!
 //! ## Processor sharing
 //!
@@ -18,14 +19,46 @@
 //! O(log n) scheduling. This fluid model reproduces the contention phenomena
 //! the paper measures (saturation beyond `C` runnable workers) without
 //! simulating individual time slices.
+//!
+//! ## Handoffs
+//!
+//! Every park and every wake-up is a futex call and, on a host with fewer
+//! CPUs than vthreads, a context switch: host time the virtual clock never
+//! sees, and most of what a simulated query costs to run. Three things keep
+//! the count and the price down; [`Machine::handoff_counts`] reports what is
+//! left.
+//!
+//! * **One job per burst of work.** [`SimCtx::charge_many`] enters several
+//!   kinds of CPU work as one processor-sharing job. It returns at the
+//!   virtual instant the separate charges would have: a vthread that charges
+//!   again the moment a charge completes never leaves the job set in between
+//!   (no virtual time passes while it runs), so `J`, and with it everyone's
+//!   rate, is the same at every instant either way.
+//! * **A lock-free parker.** A carrier parks on an atomic flag plus
+//!   [`std::thread::park`]; a wake-up is one store and one `unpark`.
+//! * **Wake one.** Blocking queues keep their own waiters and wake exactly
+//!   the vthread an item is for (`queue.rs`).
+//!
+//! ## Thread slots
+//!
+//! A vthread's scheduler state lives in a slot indexed by its id. When it
+//! exits the slot goes onto a free list and the next spawn takes it over, so
+//! the table is as large as the peak number of concurrent vthreads, not the
+//! number ever spawned (a lone closed-loop client spawns two dozen per query).
+//! An id can therefore outlive its thread inside a [`WaitSet`](crate::WaitSet)
+//! list; notifying it gives the slot's new owner a token or a wake-up it did
+//! not ask for, which every wait tolerates by re-checking its condition.
+//! Queue waiter lists never hold a dead id: a waiter removes itself before it
+//! leaves the operation.
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -76,33 +109,46 @@ pub enum ThreadState {
     Exited,
 }
 
-/// OS-level park/unpark cell. `unpark` may arrive before `park`.
+/// OS-level park/unpark cell of one carrier thread: a flag plus
+/// [`std::thread::park`], i.e. one futex wait per park and at most one futex
+/// wake per unpark, with no lock on either side. `unpark` may arrive before
+/// `park` (the flag is the wake-up; `thread::park` alone may return
+/// spuriously).
 #[derive(Debug, Default)]
 struct Parker {
-    flag: Mutex<bool>,
-    cv: Condvar,
+    notified: AtomicBool,
+    /// The carrier thread, bound by the carrier itself before it runs user
+    /// code — so before anything can have seen it parked.
+    thread: OnceLock<Thread>,
 }
 
 impl Parker {
+    fn bind_current(&self) {
+        let _ = self.thread.set(std::thread::current());
+    }
+
+    /// `Acquire` pairs with the `Release` in [`Parker::unpark`]: whatever
+    /// the waker wrote before waking is visible once `park` returns.
     fn park(&self) {
-        let mut g = self.flag.lock();
-        while !*g {
-            self.cv.wait(&mut g);
+        while !self.notified.swap(false, Ordering::Acquire) {
+            std::thread::park();
         }
-        *g = false;
     }
 
     fn unpark(&self) {
-        let mut g = self.flag.lock();
-        *g = true;
-        self.cv.notify_one();
+        self.notified.store(true, Ordering::Release);
+        self.thread
+            .get()
+            .expect("a vthread parks only on its own, bound carrier")
+            .unpark();
     }
 }
 
 struct ThreadSlot {
     name: String,
     state: ThreadState,
-    /// Pre-posted WaitSet wakeup (see `waitset.rs` for the protocol).
+    /// Pre-posted wake-up for the thread's next [`MachineInner::park_waiting`]
+    /// (see `waitset.rs` for the protocol). Per thread, not per wait set.
     ws_token: bool,
     parker: Arc<Parker>,
 }
@@ -163,7 +209,10 @@ struct Sched {
     timers: BinaryHeap<Reverse<Timer>>,
     disk_done: BinaryHeap<Reverse<Timer>>,
     disk: DiskState,
+    /// One slot per vthread, indexed by [`Tid`]; slots of exited vthreads
+    /// are listed in `free` and reused by later spawns.
     threads: Vec<ThreadSlot>,
+    free: Vec<Tid>,
     /// Vthreads currently executing user code.
     running_real: usize,
     /// Vthreads not yet exited.
@@ -172,11 +221,39 @@ struct Sched {
     busy_core_ns: f64,
 }
 
+/// Simulator handoffs since the machine was created
+/// ([`Machine::handoff_counts`]): the host-side work the virtual clock never
+/// sees.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HandoffCounts {
+    /// CPU jobs entered into the processor-sharing scheduler (one per
+    /// [`SimCtx::charge`] or [`SimCtx::charge_many`] with a positive total).
+    pub charges: u64,
+    /// Times a vthread blocked on a [`WaitSet`] or a
+    /// [`SimQueue`](crate::SimQueue) (a wait that found a pre-posted token
+    /// and returned at once is not counted).
+    pub parks: u64,
+    /// Carrier threads unparked, for any reason: a finished charge, timer or
+    /// disk request, or a notification.
+    pub wakes: u64,
+    /// Vthreads spawned.
+    pub spawns: u64,
+}
+
+#[derive(Default)]
+struct HandoffCounters {
+    charges: AtomicU64,
+    parks: AtomicU64,
+    wakes: AtomicU64,
+    spawns: AtomicU64,
+}
+
 pub(crate) struct MachineInner {
     cores: u32,
     sched: Mutex<Sched>,
     pub(crate) cpu: CpuCounters,
     pub(crate) io: DiskCounters,
+    handoffs: HandoffCounters,
 }
 
 impl MachineInner {
@@ -251,6 +328,7 @@ impl MachineInner {
         slot.state = ThreadState::Running;
         s.running_real += 1;
         slot.parker.unpark();
+        self.handoffs.wakes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Park the calling vthread with `park_state` after running `enqueue`
@@ -276,8 +354,11 @@ impl MachineInner {
         parker.park();
     }
 
-    /// WaitSet park: consumes a pre-posted token instead of parking if one
-    /// exists (see `waitset.rs`).
+    /// Park until notified: consumes a pre-posted token instead of parking
+    /// if one exists (see `waitset.rs`). May return without the caller's
+    /// condition holding — tokens are per thread, so one posted for an
+    /// earlier wait (or for a previous owner of a reused slot) ends this one;
+    /// every caller re-checks and parks again.
     pub(crate) fn park_waiting(&self, tid: Tid) {
         let parker;
         {
@@ -294,11 +375,14 @@ impl MachineInner {
                 self.drive(&mut s);
             }
         }
+        self.handoffs.parks.fetch_add(1, Ordering::Relaxed);
         parker.park();
     }
 
-    /// Wake every tid in `tids` that is parked on a WaitSet; pre-post a token
-    /// for those currently running (they will re-check their predicate).
+    /// Wake every tid in `tids` that is parked in
+    /// [`park_waiting`](Self::park_waiting); pre-post a token for those
+    /// currently running or parked on something else (they will re-check
+    /// their condition at their next wait).
     pub(crate) fn notify_tids(&self, tids: &[Tid]) {
         if tids.is_empty() {
             return;
@@ -338,6 +422,17 @@ pub(crate) fn current_ctx() -> Option<SimCtx> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
+impl MachineInner {
+    /// The calling thread's id if it is a vthread of *this* machine. Anyone
+    /// else — a plain OS thread, a vthread of another machine — blocks on
+    /// this machine's primitives as an external thread.
+    pub(crate) fn current_tid(self: &Arc<Self>) -> Option<Tid> {
+        current_ctx()
+            .filter(|ctx| Arc::ptr_eq(&ctx.machine.inner, self))
+            .map(|ctx| ctx.tid)
+    }
+}
+
 impl Machine {
     /// Create a machine with the given core count and disk model.
     pub fn new(config: MachineConfig) -> Machine {
@@ -353,12 +448,14 @@ impl Machine {
                     disk_done: BinaryHeap::new(),
                     disk: DiskState::new(config.disk),
                     threads: Vec::new(),
+                    free: Vec::new(),
                     running_real: 0,
                     live: 0,
                     busy_core_ns: 0.0,
                 }),
                 cpu: CpuCounters::default(),
                 io: DiskCounters::default(),
+                handoffs: HandoffCounters::default(),
             }),
         }
     }
@@ -394,7 +491,21 @@ impl Machine {
         self.inner.io.snapshot()
     }
 
-    /// Names and states of all vthreads ever spawned (diagnostics).
+    /// Simulator handoff counts since the machine was created.
+    pub fn handoff_counts(&self) -> HandoffCounts {
+        let h = &self.inner.handoffs;
+        HandoffCounts {
+            charges: h.charges.load(Ordering::Relaxed),
+            parks: h.parks.load(Ordering::Relaxed),
+            wakes: h.wakes.load(Ordering::Relaxed),
+            spawns: h.spawns.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Names and states of the machine's thread slots (diagnostics): every
+    /// live vthread, plus each exited one whose slot no later spawn has
+    /// reused yet. Slots are recycled, so this is bounded by the peak number
+    /// of concurrent vthreads, not by the number ever spawned.
     pub fn dump_threads(&self) -> Vec<(String, ThreadState)> {
         let s = self.inner.sched.lock();
         s.threads
@@ -417,19 +528,34 @@ impl Machine {
         T: Send + 'static,
         F: FnOnce(&SimCtx) -> T + Send + 'static,
     {
+        let parker = Arc::new(Parker::default());
+        let slot = ThreadSlot {
+            name: name.to_string(),
+            state: ThreadState::Running,
+            ws_token: false,
+            parker: Arc::clone(&parker),
+        };
         let tid;
         {
             let mut s = self.inner.sched.lock();
-            tid = s.threads.len();
-            s.threads.push(ThreadSlot {
-                name: name.to_string(),
-                state: ThreadState::Running,
-                ws_token: false,
-                parker: Arc::new(Parker::default()),
-            });
+            // Reuse the slot of an exited vthread when there is one. A tid
+            // the previous owner left behind in some wait list can then only
+            // earn the new owner a token or a wake-up it did not need, and
+            // every wait re-checks its condition.
+            match s.free.pop() {
+                Some(t) => {
+                    s.threads[t] = slot;
+                    tid = t;
+                }
+                None => {
+                    tid = s.threads.len();
+                    s.threads.push(slot);
+                }
+            }
             s.running_real += 1;
             s.live += 1;
         }
+        self.inner.handoffs.spawns.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::new(JoinShared {
             result: Mutex::new(None),
             cv: Condvar::new(),
@@ -446,6 +572,7 @@ impl Machine {
             .name(format!("vt-{name}"))
             .stack_size(256 * 1024)
             .spawn(move || {
+                parker.bind_current();
                 CURRENT.with(|c| *c.borrow_mut() = Some(ctx.clone()));
                 let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
                 CURRENT.with(|c| *c.borrow_mut() = None);
@@ -455,6 +582,7 @@ impl Machine {
                 shared2.ws.notify_all();
                 let mut s = inner.sched.lock();
                 s.threads[tid].state = ThreadState::Exited;
+                s.free.push(tid);
                 s.running_real -= 1;
                 s.live -= 1;
                 if s.running_real == 0 {
@@ -482,15 +610,35 @@ impl SimCtx {
     /// Charge `cost_ns` virtual nanoseconds of CPU work in category `kind`.
     /// Returns when the work completes in virtual time (processor sharing).
     pub fn charge(&self, kind: CostKind, cost_ns: f64) {
-        debug_assert!(cost_ns >= 0.0, "negative charge");
-        if cost_ns <= 0.0 {
+        self.charge_many(&[(kind, cost_ns)]);
+    }
+
+    /// Charge several categories of CPU work done back to back, as **one**
+    /// processor-sharing job for their sum; each part is still accounted
+    /// under its own kind. Returns at the virtual instant at which the same
+    /// charges issued one after another would: between two consecutive
+    /// charges a vthread runs no virtual time (the clock is frozen while it
+    /// executes), so it would never leave the set of CPU jobs, and the
+    /// sharing rate every other job sees is the same at every instant either
+    /// way. What it saves is the park, the wake-up and the scheduler pass per
+    /// part — host time only.
+    pub fn charge_many(&self, parts: &[(CostKind, f64)]) {
+        let inner = &self.machine.inner;
+        let mut total_ns = 0.0;
+        for &(kind, cost_ns) in parts {
+            debug_assert!(cost_ns >= 0.0, "negative charge");
+            if cost_ns > 0.0 {
+                inner.cpu.add(kind, cost_ns);
+                total_ns += cost_ns;
+            }
+        }
+        if total_ns <= 0.0 {
             return;
         }
-        self.machine.inner.cpu.add(kind, cost_ns);
-        let inner = &self.machine.inner;
+        inner.handoffs.charges.fetch_add(1, Ordering::Relaxed);
         inner.park_with(self.tid, ThreadState::Charging, |s| {
             s.cpu_jobs.push(Reverse(CpuJob {
-                finish_credit: s.credit + cost_ns,
+                finish_credit: s.credit + total_ns,
                 tid: self.tid,
             }));
         });
@@ -738,6 +886,119 @@ mod tests {
         });
         h.join().unwrap();
         assert_eq!(m.now_ns(), 0.0);
+    }
+
+    /// One worker charges `parts` — coalesced or one by one — on a single
+    /// core, alone or beside a competitor's 5 ms job. Returns the worker's
+    /// finish time, the final clock, the busy integral and the breakdown.
+    fn run_parts(coalesced: bool, competitor: bool) -> (f64, f64, f64, CpuBreakdown) {
+        const PARTS: [(CostKind, f64); 4] = [
+            (CostKind::Scan, 1e6),
+            (CostKind::Hashing, 2e6),
+            (CostKind::Join, 0.0),
+            (CostKind::Routing, 3e6),
+        ];
+        let m = machine(1);
+        let n = if competitor { 2 } else { 1 };
+        let times = spawn_batch(&m, n, move |i, ctx| {
+            if i == 1 {
+                ctx.charge(CostKind::Misc, 5e6);
+            } else if coalesced {
+                ctx.charge_many(&PARTS);
+            } else {
+                for (kind, ns) in PARTS {
+                    ctx.charge(kind, ns);
+                }
+            }
+            ctx.machine().now_ns()
+        });
+        (times[0], m.now_ns(), m.busy_core_secs(), m.cpu_breakdown())
+    }
+
+    #[test]
+    fn charge_many_equals_the_same_charges_in_sequence() {
+        for competitor in [false, true] {
+            let (t_seq, end_seq, busy_seq, cpu_seq) = run_parts(false, competitor);
+            let (t_many, end_many, busy_many, cpu_many) = run_parts(true, competitor);
+            // Alone: 6 ms. Sharing one core with a 5 ms job: both at half
+            // rate until the competitor ends at 10 ms, the last 1 ms alone.
+            let expect = if competitor { 11e6 } else { 6e6 };
+            assert!((t_seq - expect).abs() < 10.0, "sequential ended at {t_seq}");
+            assert!((t_many - t_seq).abs() < 10.0, "{t_many} vs {t_seq}");
+            assert!((end_many - end_seq).abs() < 10.0, "{end_many} vs {end_seq}");
+            assert!(
+                (busy_many - busy_seq).abs() < 1e-8,
+                "{busy_many} vs {busy_seq}"
+            );
+            assert_eq!(cpu_many, cpu_seq, "per-kind accounting must not change");
+            assert_eq!(cpu_many.get(CostKind::Hashing), 2e6);
+        }
+    }
+
+    #[test]
+    fn charge_many_is_one_handoff() {
+        let m = machine(1);
+        m.spawn("w", |ctx| {
+            ctx.charge_many(&[(CostKind::Scan, 10.0), (CostKind::Join, 20.0)]);
+            ctx.charge_many(&[(CostKind::Scan, 0.0)]);
+        })
+        .join()
+        .unwrap();
+        let h = m.handoff_counts();
+        assert_eq!((h.charges, h.wakes, h.spawns), (1, 1, 1));
+    }
+
+    #[test]
+    fn exited_vthreads_give_their_slots_back() {
+        let m = machine(2);
+        for i in 0..100 {
+            m.spawn(&format!("w{i}"), |ctx| ctx.charge(CostKind::Misc, 10.0))
+                .join()
+                .unwrap();
+            // The slot is freed in the carrier's last step, after the result
+            // is published: wait for it so the next spawn finds it.
+            while m.live_threads() > 0 {
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(m.handoff_counts().spawns, 100);
+        let dump = m.dump_threads();
+        assert_eq!(dump.len(), 1, "{dump:?}");
+        assert_eq!(dump[0], ("w99".to_string(), ThreadState::Exited));
+    }
+
+    #[test]
+    fn a_reused_slot_survives_its_previous_owners_wait_list_entry() {
+        // `first` registers on the wait set and returns without parking (the
+        // predicate holds on the re-check), leaving its tid behind. `second`
+        // inherits the slot and with it, at the next notify, a wake-up it
+        // did not ask for: it must neither miss its own nor end early.
+        let m = machine(2);
+        let ws = WaitSet::new(&m);
+        let calls = Arc::new(Mutex::new(0u32));
+        let (w1, c1) = (ws.clone(), Arc::clone(&calls));
+        m.spawn("first", move |_| {
+            w1.wait_until(|| {
+                let mut n = c1.lock();
+                *n += 1;
+                *n >= 3 // false on the fast path and the first check
+            })
+        })
+        .join()
+        .unwrap();
+        while m.live_threads() > 0 {
+            std::thread::yield_now();
+        }
+        let go = Arc::new(AtomicBool::new(false));
+        let (w2, g2) = (WaitSet::new(&m), Arc::clone(&go));
+        let w2n = w2.clone();
+        let second = m.spawn("second", move |_| w2.wait_until(|| g2.load(Ordering::Acquire)));
+        assert_eq!(m.dump_threads().len(), 1, "the slot was reused");
+        ws.notify_all(); // the stale entry: a token or a spurious wake-up
+        assert!(!second.is_finished());
+        go.store(true, Ordering::Release);
+        w2n.notify_all();
+        second.join().unwrap();
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! Virtual-time condition waiting.
 //!
-//! A [`WaitSet`] is the machine's low-level blocking primitive: vthreads wait
-//! until a caller-supplied predicate holds; any state change that could make
-//! a predicate true is announced with [`WaitSet::notify_all`].
+//! A [`WaitSet`] is the machine's blocking primitive for **predicate**
+//! waits: vthreads wait until a caller-supplied predicate holds; any state
+//! change that could make a predicate true is announced with
+//! [`WaitSet::notify_all`]. It wakes everyone registered, which is the right
+//! cost where at most one thread waits — a join, a result slot, a stage's
+//! wake-up flag. Where a pool of workers waits for items, use
+//! [`SimQueue`](crate::SimQueue), which keeps its own waiters and wakes one.
 //!
 //! ## Protocol (vthreads)
 //!
@@ -13,8 +17,18 @@
 //!    earns a harmless pre-posted token later.
 //! 4. Park. `notify_all` drains the list under the scheduler lock: threads in
 //!    `Waiting` state are woken; threads still running get a *token* that
-//!    makes their next waitset-park return immediately, closing the
-//!    register→park race.
+//!    makes their next park return immediately, closing the register→park
+//!    race. Then start over at 1.
+//!
+//! ## Token tolerance
+//!
+//! The token is a flag of the *thread*, not of the wait set it was posted
+//! through, and thread ids are reused once a vthread exits. A park can
+//! therefore end for a reason that has nothing to do with the wait at hand:
+//! a token earned by a stale registration from step 3, possibly one the
+//! slot's previous owner left behind. That is why step 4 loops, why the queue
+//! does the same, and why nothing in this crate may treat "woken" as "my
+//! condition holds".
 //!
 //! External (non-vthread) callers fall back to a real condition variable with
 //! a generation counter, so harness code can block on simulation progress.
@@ -23,7 +37,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::machine::{current_ctx, Machine, MachineInner, Tid};
+use crate::machine::{Machine, MachineInner, Tid};
 
 struct WaitSetShared {
     machine: Arc<MachineInner>,
@@ -81,18 +95,16 @@ impl WaitSet {
         if let Some(v) = f() {
             return v;
         }
-        let as_vthread = current_ctx()
-            .filter(|ctx| Arc::ptr_eq(&ctx.machine().inner, &self.shared.machine));
-        match as_vthread {
-            Some(ctx) => loop {
+        match self.shared.machine.current_tid() {
+            Some(tid) => loop {
                 if let Some(v) = f() {
                     return v;
                 }
-                self.shared.list.lock().push(ctx.tid);
+                self.shared.list.lock().push(tid);
                 if let Some(v) = f() {
                     return v;
                 }
-                self.shared.machine.park_waiting(ctx.tid);
+                self.shared.machine.park_waiting(tid);
             },
             None => loop {
                 let gen = *self.shared.ext_gen.lock();

@@ -1,7 +1,7 @@
-//! Shed-path smoke tests of the bounded service loop — the deterministic
-//! CI companions to the self-gating `overload` bench: queue-full sheds,
-//! deadline sheds on every routing policy, weighted tenant lockout, and
-//! bind errors surfacing as per-query error outcomes.
+//! Smoke tests of the service loop — the deterministic CI companions to the
+//! self-gating `overload` bench: queue-full sheds, deadline sheds on every
+//! routing policy, weighted tenant lockout, bind errors surfacing as
+//! per-query error outcomes, and a lone closed-loop client repeating exactly.
 
 use std::sync::OnceLock;
 
@@ -113,4 +113,47 @@ fn bind_errors_surface_as_error_outcomes() {
     assert_eq!(rep.errors, rep.submitted, "{rep:?}");
     assert_eq!(rep.completed, 0, "{rep:?}");
     assert!(rep.is_conserved(), "{rep:?}");
+}
+
+#[test]
+fn lone_closed_loop_client_repeats_bit_for_bit() {
+    // One client, so nothing it measures may depend on who wins a race in
+    // real time. It used to: a finished query published its result before it
+    // released its stage lease, and the client's next submission — same
+    // virtual instant — sometimes checked out the dying stage instead of
+    // building a fresh one, a second latency mode ~14 % up.
+    let cfg = RunConfig::governed(ExecPolicy::Adaptive);
+    let run = || {
+        run_service(ssb(), &cfg, "lineorder", load(1, 1, 0.13), |id, rng| {
+            workload::ssb_q3_2(id, rng)
+        })
+    };
+    let first = run();
+    assert!(first.completed >= 200, "{first:?}");
+    assert!(first.is_conserved(), "{first:?}");
+    // Every query found the registry empty and built its own stage.
+    let [stage] = &first.stages[..] else {
+        panic!("one fact table, one row: {:?}", first.stages);
+    };
+    assert_eq!(stage.shared_queries, first.submitted, "{stage:?}");
+    assert_eq!(stage.incarnations, first.submitted, "{stage:?}");
+    for _ in 0..2 {
+        let again = run();
+        assert_eq!(again.completed, first.completed);
+        assert_eq!(
+            again.p50_latency_secs.to_bits(),
+            first.p50_latency_secs.to_bits(),
+            "p50 {} vs {}",
+            again.p50_latency_secs,
+            first.p50_latency_secs
+        );
+        assert_eq!(
+            again.p99_latency_secs.to_bits(),
+            first.p99_latency_secs.to_bits(),
+            "p99 {} vs {}",
+            again.p99_latency_secs,
+            first.p99_latency_secs
+        );
+        assert_eq!(again.stages, first.stages);
+    }
 }
