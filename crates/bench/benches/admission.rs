@@ -94,137 +94,6 @@ fn report_speedup(dataset: &Dataset, n: usize, w: usize, failures: &mut Vec<Stri
     }
 }
 
-/// Contended hot-path microbenchmark, replaying the production thread
-/// roles on 8 OS threads: one **scan thread** doing per-page mask
-/// snapshots + wrap bookkeeping, seven **filter workers** each reading
-/// shared filter state once per page. Lock-free (`EpochCell` reader +
-/// `WrapLedger` atomics) vs the retired `RwLock` baseline, under which a
-/// worker took the read lock per page and the scan thread took the write
-/// lock on *every* page (completions or not) — blocking workers and
-/// paying park/unpark handoffs under parallelism, where the lock-free
-/// path pays one `Acquire` load. The probe payload is deliberately one
-/// shared word: the filter arithmetic is identical under either
-/// discipline, so the section isolates what the disciplines themselves
-/// cost per page. Real wall-clock (`Instant`, medians over 3 runs): lock
-/// contention is invisible to virtual time, so this section measures on
-/// the host. **Self-gating**: the lock-free path must be ≥1.3× faster.
-fn report_contended(failures: &mut Vec<String>) {
-    use std::sync::Arc;
-    use std::time::Instant;
-    use workshare_cjoin::{EpochCell, WrapLedger};
-    use workshare_common::fxhash::FxHashMap;
-    use workshare_common::sync::RwLock;
-    use workshare_common::QueryBitmap;
-
-    const WORKERS: usize = 8; // 1 scan thread + 7 filter workers
-    const PAGES: usize = 50_000;
-    const SLOTS: usize = 16;
-    const FILTER_WORDS: usize = 64; // stand-in for the shared filter cores
-    // Budgets the runs can never exhaust, so no slot completes mid-bench.
-    const BUDGET: u64 = u64::MAX / 2;
-
-    // The retired design: every per-page touch goes through one RwLock.
-    struct OldState {
-        active_bits: QueryBitmap,
-        emit_left: FxHashMap<u32, u64>,
-        filters: Vec<u64>,
-    }
-
-    let median = |mut v: Vec<f64>| -> f64 {
-        v.sort_by(|a, b| a.total_cmp(b));
-        v[v.len() / 2]
-    };
-
-    let time_run = |scan: &(dyn Fn() + Sync), work: &(dyn Fn() + Sync)| -> f64 {
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            s.spawn(scan);
-            for _ in 1..WORKERS {
-                s.spawn(work);
-            }
-        });
-        start.elapsed().as_secs_f64()
-    };
-
-    let rwlock_secs = {
-        let mut active_bits = QueryBitmap::zeros(64);
-        let mut emit_left = FxHashMap::default();
-        for slot in 0..SLOTS {
-            active_bits.set(slot);
-            emit_left.insert(slot as u32, BUDGET);
-        }
-        let state = Arc::new(RwLock::new(OldState {
-            active_bits,
-            emit_left,
-            filters: vec![3; FILTER_WORDS],
-        }));
-        let scan = || {
-            for _ in 0..PAGES {
-                // Per page: mask snapshot under the read lock, then wrap
-                // bookkeeping under the write lock — the seed took the
-                // write on *every* page, completions or not.
-                let members = state.read().active_bits.clone();
-                let mut s = state.write();
-                for slot in members.iter_ones() {
-                    if let Some(left) = s.emit_left.get_mut(&(slot as u32)) {
-                        *left -= 1;
-                    }
-                }
-            }
-        };
-        let work = || {
-            for page in 0..PAGES {
-                // One read lock per page — the seed worker's discipline —
-                // queueing behind (and blocked by) the scan thread's
-                // per-page writes.
-                let s = state.read();
-                std::hint::black_box(s.filters[page & (FILTER_WORDS - 1)]);
-            }
-        };
-        median((0..3).map(|_| time_run(&scan, &work)).collect())
-    };
-
-    let lockfree_secs = {
-        let cell = Arc::new(EpochCell::new(vec![3u64; FILTER_WORDS]));
-        let wrap = Arc::new(WrapLedger::new(64));
-        for slot in 0..SLOTS {
-            wrap.activate(slot, BUDGET);
-        }
-        let scan = || {
-            let mut stamp = Arc::new(QueryBitmap::default());
-            for _ in 0..PAGES {
-                // Per page: a few Acquire mask-word loads (the stamp is
-                // reused while the mask is unchanged, as in the
-                // preprocessor) and one atomic RMW per member — no lock,
-                // workers never blocked.
-                wrap.snapshot_cached(&mut stamp);
-                wrap.record_page(&stamp);
-            }
-        };
-        let work = || {
-            let mut reader = cell.reader();
-            for page in 0..PAGES {
-                // One Acquire version load per page; the epoch snapshot
-                // is immutable, so the page probe runs unsynchronized.
-                let epoch = reader.current(&cell);
-                std::hint::black_box(epoch[page & (FILTER_WORDS - 1)]);
-            }
-        };
-        median((0..3).map(|_| time_run(&scan, &work)).collect())
-    };
-
-    let ratio = rwlock_secs / lockfree_secs;
-    println!(
-        "{{\"bench\":\"cjoin_admission/lockfree_contended/{}w\",\"rwlock_secs\":{:.6},\"lockfree_secs\":{:.6},\"ratio\":{:.2}}}",
-        WORKERS, rwlock_secs, lockfree_secs, ratio
-    );
-    if ratio < 1.3 {
-        failures.push(format!(
-            "lock-free hot path only {ratio:.2}x of the RwLock baseline at {WORKERS} workers; bar is 1.3x"
-        ));
-    }
-}
-
 fn main() {
     benches();
     let dataset = Dataset::ssb(0.5, 42);
@@ -232,7 +101,6 @@ fn main() {
     for (n, w) in [(4usize, 1usize), (8, 1), (32, 1), (32, 12)] {
         report_speedup(&dataset, n, w, &mut failures);
     }
-    report_contended(&mut failures);
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("FAIL: {f}");

@@ -3,8 +3,8 @@
 //! the *same* dimension tables.
 //!
 //! Both runs use the governed engine pinned to the shared path with sharded
-//! per-fact stages (`multifact = true`), so the *only* difference is who
-//! runs the admission scans:
+//! per-fact stages, so the *only* difference is who runs the admission
+//! scans:
 //!
 //! * **fabric** (`RunConfig::admission_fabric = true`, the default): every
 //!   stage hands its pending batch to one engine-level pool; a batching

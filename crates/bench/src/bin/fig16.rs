@@ -13,7 +13,7 @@
 
 use workshare_bench::{banner, f2, full_scale, pow2_sweep, secs, TextTable};
 use workshare_core::{
-    harness::{run_batch, run_clients},
+    harness::{run_batch, run_service, ServiceLoad},
     workload, Dataset, IoMode, NamedConfig, RunConfig,
 };
 
@@ -81,7 +81,14 @@ fn main() {
         for engine in engines {
             let mut cfg = RunConfig::named(engine);
             cfg.io_mode = IoMode::BufferedDisk;
-            let rep = run_clients(&dataset, &cfg, "lineorder", c, window, 91, |id, rng| {
+            let load = ServiceLoad {
+                clients: c,
+                arrivals_per_sec: None,
+                tenants: 1,
+                window_secs: window,
+                seed: 91,
+            };
+            let rep = run_service(&dataset, &cfg, "lineorder", load, |id, rng| {
                 match id % 3 {
                     0 => workload::ssb_q1_1(id, rng),
                     1 => workload::ssb_q2_1(id, rng),

@@ -201,6 +201,11 @@ pub(crate) fn build_units(prepared: &[PreparedBatch]) -> Vec<ScanUnit> {
     units
 }
 
+/// How long an injected scan stall sleeps (virtual ns). Comfortably exceeds
+/// the fabric's re-dispatch deadline
+/// ([`crate::fabric::UNIT_REDISPATCH_DEADLINE_NS`]).
+pub(crate) const SCAN_STALL_NS: f64 = 8_000_000.0;
+
 /// Phase 2: scan `unit.dim` **once** for every pending query in the unit.
 /// Each page is decoded once, all predicates are evaluated over it in one
 /// pass into a per-query selection bank, and each selected row is staged as
@@ -222,8 +227,11 @@ pub(crate) fn build_units(prepared: &[PreparedBatch]) -> Vec<ScanUnit> {
 /// and is batching-invariant.
 ///
 /// **Fault sites** (armed via [`crate::CjoinFaultPlan`], default off):
-/// with `inject` true the unit may stall or panic before scanning, and page
-/// reads go through the storage layer's fault-aware
+/// with `inject` true each call draws one tick of the primary stage's
+/// schedule and may stall or panic before scanning. The pool calls this
+/// once per unit; the fabric once per page-range subscan, so it draws up to
+/// `UNIT_SCAN_PARALLELISM` times per unit. Page reads go through the
+/// storage layer's fault-aware
 /// [`try_read_page`](workshare_storage::StorageManager::try_read_page),
 /// surfacing typed [`StorageError`]s to the caller.
 ///
@@ -256,7 +264,7 @@ pub(crate) fn run_scan_unit(
             if let Some(h) = &primary.health {
                 h.count_stall();
             }
-            ctx.sleep(plan.scan_stall_ns);
+            ctx.sleep(SCAN_STALL_NS);
         }
     }
     let dim_schema = primary.storage.schema(unit.dim);
@@ -364,8 +372,8 @@ pub(crate) fn run_scan_unit(
     // into a copy of the live filters and swap it in. Entries merge
     // *before* the batch's slots activate (`activate_batch` sets the
     // scan-visible bits afterwards) — the publish-entries-then-activate
-    // order model-checked on [`crate::publish::FilterSpec`] and
-    // [`crate::epoch::EpochFilterSpec`] by `tests/interleave_core.rs`.
+    // order model-checked on [`crate::epoch::EpochFilterSpec`] by
+    // `tests/interleave_core.rs`.
     for (si, stage) in stages.iter().enumerate() {
         if !buckets.iter().any(|((s, _), _)| *s == si) {
             continue;
@@ -401,7 +409,7 @@ pub(crate) fn run_scan_unit(
 /// filter entries: activation is what lets in-flight pages route rows to
 /// these slots, so activating first would let a page probe a filter whose
 /// entries aren't published yet (the `ActivateBeforePublish` mutation of
-/// [`crate::publish::FilterSpec`], caught by `tests/interleave_core.rs`).
+/// [`crate::epoch::EpochFilterSpec`], caught by `tests/interleave_core.rs`).
 pub(crate) fn activate_batch(inner: &StageInner, prepared: PreparedBatch) {
     let PreparedBatch {
         pending,

@@ -21,8 +21,8 @@
 //!   another — lets a refresh cache the *new* version with the *old* value
 //!   and never refresh again (the `EpochMutation::TornSwap` mutation,
 //!   compiled only under `--cfg interleave`).
-//! * **Entries-then-activate** (the discipline modeled lock-based in
-//!   [`crate::publish`]): an admission publishes the epoch carrying a
+//! * **Entries-then-activate** (the discipline [`EpochFilterSpec`]
+//!   models): an admission publishes the epoch carrying a
 //!   query's filter entries *before* it raises the query's active bit
 //!   (`Release`). A probe gates on the active mask (`Acquire`) first, so
 //!   observing the bit happens-after the entries epoch was published, and
@@ -162,9 +162,8 @@ impl<T> EpochReader<T> {
 /// Minimal-state spec of the stage's epoch-published filter state, driven
 /// exhaustively by `tests/interleave_core.rs`: a key→member-mask map
 /// published through an [`EpochCell`] plus an atomic active mask, with the
-/// entries-then-activate discipline of `admission.rs` (the lock-based
-/// model is [`crate::publish::FilterSpec`]). Production equivalents:
-/// the map is `FilterEpoch`'s filter entries, the mask is the
+/// entries-then-activate discipline of `admission.rs`. Production
+/// equivalents: the map is `FilterEpoch`'s filter entries, the mask is the
 /// `WrapLedger`'s active word, the writer mutex is the stage's control
 /// mutex.
 pub struct EpochFilterSpec {

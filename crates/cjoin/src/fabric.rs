@@ -20,7 +20,7 @@
 //! stay batching-invariant.
 //!
 //! Stages keep working without a fabric: [`crate::CjoinStage::new`] falls
-//! back to the per-stage pool (`CjoinConfig::n_admission_workers`), which
+//! back to the per-stage pool (one admission worker per stage), which
 //! remains the oracle-tested baseline and the path of the standalone /
 //! paper-figure deployments.
 
@@ -49,9 +49,9 @@ const UNIT_SCAN_PARALLELISM: usize = 4;
 
 /// Virtual deadline a supervised window gives its subscans before
 /// re-dispatching stragglers. Comfortably above a healthy dimension
-/// subscan, comfortably below the default injected stall
-/// ([`CjoinFaultPlan::scan_stall_ns`]), so a stalled subscan is overtaken
-/// by its replacement instead of gating the window on the stall.
+/// subscan, comfortably below the injected stall (`SCAN_STALL_NS` in
+/// `admission.rs`), so a stalled subscan is overtaken by its replacement
+/// instead of gating the window on the stall.
 pub const UNIT_REDISPATCH_DEADLINE_NS: f64 = 4_000_000.0;
 
 /// One stage's pending-admission snapshot, queued on the fabric.
@@ -218,34 +218,26 @@ pub struct AdmissionFabric {
 }
 
 impl AdmissionFabric {
-    /// Create the fabric on `machine` and spawn `n_workers` admission
-    /// workers (at least one). A single worker maximizes window merging —
-    /// every burst lands in one window — and is the default
-    /// (`RunConfig::admission_fabric_workers`); more workers overlap the
-    /// scans of *independent* windows at the cost of best-effort merging.
-    pub fn new(machine: &Machine, n_workers: usize) -> AdmissionFabric {
-        AdmissionFabric::with_capacity(machine, n_workers, u64::MAX)
-    }
-
-    /// [`AdmissionFabric::new`] with a depth cap on the pending-query
-    /// count: once `capacity` queries are queued across all stages,
+    /// Create the fabric on `machine` and spawn its admission worker. A
+    /// single worker maximizes window merging and makes it deterministic —
+    /// every burst lands in one window and shares one scan pass; the health
+    /// monitor adds a replacement with [`AdmissionFabric::respawn_worker`]
+    /// when that worker wedges.
+    ///
+    /// `capacity` is a depth cap on the pending-query count (`u64::MAX` =
+    /// unbounded): once `capacity` queries are queued across all stages,
     /// [`AdmissionFabric::has_capacity`] turns false and the service layer
     /// sheds further submissions instead of enqueueing them forever.
-    pub fn with_capacity(machine: &Machine, n_workers: usize, capacity: u64) -> AdmissionFabric {
-        Self::with_recovery(machine, n_workers, capacity, CjoinFaultPlan::default(), None)
-    }
-
-    /// Full-plumbing constructor: [`AdmissionFabric::with_capacity`] plus a
-    /// seeded fault plan (worker-wedge site) and an optional shared
-    /// [`AdmissionHealth`]. With a health handle every window runs under
-    /// **supervision**: subscans get a virtual deadline
+    ///
+    /// `faults` is the seeded fault plan (worker-wedge site) and `health`
+    /// an optional shared [`AdmissionHealth`]. With a health handle every
+    /// window runs under **supervision**: subscans get a virtual deadline
     /// ([`UNIT_REDISPATCH_DEADLINE_NS`]); a straggler (stalled, panicked,
     /// or wedged-behind) is re-dispatched idempotently through the
     /// [`ScanAttempt`] claim protocol, and typed storage errors fail the
     /// window's batches instead of killing the worker.
-    pub fn with_recovery(
+    pub fn new(
         machine: &Machine,
-        n_workers: usize,
         capacity: u64,
         faults: CjoinFaultPlan,
         health: Option<Arc<AdmissionHealth>>,
@@ -267,9 +259,7 @@ impl AdmissionFabric {
                 cancel: WaitSet::new(machine),
             }),
         };
-        for w in 0..n_workers.max(1) {
-            fabric.spawn_worker(machine, w);
-        }
+        fabric.spawn_worker(machine, 0);
         fabric
     }
 

@@ -32,38 +32,27 @@ pub const SITE_SCAN_STALL: u64 = 4;
 pub const SITE_SCAN_PANIC: u64 = 5;
 
 /// Seeded fault schedule for the cjoin admission paths. Default: fully off.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CjoinFaultPlan {
     /// Seed mixed into every site's fire decision.
     pub seed: u64,
-    /// Every ~`stride`-th scan unit stalls for [`scan_stall_ns`] before
-    /// scanning (the fabric's deadline supervision re-dispatches it).
-    ///
-    /// [`scan_stall_ns`]: CjoinFaultPlan::scan_stall_ns
+    /// Every ~`stride`-th scan draw stalls for `SCAN_STALL_NS`
+    /// (`admission.rs`) before scanning; the fabric's deadline supervision
+    /// re-dispatches it. A *draw* is one call of `run_scan_unit`: the pool
+    /// rung draws once per scan unit, the fabric once per page-range
+    /// **subscan** (up to `UNIT_SCAN_PARALLELISM` = 4 per unit), and the
+    /// serial rung never draws — `admit_batch_serial` does its own scans.
     pub scan_stall_stride: Option<u64>,
-    /// How long an injected scan-unit stall sleeps (virtual ns). The default
-    /// comfortably exceeds the fabric's re-dispatch deadline.
-    pub scan_stall_ns: f64,
-    /// Every ~`stride`-th scan unit panics instead of scanning. The fabric
-    /// treats the dead subscan as a straggler; the pool/serial drivers catch
-    /// the panic and fail the batch with typed errors.
+    /// Every ~`stride`-th scan draw (see
+    /// [`scan_stall_stride`](CjoinFaultPlan::scan_stall_stride)) panics
+    /// instead of scanning. The fabric treats the dead subscan as a
+    /// straggler; the pool driver catches the panic and fails the batch
+    /// with typed errors.
     pub scan_panic_stride: Option<u64>,
     /// A fabric worker wedges (parks until shutdown) at its `n`-th window.
     /// Fires once per fabric lifetime; the health monitor respawns a
     /// replacement worker after demoting the ladder.
     pub wedge_after_windows: Option<u64>,
-}
-
-impl Default for CjoinFaultPlan {
-    fn default() -> Self {
-        CjoinFaultPlan {
-            seed: 0,
-            scan_stall_stride: None,
-            scan_stall_ns: 8_000_000.0,
-            scan_panic_stride: None,
-            wedge_after_windows: None,
-        }
-    }
 }
 
 impl CjoinFaultPlan {

@@ -12,9 +12,13 @@
 //! ```
 //!
 //! * The **preprocessor** drives a circular scan of the fact table, stamps
-//!   each page with the set of active queries, admits new queries in
-//!   **batches** at page boundaries (pausing the pipeline, §3.2), and marks
-//!   each query's completion when the scan wraps to its point of entry.
+//!   each page with the set of active queries, picks up new queries in
+//!   **batches** at page boundaries — handing each batch to an admission
+//!   worker (the engine-level [`fabric`] or the stage's own) so the
+//!   dimension scans overlap fact-page production; only the retained serial
+//!   oracle ([`CjoinConfig::serial_admission`]) admits inline, pausing the
+//!   pipeline as in §3.2 — and marks each query's completion when the scan
+//!   wraps to its point of entry.
 //! * **Filters** are shared selection + shared hash-join pairs: one per
 //!   dimension table, holding the union of dimension tuples selected by any
 //!   active query, each tagged with a
@@ -40,7 +44,6 @@ pub mod epoch;
 pub mod fabric;
 pub mod filter;
 pub mod health;
-pub mod publish;
 mod stage;
 pub mod window;
 pub mod wrap;

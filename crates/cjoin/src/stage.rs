@@ -30,15 +30,10 @@ use workshare_storage::{StorageManager, TableId};
 pub struct CjoinConfig {
     /// Filter worker threads (the paper's *horizontal* configuration).
     pub n_workers: usize,
-    /// Distributor parts (§3.2: the single-threaded distributor is a
-    /// bottleneck; parts parallelize routing).
-    pub n_distributors: usize,
     /// Exchange kind for per-packet output streams.
     pub exchange: ExchangeKind,
     /// Output exchange capacity in pages.
     pub cap_pages: usize,
-    /// Pipeline queue depth (batches in flight between stages).
-    pub pipeline_depth: usize,
     /// Enable SP over identical CJOIN packets (`CJOIN-SP`).
     pub sp: bool,
     /// DataPath-style **shared aggregation** (paper §2.4: "DataPath also
@@ -53,20 +48,6 @@ pub struct CjoinConfig {
     /// rows and stats, and the `filter_vectorized` bench measures the
     /// speedup against it. Defaults to `false` (vectorized).
     pub scalar_filter: bool,
-    /// Dedicated admission workers running the shared dimension scans off
-    /// the circular-scan thread, so admission overlaps fact-page production
-    /// instead of pausing the pipeline.
-    ///
-    /// This is the **per-stage fallback pool**: it serves stages built
-    /// standalone via [`CjoinStage::new`] (direct stage users, the
-    /// paper-figure binaries, ungoverned engines). Stages built by the
-    /// governed engine's registry with an engine-level
-    /// [`AdmissionFabric`] (`RunConfig::admission_fabric`, the default
-    /// there) hand their pending batches to the fabric instead and spawn
-    /// no workers of their own — the fabric batches admissions **across
-    /// stages**, so shared dimension tables are scanned once for all of
-    /// them.
-    pub n_admission_workers: usize,
     /// Use the retained **per-query serial** admission path (the paper's
     /// §3.2 behavior: the preprocessor pauses the pipeline and scans every
     /// dimension table once per pending query) instead of the shared-scan,
@@ -85,14 +66,11 @@ impl Default for CjoinConfig {
     fn default() -> Self {
         CjoinConfig {
             n_workers: 6,
-            n_distributors: 10,
             exchange: ExchangeKind::Spl,
             cap_pages: 8,
-            pipeline_depth: 16,
             sp: false,
             shared_aggregation: false,
             scalar_filter: false,
-            n_admission_workers: 1,
             serial_admission: false,
             faults: CjoinFaultPlan::default(),
         }
@@ -131,6 +109,13 @@ pub struct CjoinRuntimeStats {
 /// pending admission: a burst of submissions arriving at one virtual
 /// instant always shares one scan pass.
 pub(crate) const ADMISSION_BATCH_WINDOW_NS: f64 = 2_000.0;
+
+/// Distributor parts (§3.2: the single-threaded distributor is a
+/// bottleneck; parts parallelize routing).
+const N_DISTRIBUTORS: usize = 10;
+
+/// Pipeline queue depth (batches in flight between stages).
+const PIPELINE_DEPTH: usize = 16;
 
 /// Fold `sample` into an optional EWMA cell with smoothing factor `alpha`.
 fn ewma_fold(cell: &Mutex<Option<f64>>, sample: f64, alpha: f64) {
@@ -454,8 +439,8 @@ pub(crate) struct StageInner {
     /// the stage.
     admission_q: SimQueue<Vec<Admission>>,
     /// Engine-level cross-stage admission pool, when the stage was built by
-    /// a governed engine's registry ([`CjoinStage::with_fabric`]); `None`
-    /// for standalone stages, which fall back to their own workers.
+    /// a governed engine's registry ([`CjoinStage::with_admission`]); `None`
+    /// for standalone stages, which fall back to their own worker.
     fabric: Option<AdmissionFabric>,
     /// Shared admission-health state, installed by a governed engine with
     /// an armed, self-healing fault plan ([`CjoinStage::with_admission`]).
@@ -530,9 +515,9 @@ pub struct CjoinStage {
 
 impl CjoinStage {
     /// Create a **standalone** stage over `fact_table` and spawn its
-    /// pipeline threads. Admission runs on the stage's own fallback worker
-    /// pool ([`CjoinConfig::n_admission_workers`]); engines that batch
-    /// admission across stages use [`CjoinStage::with_fabric`] instead.
+    /// pipeline threads. Admission runs on the stage's own fallback worker;
+    /// engines that batch admission across stages use
+    /// [`CjoinStage::with_admission`] instead.
     pub fn new(
         machine: &Machine,
         storage: &StorageManager,
@@ -540,31 +525,17 @@ impl CjoinStage {
         config: CjoinConfig,
         cost: CostModel,
     ) -> CjoinStage {
-        Self::with_fabric(machine, storage, fact_table, config, cost, None)
-    }
-
-    /// Create the stage over `fact_table`, handing its pending admissions
-    /// to `fabric` when one is given (the governed engine's cross-stage
-    /// admission pool) instead of spawning per-stage admission workers.
-    /// With `None` this is exactly [`CjoinStage::new`].
-    pub fn with_fabric(
-        machine: &Machine,
-        storage: &StorageManager,
-        fact_table: &str,
-        config: CjoinConfig,
-        cost: CostModel,
-        fabric: Option<AdmissionFabric>,
-    ) -> CjoinStage {
-        Self::with_admission(machine, storage, fact_table, config, cost, fabric, None)
+        Self::with_admission(machine, storage, fact_table, config, cost, None, None)
     }
 
     /// Create the stage with full admission plumbing: an optional fabric
-    /// plus an optional shared [`AdmissionHealth`] handle. With a health
-    /// handle the preprocessor routes pending batches by the live
-    /// degradation-ladder rung (fabric → pool → serial) and the stage
-    /// spawns its own admission workers even when fabric-served, so the
-    /// pool rung has somewhere to land. Without one this is exactly
-    /// [`CjoinStage::with_fabric`].
+    /// (the governed engine's cross-stage admission pool, which takes the
+    /// stage's pending admissions instead of a per-stage worker) plus an
+    /// optional shared [`AdmissionHealth`] handle. With a health handle the
+    /// preprocessor routes pending batches by the live degradation-ladder
+    /// rung (fabric → pool → serial) and the stage spawns its own admission
+    /// worker even when fabric-served, so the pool rung has somewhere to
+    /// land. With neither this is exactly [`CjoinStage::new`].
     pub fn with_admission(
         machine: &Machine,
         storage: &StorageManager,
@@ -591,8 +562,8 @@ impl CjoinStage {
             }),
             pending: ShardedSlot::new(4),
             wake: WaitSet::new(machine),
-            worker_q: SimQueue::bounded(machine, config.pipeline_depth.max(1)),
-            dist_q: SimQueue::bounded(machine, config.pipeline_depth.max(1)),
+            worker_q: SimQueue::bounded(machine, PIPELINE_DEPTH),
+            dist_q: SimQueue::bounded(machine, PIPELINE_DEPTH),
             admission_q: SimQueue::unbounded(machine),
             fabric,
             health,
@@ -612,21 +583,19 @@ impl CjoinStage {
         for w in 0..config.n_workers.max(1) {
             stage.spawn_worker(w);
         }
-        for d in 0..config.n_distributors.max(1) {
+        for d in 0..N_DISTRIBUTORS {
             stage.spawn_distributor(d);
         }
         // The serial path admits inline on the preprocessor; a
         // fabric-served stage hands batches to the engine-level pool. Only
-        // a standalone shared-scan stage needs its own workers — unless a
+        // a standalone shared-scan stage needs its own worker — unless a
         // health handle is installed, in which case the degradation ladder
         // may demote a fabric-served stage to its own pool at runtime, so
-        // the workers must exist.
+        // the worker must exist.
         if !stage.inner.config.serial_admission
             && (stage.inner.fabric.is_none() || stage.inner.health.is_some())
         {
-            for a in 0..config.n_admission_workers.max(1) {
-                stage.spawn_admission_worker(a);
-            }
+            stage.spawn_admission_worker();
         }
         stage
     }
@@ -774,13 +743,6 @@ impl CjoinStage {
     /// Number of queries currently in the GQP.
     pub fn active_queries(&self) -> usize {
         self.inner.epoch.load().queries.len()
-    }
-
-    /// Submissions sitting in this stage's pending-admission snapshot (not
-    /// yet handed to an admission worker or the fabric). The service
-    /// layer's per-stage queue-depth signal.
-    pub fn pending_len(&self) -> usize {
-        self.inner.pending.len()
     }
 
     /// Live workload-shape signals for the sharing governor.
@@ -952,15 +914,28 @@ impl CjoinStage {
     }
 
     // -----------------------------------------------------------------
-    // Admission workers
+    // Admission worker
     // -----------------------------------------------------------------
 
-    fn spawn_admission_worker(&self, idx: usize) {
+    /// The dedicated admission worker running the shared dimension scans
+    /// off the circular-scan thread, so admission overlaps fact-page
+    /// production instead of pausing the pipeline.
+    ///
+    /// This is the **per-stage fallback pool** — a pool of one: it serves
+    /// stages built standalone via [`CjoinStage::new`] (direct stage users,
+    /// the paper-figure binaries, ungoverned engines). Stages built by the
+    /// governed engine's registry with an engine-level
+    /// [`AdmissionFabric`] (`RunConfig::admission_fabric`, the default
+    /// there) hand their pending batches to the fabric instead and spawn
+    /// no worker of their own — the fabric batches admissions **across
+    /// stages**, so shared dimension tables are scanned once for all of
+    /// them.
+    fn spawn_admission_worker(&self) {
         let inner = Arc::clone(&self.inner);
         self.inner
             .machine
             .clone()
-            .spawn(&format!("cjoin-admit-{idx}"), move |ctx| {
+            .spawn("cjoin-admit", move |ctx| {
                 while let Some(mut batch) = inner.admission_q.pop() {
                     // Small virtual batching window, then merge every
                     // admission visible at that instant: batches that
@@ -1898,15 +1873,9 @@ mod tests {
                     .collect();
                 let dima_rows = if paged_dims { 3000 } else { 10 };
                 // Staggered arrivals split the pending set into several
-                // admission batches; the oracle must hold regardless. The
-                // staggered runs also use several admission workers, so
-                // concurrent admit_batch_shared calls over shared filter
-                // cores are exercised against the oracle too.
+                // admission batches; the oracle must hold regardless.
                 let interarrival = if stagger { 2e5 } else { 0.0 };
-                let shared_cfg = CjoinConfig {
-                    n_admission_workers: if stagger { 4 } else { 1 },
-                    ..Default::default()
-                };
+                let shared_cfg = CjoinConfig::default();
                 let serial_cfg = CjoinConfig {
                     serial_admission: true,
                     ..Default::default()

@@ -5,7 +5,7 @@
 //! (fractions of a microsecond per tuple), so virtual response times are
 //! directly comparable *in shape* to the paper's; absolute values are ~100×
 //! smaller because the datasets are generated at 1/100 row scale (see
-//! DESIGN.md §2).
+//! `docs/FIGURES.md`).
 //!
 //! The constants deliberately encode the asymmetries the paper analyses:
 //!

@@ -50,7 +50,7 @@ pub enum NamedConfig {
     /// + SP over identical CJOIN packets.
     CjoinSp,
     /// Tuple-at-a-time query-centric iterator engine (the Postgres
-    /// substitute of Fig. 16; see DESIGN.md §2).
+    /// substitute of Fig. 16; see `docs/FIGURES.md`).
     Volcano,
 }
 
@@ -116,18 +116,6 @@ pub struct ServiceConfig {
     /// so heavy tenants cannot starve light ones, and zero-weight tenants
     /// are locked out.
     pub tenant_weights: [f64; MAX_TENANTS],
-    /// Deprecated alias for
-    /// [`FaultPlan::worker_panic_stride`](FaultPlan::worker_panic_stride):
-    /// panic inside the producer vthread of every query whose id is a
-    /// multiple of the stride, *after* admission (the completion guard and
-    /// permit drop must turn the panic into an error outcome that still
-    /// balances
-    /// [`ThroughputReport::is_conserved`](crate::ThroughputReport::is_conserved)).
-    /// `None` (the default) injects nothing. Kept so existing tests pass
-    /// unchanged; new code should set the stride on
-    /// [`RunConfig::faults`](RunConfig::faults) instead.
-    #[doc(hidden)]
-    pub fault_panic_stride: Option<u64>,
 }
 
 impl Default for ServiceConfig {
@@ -137,7 +125,6 @@ impl Default for ServiceConfig {
             deadline_secs: None,
             slo_p99_secs: None,
             tenant_weights: [0.0; MAX_TENANTS],
-            fault_panic_stride: None,
         }
     }
 }
@@ -203,19 +190,19 @@ pub struct FaultPlan {
     /// Seed mixed into every site's fire schedule; a chaos failure replays
     /// from its seed.
     pub seed: u64,
-    /// Every ~`stride`-th page read fails transiently.
+    /// Every ~`stride`-th page read fails transiently (for 2 consecutive
+    /// attempts; the retry budget is 4, so a retried read always recovers).
     pub transient_page_stride: Option<u64>,
-    /// Consecutive attempts a transient page fault poisons (the retry
-    /// budget is 4 attempts, so the default 2 always recovers).
-    pub transient_page_burst: u32,
     /// Every ~`stride`-th page read fails on every attempt.
     pub permanent_page_stride: Option<u64>,
     /// Every ~`stride`-th page read returns a torn page.
     pub torn_page_stride: Option<u64>,
-    /// Every ~`stride`-th admission scan unit stalls past the fabric's
-    /// re-dispatch deadline.
+    /// Every ~`stride`-th admission scan draw stalls past the fabric's
+    /// re-dispatch deadline. The pool rung draws once per scan unit, the
+    /// fabric once per page-range subscan (up to 4 per unit), the serial
+    /// rung never (see `workshare_cjoin::CjoinFaultPlan`).
     pub scan_stall_stride: Option<u64>,
-    /// Every ~`stride`-th admission scan unit panics.
+    /// Every ~`stride`-th admission scan draw (as above) panics.
     pub scan_panic_stride: Option<u64>,
     /// A fabric worker wedges (parks until shutdown) at its `n`-th window;
     /// fires once per fabric lifetime.
@@ -224,8 +211,10 @@ pub struct FaultPlan {
     /// carcass through the lease registry's retired ledger and rebuilds.
     pub stage_build_stride: Option<u64>,
     /// Panic inside the producer vthread of every query whose id is a
-    /// multiple of the stride (the PR 7 knob, folded in; the
-    /// `ServiceConfig::fault_panic_stride` alias still works).
+    /// multiple of the stride, *after* admission (the completion guard and
+    /// permit drop must turn the panic into an error outcome that still
+    /// balances
+    /// [`ThroughputReport::is_conserved`](crate::ThroughputReport::is_conserved)).
     pub worker_panic_stride: Option<u64>,
     /// Whether the recovery machinery runs (retry/backoff, re-dispatch,
     /// health monitor, ladder). `false` = no-recovery baseline: the first
@@ -238,7 +227,6 @@ impl Default for FaultPlan {
         FaultPlan {
             seed: 0,
             transient_page_stride: None,
-            transient_page_burst: 2,
             permanent_page_stride: None,
             torn_page_stride: None,
             scan_stall_stride: None,
@@ -275,7 +263,6 @@ impl FaultPlan {
         StorageFaultPlan {
             seed: self.seed,
             transient_stride: self.transient_page_stride,
-            transient_burst: self.transient_page_burst,
             permanent_stride: self.permanent_page_stride,
             torn_stride: self.torn_page_stride,
             retry: self.self_heal,
@@ -289,7 +276,6 @@ impl FaultPlan {
             scan_stall_stride: self.scan_stall_stride,
             scan_panic_stride: self.scan_panic_stride,
             wedge_after_windows: self.fabric_wedge_after,
-            ..CjoinFaultPlan::default()
         }
     }
 }
@@ -335,30 +321,18 @@ pub struct RunConfig {
     /// `Some(_)` builds the governed engine (both paths) and routes per
     /// submission.
     pub policy: Option<ExecPolicy>,
-    /// Shard the governed engine's shared path by fact table (default): a
-    /// star query over *any* fact table enters a lazily-built CJOIN stage
-    /// bound to that fact. Off = the legacy topology — one stage bound to
-    /// the run's primary fact table, star queries over other facts fall
-    /// back to QPipe-with-sharing (kept as the `multifact` bench baseline).
-    pub multifact: bool,
     /// Serve CJOIN admission from one engine-level **cross-stage fabric**
     /// (default, governed engines only): every sharded stage hands its
     /// pending batches to a single worker pool that merges them per
     /// batching window and scans each distinct dimension table **once for
     /// all stages** — two fact tables' star queries filtering the same
     /// dimension share one physical scan. Off = each stage runs its own
-    /// admission pool (`workshare_cjoin::CjoinConfig::n_admission_workers`,
-    /// the `admission_fabric` bench baseline and the only mode for
+    /// admission worker (the oracle for cross-stage merge invariance, the
+    /// `admission_fabric` bench's other side, and the only mode for
     /// ungoverned / standalone stages). Ignored under
     /// [`cjoin_serial_admission`](RunConfig::cjoin_serial_admission), which
     /// admits inline on the preprocessor.
     pub admission_fabric: bool,
-    /// Worker count of the engine-level admission fabric. Default 1: a
-    /// single worker makes window merging maximal and deterministic (every
-    /// burst shares one scan pass); raise it to overlap the dimension
-    /// scans of *independent* admission windows on engines with many
-    /// sharded fact stages, at the cost of best-effort merging.
-    pub admission_fabric_workers: usize,
     /// Sharing-governor knobs (hysteresis, calibration EWMA), used when
     /// `policy` is [`ExecPolicy::Adaptive`].
     pub governor: GovernorConfig,
@@ -386,9 +360,7 @@ impl Default for RunConfig {
             cost: CostModel::default(),
             disk: DiskConfig::default(),
             policy: None,
-            multifact: true,
             admission_fabric: true,
-            admission_fabric_workers: 1,
             governor: GovernorConfig::default(),
             service: ServiceConfig::default(),
             faults: FaultPlan::default(),
@@ -490,12 +462,6 @@ impl RunConfig {
             ..Default::default()
         }
     }
-
-    /// Effective mid-execution worker-panic stride: the fault plan's site,
-    /// with the deprecated `ServiceConfig::fault_panic_stride` alias.
-    pub fn worker_panic_stride(&self) -> Option<u64> {
-        self.faults.worker_panic_stride.or(self.service.fault_panic_stride)
-    }
 }
 
 #[cfg(test)]
@@ -530,8 +496,6 @@ mod tests {
     fn governed_configs_label_by_policy() {
         let rc = RunConfig::governed(ExecPolicy::Adaptive);
         assert_eq!(rc.policy, Some(ExecPolicy::Adaptive));
-        // Sharded multi-fact stages are the default shared topology.
-        assert!(rc.multifact);
         assert_eq!(rc.label(), "Adaptive");
         assert_eq!(RunConfig::governed(ExecPolicy::QueryCentric).label(), "Gov-QC");
         assert_eq!(RunConfig::governed(ExecPolicy::Shared).label(), "Gov-Shared");
@@ -546,9 +510,6 @@ mod tests {
     fn admission_fabric_defaults_on_for_governed_engines() {
         let rc = RunConfig::governed(ExecPolicy::Shared);
         assert!(rc.admission_fabric, "fabric is the governed default");
-        assert_eq!(rc.admission_fabric_workers, 1, "doc'd default");
-        // The per-stage fallback pool keeps its knob for standalone stages.
-        assert_eq!(rc.cjoin_config().n_admission_workers, 1);
     }
 
     #[test]
@@ -595,7 +556,7 @@ mod tests {
         assert!(!rc.faults.heals(), "no machinery without armed sites");
         assert!(!rc.storage_config().faults.is_armed());
         assert!(!rc.cjoin_config().faults.is_armed());
-        assert_eq!(rc.worker_panic_stride(), None);
+        assert_eq!(rc.faults.worker_panic_stride, None);
     }
 
     #[test]
@@ -625,13 +586,75 @@ mod tests {
         assert!(!rc.faults.heals());
     }
 
+    /// Name one config struct's fields by destructuring its default
+    /// **exhaustively — no `..`**: a field added to (or removed from) the
+    /// struct stops this compiling until the census below, and with it
+    /// `docs/KNOBS.md`, says what the new knob is for and who sets it.
+    macro_rules! fields {
+        ($ty:ident { $($field:ident),* $(,)? }) => {{
+            let $ty { $($field: _),* } = $ty::default();
+            (stringify!($ty), vec![$(stringify!($field)),*])
+        }};
+    }
+
+    /// The knob census of `docs/KNOBS.md`: every field of every config
+    /// struct a run can be parameterised through.
+    fn knob_census() -> Vec<(&'static str, Vec<&'static str>)> {
+        vec![
+            fields!(RunConfig {
+                engine, cores, exchange, io_mode, buffer_pool_pages, sp_aggs, cjoin_shared_agg,
+                cjoin_scalar_filter, cjoin_serial_admission, cs_prediction, cost, disk, policy,
+                admission_fabric, governor, service, faults,
+            }),
+            fields!(ServiceConfig { queue_cap, deadline_secs, slo_p99_secs, tenant_weights }),
+            fields!(FaultPlan {
+                seed, transient_page_stride, permanent_page_stride, torn_page_stride,
+                scan_stall_stride, scan_panic_stride, fabric_wedge_after, stage_build_stride,
+                worker_panic_stride, self_heal,
+            }),
+            fields!(GovernorConfig { hysteresis, ewma_alpha, max_crossover }),
+            fields!(CjoinConfig {
+                n_workers, exchange, cap_pages, sp, shared_aggregation, scalar_filter,
+                serial_admission, faults,
+            }),
+            fields!(CjoinFaultPlan {
+                seed, scan_stall_stride, scan_panic_stride, wedge_after_windows,
+            }),
+            fields!(QpipeConfig {
+                exchange, circular_scans, sp_joins, sp_aggs, cs_prediction, cap_pages,
+            }),
+            fields!(StorageConfig {
+                io_mode, buffer_pool_pages, fs_extent_pages, fs_cache_extents, faults,
+            }),
+            fields!(StorageFaultPlan {
+                seed, transient_stride, permanent_stride, torn_stride, retry,
+            }),
+            fields!(DiskConfig {
+                bandwidth_bytes_per_sec, per_request_overhead_ns, stream_switch_seek_ns,
+            }),
+        ]
+    }
+
+    const KNOBS_MD: &str = include_str!("../../../docs/KNOBS.md");
+
     #[test]
-    fn worker_panic_stride_folds_legacy_alias() {
-        let mut rc = RunConfig::default();
-        rc.service.fault_panic_stride = Some(3);
-        assert_eq!(rc.worker_panic_stride(), Some(3), "deprecated alias");
-        rc.faults.worker_panic_stride = Some(5);
-        assert_eq!(rc.worker_panic_stride(), Some(5), "plan wins over alias");
+    fn knob_census_counts_every_config_field() {
+        let total: usize = knob_census().iter().map(|(_, f)| f.len()).sum();
+        // docs/KNOBS.md's "Count" section leads with the total and explains
+        // which of the fields are set independently.
+        let headline = format!("{total} fields in ten structs");
+        assert!(KNOBS_MD.contains(&headline), "docs/KNOBS.md does not say \"{headline}\"");
+    }
+
+    #[test]
+    fn knobs_md_names_every_field_of_the_census() {
+        let doc = KNOBS_MD;
+        for (ty, fields) in knob_census() {
+            for field in fields {
+                let name = format!("`{ty}::{field}`");
+                assert!(doc.contains(&name), "docs/KNOBS.md does not mention {name}");
+            }
+        }
     }
 
     #[test]

@@ -511,22 +511,13 @@ struct Governed {
     policy: ExecPolicy,
     /// Shared star path: one lazily-built CJOIN stage per fact table.
     registry: Arc<StageRegistry>,
-    /// Shared path for genuinely non-star queries (circular scans + SP on),
-    /// and — with [`RunConfig::multifact`] off — for star queries over
-    /// foreign fact tables (the pre-sharding behavior, kept as the bench
-    /// baseline).
+    /// Shared path for genuinely non-star queries (circular scans + SP on).
     qpipe: QpipeEngine,
     governor: Arc<SharingGovernor>,
     /// Queries submitted through this engine and not yet completed — the
     /// governor's engine-wide concurrency signal (tracked in Adaptive
     /// mode).
     in_flight: Arc<AtomicU64>,
-    /// The engine's default fact table (the only CJOIN-eligible fact when
-    /// `multifact` is off).
-    primary_fact: TableId,
-    /// Shard the shared path by fact table (default); off = the legacy
-    /// single-stage-with-QPipe-fallback topology.
-    multifact: bool,
     /// Virtual cores (saturation divisor of the query-centric estimate).
     cores: f64,
     /// CJOIN filter workers (parallelism divisor of the shared estimate).
@@ -560,14 +551,12 @@ struct EngineInner {
     gate_ws: WaitSet,
     gate_open: Arc<AtomicBool>,
     /// Worker-panic fault site
-    /// ([`crate::config::FaultPlan::worker_panic_stride`], with the
-    /// deprecated [`ServiceConfig::fault_panic_stride`] alias folded in via
-    /// [`RunConfig::worker_panic_stride`]): panic inside the producer
-    /// vthread of every query whose id is a multiple of the stride, after
-    /// admission. Exercises the unwind path end to end — the completion
-    /// guard poisons the slot, the permit and lease drops release their
-    /// claims, and the run report still balances.
-    fault_panic_stride: Option<u64>,
+    /// ([`crate::config::FaultPlan::worker_panic_stride`]): panic inside the
+    /// producer vthread of every query whose id is a multiple of the
+    /// stride, after admission. Exercises the unwind path end to end — the
+    /// completion guard poisons the slot, the permit and lease drops release
+    /// their claims, and the run report still balances.
+    worker_panic_stride: Option<u64>,
 }
 
 /// Observed-latency feedback plumbing of one adaptive submission: completes
@@ -634,11 +623,10 @@ pub struct Engine {
 impl Engine {
     /// Build the engine selected by `config` over an already mounted
     /// storage manager. `fact_table` names the default fact table: the
-    /// single CJOIN stage's for the named CJOIN engines, the primary fact
-    /// of the governed engine (with [`RunConfig::multifact`] set, further
-    /// stages are sharded lazily per fact table referenced by star
-    /// queries). With [`RunConfig::policy`] set, both paths are built and
-    /// submissions are routed per the policy.
+    /// single CJOIN stage's for the named CJOIN engines; the governed
+    /// engine ignores it and shards its stages lazily, one per fact table
+    /// referenced by a star query. With [`RunConfig::policy`] set, both
+    /// paths are built and submissions are routed per the policy.
     pub fn new(
         machine: &Machine,
         storage: &StorageManager,
@@ -673,9 +661,8 @@ impl Engine {
                         // cap as its pending depth so try_submit sheds before
                         // the backlog grows unbounded.
                         has_fabric.then(|| {
-                            AdmissionFabric::with_recovery(
+                            AdmissionFabric::new(
                                 machine,
-                                config.admission_fabric_workers,
                                 config.service.queue_cap.map_or(u64::MAX, |cap| cap as u64),
                                 config.faults.cjoin_faults(),
                                 health.clone(),
@@ -697,8 +684,6 @@ impl Engine {
                 ),
                 governor: Arc::new(SharingGovernor::new(config.cost, config.governor)),
                 in_flight: Arc::new(AtomicU64::new(0)),
-                primary_fact: storage.table(fact_table),
-                multifact: config.multifact,
                 cores: config.cores as f64,
                 pipeline_parallelism: config.cjoin_config().n_workers.max(1) as f64,
                 disk_bandwidth: if config.io_mode == workshare_storage::IoMode::Memory {
@@ -733,7 +718,7 @@ impl Engine {
                 kind,
                 gate_ws: WaitSet::new(machine),
                 gate_open: Arc::new(AtomicBool::new(true)),
-                fault_panic_stride: config.worker_panic_stride(),
+                worker_panic_stride: config.faults.worker_panic_stride,
             }),
         }
     }
@@ -835,15 +820,6 @@ impl Engine {
             .ok_or(ShedReason::QueueFull)
     }
 
-    /// Queries admitted through [`Engine::try_submit`] and not yet
-    /// completed (0 for ungoverned engines or an inactive service config).
-    pub fn service_outstanding(&self) -> u64 {
-        match &self.inner.kind {
-            EngineKind::Governed(g) => g.slots.outstanding(),
-            _ => 0,
-        }
-    }
-
     /// Live cost-model signals for routing `q`: catalog cardinalities, the
     /// engine-wide in-flight count, the cross-stage admission-fabric
     /// pending count, and the per-stage signals of the query's **own fact
@@ -918,10 +894,8 @@ impl Engine {
         deadline_secs: Option<f64>,
     ) -> Result<Ticket, ShedReason> {
         let fact_t = self.inner.storage.table(&q.fact);
-        // Any star query can enter its fact's sharded stage; with
-        // `multifact` off only the primary fact is CJOIN-eligible (legacy
-        // single-stage topology — foreign facts fall back to QPipe).
-        let is_star = !q.dims.is_empty() && (g.multifact || fact_t == g.primary_fact);
+        // Any star query can enter its fact's sharded stage.
+        let is_star = !q.dims.is_empty();
         let shape = q.shape_signature();
         // One signals snapshot per submission: the decision, the recorded
         // route, and the later calibration feedback all see the same state.
@@ -1042,7 +1016,7 @@ impl Engine {
             // adapt the stage's buffered result to a Ticket.
             let agg = stage.submit_aggregated(q);
             let slot2 = Arc::clone(&slot);
-            let fault = inner.fault_panic_stride;
+            let fault = inner.worker_panic_stride;
             let qid = q.id;
             inner.machine.spawn(&format!("cj-sagg-q{}", q.id), move |ctx| {
                 let guard = CompletionGuard::new(Arc::clone(&slot2));
@@ -1070,7 +1044,7 @@ impl Engine {
         let slot2 = Arc::clone(&slot);
         let gate_ws = inner.gate_ws.clone();
         let gate_open = Arc::clone(&inner.gate_open);
-        let fault = inner.fault_panic_stride;
+        let fault = inner.worker_panic_stride;
         let qid = q.id;
         inner.machine.spawn(&format!("cj-agg-q{}", q.id), move |ctx| {
             let guard = CompletionGuard::new(Arc::clone(&slot2));
@@ -1154,7 +1128,7 @@ impl Engine {
         let q = q.clone();
         let gate_ws = inner.gate_ws.clone();
         let gate_open = Arc::clone(&inner.gate_open);
-        let fault = inner.fault_panic_stride;
+        let fault = inner.worker_panic_stride;
         inner.machine.spawn(&format!("volcano-q{}", q.id), move |ctx| {
             let guard = CompletionGuard::new(Arc::clone(&slot2));
             if !gate_open.load(Ordering::Acquire) {

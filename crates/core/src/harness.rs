@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use workshare_common::value::Row;
 use workshare_common::StarQuery;
-use workshare_sim::{CostKind, CpuBreakdown, DiskStats, LatencyHistogram, Machine};
+use workshare_sim::{CostKind, CpuBreakdown, DiskStats, LatencyHistogram, Machine, SimCtx};
 
 use crate::config::RunConfig;
 use crate::dataset::Dataset;
@@ -100,6 +100,52 @@ pub fn run_batch_on(
     queries: &[StarQuery],
     keep_results: bool,
 ) -> RunReport {
+    run_queries(dataset, config, fact_table, queries, keep_results, |_ctx, engine, qs| {
+        engine.close_gate();
+        let tickets = qs.iter().map(|q| engine.submit(q)).collect();
+        engine.open_gate();
+        tickets
+    })
+}
+
+/// Run `queries` with a fixed interarrival delay between submissions
+/// (virtual seconds). This is how Windows of Opportunity are probed: step
+/// WoPs close as soon as the host emits its first page, while linear WoPs
+/// (circular scans) accept latecomers until the host finishes.
+pub fn run_staggered(
+    dataset: &Dataset,
+    config: &RunConfig,
+    fact_table: &str,
+    queries: &[StarQuery],
+    interarrival_secs: f64,
+    keep_results: bool,
+) -> RunReport {
+    run_queries(dataset, config, fact_table, queries, keep_results, move |ctx, engine, qs| {
+        let mut tickets = Vec::with_capacity(qs.len());
+        for (i, q) in qs.iter().enumerate() {
+            if i > 0 && interarrival_secs > 0.0 {
+                ctx.sleep(interarrival_secs * 1e9);
+            }
+            tickets.push(engine.submit(q));
+        }
+        tickets
+    })
+}
+
+/// The driver behind [`run_batch_on`] and [`run_staggered`]: build machine,
+/// storage and engine, run `submit` on a harness vthread to hand every
+/// query to the engine, wait for all tickets, and assemble the report.
+fn run_queries<S>(
+    dataset: &Dataset,
+    config: &RunConfig,
+    fact_table: &str,
+    queries: &[StarQuery],
+    keep_results: bool,
+    submit: S,
+) -> RunReport
+where
+    S: FnOnce(&SimCtx, &Engine, &[StarQuery]) -> Vec<crate::Ticket> + Send + 'static,
+{
     let machine = Machine::new(config.machine_config());
     let storage = dataset.instantiate(config.storage_config(), config.cost);
     let engine = Engine::new(&machine, &storage, config, fact_table);
@@ -110,11 +156,9 @@ pub fn run_batch_on(
 
     let e2 = engine.clone();
     let qs: Vec<StarQuery> = queries.to_vec();
-    let results = machine
-        .spawn("harness", move |_ctx| {
-            e2.close_gate();
-            let tickets: Vec<_> = qs.iter().map(|q| e2.submit(q)).collect();
-            e2.open_gate();
+    let (rows, latencies_secs) = machine
+        .spawn("harness", move |ctx| {
+            let tickets = submit(ctx, &e2, &qs);
             let mut rows = Vec::with_capacity(tickets.len());
             let mut lats = Vec::with_capacity(tickets.len());
             for t in &tickets {
@@ -125,7 +169,6 @@ pub fn run_batch_on(
         })
         .join()
         .expect("harness vthread panicked");
-    let (rows, latencies_secs) = results;
 
     let end_ns = machine.now_ns();
     let makespan_secs = (end_ns - start_ns) / 1e9;
@@ -144,75 +187,6 @@ pub fn run_batch_on(
         avg_cores_used: avg_cores_used.min(config.cores as f64),
         read_rate_mbps: disk.read_rate_mbps(end_ns - start_ns),
         cpu,
-        disk,
-        qpipe_sharing: engine.qpipe_sharing(),
-        cjoin: engine.cjoin_stats(),
-        fabric: engine.fabric_stats(),
-        stages: engine.stage_rows(),
-        governor: engine.governor_stats(),
-        health: engine.health_stats(),
-        results: keep_results.then_some(rows),
-    };
-    engine.shutdown();
-    report
-}
-
-/// Run `queries` with a fixed interarrival delay between submissions
-/// (virtual seconds). This is how Windows of Opportunity are probed: step
-/// WoPs close as soon as the host emits its first page, while linear WoPs
-/// (circular scans) accept latecomers until the host finishes.
-pub fn run_staggered(
-    dataset: &Dataset,
-    config: &RunConfig,
-    fact_table: &str,
-    queries: &[StarQuery],
-    interarrival_secs: f64,
-    keep_results: bool,
-) -> RunReport {
-    let machine = Machine::new(config.machine_config());
-    let storage = dataset.instantiate(config.storage_config(), config.cost);
-    let engine = Engine::new(&machine, &storage, config, fact_table);
-    let cpu0 = machine.cpu_breakdown();
-    let disk0 = machine.disk_stats();
-    let start_ns = machine.now_ns();
-
-    let e2 = engine.clone();
-    let qs: Vec<StarQuery> = queries.to_vec();
-    let (rows, latencies_secs) = machine
-        .spawn("harness", move |ctx| {
-            let mut tickets = Vec::with_capacity(qs.len());
-            for (i, q) in qs.iter().enumerate() {
-                if i > 0 && interarrival_secs > 0.0 {
-                    ctx.sleep(interarrival_secs * 1e9);
-                }
-                tickets.push(e2.submit(q));
-            }
-            let mut rows = Vec::with_capacity(tickets.len());
-            let mut lats = Vec::with_capacity(tickets.len());
-            for t in &tickets {
-                rows.push(t.wait());
-                lats.push(t.latency_secs());
-            }
-            (rows, lats)
-        })
-        .join()
-        .expect("harness vthread panicked");
-
-    let end_ns = machine.now_ns();
-    let makespan_secs = (end_ns - start_ns) / 1e9;
-    let disk = machine.disk_stats().delta(&disk0);
-    let report = RunReport {
-        config: config.label(),
-        queries: queries.len(),
-        latencies_secs,
-        makespan_secs,
-        avg_cores_used: if makespan_secs > 0.0 {
-            (machine.busy_core_secs() / makespan_secs).min(config.cores as f64)
-        } else {
-            0.0
-        },
-        read_rate_mbps: disk.read_rate_mbps(end_ns - start_ns),
-        cpu: machine.cpu_breakdown().delta(&cpu0),
         disk,
         qpipe_sharing: engine.qpipe_sharing(),
         cjoin: engine.cjoin_stats(),
@@ -267,7 +241,7 @@ pub struct ThroughputReport {
     /// "Avg. Read Rate (MB/s)" over the window.
     pub read_rate_mbps: f64,
     /// Per-tenant outcome counts (one row per tenant of the
-    /// [`ServiceLoad`]; a single row for [`run_clients`]).
+    /// [`ServiceLoad`]).
     pub tenants: Vec<TenantCounts>,
     /// Sharing-governor routing statistics (if the run was governed) —
     /// under closed-loop arrivals the calibration residuals here are the
@@ -319,7 +293,7 @@ pub struct ServiceLoad {
     /// Client vthreads.
     pub clients: usize,
     /// `None` = closed loop (each client waits for its query before
-    /// submitting the next — the legacy [`run_clients`] behavior).
+    /// submitting the next).
     /// `Some(rate)` = open loop: clients submit with exponential
     /// interarrival times at an aggregate `rate` arrivals per virtual
     /// second, without waiting — offered load keeps rising past
@@ -369,39 +343,6 @@ impl ClientTally {
             self.completed_late += 1;
         }
     }
-}
-
-/// Closed-loop run: each of `clients` submits a query, waits for it, then
-/// submits the next, for `window_secs` of virtual time. `make_query`
-/// instantiates the next query for `(client, sequence)`. Thin wrapper over
-/// [`run_service`] with a closed loop and a single tenant — with the
-/// default (inactive) [`crate::ServiceConfig`] the behavior and counts are
-/// exactly the legacy ones.
-pub fn run_clients<F>(
-    dataset: &Dataset,
-    config: &RunConfig,
-    fact_table: &str,
-    clients: usize,
-    window_secs: f64,
-    seed: u64,
-    make_query: F,
-) -> ThroughputReport
-where
-    F: Fn(u64, &mut StdRng) -> StarQuery + Send + Sync + 'static,
-{
-    run_service(
-        dataset,
-        config,
-        fact_table,
-        ServiceLoad {
-            clients,
-            arrivals_per_sec: None,
-            tenants: 1,
-            window_secs,
-            seed,
-        },
-        make_query,
-    )
 }
 
 /// Service-loop run: drive the engine with `load` (closed- or open-loop
@@ -639,7 +580,14 @@ mod tests {
     fn closed_loop_clients_complete_queries() {
         let d = dataset();
         let cfg = RunConfig::named(NamedConfig::QpipeSp);
-        let rep = run_clients(&d, &cfg, "lineorder", 3, 2.0, 42, |id, rng| {
+        let load = ServiceLoad {
+            clients: 3,
+            arrivals_per_sec: None,
+            tenants: 1,
+            window_secs: 2.0,
+            seed: 42,
+        };
+        let rep = run_service(&d, &cfg, "lineorder", load, |id, rng| {
             workload::ssb_q3_2(id, rng)
         });
         assert!(rep.completed > 0, "{rep:?}");

@@ -51,7 +51,7 @@ pub use dataset::Dataset;
 pub use engine::{Engine, Outcome, ShedReason, StageRow};
 pub use governor::{GovernorConfig, GovernorStats, Route, SharingGovernor, SloDecision};
 pub use harness::{
-    run_batch, run_clients, run_service, run_staggered, RunReport, ServiceLoad, TenantCounts,
+    run_batch, run_service, run_staggered, RunReport, ServiceLoad, TenantCounts,
     ThroughputReport,
 };
 pub use health::HealthStats;

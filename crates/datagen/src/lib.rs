@@ -9,7 +9,7 @@
 //!
 //! Row counts are **1/100** of standard SSB for the fact table and **1/10**
 //! for dimensions (dimensions need enough rows for 1/25-nation selectivity
-//! granularity at small scale factors; see DESIGN.md §2):
+//! granularity at small scale factors):
 //!
 //! | table     | standard SSB        | ours                      |
 //! |-----------|---------------------|---------------------------|

@@ -177,23 +177,6 @@ struct EngineInner {
     /// Queries submitted but not yet completed (the prediction model's
     /// saturation signal).
     in_flight: Arc<AtomicU64>,
-    /// Completed-query count and response-time EWMA (virtual ns) — the
-    /// observed-latency feedback signal the sharing governor consumes.
-    completed: AtomicU64,
-    lat_ewma_ns: Mutex<f64>,
-}
-
-impl EngineInner {
-    /// Fold one completed query's response time into the EWMA (α = 0.2).
-    fn observe_latency(&self, lat_ns: f64) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        let mut ewma = self.lat_ewma_ns.lock();
-        *ewma = if *ewma == 0.0 {
-            lat_ns
-        } else {
-            0.8 * *ewma + 0.2 * lat_ns
-        };
-    }
 }
 
 /// The staged execution engine. Cheap to clone.
@@ -224,8 +207,6 @@ impl QpipeEngine {
                 join_level_shares: Mutex::new(Vec::new()),
                 result_shares: AtomicU64::new(0),
                 in_flight: Arc::new(AtomicU64::new(0)),
-                completed: AtomicU64::new(0),
-                lat_ewma_ns: Mutex::new(0.0),
             }),
         }
     }
@@ -300,14 +281,6 @@ impl QpipeEngine {
         self.inner.in_flight.load(Ordering::Acquire)
     }
 
-    /// Observed response-time EWMA over completed queries, virtual seconds
-    /// (`None` until the first completion). The sharing governor uses this
-    /// to calibrate its cost-model estimates against reality.
-    pub fn observed_latency_ewma_secs(&self) -> Option<f64> {
-        (self.inner.completed.load(Ordering::Relaxed) > 0)
-            .then(|| *self.inner.lat_ewma_ns.lock() / 1e9)
-    }
-
     /// Submit one query; returns immediately with a handle. Callable from a
     /// coordinator vthread (deterministic batches) or an external thread.
     pub fn submit(&self, q: &StarQuery) -> QueryHandle {
@@ -331,7 +304,6 @@ impl QpipeEngine {
                     let res = Arc::clone(&result);
                     let in_flight = Arc::clone(&inner.in_flight);
                     inner.result_shares.fetch_add(1, Ordering::Relaxed);
-                    let inner2 = Arc::clone(&self.inner);
                     self.spawn_packet(&format!("res-sat-q{}", q.id), move |ctx| {
                         let rows = host.ws.wait_for(|| {
                             if host.done.load(Ordering::Acquire) {
@@ -345,7 +317,6 @@ impl QpipeEngine {
                         ctx.charge(CostKind::Copy, cost.copy_cost(bytes));
                         let done_ns = ctx.machine().now_ns();
                         res.complete(rows, done_ns);
-                        inner2.observe_latency(done_ns - now);
                         in_flight.fetch_sub(1, Ordering::AcqRel);
                     });
                     return handle;
@@ -436,12 +407,10 @@ impl QpipeEngine {
         let order = q.order_by.clone();
         let b = Arc::clone(&bound);
         let in_flight = Arc::clone(&inner.in_flight);
-        let inner2 = Arc::clone(&self.inner);
         self.spawn_packet(&format!("agg-q{}", q.id), move |ctx| {
             let rows = ops::run_aggregate(ctx, stream, &b, &order, &cost);
             let done_ns = ctx.machine().now_ns();
             result.complete(Arc::new(rows), done_ns);
-            inner2.observe_latency(done_ns - now);
             in_flight.fetch_sub(1, Ordering::AcqRel);
         });
         handle
@@ -737,23 +706,5 @@ mod tests {
     fn latency_is_positive_and_ordered() {
         let (res, _) = run_config(QpipeConfig::default(), vec![query(1, false)]);
         assert_eq!(res.len(), 1);
-    }
-
-    #[test]
-    fn observed_latency_ewma_tracks_completions() {
-        let (m, sm) = setup();
-        let engine = QpipeEngine::new(&m, &sm, QpipeConfig::default(), CostModel::default());
-        assert_eq!(engine.observed_latency_ewma_secs(), None, "no completions yet");
-        let e2 = engine.clone();
-        m.spawn("coord", move |_| {
-            for i in 0..3 {
-                e2.submit(&query(i, false)).wait();
-            }
-        })
-        .join()
-        .unwrap();
-        let ewma = engine.observed_latency_ewma_secs().expect("completions observed");
-        assert!(ewma > 0.0);
-        engine.shutdown();
     }
 }

@@ -71,18 +71,3 @@ pub use machine::{HandoffCounts, JoinHandle, Machine, MachineConfig, SimCtx, Thr
 pub use queue::{QueueClosed, SimQueue};
 pub use stats::{CostKind, CpuBreakdown, LatencyHistogram, COST_KINDS};
 pub use waitset::WaitSet;
-
-/// Nanoseconds of virtual time, the machine's base unit.
-pub type VNanos = f64;
-
-/// Convert virtual nanoseconds to seconds.
-#[inline]
-pub fn ns_to_secs(ns: VNanos) -> f64 {
-    ns / 1e9
-}
-
-/// Convert seconds to virtual nanoseconds.
-#[inline]
-pub fn secs_to_ns(secs: f64) -> VNanos {
-    secs * 1e9
-}

@@ -55,7 +55,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
@@ -711,14 +711,6 @@ impl<T> JoinHandle<T> {
             .lock()
             .take()
             .expect("vthread result already taken")
-    }
-
-    /// Like [`join`](Self::join) but resumes the panic instead of returning it.
-    pub fn join_unwrap(self) -> T {
-        match self.join() {
-            Ok(v) => v,
-            Err(payload) => resume_unwind(payload),
-        }
     }
 }
 

@@ -71,9 +71,6 @@ pub struct StorageFaultPlan {
     pub seed: u64,
     /// Every ~`stride`-th read fails transiently (recovered by retry).
     pub transient_stride: Option<u64>,
-    /// Consecutive attempts a transient fault poisons before the retry
-    /// succeeds (clamped below the retry budget).
-    pub transient_burst: u32,
     /// Every ~`stride`-th read fails on every attempt (typed error).
     pub permanent_stride: Option<u64>,
     /// Every ~`stride`-th read returns a torn page (checksum mismatch).
@@ -88,7 +85,6 @@ impl Default for StorageFaultPlan {
         StorageFaultPlan {
             seed: 0,
             transient_stride: None,
-            transient_burst: 2,
             permanent_stride: None,
             torn_stride: None,
             retry: true,

@@ -21,6 +21,12 @@ pub const MAX_PAGE_ATTEMPTS: u32 = 4;
 /// Virtual-time backoff before the first page-read retry; doubles per retry.
 pub const PAGE_RETRY_BACKOFF_NS: f64 = 20_000.0;
 
+/// Consecutive attempts a transient page fault poisons before the retry
+/// succeeds. Below the retry budget ([`MAX_PAGE_ATTEMPTS`]), so a transient
+/// fault always recovers when retries run.
+const TRANSIENT_FAULT_BURST: u32 = 2;
+const _: () = assert!(TRANSIENT_FAULT_BURST < MAX_PAGE_ATTEMPTS);
+
 /// Identifies a registered table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TableId(pub u32);
@@ -250,13 +256,12 @@ impl StorageManager {
             self.inner.fault.count_injected(FaultSite::Torn);
         }
         let max_attempts = if plan.retry { MAX_PAGE_ATTEMPTS } else { 1 };
-        let burst = plan.transient_burst.clamp(1, MAX_PAGE_ATTEMPTS - 1);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             // Every attempt pays the physical read (I/O + latches).
             let page = self.read_page_raw(ctx, t, page_no, stream);
-            if permanent || (transient && attempt <= burst) {
+            if permanent || (transient && attempt <= TRANSIENT_FAULT_BURST) {
                 if attempt >= max_attempts {
                     return Err(StorageError::PageUnreadable {
                         table: t.0,

@@ -10,7 +10,7 @@
 //! cargo run --release --example report_farm
 //! ```
 
-use workshare::harness::run_clients;
+use workshare::harness::{run_service, ServiceLoad};
 use workshare::{workload, Dataset, IoMode, NamedConfig, RunConfig};
 
 fn main() {
@@ -32,19 +32,18 @@ fn main() {
         for clients in [2usize, 8, 32] {
             let mut cfg = RunConfig::named(engine);
             cfg.io_mode = IoMode::BufferedDisk;
-            let rep = run_clients(
-                &dataset,
-                &cfg,
-                "lineorder",
+            let load = ServiceLoad {
                 clients,
+                arrivals_per_sec: None,
+                tenants: 1,
                 window_secs,
-                17,
-                |id, rng| match id % 3 {
-                    0 => workload::ssb_q1_1(id, rng),
-                    1 => workload::ssb_q2_1(id, rng),
-                    _ => workload::ssb_q3_2(id, rng),
-                },
-            );
+                seed: 17,
+            };
+            let rep = run_service(&dataset, &cfg, "lineorder", load, |id, rng| match id % 3 {
+                0 => workload::ssb_q1_1(id, rng),
+                1 => workload::ssb_q2_1(id, rng),
+                _ => workload::ssb_q3_2(id, rng),
+            });
             println!(
                 "{:<12} {:>8} {:>14.0} {:>14.4} {:>10.2}",
                 rep.config,

@@ -4,7 +4,7 @@
 //! must survive alternating workload shapes, and its latency-feedback
 //! calibration must converge under closed-loop arrivals.
 
-use workshare::harness::{run_batch, run_clients};
+use workshare::harness::{run_batch, run_service, ServiceLoad};
 use workshare::{
     workload, Dataset, ExecPolicy, GovernorConfig, NamedConfig, Route, RunConfig,
     SharingGovernor, StarQuery,
@@ -210,9 +210,9 @@ fn engine_routes_alternating_templates_without_flapping() {
     assert!(gov.shapes >= 2, "shapes not keyed separately: {gov:?}");
 }
 
-/// ROADMAP "Closed-loop feedback" item: `run_clients` submits in a
-/// closed loop (each client waits for its query before the next), a
-/// pattern whose concurrency never matches the batch shape the estimator's
+/// ROADMAP "Closed-loop feedback" item: `run_service` with no arrival
+/// rate submits in a closed loop (each client waits for its query before
+/// the next), a pattern whose concurrency never matches the batch shape the estimator's
 /// queue term assumes. The latency-feedback EWMA must still converge: the
 /// per-route calibration residual — observed / (predicted × calibration)
 /// at observation time — settles around 1.0.
@@ -220,7 +220,14 @@ fn engine_routes_alternating_templates_without_flapping() {
 fn closed_loop_calibration_converges() {
     let d = dataset();
     let cfg = RunConfig::governed(ExecPolicy::Adaptive);
-    let rep = run_clients(&d, &cfg, "lineorder", 4, 2.0, 17, |id, rng| {
+    let load = ServiceLoad {
+        clients: 4,
+        arrivals_per_sec: None,
+        tenants: 1,
+        window_secs: 2.0,
+        seed: 17,
+    };
+    let rep = run_service(&d, &cfg, "lineorder", load, |id, rng| {
         workload::ssb_q3_2(id, rng)
     });
     assert!(rep.completed >= 30, "window too small to converge: {rep:?}");

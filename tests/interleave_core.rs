@@ -11,9 +11,9 @@
 //! 2. [`PendingSlot`] window drain vs concurrent submission (the fabric's
 //!    merged batching windows): every submission rides exactly one window,
 //!    and the [`WindowLedger`] depth signal balances.
-//! 3. [`FilterSpec`] staged-entry publish vs activation (the admission
-//!    publication discipline): a probing distributor never observes an
-//!    active query whose filter entries are missing.
+//! 3. *(retired — the lock-based publish-then-activate spec; scenario 7
+//!    checks the same discipline, `ActivateBeforePublish` mutation
+//!    included, on the production `EpochCell`. Numbers stay stable.)*
 //! 4. [`ServiceSlots`] claim/rollback CAS pair (the bounded admission
 //!    queue): caps never overshoot, shed claims roll back exactly.
 //! 5. [`CompletionCell`] complete vs racing error-complete vs polling
@@ -46,7 +46,6 @@ use loom::thread;
 use loom::{Builder, Report};
 
 use workshare_cjoin::epoch::{EpochFilterSpec, EpochMutation};
-use workshare_cjoin::publish::{FilterSpec, PublishMutation};
 use workshare_cjoin::window::{
     PendingSlot, RedispatchMutation, ScanAttempt, ShardMutation, ShardedSlot, WindowLedger,
     WindowMutation,
@@ -255,48 +254,6 @@ fn window_drain_vs_submission_holds() {
 #[test]
 fn window_mutation_torn_drain_is_caught() {
     assert!(catches(window_scenario(WindowMutation::TornDrain)));
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 3: staged admission publish vs activation
-// ---------------------------------------------------------------------------
-
-/// Two admitters race the two-write admit (publish entries, then activate)
-/// against a probing distributor. Invariant: a probe that observes a slot
-/// active always finds its published keys — the publication discipline
-/// `admission.rs` documents against `crate::publish`.
-fn publish_scenario(mutation: PublishMutation) -> impl Fn() + Send + Sync + 'static {
-    move || {
-        let f = Arc::new(FilterSpec::with_mutation(mutation));
-        let admitters: Vec<_> = [(0u32, 10i64), (1u32, 20i64)]
-            .into_iter()
-            .map(|(slot, key)| {
-                let f = Arc::clone(&f);
-                thread::spawn(move || f.admit(slot, &[key]))
-            })
-            .collect();
-        // The distributor's view, mid-admission: active ⇒ entries present.
-        for (slot, key) in [(0u32, 10i64), (1u32, 20i64)] {
-            if let Some(hit) = f.probe_if_active(slot, key) {
-                assert!(hit, "slot {slot} active without its published key");
-            }
-        }
-        for t in admitters {
-            t.join().unwrap();
-        }
-        assert_eq!(f.probe(10), 1 << 0);
-        assert_eq!(f.probe(20), 1 << 1);
-    }
-}
-
-#[test]
-fn publish_before_activate_holds() {
-    check_exhaustive(publish_scenario(PublishMutation::None));
-}
-
-#[test]
-fn publish_mutation_activate_before_publish_is_caught() {
-    assert!(catches(publish_scenario(PublishMutation::ActivateBeforePublish)));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 
 use std::sync::OnceLock;
 
-use workshare::harness::{run_batch, run_clients};
+use workshare::harness::{run_batch, run_service, ServiceLoad};
 use workshare::{workload, Dataset, IoMode, NamedConfig, RunConfig};
 use workshare_sim::{CostKind, COST_KINDS};
 
@@ -90,7 +90,14 @@ fn admission_time_only_reported_for_cjoin() {
 #[test]
 fn throughput_report_is_consistent() {
     let cfg = RunConfig::named(NamedConfig::CjoinSp);
-    let rep = run_clients(ssb(), &cfg, "lineorder", 4, 1.0, 3, |id, rng| {
+    let load = ServiceLoad {
+        clients: 4,
+        arrivals_per_sec: None,
+        tenants: 1,
+        window_secs: 1.0,
+        seed: 3,
+    };
+    let rep = run_service(ssb(), &cfg, "lineorder", load, |id, rng| {
         workload::ssb_q3_2(id, rng)
     });
     assert!(rep.completed > 0);

@@ -69,7 +69,6 @@ proptest! {
             stage_build_stride: arm_stage_build.then_some(stage_build_stride),
             worker_panic_stride: arm_worker_panic.then_some(worker_panic_stride),
             self_heal: true,
-            ..FaultPlan::default()
         };
         let mut cfg = RunConfig::governed(ExecPolicy::Adaptive);
         cfg.admission_fabric = fabric;
@@ -140,7 +139,6 @@ fn heavy_fault_schedule_recovers_and_accounts_every_action() {
         stage_build_stride: Some(2),
         worker_panic_stride: Some(11),
         self_heal: true,
-        ..FaultPlan::default()
     };
     cfg.service = ServiceConfig {
         queue_cap: Some(6),

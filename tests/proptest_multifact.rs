@@ -1,8 +1,9 @@
 //! Property-based tests of the **sharded multi-fact** shared path: random
 //! mixed workloads over two fact tables must produce identical joined rows
-//! and aggregates on the sharded governed engine, the per-query Volcano
-//! oracle, and the legacy single-stage-with-QPipe-fallback topology —
-//! mirroring the `scalar_filter` / `serial_admission` oracle pattern.
+//! and aggregates on the sharded governed engine — under the cross-stage
+//! admission fabric and under per-stage admission pools — and the per-query
+//! Volcano oracle, mirroring the `scalar_filter` / `serial_admission`
+//! oracle pattern.
 
 use std::sync::OnceLock;
 
@@ -101,11 +102,10 @@ fn results_of(cfg: &RunConfig, queries: &[StarQuery]) -> Vec<Vec<Row>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Sharded per-fact stages vs. the per-query Volcano oracle vs. the
-    /// legacy single-stage topology (foreign fact → QPipe-with-sharing):
-    /// identical joined rows and aggregates for every query of a random
-    /// two-fact mix, and the sharded run really builds one stage per
-    /// referenced fact.
+    /// Sharded per-fact stages vs. the per-query Volcano oracle: identical
+    /// joined rows and aggregates for every query of a random two-fact
+    /// mix, and the sharded run really builds one stage per referenced
+    /// fact.
     #[test]
     fn sharded_stages_match_the_query_centric_oracle(
         mut queries in proptest::collection::vec(arb_query(), 1..6),
@@ -132,13 +132,6 @@ proptest! {
             .map(|r| (**r).clone())
             .collect();
         prop_assert_eq!(&got, &reference, "sharded stages diverged from Volcano");
-
-        // The QPipe oracle: same queries through the pre-sharding topology
-        // (single primary-fact stage, foreign facts on QPipe-with-sharing).
-        let mut fallback_cfg = RunConfig::governed(ExecPolicy::Shared);
-        fallback_cfg.multifact = false;
-        let fallback = results_of(&fallback_cfg, &queries);
-        prop_assert_eq!(&fallback, &reference, "qpipe fallback diverged from Volcano");
 
         // Fabric-vs-per-stage-pool oracle: the sharded run above used the
         // engine-level admission fabric (the default); the same mix on

@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use workshare::harness::{run_service, ServiceLoad};
-use workshare::{workload, Dataset, ExecPolicy, RunConfig, ServiceConfig};
+use workshare::{workload, Dataset, ExecPolicy, FaultPlan, RunConfig, ServiceConfig};
 
 fn ssb() -> &'static Dataset {
     static D: OnceLock<Dataset> = OnceLock::new();
@@ -40,7 +40,7 @@ proptest! {
         let open_rate = open_loop.then_some(rate);
         let queue_cap = capped.then_some(cap);
         let err_stride = inject_errors.then_some(stride);
-        let fault_panic_stride = inject_panics.then_some(panic_stride);
+        let worker_panic_stride = inject_panics.then_some(panic_stride);
         let mut cfg = RunConfig::governed(ExecPolicy::Adaptive);
         cfg.admission_fabric = fabric;
         cfg.service = ServiceConfig {
@@ -48,10 +48,16 @@ proptest! {
             // Tight enough that the predicted latency sheds some (often
             // all) submissions at SF 0.05, loose enough to stay non-zero.
             deadline_secs: tight_deadline.then_some(0.002),
-            // Mid-execution worker panics: the completion guard must turn
-            // them into error outcomes, never lost queries or deadlock.
-            fault_panic_stride,
             ..ServiceConfig::default()
+        };
+        // Mid-execution worker panics: the completion guard must turn
+        // them into error outcomes, never lost queries or deadlock. No
+        // self-healing: this property is about the service loop alone, so
+        // no monitor, ladder or supervised fabric windows are built.
+        cfg.faults = FaultPlan {
+            worker_panic_stride,
+            self_heal: false,
+            ..FaultPlan::default()
         };
         let load = ServiceLoad {
             clients,
@@ -112,7 +118,7 @@ proptest! {
         }
         // Injected bind errors and worker panics only ever produce error
         // outcomes; without injection the workload is error-free.
-        if err_stride.is_none() && fault_panic_stride.is_none() {
+        if err_stride.is_none() && worker_panic_stride.is_none() {
             prop_assert_eq!(rep.errors, 0, "{rep:?}");
         }
         // Latency percentiles exist whenever something completed in-window.
@@ -133,9 +139,10 @@ proptest! {
 #[test]
 fn injected_worker_panics_surface_as_errors_and_conserve() {
     let mut cfg = RunConfig::governed(ExecPolicy::Shared);
-    cfg.service = ServiceConfig {
-        fault_panic_stride: Some(3),
-        ..ServiceConfig::default()
+    cfg.faults = FaultPlan {
+        worker_panic_stride: Some(3),
+        self_heal: false,
+        ..FaultPlan::default()
     };
     let load = ServiceLoad {
         clients: 3,

@@ -1,4 +1,4 @@
-//! Property-based tests of the substrate invariants (DESIGN.md §6).
+//! Property-based tests of the substrate invariants (docs/TESTING.md).
 
 use proptest::prelude::*;
 
