@@ -59,5 +59,6 @@ pub use health::{
 };
 pub use stage::{
     CjoinConfig, CjoinOutput, CjoinRuntimeStats, CjoinStage, CjoinStats, FaultCell,
+    N_FILTER_WORKERS,
 };
 pub use wrap::WrapLedger;

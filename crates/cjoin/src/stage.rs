@@ -6,7 +6,7 @@
 use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
 
 use workshare_common::agg::Aggregator;
-use workshare_common::bind::{bind, BoundQuery};
+use workshare_common::bind::BoundQuery;
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
 use workshare_common::{CostModel, OrderKey, Predicate, QueryBitmap, SelVec, StarQuery};
@@ -22,14 +22,14 @@ use crate::filter::{
 };
 use workshare_qpipe::batch::BatchBuilder;
 use workshare_qpipe::exchange::{Exchange, ExchangeKind, ExchangeReader};
+use workshare_qpipe::ops::finish_aggregate;
+use workshare_qpipe::SlotResult;
 use workshare_sim::{CostKind, Machine, SimCtx, SimQueue, WaitSet};
 use workshare_storage::{StorageManager, TableId};
 
 /// CJOIN stage configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CjoinConfig {
-    /// Filter worker threads (the paper's *horizontal* configuration).
-    pub n_workers: usize,
     /// Exchange kind for per-packet output streams.
     pub exchange: ExchangeKind,
     /// Output exchange capacity in pages.
@@ -65,7 +65,6 @@ pub struct CjoinConfig {
 impl Default for CjoinConfig {
     fn default() -> Self {
         CjoinConfig {
-            n_workers: 6,
             exchange: ExchangeKind::Spl,
             cap_pages: 8,
             sp: false,
@@ -109,6 +108,10 @@ pub struct CjoinRuntimeStats {
 /// pending admission: a burst of submissions arriving at one virtual
 /// instant always shares one scan pass.
 pub(crate) const ADMISSION_BATCH_WINDOW_NS: f64 = 2_000.0;
+
+/// Filter worker threads (the paper's *horizontal* configuration). The
+/// sharing governor reads it as the shared route's pipeline parallelism.
+pub const N_FILTER_WORKERS: usize = 6;
 
 /// Distributor parts (§3.2: the single-threaded distributor is a
 /// bottleneck; parts parallelize routing).
@@ -192,82 +195,6 @@ pub struct CjoinOutput {
     pub fault: FaultCell,
 }
 
-/// Buffered final result of a shared-aggregation CJOIN query.
-pub struct AggResult {
-    rows: Mutex<Option<Arc<Vec<Row>>>>,
-    /// Typed-error message when a fault failed the query (the rows are
-    /// then empty/partial and [`AggResult::error`] is `Some`).
-    err: Mutex<Option<String>>,
-    /// Completion flag. **Ordering invariant** (same shape as
-    /// [`workshare_core`'s `CompletionCell`]): `complete` publishes `rows`
-    /// *before* the `Release` store of `done`, so the `Acquire` load in
-    /// [`AggResult::wait`]/[`AggResult::is_done`] that observes `true`
-    /// also observes the rows — the `expect("done without rows")` below is
-    /// the invariant's detector, not a reachable panic.
-    done: AtomicBool,
-    ws: WaitSet,
-}
-
-impl AggResult {
-    fn new(machine: &Machine) -> Arc<AggResult> {
-        Arc::new(AggResult {
-            rows: Mutex::new(None),
-            err: Mutex::new(None),
-            done: AtomicBool::new(false),
-            ws: WaitSet::new(machine),
-        })
-    }
-
-    fn complete(&self, rows: Arc<Vec<Row>>) {
-        *self.rows.lock() = Some(rows);
-        self.done.store(true, Ordering::Release);
-        self.ws.notify_all();
-    }
-
-    /// Fail the query with a typed error: waiters wake (with empty rows)
-    /// instead of hanging, and [`AggResult::error`] reports the fault. The
-    /// first failure wins; a fail after a normal completion only records
-    /// the message.
-    pub(crate) fn fail(&self, msg: &str) {
-        {
-            let mut e = self.err.lock();
-            if e.is_none() {
-                *e = Some(msg.to_string());
-            }
-        }
-        if !self.is_done() {
-            *self.rows.lock() = Some(Arc::new(Vec::new()));
-            self.done.store(true, Ordering::Release);
-            self.ws.notify_all();
-        }
-    }
-
-    /// The typed-error message, when a fault failed this query.
-    pub fn error(&self) -> Option<String> {
-        self.err.lock().clone()
-    }
-
-    /// Whether the query finished.
-    pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    /// Block (virtual time from a vthread) until the result is available.
-    /// Hands back the shared `Arc` directly — every satellite reader shares
-    /// the one buffered result; nothing is copied out of the mutex.
-    pub fn wait(&self) -> Arc<Vec<Row>> {
-        self.ws.wait_for(|| {
-            if self.done.load(Ordering::Acquire) {
-                Some(Arc::clone(
-                    self.rows.lock().as_ref().expect("done without rows"),
-                ))
-            } else {
-                None
-            }
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Internal state
 // ---------------------------------------------------------------------------
@@ -286,7 +213,7 @@ enum Sink {
     Agg {
         agg: Mutex<Aggregator>,
         order: Vec<OrderKey>,
-        result: Arc<AggResult>,
+        result: Arc<SlotResult>,
     },
 }
 
@@ -347,9 +274,13 @@ pub(crate) struct GqpControl {
     pub(crate) next_slot: u32,
 }
 
+/// Where an admitted query's output will go: the per-query exchange its
+/// tail reads, or the slot its shared aggregate is published in. Also what
+/// an SP satellite of the query attaches to.
+#[derive(Clone)]
 pub(crate) enum AdmissionSink {
     Stream(Exchange),
-    Agg(Arc<AggResult>),
+    Agg(Arc<SlotResult>),
 }
 
 pub(crate) struct Admission {
@@ -364,19 +295,14 @@ impl Admission {
     /// Surface a typed admission failure on this query: record the error on
     /// the shared fault cell, drop the SP-registry host entry (so later
     /// identical queries admit fresh instead of attaching to a dead host),
-    /// and wake the sink's waiters — a closed empty stream or a failed
-    /// [`AggResult`]. Never a hang, never an abort.
+    /// and wake the sink's waiters — a closed empty stream or a poisoned
+    /// result slot. Never a hang, never an abort.
     pub(crate) fn fail(&self, inner: &StageInner, msg: &str) {
         set_fault(&self.fault, msg);
-        if inner.config.sp {
-            let mut reg = inner.sp_registry.lock();
-            if reg.get(&self.sig).is_some_and(|(qid, _)| *qid == self.query.id) {
-                reg.remove(&self.sig);
-            }
-        }
+        inner.retire_host(self.sig, self.query.id);
         match &self.sink {
             AdmissionSink::Stream(out) => out.close(),
-            AdmissionSink::Agg(result) => result.fail(msg),
+            AdmissionSink::Agg(result) => result.complete_error(msg, inner.machine.now_ns()),
         }
     }
 }
@@ -458,7 +384,10 @@ pub(crate) struct StageInner {
     /// flag alone is not a wakeup — `shutdown` also notifies `wake` and
     /// closes the queues so parked threads re-check it.
     shutdown: AtomicBool,
-    sp_registry: Mutex<FxHashMap<u64, (u64, HostRef)>>,
+    /// SP hosts by CJOIN signature: the host's query id, its sink, and its
+    /// fault cell — satellites that attach to the sink share the host's
+    /// error outcome too.
+    sp_registry: Mutex<FxHashMap<u64, (u64, AdmissionSink, FaultCell)>>,
     pub(crate) admitted: AtomicU64,
     pub(crate) admission_batches: AtomicU64,
     sp_shares: AtomicU64,
@@ -472,18 +401,22 @@ pub(crate) struct StageInner {
     key_run_ewma: Mutex<Option<f64>>,
 }
 
-#[derive(Clone)]
-enum HostRef {
-    /// Host's output exchange plus its fault cell, so SP satellites that
-    /// attach to the stream share the host's error outcome too.
-    Stream(Exchange, FaultCell),
-    Agg(Arc<AggResult>),
-}
-
 impl StageInner {
     /// Draw the next injection tick for this stage's scan-unit fault sites.
     pub(crate) fn scan_tick(&self) -> u64 {
         self.scan_ticks.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Drop query `qid`'s SP-registry entry if it is still the host for
+    /// `sig`: a finished or failed host takes no more satellites, later
+    /// identical queries admit fresh.
+    fn retire_host(&self, sig: u64, qid: u64) {
+        if self.config.sp {
+            let mut reg = self.sp_registry.lock();
+            if reg.get(&sig).is_some_and(|(host, ..)| *host == qid) {
+                reg.remove(&sig);
+            }
+        }
     }
 
     /// Read-copy-publish the filter epoch: run `f` over the control plane
@@ -580,7 +513,7 @@ impl CjoinStage {
         });
         let stage = CjoinStage { inner };
         stage.spawn_preprocessor();
-        for w in 0..config.n_workers.max(1) {
+        for w in 0..N_FILTER_WORKERS {
             stage.spawn_worker(w);
         }
         for d in 0..N_DISTRIBUTORS {
@@ -601,126 +534,123 @@ impl CjoinStage {
     }
 
     fn bound_for(&self, q: &StarQuery) -> Arc<BoundQuery> {
+        let bound = self.inner.storage.bind_query(q);
+        Arc::new(bound.unwrap_or_else(|e| panic!("bind failed for query {}: {e}", q.id)))
+    }
+
+    /// The submission path both [`CjoinStage::submit`] flavours share.
+    /// `attach` turns a sink into the caller's handle on it, or declines
+    /// (wrong flavour, window of opportunity closed). With SP enabled, a
+    /// query identical to an in-flight host is handed the host's sink and
+    /// skips admission; otherwise the query is bound, its `new_sink` is
+    /// registered as a host and queued for the next admission batch. The
+    /// flag says whether the handle is a satellite's.
+    fn enqueue<H>(
+        &self,
+        q: &StarQuery,
+        new_sink: impl FnOnce(&StageInner) -> AdmissionSink,
+        attach: impl Fn(&AdmissionSink, &FaultCell) -> Option<H>,
+    ) -> (H, bool) {
         let inner = &self.inner;
-        let fact_schema = inner.storage.schema(inner.fact);
-        let dim_schemas: Vec<_> = q
-            .dims
-            .iter()
-            .map(|d| inner.storage.schema(inner.storage.table(&d.dim)))
-            .collect();
-        let dim_refs: Vec<&workshare_common::Schema> =
-            dim_schemas.iter().map(|s| s.as_ref()).collect();
-        Arc::new(bind(&fact_schema, &dim_refs, q))
+        assert_eq!(
+            inner.storage.table(&q.fact),
+            inner.fact,
+            "CJOIN stage is bound to one fact table"
+        );
+        let sig = q.cjoin_signature();
+        if inner.config.sp {
+            let registry = inner.sp_registry.lock();
+            let host = registry.get(&sig);
+            if let Some(handle) = host.and_then(|(_, sink, fault)| attach(sink, fault)) {
+                inner.sp_shares.fetch_add(1, Ordering::Relaxed);
+                return (handle, true);
+            }
+        }
+        let bound = self.bound_for(q);
+        let sink = new_sink(inner);
+        let fault: FaultCell = Arc::new(Mutex::new(None));
+        // The submitter's own handle is attached before the query can be
+        // admitted, so it misses nothing the sink will carry.
+        let handle = attach(&sink, &fault).expect("a fresh sink takes its own reader");
+        if inner.config.sp {
+            // Register the host at submit time so that identical queries in
+            // the same submission batch can attach before admission runs.
+            inner
+                .sp_registry
+                .lock()
+                .insert(sig, (q.id, sink.clone(), Arc::clone(&fault)));
+        }
+        inner.pending.push(Admission {
+            query: q.clone(),
+            bound,
+            sink,
+            sig,
+            fault,
+        });
+        inner.wake.notify_all();
+        (handle, false)
     }
 
     /// Submit the join part of a star query; returns a reader over joined
     /// tuples. With SP enabled, a query identical to an in-flight CJOIN
-    /// packet attaches to the host's output (step WoP) and skips admission.
+    /// packet attaches to the host's output (step WoP) and skips admission;
+    /// the satellite shares the host's fault cell: if the host's admission
+    /// fails, every attached reader sees the same typed error.
     pub fn submit(&self, q: &StarQuery) -> CjoinOutput {
-        let inner = &self.inner;
-        assert_eq!(
-            inner.storage.table(&q.fact),
-            inner.fact,
-            "CJOIN stage is bound to one fact table"
-        );
-        let sig = q.cjoin_signature();
-        if inner.config.sp {
-            let registry = inner.sp_registry.lock();
-            if let Some((_, HostRef::Stream(ex, host_fault))) = registry.get(&sig) {
-                if ex.emitted() == 0 && !ex.is_closed() {
-                    let reader = ex.attach(None);
-                    inner.sp_shares.fetch_add(1, Ordering::Relaxed);
-                    // The satellite shares the host's fault cell: if the
-                    // host's admission fails, every attached reader sees
-                    // the same typed error.
-                    return CjoinOutput {
-                        reader,
-                        fault: Arc::clone(host_fault),
-                    };
-                }
+        let new_sink = |inner: &StageInner| {
+            AdmissionSink::Stream(Exchange::new(
+                inner.config.exchange,
+                &inner.machine,
+                inner.cost,
+                inner.config.cap_pages,
+            ))
+        };
+        let attach = |sink: &AdmissionSink, fault: &FaultCell| match sink {
+            AdmissionSink::Stream(ex) if ex.emitted() == 0 && !ex.is_closed() => {
+                Some(CjoinOutput {
+                    reader: ex.attach(None),
+                    fault: Arc::clone(fault),
+                })
             }
-        }
-        let bound = self.bound_for(q);
-        let out = Exchange::new(
-            inner.config.exchange,
-            &inner.machine,
-            inner.cost,
-            inner.config.cap_pages,
-        );
-        let reader = out.attach(None);
-        let fault: FaultCell = Arc::new(Mutex::new(None));
-        if inner.config.sp {
-            // Register the host at submit time so that identical queries in
-            // the same submission batch can attach before admission runs.
-            inner.sp_registry.lock().insert(
-                sig,
-                (q.id, HostRef::Stream(out.clone(), Arc::clone(&fault))),
-            );
-        }
-        inner.pending.push(Admission {
-            query: q.clone(),
-            bound,
-            sink: AdmissionSink::Stream(out),
-            sig,
-            fault: Arc::clone(&fault),
-        });
-        inner.wake.notify_all();
-        CjoinOutput { reader, fault }
+            _ => None,
+        };
+        self.enqueue(q, new_sink, attach).0
     }
 
     /// Submit a star query with **shared aggregation**: the distributor
     /// folds this query's tuples into a per-query aggregator; the returned
-    /// handle yields the buffered final rows. With SP enabled, an identical
-    /// in-flight query shares the host's buffered result (full step WoP:
-    /// reuse is possible at any time during the host's evaluation, §3.1).
-    pub fn submit_aggregated(&self, q: &StarQuery) -> Arc<AggResult> {
-        let inner = &self.inner;
-        assert_eq!(
-            inner.storage.table(&q.fact),
-            inner.fact,
-            "CJOIN stage is bound to one fact table"
-        );
-        let sig = q.cjoin_signature();
-        if inner.config.sp {
-            let registry = inner.sp_registry.lock();
-            if let Some((_, HostRef::Agg(host))) = registry.get(&sig) {
-                if !host.is_done() {
-                    let host = Arc::clone(host);
-                    let satellite = AggResult::new(&inner.machine);
-                    let sat2 = Arc::clone(&satellite);
-                    let cost = inner.cost;
-                    inner.sp_shares.fetch_add(1, Ordering::Relaxed);
-                    inner.machine.spawn(&format!("cj-agg-sat-q{}", q.id), move |ctx| {
-                        let rows = host.wait();
-                        ctx.charge(CostKind::Copy, cost.copy_cost(rows.len() * 64));
-                        // A host that failed with a typed error fails its
-                        // satellites with the same error.
-                        match host.error() {
-                            Some(msg) => sat2.fail(&msg),
-                            None => sat2.complete(rows),
-                        }
-                    });
-                    return satellite;
-                }
+    /// slot yields the buffered final rows, or the typed error of a fault
+    /// that failed the query. With SP enabled, an identical in-flight query
+    /// shares the host's buffered result (full step WoP: reuse is possible
+    /// at any time during the host's evaluation, §3.1).
+    pub fn submit_aggregated(&self, q: &StarQuery) -> Arc<SlotResult> {
+        let machine = &self.inner.machine;
+        let new_sink = |inner: &StageInner| {
+            AdmissionSink::Agg(SlotResult::new(&inner.machine, inner.machine.now_ns()))
+        };
+        let attach = |sink: &AdmissionSink, _: &FaultCell| match sink {
+            AdmissionSink::Agg(result) if !result.is_done() => Some(Arc::clone(result)),
+            _ => None,
+        };
+        let (host, is_satellite) = self.enqueue(q, new_sink, attach);
+        if !is_satellite {
+            return host;
+        }
+        let satellite = SlotResult::new(machine, machine.now_ns());
+        let sat2 = Arc::clone(&satellite);
+        let cost = self.inner.cost;
+        machine.spawn(&format!("cj-agg-sat-q{}", q.id), move |ctx| {
+            let rows = host.wait();
+            ctx.charge(CostKind::Copy, cost.copy_cost(rows.len() * 64));
+            let now = ctx.machine().now_ns();
+            // A host that failed with a typed error fails its satellites
+            // with the same error.
+            match host.error() {
+                Some(msg) => sat2.complete_error(msg, now),
+                None => sat2.complete(rows, now),
             }
-        }
-        let bound = self.bound_for(q);
-        let result = AggResult::new(&inner.machine);
-        if inner.config.sp {
-            inner
-                .sp_registry
-                .lock()
-                .insert(sig, (q.id, HostRef::Agg(Arc::clone(&result))));
-        }
-        inner.pending.push(Admission {
-            query: q.clone(),
-            bound,
-            sink: AdmissionSink::Agg(Arc::clone(&result)),
-            sig,
-            fault: Arc::new(Mutex::new(None)),
         });
-        inner.wake.notify_all();
-        result
+        satellite
     }
 
     /// Whether two handles refer to the same stage instance (used by the
@@ -1287,9 +1217,8 @@ fn fail_fact_page(inner: &Arc<StageInner>, ctx: &SimCtx, msg: &str) {
 
 /// Remove a never-activated (or failed) slot from the GQP: clear its bit
 /// from every filter's `referencing` set and entry bitmaps (dropping
-/// entries that go empty) and release the slot for reuse. The rollback
-/// mirror of `finalize_query`'s cleanup, shared by the admission failure
-/// paths.
+/// entries that go empty) and release the slot for reuse. Shared by
+/// `finalize_query`'s cleanup and the admission failure paths' rollback.
 pub(crate) fn release_slot(c: &mut GqpControl, e: &mut FilterEpoch, slot: u32) {
     let sl = slot as usize;
     for f in &mut e.filters {
@@ -1319,20 +1248,14 @@ fn finalize_query(inner: &StageInner, ctx: &SimCtx, qrt: &QueryRuntime) {
             // Finalize the shared aggregate: sort and buffer the rows.
             let mut done = Aggregator::new(&qrt.bound);
             std::mem::swap(&mut *agg.lock(), &mut done);
-            let groups = done.group_count();
-            ctx.charge(
-                CostKind::Aggregation,
-                inner.cost.agg_group_output_ns * groups as f64,
-            );
-            if !order.is_empty() {
-                ctx.charge(CostKind::Sort, inner.cost.sort_cost(groups));
-            }
-            match &fault {
+            let rows = finish_aggregate(ctx, done, order, &inner.cost);
+            let now = ctx.machine().now_ns();
+            match fault {
                 // A faulted query's partial aggregate is unsound — fail the
                 // result (waiters wake with the typed error) instead of
                 // publishing it.
-                Some(msg) => result.fail(msg),
-                None => result.complete(Arc::new(done.finish(order))),
+                Some(msg) => result.complete_error(msg, now),
+                None => result.complete(Arc::new(rows), now),
             }
         }
     }
@@ -1340,26 +1263,10 @@ fn finalize_query(inner: &StageInner, ctx: &SimCtx, qrt: &QueryRuntime) {
     // cleared from every filter entry, empty entries dropped, the slot
     // released for reuse.
     inner.mutate_epoch(|control, epoch| {
-        let slot = qrt.slot as usize;
-        for f in &mut epoch.filters {
-            if f.referencing.get(slot) {
-                let f = Arc::make_mut(f);
-                f.referencing.clear(slot);
-                f.hash.retain(|_, entry| {
-                    entry.bits.clear(slot);
-                    entry.bits.any()
-                });
-            }
-        }
+        release_slot(control, epoch, qrt.slot);
         epoch.queries.remove(&qrt.slot);
-        control.free_slots.push(qrt.slot);
     });
-    if inner.config.sp {
-        let mut reg = inner.sp_registry.lock();
-        if reg.get(&qrt.sig).is_some_and(|(qid, _)| *qid == qrt.qid) {
-            reg.remove(&qrt.sig);
-        }
-    }
+    inner.retire_host(qrt.sig, qrt.qid);
     ctx.charge(CostKind::Admission, inner.cost.admission_query_fixed_ns / 4.0);
 }
 
@@ -1370,6 +1277,7 @@ mod tests {
     use workshare_common::{
         AggSpec, ColRef, ColType, Column, DimJoin, OrderKey, Schema, Value,
     };
+    use workshare_qpipe::ops::run_aggregate;
     use workshare_sim::MachineConfig;
     use workshare_storage::{IoMode, StorageConfig};
 
@@ -1502,43 +1410,18 @@ mod tests {
         let st = stage.clone();
         let out = m
             .spawn("coord", move |ctx| {
-                let fact_schema = st.inner.storage.schema(st.inner.fact);
                 let mut jobs = Vec::new();
                 for (qi, q) in queries.iter().enumerate() {
                     if qi > 0 && interarrival_ns > 0.0 {
                         ctx.sleep(interarrival_ns);
                     }
-                    let dim_schemas: Vec<_> = q
-                        .dims
-                        .iter()
-                        .map(|d| {
-                            st.inner
-                                .storage
-                                .schema(st.inner.storage.table(&d.dim))
-                        })
-                        .collect();
-                    let dim_refs: Vec<&Schema> =
-                        dim_schemas.iter().map(|s| s.as_ref()).collect();
-                    let bound = bind(&fact_schema, &dim_refs, q);
-                    let mut outp = st.submit(q);
+                    let bound = st.bound_for(q);
+                    let outp = st.submit(q);
                     let order = q.order_by.clone();
                     let cost = st.inner.cost;
-                    jobs.push(ctx.machine().spawn(
-                        &format!("agg-q{}", q.id),
-                        move |ctx| {
-                            let mut agg = workshare_common::agg::Aggregator::new(&bound);
-                            while let Some(b) = outp.reader.next(ctx) {
-                                ctx.charge(
-                                    CostKind::Aggregation,
-                                    cost.agg_update_tuple_ns * b.len() as f64,
-                                );
-                                for row in &b.rows {
-                                    agg.update(row);
-                                }
-                            }
-                            agg.finish(&order)
-                        },
-                    ));
+                    jobs.push(ctx.machine().spawn(&format!("agg-q{}", q.id), move |ctx| {
+                        run_aggregate(ctx, outp.reader, &bound, &order, &cost)
+                    }));
                 }
                 jobs.into_iter().map(|j| j.join().unwrap()).collect::<Vec<_>>()
             })
@@ -1679,44 +1562,16 @@ mod tests {
 
     #[test]
     fn late_query_gets_complete_answer_via_wrap() {
-        let (m, sm) = setup();
-        let stage = CjoinStage::new(&m, &sm, "fact", CjoinConfig::default(), CostModel::default());
-        let st = stage.clone();
-        let out = m
-            .spawn("coord", move |ctx| {
-                let run_one = |st: &CjoinStage, ctx: &SimCtx, q: StarQuery| {
-                    let fact_schema = st.inner.storage.schema(st.inner.fact);
-                    let dim_schemas: Vec<_> = q
-                        .dims
-                        .iter()
-                        .map(|d| st.inner.storage.schema(st.inner.storage.table(&d.dim)))
-                        .collect();
-                    let dim_refs: Vec<&Schema> =
-                        dim_schemas.iter().map(|s| s.as_ref()).collect();
-                    let bound = bind(&fact_schema, &dim_refs, &q);
-                    let mut outp = st.submit(&q);
-                    let order = q.order_by.clone();
-                    ctx.machine().spawn(&format!("agg-{}", q.id), move |ctx| {
-                        let mut agg = workshare_common::agg::Aggregator::new(&bound);
-                        while let Some(b) = outp.reader.next(ctx) {
-                            for row in &b.rows {
-                                agg.update(row);
-                            }
-                        }
-                        agg.finish(&order)
-                    })
-                };
-                let j1 = run_one(&st, ctx, query(1, false));
-                // Let the first query's scan progress mid-way, then submit.
-                ctx.sleep(2e5);
-                let j2 = run_one(&st, ctx, query(2, true));
-                (j1.join().unwrap(), j2.join().unwrap())
-            })
-            .join()
-            .unwrap();
-        assert_eq!(out.0, expected(false));
-        assert_eq!(out.1, expected(true), "late arrival still sees every tuple");
-        stage.shutdown();
+        // The second query is submitted once the first one's scan has
+        // progressed mid-way.
+        let queries = vec![query(1, false), query(2, true)];
+        let (res, _, _) = run_queries_on(setup(), CjoinConfig::default(), queries, 2e5);
+        assert_eq!(res[0], expected(false));
+        assert_eq!(
+            res[1],
+            expected(true),
+            "late arrival still sees every tuple"
+        );
     }
 
     /// Canonical view of a stage's shared-filter state: per filter, the

@@ -1,8 +1,10 @@
-//! One-shot completion cell: the publish-then-flag protocol behind
-//! [`SlotResult`](crate::ticket::SlotResult), extracted so the deterministic
-//! interleaving checker (`tests/interleave_core.rs`) can race a completing
-//! producer, a poisoning error path (the [`CompletionGuard`]'s drop), and a
-//! polling waiter exhaustively.
+//! One-shot completion cell: the publish-then-flag protocol behind every
+//! engine's result slot (`workshare_qpipe::SlotResult` — QPipe handles,
+//! CJOIN's shared-aggregate results and the core `Ticket` are all that one
+//! slot), extracted so the deterministic interleaving checker
+//! (`tests/interleave_core.rs`) can race a completing producer, a poisoning
+//! error path (the slot's `CompletionGuard` dropping), and a polling waiter
+//! exhaustively.
 //!
 //! Protocol invariants, checked by the model:
 //!
@@ -15,12 +17,10 @@
 //!   waiter that observes `done == true` (Acquire) always finds the value
 //!   or the error — never an empty claimed cell.
 //!
-//! Built on [`workshare_common::sync`], so an `--cfg interleave` build swaps
-//! the primitives for the model-checked shim.
-//!
-//! [`CompletionGuard`]: crate::ticket::CompletionGuard
+//! Built on [`crate::sync`], so an `--cfg interleave` build swaps the
+//! primitives for the model-checked shim.
 
-use workshare_common::sync::{AtomicBool, Mutex, Ordering};
+use crate::sync::{AtomicBool, Mutex, Ordering};
 
 /// Test-only protocol mutations, compiled only under `--cfg interleave`.
 /// Each deliberately breaks one step of the completion protocol so the

@@ -15,12 +15,15 @@
 //! * [`fxhash`] — a fast non-cryptographic hasher for hot join paths.
 //! * [`sync`] — the swappable synchronization layer: `parking_lot`/`std`
 //!   in production, the deterministic `loom` shim under `--cfg interleave`.
+//! * [`cell`] — the write-once completion cell under every engine's result
+//!   slot (model-checked through [`sync`]).
 
 #![warn(missing_docs)]
 
 pub mod agg;
 pub mod bind;
 pub mod bitmap;
+pub mod cell;
 pub mod codec;
 pub mod costs;
 pub mod fxhash;

@@ -17,7 +17,7 @@
 //! checker's happens-before tracking and silently weakens the model.)
 
 #[cfg(not(interleave))]
-pub use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use parking_lot::{Mutex, MutexGuard};
 
 #[cfg(not(interleave))]
 pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -26,6 +26,6 @@ pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(interleave)]
-pub use loom::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use loom::sync::{Mutex, MutexGuard};
 
 pub use std::sync::Arc;

@@ -293,9 +293,6 @@ pub struct RunConfig {
     pub io_mode: IoMode,
     /// Buffer-pool capacity in pages (`None` = large default).
     pub buffer_pool_pages: Option<usize>,
-    /// Enable whole-plan SP at the aggregation stage (off in the paper's
-    /// experiments; available for the identical-query ablation).
-    pub sp_aggs: bool,
     /// DataPath-style shared aggregation inside the CJOIN distributor
     /// (extension; see `workshare_cjoin::CjoinConfig::shared_aggregation`).
     pub cjoin_shared_agg: bool,
@@ -352,7 +349,6 @@ impl Default for RunConfig {
             exchange: ExchangeKind::Spl,
             io_mode: IoMode::Memory,
             buffer_pool_pages: None,
-            sp_aggs: false,
             cjoin_shared_agg: false,
             cjoin_scalar_filter: false,
             cjoin_serial_admission: false,
@@ -404,7 +400,6 @@ impl RunConfig {
             exchange: self.exchange,
             circular_scans: true,
             sp_joins: true,
-            sp_aggs: self.sp_aggs,
             cs_prediction: false,
             cap_pages: 8,
         }
@@ -444,7 +439,6 @@ impl RunConfig {
             exchange: self.exchange,
             circular_scans: cs,
             sp_joins: sp,
-            sp_aggs: self.sp_aggs,
             cs_prediction: self.cs_prediction,
             cap_pages: 8,
         }
@@ -602,7 +596,7 @@ mod tests {
     fn knob_census() -> Vec<(&'static str, Vec<&'static str>)> {
         vec![
             fields!(RunConfig {
-                engine, cores, exchange, io_mode, buffer_pool_pages, sp_aggs, cjoin_shared_agg,
+                engine, cores, exchange, io_mode, buffer_pool_pages, cjoin_shared_agg,
                 cjoin_scalar_filter, cjoin_serial_admission, cs_prediction, cost, disk, policy,
                 admission_fabric, governor, service, faults,
             }),
@@ -614,14 +608,14 @@ mod tests {
             }),
             fields!(GovernorConfig { hysteresis, ewma_alpha, max_crossover }),
             fields!(CjoinConfig {
-                n_workers, exchange, cap_pages, sp, shared_aggregation, scalar_filter,
-                serial_admission, faults,
+                exchange, cap_pages, sp, shared_aggregation, scalar_filter, serial_admission,
+                faults,
             }),
             fields!(CjoinFaultPlan {
                 seed, scan_stall_stride, scan_panic_stride, wedge_after_windows,
             }),
             fields!(QpipeConfig {
-                exchange, circular_scans, sp_joins, sp_aggs, cs_prediction, cap_pages,
+                exchange, circular_scans, sp_joins, cs_prediction, cap_pages,
             }),
             fields!(StorageConfig {
                 io_mode, buffer_pool_pages, fs_extent_pages, fs_cache_extents, faults,

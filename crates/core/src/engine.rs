@@ -12,18 +12,20 @@
 
 use workshare_cjoin::{
     AdmissionFabric, AdmissionHealth, CjoinConfig, CjoinRuntimeStats, CjoinStage, CjoinStats,
-    FabricStats, LadderRung,
+    FabricStats, LadderRung, N_FILTER_WORKERS,
 };
-use workshare_common::bind::try_bind;
+use workshare_common::bind::BoundQuery;
 use workshare_common::fxhash::FxHashMap;
 // The concurrent core imports its primitives through the swappable sync
 // layer: production builds get the same `std`/`parking_lot` types as
 // before, `--cfg interleave` builds get the deterministic-model shim (see
 // `workshare_common::sync` and docs/TESTING.md).
 use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Ordering};
+use workshare_common::value::Row;
 use workshare_common::{CostModel, SharingSignals, StarQuery};
-use workshare_qpipe::QpipeEngine;
-use workshare_sim::{CostKind, Machine, WaitSet};
+use workshare_qpipe::ops::run_aggregate;
+use workshare_qpipe::{CompletionGuard, QpipeEngine, SlotResult};
+use workshare_sim::{Machine, SimCtx, WaitSet};
 use workshare_storage::{StorageManager, TableId};
 
 use crate::config::{ExecPolicy, NamedConfig, RunConfig, ServiceConfig};
@@ -31,7 +33,7 @@ use crate::governor::{GovernorStats, Route, SharingGovernor, SloDecision};
 use crate::health::HealthStats;
 use crate::lease::{LeaseRegistry, Leased};
 use crate::slots::{ServiceSlots, SlotPermit};
-use crate::ticket::{CompletionGuard, SlotResult, Ticket};
+use crate::ticket::Ticket;
 use crate::volcano::try_run_volcano_query;
 
 /// Fault-site id of the engine's stage-build site in the seeded injection
@@ -554,8 +556,9 @@ struct EngineInner {
     /// ([`crate::config::FaultPlan::worker_panic_stride`]): panic inside the
     /// producer vthread of every query whose id is a multiple of the
     /// stride, after admission. Exercises the unwind path end to end — the
-    /// completion guard poisons the slot, the permit and lease drops release
-    /// their claims, and the run report still balances.
+    /// completion guard poisons the slot, the permit's drop frees its queue
+    /// slot, and the run report still balances ([`Engine::drive`] says what
+    /// is *not* released on that path).
     worker_panic_stride: Option<u64>,
 }
 
@@ -685,7 +688,7 @@ impl Engine {
                 governor: Arc::new(SharingGovernor::new(config.cost, config.governor)),
                 in_flight: Arc::new(AtomicU64::new(0)),
                 cores: config.cores as f64,
-                pipeline_parallelism: config.cjoin_config().n_workers.max(1) as f64,
+                pipeline_parallelism: N_FILTER_WORKERS as f64,
                 disk_bandwidth: if config.io_mode == workshare_storage::IoMode::Memory {
                     0.0
                 } else {
@@ -723,16 +726,6 @@ impl Engine {
         }
     }
 
-    /// The machine this engine runs on.
-    pub fn machine(&self) -> &Machine {
-        &self.inner.machine
-    }
-
-    /// The mounted storage manager.
-    pub fn storage(&self) -> &StorageManager {
-        &self.inner.storage
-    }
-
     /// Hold all per-query work at the start line (batch semantics).
     pub fn close_gate(&self) {
         self.inner.gate_open.store(false, Ordering::Release);
@@ -759,7 +752,7 @@ impl Engine {
     /// [`Engine::try_submit`]).
     pub fn submit(&self, q: &StarQuery) -> Ticket {
         match &self.inner.kind {
-            EngineKind::Qpipe(e) => Ticket::Qpipe(e.submit(q)),
+            EngineKind::Qpipe(e) => self.submit_qpipe(e, q, None, None),
             EngineKind::Cjoin(stage) => self.submit_cjoin(stage, q, None, None, None),
             EngineKind::Volcano => self.submit_volcano(q, None, None),
             EngineKind::Governed(g) => self
@@ -952,20 +945,102 @@ impl Engine {
                 let (stage, lease) = g.registry.checkout(fact_t, &q.fact);
                 self.submit_cjoin(&stage, q, feedback, Some(lease), permit)
             }
-            Route::Shared => {
-                let handle = g.qpipe.submit(q);
-                if feedback.is_some() || permit.is_some() {
-                    let h = handle.clone();
-                    self.inner.machine.spawn(&format!("gov-obs-q{}", q.id), move |_| {
-                        h.wait();
-                        if let Some(fb) = &feedback {
-                            fb.complete(h.latency_secs());
-                        }
-                        drop(permit); // release the admission slot
-                    });
-                }
-                Ticket::Qpipe(handle)
+            Route::Shared => self.submit_qpipe(&g.qpipe, q, feedback, permit),
+        })
+    }
+
+    /// The one end of life every route shares, named or governed: bind →
+    /// (early error outcome, claims given back) → result slot → producer
+    /// vthread → completion guard → start-line gate → worker-panic site →
+    /// the route's work → claims released → result or typed error
+    /// published → guard disarmed. `plan` starts whatever the route runs
+    /// below its producer (nothing, for Volcano) once the query is known to
+    /// bind, and returns the producer's `body`; a body that returns `Err`
+    /// ends the query in an error outcome at the waiter, never a panic.
+    /// The producer vthread is named `{packet}-q{id}`; the three claims are
+    /// `None` on the named engines.
+    ///
+    /// The injected worker panic sits after the gate and **before** the
+    /// work, so it unwinds past [`release_claims`]: the guard poisons the
+    /// slot and the permit's `Drop` frees its queue slot, but
+    /// [`StageLease`] and [`RouteFeedback`] have no `Drop` and leak. That
+    /// is a known bug the chaos gate currently rides on — ROADMAP item 1
+    /// (i)–(iii) has the measurements and says what must land first; do
+    /// not make the two RAII, move the site, or reorder release and
+    /// publication here before then.
+    fn drive<B>(
+        &self,
+        packet: &str,
+        q: &StarQuery,
+        feedback: Option<RouteFeedback>,
+        lease: Option<StageLease>,
+        permit: Option<SlotPermit>,
+        plan: impl FnOnce(Arc<BoundQuery>) -> B,
+    ) -> Ticket
+    where
+        B: FnOnce(&SimCtx) -> Result<Arc<Vec<Row>>, String> + Send + 'static,
+    {
+        let inner = &self.inner;
+        let start_ns = inner.machine.now_ns();
+        let slot = SlotResult::new(&inner.machine, start_ns);
+        let qid = q.id;
+        // Bind before anything is started for the query: an unresolvable
+        // column becomes a per-query error outcome at the waiter instead of
+        // a panic inside whichever thread binds the same plan later.
+        let bound = match inner.storage.bind_query(q) {
+            Ok(bound) => Arc::new(bound),
+            Err(e) => {
+                release_claims(feedback, lease, permit, false, 0.0);
+                slot.complete_error(format!("query {qid}: {e}"), start_ns);
+                return Ticket(slot);
             }
+        };
+        let body = plan(bound);
+        let slot2 = Arc::clone(&slot);
+        let gate_ws = inner.gate_ws.clone();
+        let gate_open = Arc::clone(&inner.gate_open);
+        let fault = inner.worker_panic_stride;
+        inner.machine.spawn(&format!("{packet}-q{qid}"), move |ctx| {
+            let guard = CompletionGuard::new(Arc::clone(&slot2));
+            if !gate_open.load(Ordering::Acquire) {
+                gate_ws.wait_until(|| gate_open.load(Ordering::Acquire));
+            }
+            if fault.is_some_and(|s| s > 0 && qid.is_multiple_of(s)) {
+                // Unwinding drops the body and with it the route's reader,
+                // which detaches from its exchange (a CJOIN distributor
+                // marks the consumer dead); the guard poisons the slot on
+                // the way out.
+                panic!("injected fault: query {qid}");
+            }
+            let result = body(ctx);
+            let now = ctx.machine().now_ns();
+            release_claims(feedback, lease, permit, result.is_ok(), now - start_ns);
+            match result {
+                Ok(rows) => slot2.complete(rows, now),
+                Err(msg) => slot2.complete_error(format!("query {qid}: {msg}"), now),
+            }
+            guard.disarm();
+        });
+        Ticket(slot)
+    }
+
+    /// Run `q` on a QPipe engine (a named one, or the governed engine's
+    /// shared path for non-star plans): the scan/select/join packets are
+    /// QPipe's, with whatever sharing it is configured for; the producer is
+    /// the query-centric aggregate/sort packet on top.
+    fn submit_qpipe(
+        &self,
+        qpipe: &QpipeEngine,
+        q: &StarQuery,
+        feedback: Option<RouteFeedback>,
+        permit: Option<SlotPermit>,
+    ) -> Ticket {
+        let (order, cost) = (q.order_by.clone(), self.inner.cost);
+        self.drive("agg", q, feedback, None, permit, |bound| {
+            let stream = qpipe.submit_stream(q, &bound);
+            // An unrecoverable read under one of the query's scans is
+            // checked after the stream drains (`QpipeStream::aggregate`).
+            move |ctx: &SimCtx| stream.aggregate(ctx, &bound, &order, &cost)
         })
     }
 
@@ -983,113 +1058,33 @@ impl Engine {
         lease: Option<StageLease>,
         permit: Option<SlotPermit>,
     ) -> Ticket {
-        let inner = &self.inner;
-        let start_ns = inner.machine.now_ns();
-        let slot = SlotResult::new(&inner.machine, start_ns);
-        // Bind before entering the stage: an unresolvable column becomes a
-        // per-query error outcome at the waiter instead of a panic inside
-        // the stage's own (later, internal) bind of the same plan.
-        let fact_schema = inner.storage.schema(inner.storage.table(&q.fact));
-        let dim_schemas: Vec<_> = q
-            .dims
-            .iter()
-            .map(|d| inner.storage.schema(inner.storage.table(&d.dim)))
-            .collect();
-        let dim_refs: Vec<&workshare_common::Schema> =
-            dim_schemas.iter().map(|s| s.as_ref()).collect();
-        let bound = match try_bind(&fact_schema, &dim_refs, q) {
-            Ok(b) => b,
-            Err(e) => {
-                slot.complete_error(format!("query {}: {e}", q.id), start_ns);
-                if let Some(fb) = &feedback {
-                    fb.abandon();
+        if self.inner.shared_agg {
+            // DataPath extension: the distributor aggregates in place; the
+            // producer only waits for the stage's buffered result. An
+            // admission fault surfaced into it turns this query into a
+            // typed error outcome — never a hang, never a partial
+            // aggregate.
+            return self.drive("cj-sagg", q, feedback, lease, permit, |_| {
+                let agg = stage.submit_aggregated(q);
+                move |_: &SimCtx| {
+                    let rows = agg.wait();
+                    agg.error().map_or(Ok(rows), Err)
                 }
-                if let Some(l) = &lease {
-                    l.release();
-                }
-                drop(permit);
-                return Ticket::Slot(slot);
-            }
-        };
-        if inner.shared_agg {
-            // DataPath extension: the distributor aggregates in place;
-            // adapt the stage's buffered result to a Ticket.
-            let agg = stage.submit_aggregated(q);
-            let slot2 = Arc::clone(&slot);
-            let fault = inner.worker_panic_stride;
-            let qid = q.id;
-            inner.machine.spawn(&format!("cj-sagg-q{}", q.id), move |ctx| {
-                let guard = CompletionGuard::new(Arc::clone(&slot2));
-                if fault.is_some_and(|s| s > 0 && qid.is_multiple_of(s)) {
-                    panic!("injected fault: query {qid}");
-                }
-                let rows = agg.wait();
-                let now = ctx.machine().now_ns();
-                // An admission fault surfaced into the aggregate result
-                // (see `AggResult::fail`) turns this query into a typed
-                // error outcome — never a hang, never a partial aggregate.
-                let error = agg.error();
-                release_claims(feedback, lease, permit, error.is_none(), now - start_ns);
-                match error {
-                    Some(msg) => slot2.complete_error(format!("query {qid}: {msg}"), now),
-                    None => slot2.complete(rows, now),
-                }
-                guard.disarm();
             });
-            return Ticket::Slot(slot);
         }
-        let mut output = stage.submit(q);
-        let order = q.order_by.clone();
-        let cost = inner.cost;
-        let slot2 = Arc::clone(&slot);
-        let gate_ws = inner.gate_ws.clone();
-        let gate_open = Arc::clone(&inner.gate_open);
-        let fault = inner.worker_panic_stride;
-        let qid = q.id;
-        inner.machine.spawn(&format!("cj-agg-q{}", q.id), move |ctx| {
-            let guard = CompletionGuard::new(Arc::clone(&slot2));
-            if !gate_open.load(Ordering::Acquire) {
-                gate_ws.wait_until(|| gate_open.load(Ordering::Acquire));
+        let (order, cost) = (q.order_by.clone(), self.inner.cost);
+        self.drive("cj-agg", q, feedback, lease, permit, |bound| {
+            let output = stage.submit(q);
+            move |ctx: &SimCtx| {
+                let rows = run_aggregate(ctx, output.reader, &bound, &order, &cost);
+                // A fault recorded on the query's cell (admission failure,
+                // unreadable fact page) is checked after the stream drains:
+                // the reader sees a normal end-of-stream, the waiter a typed
+                // error outcome instead of a silently partial result.
+                let fault = output.fault.lock().clone();
+                fault.map_or(Ok(Arc::new(rows)), Err)
             }
-            if fault.is_some_and(|s| s > 0 && qid.is_multiple_of(s)) {
-                // Unwinding drops the output reader, which detaches from
-                // the stage's exchange (the distributor marks the consumer
-                // dead); the guard poisons the slot on the way out.
-                panic!("injected fault: query {qid}");
-            }
-            let mut agg = workshare_common::agg::Aggregator::new(&bound);
-            while let Some(batch) = output.reader.next(ctx) {
-                ctx.charge(
-                    CostKind::Aggregation,
-                    cost.agg_update_tuple_ns * batch.len() as f64,
-                );
-                for row in &batch.rows {
-                    agg.update(row);
-                }
-            }
-            let groups = agg.group_count();
-            ctx.charge(
-                CostKind::Aggregation,
-                cost.agg_group_output_ns * groups as f64,
-            );
-            if !order.is_empty() {
-                ctx.charge(CostKind::Sort, cost.sort_cost(groups));
-            }
-            let rows = agg.finish(&order);
-            let now = ctx.machine().now_ns();
-            // A fault recorded on the query's cell (admission failure,
-            // unreadable fact page) is checked after the stream drains:
-            // the reader sees a normal end-of-stream, the waiter a typed
-            // error outcome instead of a silently partial result.
-            let error = output.fault.lock().clone();
-            release_claims(feedback, lease, permit, error.is_none(), now - start_ns);
-            match error {
-                Some(msg) => slot2.complete_error(format!("query {qid}: {msg}"), now),
-                None => slot2.complete(Arc::new(rows), now),
-            }
-            guard.disarm();
-        });
-        Ticket::Slot(slot)
+        })
     }
 
     /// Run `q` on a private Volcano-style plan on its own vthread.
@@ -1099,57 +1094,16 @@ impl Engine {
         feedback: Option<RouteFeedback>,
         permit: Option<SlotPermit>,
     ) -> Ticket {
-        let inner = &self.inner;
-        let start_ns = inner.machine.now_ns();
-        let slot = SlotResult::new(&inner.machine, start_ns);
-        // Same up-front bind check as the CJOIN path: malformed queries
-        // become error outcomes, not a panic inside the plan vthread.
-        {
-            let fact_schema = inner.storage.schema(inner.storage.table(&q.fact));
-            let dim_schemas: Vec<_> = q
-                .dims
-                .iter()
-                .map(|d| inner.storage.schema(inner.storage.table(&d.dim)))
-                .collect();
-            let dim_refs: Vec<&workshare_common::Schema> =
-                dim_schemas.iter().map(|s| s.as_ref()).collect();
-            if let Err(e) = try_bind(&fact_schema, &dim_refs, q) {
-                slot.complete_error(format!("query {}: {e}", q.id), start_ns);
-                if let Some(fb) = &feedback {
-                    fb.abandon();
-                }
-                drop(permit);
-                return Ticket::Slot(slot);
+        let (storage, cost, plan) = (self.inner.storage.clone(), self.inner.cost, q.clone());
+        self.drive("volcano", q, feedback, None, permit, |_| {
+            // An unrecoverable page read (permanent fault, torn page past
+            // rebuild) ends the query in a typed error outcome instead of a
+            // vthread panic.
+            move |ctx: &SimCtx| match try_run_volcano_query(ctx, &storage, &plan, &cost) {
+                Ok(rows) => Ok(Arc::new(rows)),
+                Err(e) => Err(e.to_string()),
             }
-        }
-        let slot2 = Arc::clone(&slot);
-        let storage = inner.storage.clone();
-        let cost = inner.cost;
-        let q = q.clone();
-        let gate_ws = inner.gate_ws.clone();
-        let gate_open = Arc::clone(&inner.gate_open);
-        let fault = inner.worker_panic_stride;
-        inner.machine.spawn(&format!("volcano-q{}", q.id), move |ctx| {
-            let guard = CompletionGuard::new(Arc::clone(&slot2));
-            if !gate_open.load(Ordering::Acquire) {
-                gate_ws.wait_until(|| gate_open.load(Ordering::Acquire));
-            }
-            if fault.is_some_and(|s| s > 0 && q.id.is_multiple_of(s)) {
-                panic!("injected fault: query {}", q.id);
-            }
-            let result = try_run_volcano_query(ctx, &storage, &q, &cost);
-            let now = ctx.machine().now_ns();
-            release_claims(feedback, None, permit, result.is_ok(), now - start_ns);
-            match result {
-                Ok(rows) => slot2.complete(Arc::new(rows), now),
-                // An unrecoverable page read (permanent fault, torn page
-                // past rebuild) ends the query in a typed error outcome
-                // instead of a vthread panic.
-                Err(e) => slot2.complete_error(format!("query {}: {e}", q.id), now),
-            }
-            guard.disarm();
-        });
-        Ticket::Slot(slot)
+        })
     }
 
     /// Sharing statistics from the QPipe path, if applicable.

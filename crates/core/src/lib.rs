@@ -33,7 +33,6 @@
 //! * [`workload`] — SSB Q1.1 / Q2.1 / Q3.2 and TPC-H Q1 templates with
 //!   similarity control.
 
-pub mod cell;
 pub mod config;
 pub mod dataset;
 pub mod engine;

@@ -1,149 +1,43 @@
-//! Unified query handles across engine kinds.
+//! The query handle: one type, whichever engine runs the query.
 
-use workshare_common::sync::{Arc, Mutex};
-
+use workshare_common::sync::Arc;
 use workshare_common::value::Row;
-use workshare_qpipe::QueryHandle;
-use workshare_sim::{Machine, WaitSet};
+use workshare_qpipe::SlotResult;
 
-use crate::cell::CompletionCell;
-
-/// Result slot used by the CJOIN and Volcano paths (the QPipe path reuses
-/// the engine's own handle). The write-once publish/claim protocol lives
-/// in [`CompletionCell`] (model-checked by `tests/interleave_core.rs`);
-/// this type adds the sim-side plumbing: virtual-time waiters and latency
-/// stamps.
-pub struct SlotResult {
-    cell: CompletionCell<Arc<Vec<Row>>>,
-    ws: WaitSet,
-    machine: Machine,
-    start_ns: f64,
-    finish_ns: Mutex<f64>,
-}
-
-impl SlotResult {
-    /// New pending slot stamped with the submission time.
-    pub fn new(machine: &Machine, start_ns: f64) -> Arc<SlotResult> {
-        Arc::new(SlotResult {
-            cell: CompletionCell::new(),
-            ws: WaitSet::new(machine),
-            machine: machine.clone(),
-            start_ns,
-            finish_ns: Mutex::new(0.0),
-        })
-    }
-
-    /// Publish the result. First write wins: a slot already completed (or
-    /// poisoned) ignores the call.
-    pub fn complete(&self, rows: Arc<Vec<Row>>, now_ns: f64) {
-        if self.cell.complete(rows) {
-            *self.finish_ns.lock() = now_ns;
-            self.ws.notify_all();
-        }
-    }
-
-    /// Poison the slot with an error: waiters wake with empty rows and
-    /// [`Ticket::error`] reports the message. Used when a producer sheds,
-    /// fails to bind, or abandons the slot by panicking. First write wins,
-    /// as with [`SlotResult::complete`].
-    pub fn complete_error(&self, msg: impl Into<String>, now_ns: f64) {
-        if self.cell.complete_error(msg) {
-            *self.finish_ns.lock() = now_ns;
-            self.ws.notify_all();
-        }
-    }
-}
-
-/// RAII guard held by a slot's producer thread. Dropping the guard without
-/// [`CompletionGuard::disarm`]ing it poisons the slot, so a producer that
-/// panics (or early-returns on an error path) yields an error outcome at the
-/// waiter instead of a deadlock on a slot nobody will ever complete.
-pub struct CompletionGuard {
-    slot: Arc<SlotResult>,
-    armed: bool,
-}
-
-impl CompletionGuard {
-    /// Arm a guard for `slot`.
-    pub fn new(slot: Arc<SlotResult>) -> CompletionGuard {
-        CompletionGuard { slot, armed: true }
-    }
-
-    /// The producer completed the slot normally; the drop becomes a no-op.
-    pub fn disarm(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for CompletionGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            let now = self.slot.machine.now_ns();
-            self.slot
-                .complete_error("producer abandoned the result slot", now);
-        }
-    }
-}
-
-/// Handle to a submitted query, independent of the engine that runs it.
+/// Handle to a submitted query, independent of the engine that runs it:
+/// every route — QPipe, CJOIN, Volcano — ends in the same [`SlotResult`],
+/// published by the engine's one query driver.
 #[derive(Clone)]
-pub enum Ticket {
-    /// Query executed by the QPipe engine.
-    Qpipe(QueryHandle),
-    /// Query executed by the CJOIN or Volcano paths.
-    Slot(Arc<SlotResult>),
-}
+pub struct Ticket(pub(crate) Arc<SlotResult>);
 
 impl Ticket {
     /// Block (in virtual time from a vthread) until completion; returns the
     /// result rows (empty when the slot was poisoned — check
     /// [`Ticket::error`]).
     pub fn wait(&self) -> Arc<Vec<Row>> {
-        match self {
-            Ticket::Qpipe(h) => h.wait(),
-            Ticket::Slot(s) => {
-                let s2 = Arc::clone(s);
-                s.ws.wait_for(move || {
-                    s2.cell.try_outcome().map(|outcome| match outcome {
-                        Ok(rows) => rows,
-                        Err(_) => Arc::new(Vec::new()),
-                    })
-                })
-            }
-        }
+        self.0.wait()
     }
 
     /// Whether the query completed.
     pub fn is_done(&self) -> bool {
-        match self {
-            Ticket::Qpipe(h) => h.is_done(),
-            Ticket::Slot(s) => s.cell.is_done(),
-        }
+        self.0.is_done()
     }
 
-    /// The error that poisoned this query's slot, if any. QPipe handles
-    /// never poison (the engine completes them inline).
+    /// The error that poisoned this query's slot, if any: a query that did
+    /// not bind, an unrecoverable fault under it, or a producer that
+    /// panicked.
     pub fn error(&self) -> Option<String> {
-        match self {
-            Ticket::Qpipe(_) => None,
-            Ticket::Slot(s) => s.cell.error(),
-        }
+        self.0.error()
     }
 
     /// Response time in virtual seconds (valid after completion).
     pub fn latency_secs(&self) -> f64 {
-        match self {
-            Ticket::Qpipe(h) => h.latency_secs(),
-            Ticket::Slot(s) => (*s.finish_ns.lock() - s.start_ns) / 1e9,
-        }
+        self.0.latency_secs()
     }
 
     /// Completion timestamp in virtual nanoseconds.
     pub fn finish_ns(&self) -> f64 {
-        match self {
-            Ticket::Qpipe(h) => h.finish_ns(),
-            Ticket::Slot(s) => *s.finish_ns.lock(),
-        }
+        self.0.finish_ns()
     }
 }
 
@@ -151,7 +45,8 @@ impl Ticket {
 mod tests {
     use super::*;
     use workshare_common::Value;
-    use workshare_sim::MachineConfig;
+    use workshare_qpipe::CompletionGuard;
+    use workshare_sim::{Machine, MachineConfig};
 
     fn machine() -> Machine {
         Machine::new(MachineConfig {
@@ -164,7 +59,7 @@ mod tests {
     fn slot_ticket_roundtrip() {
         let m = machine();
         let slot = SlotResult::new(&m, 0.0);
-        let t = Ticket::Slot(Arc::clone(&slot));
+        let t = Ticket(Arc::clone(&slot));
         assert!(!t.is_done());
         let s2 = Arc::clone(&slot);
         m.spawn("producer", move |ctx| {
@@ -188,7 +83,7 @@ mod tests {
     fn panicking_producer_poisons_instead_of_deadlocking() {
         let m = machine();
         let slot = SlotResult::new(&m, 0.0);
-        let t = Ticket::Slot(Arc::clone(&slot));
+        let t = Ticket(Arc::clone(&slot));
         let s2 = Arc::clone(&slot);
         let h = m.spawn("doomed-producer", move |ctx| {
             let _guard = CompletionGuard::new(s2);
@@ -207,7 +102,7 @@ mod tests {
     fn explicit_error_completion_wins_over_guard() {
         let m = machine();
         let slot = SlotResult::new(&m, 0.0);
-        let t = Ticket::Slot(Arc::clone(&slot));
+        let t = Ticket(Arc::clone(&slot));
         let s2 = Arc::clone(&slot);
         m.spawn("erroring-producer", move |ctx| {
             let _guard = CompletionGuard::new(Arc::clone(&s2));

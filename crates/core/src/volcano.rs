@@ -15,10 +15,10 @@
 use std::sync::Arc;
 
 use workshare_common::agg::Aggregator;
-use workshare_common::bind::bind;
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
 use workshare_common::{CostModel, StarQuery};
+use workshare_qpipe::ops::finish_aggregate;
 use workshare_sim::{CostKind, SimCtx};
 use workshare_storage::{StorageError, StorageManager};
 
@@ -50,9 +50,9 @@ pub fn try_run_volcano_query(
     let fact_schema = storage.schema(fact_t);
     let dim_ts: Vec<_> = q.dims.iter().map(|d| storage.table(&d.dim)).collect();
     let dim_schemas: Vec<_> = dim_ts.iter().map(|&t| storage.schema(t)).collect();
-    let dim_refs: Vec<&workshare_common::Schema> =
-        dim_schemas.iter().map(|s| s.as_ref()).collect();
-    let bound = bind(&fact_schema, &dim_refs, q);
+    let bound = storage
+        .bind_query(q)
+        .unwrap_or_else(|e| panic!("bind failed for query {}: {e}", q.id));
 
     // Build one private hash table per dimension (sequentially, as a
     // single-threaded executor would).
@@ -138,15 +138,7 @@ pub fn try_run_volcano_query(
             cost.agg_update_tuple_ns * joined_rows as f64,
         );
     }
-    let groups = agg.group_count();
-    ctx.charge(
-        CostKind::Aggregation,
-        cost.agg_group_output_ns * groups as f64,
-    );
-    if !q.order_by.is_empty() {
-        ctx.charge(CostKind::Sort, cost.sort_cost(groups));
-    }
-    Ok(agg.finish(&q.order_by))
+    Ok(finish_aggregate(ctx, agg, &q.order_by, cost))
 }
 
 /// Convenience wrapper: run a Volcano query to completion and return an

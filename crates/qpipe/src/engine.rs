@@ -17,26 +17,28 @@
 //!   the engine probes the join registry for an in-flight identical sub-plan
 //!   (deepest prefix first); on a hit the satellite consumes the host's
 //!   output exchange and only builds the plan *above* the shared pivot.
-//! * **SP at the top** (`sp_aggs`) — fully identical queries reuse the
-//!   host's buffered final result (full step WoP, paper §3.1 "identical
-//!   queries"). Off by default, as in the paper's experiments.
+//!
+//! [`QpipeEngine::submit_stream`] plans everything below the tail and hands
+//! back the joined stream; the aggregate/sort tail and the result slot on
+//! top of it are [`QpipeEngine::submit`] here and the engine facade's query
+//! driver in `workshare-core` — one [`QpipeStream::aggregate`] either way.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use workshare_common::bind::{bind, BoundQuery};
-use workshare_common::fxhash::FxHashMap;
+use workshare_common::bind::BoundQuery;
+use workshare_common::cell::CompletionCell;
 use workshare_common::value::Row;
-use workshare_common::{CostModel, StarQuery};
-use workshare_sim::{CostKind, Machine, SimCtx, WaitSet};
+use workshare_common::{CostModel, OrderKey, StarQuery};
+use workshare_sim::{Machine, SimCtx, WaitSet};
 use workshare_storage::{StorageManager, TableId};
 
 use crate::exchange::{Exchange, ExchangeKind, ExchangeReader};
 use crate::ops;
 use crate::registry::SpRegistry;
-use crate::scan::{spawn_independent_scan, ScanService};
+use crate::scan::{ScanService, ScanWatch};
 use crate::wop::Wop;
 
 /// QPipe engine configuration (one row of the paper's §5.1 matrix).
@@ -48,9 +50,6 @@ pub struct QpipeConfig {
     pub circular_scans: bool,
     /// SP at the join stage (`QPipe-SP`).
     pub sp_joins: bool,
-    /// SP for identical whole plans at the top stage (off in the paper's
-    /// experiments, available for completeness).
-    pub sp_aggs: bool,
     /// The run-time prediction model of Johnson et al. \[14\] ("To share or
     /// not to share?"): only share scans when the machine is saturated
     /// (in-flight queries ≥ cores). The paper argues SPL makes this model
@@ -66,83 +65,167 @@ impl Default for QpipeConfig {
             exchange: ExchangeKind::Spl,
             circular_scans: false,
             sp_joins: false,
-            sp_aggs: false,
             cs_prediction: false,
             cap_pages: 8,
         }
     }
 }
 
-/// Result sink of one query.
-pub struct QueryResult {
-    rows: Mutex<Option<Arc<Vec<Row>>>>,
-    done: AtomicBool,
+/// The waitable result slot every engine ends a query in: this engine's
+/// handle, CJOIN's shared-aggregate result and the core `Ticket` are all
+/// this one type. The write-once publish/claim protocol lives in
+/// [`CompletionCell`] (model-checked by `tests/interleave_core.rs`); this
+/// type adds the sim-side plumbing: virtual-time waiters and latency stamps.
+/// It lives in this crate, next to [`Exchange`], because this is the lowest
+/// one that sees both `workshare_common::sync` and the simulator's
+/// [`WaitSet`].
+pub struct SlotResult {
+    cell: CompletionCell<Arc<Vec<Row>>>,
     ws: WaitSet,
+    machine: Machine,
     start_ns: f64,
     finish_ns: Mutex<f64>,
 }
 
-impl QueryResult {
-    fn new(machine: &Machine, start_ns: f64) -> QueryResult {
-        QueryResult {
-            rows: Mutex::new(None),
-            done: AtomicBool::new(false),
+impl SlotResult {
+    /// New pending slot stamped with the submission time.
+    pub fn new(machine: &Machine, start_ns: f64) -> Arc<SlotResult> {
+        Arc::new(SlotResult {
+            cell: CompletionCell::new(),
             ws: WaitSet::new(machine),
+            machine: machine.clone(),
             start_ns,
             finish_ns: Mutex::new(0.0),
+        })
+    }
+
+    /// Publish the result. First write wins: a slot already completed (or
+    /// poisoned) ignores the call.
+    pub fn complete(&self, rows: Arc<Vec<Row>>, now_ns: f64) {
+        if self.cell.complete(rows) {
+            *self.finish_ns.lock() = now_ns;
+            self.ws.notify_all();
         }
     }
 
-    fn complete(&self, rows: Arc<Vec<Row>>, now_ns: f64) {
-        *self.rows.lock() = Some(rows);
-        *self.finish_ns.lock() = now_ns;
-        self.done.store(true, Ordering::Release);
-        self.ws.notify_all();
+    /// Poison the slot with an error: waiters wake with empty rows and
+    /// [`SlotResult::error`] reports the message. Used when a producer
+    /// sheds, fails to bind, hits an unrecoverable fault, or abandons the
+    /// slot by panicking. First write wins, as with
+    /// [`SlotResult::complete`].
+    pub fn complete_error(&self, msg: impl Into<String>, now_ns: f64) {
+        if self.cell.complete_error(msg) {
+            *self.finish_ns.lock() = now_ns;
+            self.ws.notify_all();
+        }
     }
 
-    /// Whether the query finished.
-    pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-}
-
-/// Handle to a submitted query.
-#[derive(Clone)]
-pub struct QueryHandle {
-    /// The query's submission id.
-    pub id: u64,
-    result: Arc<QueryResult>,
-}
-
-impl QueryHandle {
-    /// Block (virtual time if called from a vthread) until the query
-    /// completes; returns its result rows.
+    /// Block (in virtual time from a vthread) until completion; returns the
+    /// result rows (empty when the slot was poisoned — check
+    /// [`SlotResult::error`]). Hands back the shared `Arc`: every reader of
+    /// one buffered result shares it, nothing is copied out of the cell's
+    /// mutex.
     pub fn wait(&self) -> Arc<Vec<Row>> {
-        let r = Arc::clone(&self.result);
-        self.result
-            .ws
-            .wait_for(move || {
-                if r.done.load(Ordering::Acquire) {
-                    Some(r.rows.lock().clone().expect("done without rows"))
-                } else {
-                    None
-                }
-            })
+        self.ws.wait_for(|| {
+            self.cell
+                .try_outcome()
+                .map(|outcome| outcome.unwrap_or_default())
+        })
+    }
+
+    /// Whether the query completed.
+    pub fn is_done(&self) -> bool {
+        self.cell.is_done()
+    }
+
+    /// The error that poisoned this slot, if any.
+    pub fn error(&self) -> Option<String> {
+        self.cell.error()
     }
 
     /// Response time in virtual seconds (valid after completion).
     pub fn latency_secs(&self) -> f64 {
-        (*self.result.finish_ns.lock() - self.result.start_ns) / 1e9
+        (self.finish_ns() - self.start_ns) / 1e9
     }
 
-    /// Completion time in virtual nanoseconds.
+    /// Completion timestamp in virtual nanoseconds.
     pub fn finish_ns(&self) -> f64 {
-        *self.result.finish_ns.lock()
+        *self.finish_ns.lock()
+    }
+}
+
+/// RAII guard held by a slot's producer thread. Dropping the guard without
+/// [`CompletionGuard::disarm`]ing it poisons the slot, so a producer that
+/// panics (or early-returns on an error path) yields an error outcome at the
+/// waiter instead of a deadlock on a slot nobody will ever complete.
+pub struct CompletionGuard {
+    slot: Arc<SlotResult>,
+    armed: bool,
+}
+
+impl CompletionGuard {
+    /// Arm a guard for `slot`.
+    pub fn new(slot: Arc<SlotResult>) -> CompletionGuard {
+        CompletionGuard { slot, armed: true }
     }
 
-    /// Whether the query finished.
-    pub fn is_done(&self) -> bool {
-        self.result.is_done()
+    /// The producer completed the slot normally; the drop becomes a no-op.
+    pub fn disarm(mut self) {
+        self.armed = false;
+    }
+}
+
+impl Drop for CompletionGuard {
+    fn drop(&mut self) {
+        if self.armed {
+            let now = self.slot.machine.now_ns();
+            self.slot
+                .complete_error("producer abandoned the result slot", now);
+        }
+    }
+}
+
+/// The joined stream of one submitted query
+/// ([`QpipeEngine::submit_stream`]): everything below the query-centric
+/// aggregate/sort tail. The same shape as the CJOIN stage's output — a
+/// reader plus the fault to check once it drains.
+pub struct QpipeStream {
+    /// Joined tuples in the query's bound layout.
+    reader: ExchangeReader,
+    /// Unrecoverable scan reads since submission. The reader still drains
+    /// normally (a failed scan closes its exchange) — check after
+    /// exhaustion.
+    fault: ScanWatch,
+    /// Keeps the query in [`QpipeEngine::in_flight`] until the stream is
+    /// dropped — by the finished tail or by its unwinding.
+    _in_flight: InFlight,
+}
+
+impl QpipeStream {
+    /// The query-centric tail: aggregate and sort the stream, then surface
+    /// a scan that failed under it as the query's typed error instead of a
+    /// silently partial result.
+    pub fn aggregate(
+        self,
+        ctx: &SimCtx,
+        bound: &BoundQuery,
+        order: &[OrderKey],
+        cost: &CostModel,
+    ) -> Result<Arc<Vec<Row>>, String> {
+        let rows = ops::run_aggregate(ctx, self.reader, bound, order, cost);
+        match self.fault.failure() {
+            Some(msg) => Err(msg),
+            None => Ok(Arc::new(rows)),
+        }
+    }
+}
+
+/// One query's count in `EngineInner::in_flight`.
+struct InFlight(Arc<AtomicU64>);
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -158,8 +241,6 @@ pub struct SharingStats {
     /// Satellite attachments by join level (index 0 = first hash-join),
     /// mirroring the paper's Fig. 15 "1st/2nd/3rd hash-join" counts.
     pub join_satellites_by_level: Vec<u64>,
-    /// Whole-plan result reuses (sp_aggs).
-    pub result_satellites: u64,
 }
 
 struct EngineInner {
@@ -169,11 +250,9 @@ struct EngineInner {
     config: QpipeConfig,
     scan: ScanService,
     joins: SpRegistry,
-    results: Mutex<FxHashMap<u64, Arc<QueryResult>>>,
     gate_ws: WaitSet,
     gate_open: Arc<AtomicBool>,
     join_level_shares: Mutex<Vec<u64>>,
-    result_shares: AtomicU64,
     /// Queries submitted but not yet completed (the prediction model's
     /// saturation signal).
     in_flight: Arc<AtomicU64>,
@@ -201,11 +280,9 @@ impl QpipeEngine {
                 config,
                 scan: ScanService::new(machine, storage, cost, config.exchange, config.cap_pages),
                 joins: SpRegistry::new(),
-                results: Mutex::new(FxHashMap::default()),
                 gate_ws: WaitSet::new(machine),
                 gate_open: Arc::new(AtomicBool::new(true)),
                 join_level_shares: Mutex::new(Vec::new()),
-                result_shares: AtomicU64::new(0),
                 in_flight: Arc::new(AtomicU64::new(0)),
             }),
         }
@@ -214,16 +291,6 @@ impl QpipeEngine {
     /// The machine this engine runs on.
     pub fn machine(&self) -> &Machine {
         &self.inner.machine
-    }
-
-    /// The engine's storage manager.
-    pub fn storage(&self) -> &StorageManager {
-        &self.inner.storage
-    }
-
-    /// Active configuration.
-    pub fn config(&self) -> QpipeConfig {
-        self.inner.config
     }
 
     /// Hold packets at the start line (batch submission: close, submit all,
@@ -263,12 +330,7 @@ impl QpipeEngine {
         if share {
             inner.scan.attach(table)
         } else {
-            spawn_independent_scan(
-                &inner.machine,
-                &inner.storage,
-                inner.cost,
-                inner.config.exchange,
-                inner.config.cap_pages,
+            inner.scan.scan_once(
                 table,
                 Some(inner.gate_ws.clone()),
                 Arc::clone(&inner.gate_open),
@@ -281,71 +343,67 @@ impl QpipeEngine {
         self.inner.in_flight.load(Ordering::Acquire)
     }
 
-    /// Submit one query; returns immediately with a handle. Callable from a
-    /// coordinator vthread (deterministic batches) or an external thread.
-    pub fn submit(&self, q: &StarQuery) -> QueryHandle {
+    /// Submit one query; returns immediately with its result slot. Callable
+    /// from a coordinator vthread (deterministic batches) or an external
+    /// thread. This is [`QpipeEngine::submit_stream`] plus the
+    /// query-centric tail on a packet of its own; plans here are
+    /// machine-generated, so a query that does not bind panics the caller
+    /// (the engine facade binds first and reports a typed error instead).
+    pub fn submit(&self, q: &StarQuery) -> Arc<SlotResult> {
+        let inner = &self.inner;
+        let slot = SlotResult::new(&inner.machine, inner.machine.now_ns());
+        let bound = Arc::new(
+            inner
+                .storage
+                .bind_query(q)
+                .unwrap_or_else(|e| panic!("bind failed for query {}: {e}", q.id)),
+        );
+        let stream = self.submit_stream(q, &bound);
+        let (qid, order, cost) = (q.id, q.order_by.clone(), inner.cost);
+        let slot2 = Arc::clone(&slot);
+        self.spawn_packet(&format!("agg-q{qid}"), move |ctx| {
+            let guard = CompletionGuard::new(Arc::clone(&slot2));
+            let result = stream.aggregate(ctx, &bound, &order, &cost);
+            let now = ctx.machine().now_ns();
+            match result {
+                Ok(rows) => slot2.complete(rows, now),
+                Err(msg) => slot2.complete_error(format!("query {qid}: {msg}"), now),
+            }
+            guard.disarm();
+        });
+        slot
+    }
+
+    /// Plan and start everything below the tail — scans, selects, joins,
+    /// with whatever sharing the configuration allows — and return the
+    /// joined stream for the caller's aggregate/sort packet. `bound` is
+    /// `q` bound against this engine's storage.
+    pub fn submit_stream(&self, q: &StarQuery, bound: &Arc<BoundQuery>) -> QpipeStream {
         let inner = &self.inner;
         let cost = inner.cost;
-        let now = inner.machine.now_ns();
         inner.in_flight.fetch_add(1, Ordering::AcqRel);
-        let result = Arc::new(QueryResult::new(&inner.machine, now));
-        let handle = QueryHandle {
-            id: q.id,
-            result: Arc::clone(&result),
-        };
-
-        // ---- whole-plan SP (identical queries) --------------------------
-        if inner.config.sp_aggs {
-            let sig = q.full_signature();
-            let mut map = inner.results.lock();
-            if let Some(host) = map.get(&sig) {
-                if !host.is_done() {
-                    let host = Arc::clone(host);
-                    let res = Arc::clone(&result);
-                    let in_flight = Arc::clone(&inner.in_flight);
-                    inner.result_shares.fetch_add(1, Ordering::Relaxed);
-                    self.spawn_packet(&format!("res-sat-q{}", q.id), move |ctx| {
-                        let rows = host.ws.wait_for(|| {
-                            if host.done.load(Ordering::Acquire) {
-                                Some(host.rows.lock().clone().expect("done w/o rows"))
-                            } else {
-                                None
-                            }
-                        });
-                        // Copy the buffered final results to this client.
-                        let bytes: usize = rows.len() * 64;
-                        ctx.charge(CostKind::Copy, cost.copy_cost(bytes));
-                        let done_ns = ctx.machine().now_ns();
-                        res.complete(rows, done_ns);
-                        in_flight.fetch_sub(1, Ordering::AcqRel);
-                    });
-                    return handle;
-                }
-            }
-            map.insert(sig, Arc::clone(&result));
-        }
-
-        // ---- bind -------------------------------------------------------
+        let in_flight = InFlight(Arc::clone(&inner.in_flight));
+        // Sampled before the first attach: a scan that fails under this
+        // query from here on moves the watch.
+        let fault = inner.scan.watch();
         let d = q.dims.len();
         let fact_t = inner.storage.table(&q.fact);
         let dim_ts: Vec<TableId> =
             q.dims.iter().map(|dj| inner.storage.table(&dj.dim)).collect();
-        let fact_schema = inner.storage.schema(fact_t);
-        let dim_schemas: Vec<_> = dim_ts.iter().map(|&t| inner.storage.schema(t)).collect();
-        let dim_refs: Vec<&workshare_common::Schema> =
-            dim_schemas.iter().map(|s| s.as_ref()).collect();
-        let bound: Arc<BoundQuery> = Arc::new(bind(&fact_schema, &dim_refs, q));
+        // A join host is only as good as the scans under it, and a host
+        // that started before some scan failed may already be truncated by
+        // a failure this query's watch would not see: only share with hosts
+        // that sampled the same failure generation. (Zero in a fault-free
+        // run, where this is the plain signature.)
+        let generation_salt = fault.generation().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let join_sig = |k: usize| q.join_prefix_signature(k) ^ generation_salt;
 
         // ---- SP at the join stage: reuse the deepest identical prefix ----
         let mut stream: Option<ExchangeReader> = None;
         let mut start_level = 0usize;
         if inner.config.sp_joins && d > 0 {
             for k in (0..d).rev() {
-                if let Some(r) =
-                    inner
-                        .joins
-                        .try_attach(q.join_prefix_signature(k), Wop::Step, None)
-                {
+                if let Some(r) = inner.joins.try_attach(join_sig(k), Wop::Step, None) {
                     let mut shares = inner.join_level_shares.lock();
                     if shares.len() <= k {
                         shares.resize(k + 1, 0);
@@ -367,7 +425,7 @@ impl QpipeEngine {
                     Exchange::new(inner.config.exchange, &inner.machine, cost, inner.config.cap_pages);
                 let primary = sel_out.attach(None);
                 let pred = q.fact_pred.clone();
-                let b = Arc::clone(&bound);
+                let b = Arc::clone(bound);
                 self.spawn_packet(&format!("fsel-q{}", q.id), move |ctx| {
                     ops::run_fact_select(ctx, scan_r, sel_out, &pred, &b, &cost);
                 });
@@ -391,9 +449,7 @@ impl QpipeEngine {
             let out =
                 Exchange::new(inner.config.exchange, &inner.machine, cost, inner.config.cap_pages);
             if inner.config.sp_joins {
-                inner
-                    .joins
-                    .register(q.join_prefix_signature(k), out.clone(), Wop::Step);
+                inner.joins.register(join_sig(k), out.clone(), Wop::Step);
             }
             let out_primary = out.attach(None);
             let probe = stream;
@@ -403,17 +459,11 @@ impl QpipeEngine {
             });
         }
 
-        // ---- aggregate / sort / result ------------------------------------
-        let order = q.order_by.clone();
-        let b = Arc::clone(&bound);
-        let in_flight = Arc::clone(&inner.in_flight);
-        self.spawn_packet(&format!("agg-q{}", q.id), move |ctx| {
-            let rows = ops::run_aggregate(ctx, stream, &b, &order, &cost);
-            let done_ns = ctx.machine().now_ns();
-            result.complete(Arc::new(rows), done_ns);
-            in_flight.fetch_sub(1, Ordering::AcqRel);
-        });
-        handle
+        QpipeStream {
+            reader: stream,
+            fault,
+            _in_flight: in_flight,
+        }
     }
 
     /// Aggregate sharing statistics.
@@ -425,7 +475,6 @@ impl QpipeEngine {
             scan_satellites,
             join_hosts,
             join_satellites_by_level: self.inner.join_level_shares.lock().clone(),
-            result_satellites: self.inner.result_shares.load(Ordering::Relaxed),
         }
     }
 
@@ -553,7 +602,6 @@ mod tests {
                         exchange: kind,
                         circular_scans: cs,
                         sp_joins: sp,
-                        sp_aggs: false,
                         cs_prediction: false,
                         cap_pages: 4,
                     });
@@ -594,7 +642,6 @@ mod tests {
             exchange: ExchangeKind::Spl,
             circular_scans: true,
             sp_joins: true,
-            sp_aggs: false,
             cs_prediction: false,
             cap_pages: 4,
         };
@@ -617,7 +664,6 @@ mod tests {
             exchange: ExchangeKind::Spl,
             circular_scans: true,
             sp_joins: false,
-            sp_aggs: false,
             cs_prediction: false,
             cap_pages: 4,
         };
@@ -631,30 +677,12 @@ mod tests {
     }
 
     #[test]
-    fn sp_aggs_reuses_identical_whole_plans() {
-        let config = QpipeConfig {
-            exchange: ExchangeKind::Spl,
-            circular_scans: true,
-            sp_joins: true,
-            sp_aggs: true,
-            cs_prediction: false,
-            cap_pages: 4,
-        };
-        let queries = vec![query(1, false), query(2, false)];
-        let (res, engine) = run_config(config, queries);
-        assert_eq!(*res[0], expected(false));
-        assert_eq!(*res[1], expected(false));
-        assert_eq!(engine.sharing_stats().result_satellites, 1);
-    }
-
-    #[test]
     fn sharing_reduces_total_cpu_work() {
         let queries: Vec<StarQuery> = (0..8).map(|i| query(i, false)).collect();
         let none = QpipeConfig {
             exchange: ExchangeKind::Spl,
             circular_scans: false,
             sp_joins: false,
-            sp_aggs: false,
             cs_prediction: false,
             cap_pages: 4,
         };
@@ -663,39 +691,10 @@ mod tests {
             circular_scans: true,
             ..none
         };
-        let (m1, sm1) = setup();
-        let e1 = QpipeEngine::new(&m1, &sm1, none, CostModel::default());
-        let qs = queries.clone();
-        let e1c = e1.clone();
-        m1.spawn("coord", move |_| {
-            e1c.close_gate();
-            let hs: Vec<_> = qs.iter().map(|q| e1c.submit(q)).collect();
-            e1c.open_gate();
-            for h in hs {
-                h.wait();
-            }
-        })
-        .join()
-        .unwrap();
-        e1.shutdown();
-
-        let (m2, sm2) = setup();
-        let e2 = QpipeEngine::new(&m2, &sm2, shared, CostModel::default());
-        let e2c = e2.clone();
-        m2.spawn("coord", move |_| {
-            e2c.close_gate();
-            let hs: Vec<_> = queries.iter().map(|q| e2c.submit(q)).collect();
-            e2c.open_gate();
-            for h in hs {
-                h.wait();
-            }
-        })
-        .join()
-        .unwrap();
-        e2.shutdown();
-
-        let work_none = m1.cpu_breakdown().total_ns();
-        let work_shared = m2.cpu_breakdown().total_ns();
+        let (_, e1) = run_config(none, queries.clone());
+        let (_, e2) = run_config(shared, queries);
+        let work_none = e1.machine().cpu_breakdown().total_ns();
+        let work_shared = e2.machine().cpu_breakdown().total_ns();
         assert!(
             work_shared < work_none * 0.5,
             "sharing must cut CPU work: shared={work_shared} none={work_none}"

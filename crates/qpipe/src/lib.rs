@@ -29,6 +29,8 @@ pub mod scan;
 pub mod wop;
 
 pub use batch::TupleBatch;
-pub use engine::{QpipeConfig, QpipeEngine, QueryHandle, SharingStats};
+pub use engine::{
+    CompletionGuard, QpipeConfig, QpipeEngine, QpipeStream, SharingStats, SlotResult,
+};
 pub use exchange::{Exchange, ExchangeKind, ExchangeReader};
 pub use wop::Wop;

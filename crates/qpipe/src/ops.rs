@@ -4,11 +4,11 @@
 //! exchange, performs the real data work, charges the corresponding virtual
 //! CPU categories, and pushes page-sized batches downstream.
 
-
+use workshare_common::agg::Aggregator;
 use workshare_common::bind::BoundQuery;
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
-use workshare_common::{CostModel, Predicate, SelVec};
+use workshare_common::{CostModel, OrderKey, Predicate, SelVec};
 use workshare_sim::{CostKind, SimCtx};
 
 use crate::batch::BatchBuilder;
@@ -138,10 +138,10 @@ pub fn run_aggregate(
     ctx: &SimCtx,
     mut input: ExchangeReader,
     bound: &BoundQuery,
-    order: &[workshare_common::OrderKey],
+    order: &[OrderKey],
     cost: &CostModel,
 ) -> Vec<Row> {
-    let mut agg = workshare_common::agg::Aggregator::new(bound);
+    let mut agg = Aggregator::new(bound);
     while let Some(batch) = input.next(ctx) {
         ctx.charge(
             CostKind::Aggregation,
@@ -151,6 +151,18 @@ pub fn run_aggregate(
             agg.update(row);
         }
     }
+    finish_aggregate(ctx, agg, order, cost)
+}
+
+/// The end of every aggregate, wherever its tuples were folded (the packet
+/// above, CJOIN's distributor, Volcano's private plan): charge the group
+/// output and the sort, then finalize and order the rows.
+pub fn finish_aggregate(
+    ctx: &SimCtx,
+    agg: Aggregator,
+    order: &[OrderKey],
+    cost: &CostModel,
+) -> Vec<Row> {
     let groups = agg.group_count();
     ctx.charge(
         CostKind::Aggregation,

@@ -7,6 +7,15 @@
 //! of exactly one wrap. With SPL exchanges consumers share the decoded
 //! pages; with FIFO exchanges the scanner pushes a copy to each attached
 //! packet — the paper's `CS (FIFO)` configuration.
+//!
+//! A scan that meets an unrecoverable page read closes its exchange, so
+//! nothing hangs behind it — and says so: the service counts such failures,
+//! a query samples the count when it is submitted ([`ScanService::watch`])
+//! and its tail checks it again once the stream has drained
+//! ([`ScanWatch::failure`]). A circular scanner that failed is also dropped
+//! from the service, so the next attach starts a fresh one instead of
+//! reading end-of-stream from the dead one for the rest of the engine's
+//! life.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,7 +26,7 @@ use workshare_common::fxhash::FxHashMap;
 use workshare_common::CostModel;
 use workshare_sim::{CostKind, Machine, WaitSet};
 
-use workshare_storage::{StorageManager, TableId};
+use workshare_storage::{StorageError, StorageManager, TableId};
 
 use crate::batch::TupleBatch;
 use crate::exchange::{Exchange, ExchangeKind, ExchangeReader};
@@ -29,6 +38,8 @@ struct ScanInner {
     kind: ExchangeKind,
     cap_pages: usize,
     scanners: Mutex<FxHashMap<TableId, Exchange>>,
+    /// Unrecoverable scan reads so far, and the last one's message.
+    failures: Mutex<(u64, String)>,
     wake: WaitSet,
     shutdown: AtomicBool,
     satellites: AtomicU64,
@@ -59,6 +70,7 @@ impl ScanService {
                 kind,
                 cap_pages,
                 scanners: Mutex::new(FxHashMap::default()),
+                failures: Mutex::new((0, String::new())),
                 wake: WaitSet::new(machine),
                 shutdown: AtomicBool::new(false),
                 satellites: AtomicU64::new(0),
@@ -117,8 +129,8 @@ impl ScanService {
                 // end-of-stream instead of hanging behind a dead scanner.
                 let page = match storage.try_read_page(ctx, table, pos, stream) {
                     Ok(p) => p,
-                    Err(_) => {
-                        exchange.close();
+                    Err(e) => {
+                        inner.scan_failed(Some(table), &exchange, &e);
                         return;
                     }
                 };
@@ -133,6 +145,57 @@ impl ScanService {
                 pos = (pos + 1) % npages.max(1);
             }
         });
+    }
+
+    /// Spawn an **independent** (query-centric) scan of `table`: a producer
+    /// vthread reads the table front-to-back once and closes. Returns the
+    /// reading end. This is the no-sharing baseline whose buffer-pool and
+    /// disk contention the paper's `QPipe` configuration exhibits.
+    pub fn scan_once(
+        &self,
+        table: TableId,
+        gate: Option<WaitSet>,
+        gate_open: Arc<AtomicBool>,
+    ) -> ExchangeReader {
+        let inner = Arc::clone(&self.inner);
+        let exchange = Exchange::new(inner.kind, &inner.machine, inner.cost, inner.cap_pages);
+        let reader = exchange.attach(None);
+        let name = format!("scan-{}", inner.storage.table_name(table));
+        inner.machine.clone().spawn(&name, move |ctx| {
+            if let Some(g) = &gate {
+                g.wait_until(|| gate_open.load(Ordering::Acquire));
+            }
+            let storage = &inner.storage;
+            let schema = storage.schema(table);
+            let stream = storage.new_stream();
+            for pos in 0..storage.page_count(table) {
+                // Same fail-stop shape as the shared scanner: an
+                // unrecoverable read closes the exchange rather than
+                // panicking the producer.
+                let page = match storage.try_read_page(ctx, table, pos, stream) {
+                    Ok(p) => p,
+                    Err(e) => return inner.scan_failed(None, &exchange, &e),
+                };
+                let rows = page.decode_all(&schema);
+                ctx.charge(
+                    CostKind::Scan,
+                    inner.cost.scan_page_fixed_ns + inner.cost.scan_tuple_ns * rows.len() as f64,
+                );
+                let bytes = page.byte_len();
+                exchange.emit(ctx, Arc::new(TupleBatch::with_bytes(rows, bytes)));
+            }
+            exchange.close();
+        });
+        reader
+    }
+
+    /// Sample the failure count for a query being submitted — before its
+    /// first attach, so a scan that fails under it moves the watch.
+    pub fn watch(&self) -> ScanWatch {
+        ScanWatch {
+            inner: Arc::clone(&self.inner),
+            generation: self.inner.failures.lock().0,
+        }
     }
 
     /// (hosts created, satellites attached) — the scan stage's sharing stats.
@@ -150,58 +213,54 @@ impl ScanService {
     }
 }
 
+impl ScanInner {
+    /// A scan of this service met an unrecoverable read. Order matters: the
+    /// dead circular scanner leaves `scanners` first (nobody attaches to
+    /// `exchange` after that, and everybody who did sampled their
+    /// [`ScanWatch`] before), then the failure is counted, then the
+    /// exchange closes — so every reader that sees this early
+    /// end-of-stream also sees the count moved.
+    fn scan_failed(&self, circular: Option<TableId>, exchange: &Exchange, err: &StorageError) {
+        if let Some(table) = circular {
+            self.scanners.lock().remove(&table);
+        }
+        {
+            let mut failures = self.failures.lock();
+            failures.0 += 1;
+            failures.1 = err.to_string();
+        }
+        exchange.close();
+    }
+}
+
+/// A query's view of [`ScanService`] failures: the failure count sampled
+/// at submission ([`ScanService::watch`]).
+pub struct ScanWatch {
+    inner: Arc<ScanInner>,
+    generation: u64,
+}
+
+impl ScanWatch {
+    /// The failure count this watch sampled.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The typed error of the last scan that failed since this watch was
+    /// taken — any scan of the service, not only the ones this query read:
+    /// the blast radius is wider than strictly needed, a silently partial
+    /// result is not possible.
+    pub fn failure(&self) -> Option<String> {
+        let failures = self.inner.failures.lock();
+        (failures.0 != self.generation).then(|| failures.1.clone())
+    }
+}
+
 fn pending_consumers(ex: &Exchange) -> usize {
     match ex {
         Exchange::Spl(s) => s.active_consumers(),
         Exchange::Fifo(f) => f.reader_count(),
     }
-}
-
-/// Spawn an **independent** (query-centric) scan of `table`: a producer
-/// vthread reads the table front-to-back once and closes. Returns the
-/// reading end. This is the no-sharing baseline whose buffer-pool and disk
-/// contention the paper's `QPipe` configuration exhibits.
-// The parameter list mirrors the shared-scan spawn path one-for-one; a
-// params struct would only obscure the symmetry.
-#[allow(clippy::too_many_arguments)]
-pub fn spawn_independent_scan(
-    machine: &Machine,
-    storage: &StorageManager,
-    cost: CostModel,
-    kind: ExchangeKind,
-    cap_pages: usize,
-    table: TableId,
-    gate: Option<WaitSet>,
-    gate_open: Arc<AtomicBool>,
-) -> ExchangeReader {
-    let exchange = Exchange::new(kind, machine, cost, cap_pages);
-    let reader = exchange.attach(None);
-    let storage = storage.clone();
-    let name = format!("scan-{}", storage.table_name(table));
-    machine.spawn(&name, move |ctx| {
-        if let Some(g) = &gate {
-            g.wait_until(|| gate_open.load(Ordering::Acquire));
-        }
-        let schema = storage.schema(table);
-        let stream = storage.new_stream();
-        for pos in 0..storage.page_count(table) {
-            // Same fail-stop shape as the shared scanner: an unrecoverable
-            // read closes the exchange rather than panicking the producer.
-            let page = match storage.try_read_page(ctx, table, pos, stream) {
-                Ok(p) => p,
-                Err(_) => break,
-            };
-            let rows = page.decode_all(&schema);
-            ctx.charge(
-                CostKind::Scan,
-                cost.scan_page_fixed_ns + cost.scan_tuple_ns * rows.len() as f64,
-            );
-            let bytes = page.byte_len();
-            exchange.emit(ctx, Arc::new(TupleBatch::with_bytes(rows, bytes)));
-        }
-        exchange.close();
-    });
-    reader
 }
 
 #[cfg(test)]
@@ -257,16 +316,8 @@ mod tests {
         let sm2 = sm.clone();
         let got = m
             .spawn("coord", move |ctx| {
-                let r = spawn_independent_scan(
-                    ctx.machine(),
-                    &sm2,
-                    cost,
-                    ExchangeKind::Spl,
-                    8,
-                    t,
-                    None,
-                    Arc::new(AtomicBool::new(true)),
-                );
+                let svc = ScanService::new(ctx.machine(), &sm2, cost, ExchangeKind::Spl, 8);
+                let r = svc.scan_once(t, None, Arc::new(AtomicBool::new(true)));
                 drain_sum(r, ctx)
             })
             .join()

@@ -147,7 +147,6 @@ impl Path {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Blocker {
     Lock(usize),
-    Rw(usize),
     Join(usize),
 }
 
@@ -181,15 +180,6 @@ pub(crate) enum ObjState {
         owner: Option<usize>,
         sync: Synchronize,
     },
-    Rw {
-        writer: Option<usize>,
-        readers: Vec<usize>,
-        /// Published by write-unlocks; acquired by readers and writers.
-        write_sync: Synchronize,
-        /// Published by read-unlocks; acquired by writers only (readers do
-        /// not synchronize with each other).
-        read_sync: Synchronize,
-    },
     Atomic {
         stores: Vec<StoreEntry>,
         /// Per-thread coherence floor: index of the newest store each
@@ -203,15 +193,6 @@ impl ObjState {
         ObjState::Lock {
             owner: None,
             sync: Synchronize::default(),
-        }
-    }
-
-    pub(crate) fn rwlock() -> ObjState {
-        ObjState::Rw {
-            writer: None,
-            readers: Vec::new(),
-            write_sync: Synchronize::default(),
-            read_sync: Synchronize::default(),
         }
     }
 
@@ -661,81 +642,6 @@ pub(crate) fn mutex_unlock(cell: &ModelRef) {
     sync.sync_store(&causality, Ordering::Release);
     for t in 0..st.threads.len() {
         if st.threads[t].run == Run::Blocked(Blocker::Lock(obj)) {
-            st.threads[t].run = Run::Runnable;
-        }
-    }
-}
-
-/// Model-mode rwlock acquisition. `write` selects writer vs reader entry.
-pub(crate) fn rw_lock(cell: &ModelRef, write: bool) -> bool {
-    let (exec, me) = match mode() {
-        Mode::Model(e, me) => (e, me),
-        _ => return false,
-    };
-    let obj = cell.get(&exec, ObjState::rwlock);
-    loop {
-        exec.schedule(me);
-        let mut st = exec.lock();
-        let ObjState::Rw {
-            writer,
-            readers,
-            write_sync,
-            read_sync,
-        } = &mut st.objects[obj]
-        else {
-            unreachable!("object {obj} is not a rwlock");
-        };
-        if write {
-            if writer.is_none() && readers.is_empty() {
-                *writer = Some(me);
-                let (w, r) = (*write_sync, *read_sync);
-                w.sync_load(&mut st.threads[me].causality, Ordering::Acquire);
-                r.sync_load(&mut st.threads[me].causality, Ordering::Acquire);
-                return true;
-            }
-        } else if writer.is_none() {
-            readers.push(me);
-            let w = *write_sync;
-            w.sync_load(&mut st.threads[me].causality, Ordering::Acquire);
-            return true;
-        }
-        st.threads[me].run = Run::Blocked(Blocker::Rw(obj));
-        exec.yield_blocked(me, st);
-    }
-}
-
-pub(crate) fn rw_unlock(cell: &ModelRef, write: bool) {
-    let (exec, me, degraded) = match mode() {
-        Mode::Model(e, me) => (e, me, false),
-        Mode::Degraded(e, me) => (e, me, true),
-        Mode::Fallback => return,
-    };
-    let obj = cell.get(&exec, ObjState::rwlock);
-    if !degraded {
-        exec.schedule(me);
-    }
-    let mut st = exec.lock();
-    let causality = st.threads[me].causality;
-    let ObjState::Rw {
-        writer,
-        readers,
-        write_sync,
-        read_sync,
-    } = &mut st.objects[obj]
-    else {
-        unreachable!("object {obj} is not a rwlock");
-    };
-    if write {
-        *writer = None;
-        write_sync.sync_store(&causality, Ordering::Release);
-    } else {
-        if let Some(i) = readers.iter().position(|&r| r == me) {
-            readers.swap_remove(i);
-        }
-        read_sync.sync_store(&causality, Ordering::Release);
-    }
-    for t in 0..st.threads.len() {
-        if st.threads[t].run == Run::Blocked(Blocker::Rw(obj)) {
             st.threads[t].run = Run::Runnable;
         }
     }

@@ -10,9 +10,6 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex as StdMutex;
 use std::sync::MutexGuard as StdMutexGuard;
-use std::sync::RwLock as StdRwLock;
-use std::sync::RwLockReadGuard as StdRwLockReadGuard;
-use std::sync::RwLockWriteGuard as StdRwLockWriteGuard;
 
 use crate::rt;
 
@@ -126,120 +123,6 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
         self.inner = None;
         if self.model {
             rt::mutex_unlock(self.cell);
-        }
-    }
-}
-
-/// A reader-writer lock checked by the model (parking_lot-shaped API).
-pub struct RwLock<T: ?Sized> {
-    cell: rt::ModelRef,
-    data: StdRwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Create a new rwlock.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            cell: rt::ModelRef::new(),
-            data: StdRwLock::new(value),
-        }
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read lock.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let model = rt::rw_lock(&self.cell, false);
-        let inner = self.data.read().unwrap_or_else(|e| e.into_inner());
-        RwLockReadGuard {
-            cell: &self.cell,
-            inner: Some(inner),
-            model,
-        }
-    }
-
-    /// Acquire the exclusive write lock.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let model = rt::rw_lock(&self.cell, true);
-        let inner = self.data.write().unwrap_or_else(|e| e.into_inner());
-        RwLockWriteGuard {
-            cell: &self.cell,
-            inner: Some(inner),
-            model,
-        }
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> RwLock<T> {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RwLock").finish_non_exhaustive()
-    }
-}
-
-/// RAII guard of [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    cell: &'a rt::ModelRef,
-    inner: Option<StdRwLockReadGuard<'a, T>>,
-    model: bool,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.inner = None;
-        if self.model {
-            rt::rw_unlock(self.cell, false);
-        }
-    }
-}
-
-/// RAII guard of [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    cell: &'a rt::ModelRef,
-    inner: Option<StdRwLockWriteGuard<'a, T>>,
-    model: bool,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.inner = None;
-        if self.model {
-            rt::rw_unlock(self.cell, true);
         }
     }
 }

@@ -5,8 +5,9 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use workshare_common::bind::{try_bind, BindError, BoundQuery};
 use workshare_common::codec::Page;
-use workshare_common::{CostModel, Schema, PAGE_SIZE};
+use workshare_common::{CostModel, Schema, StarQuery, PAGE_SIZE};
 use workshare_sim::disk::StreamId;
 use workshare_sim::{CostKind, SimCtx};
 
@@ -167,6 +168,22 @@ impl StorageManager {
     /// Table schema (shared).
     pub fn schema(&self, t: TableId) -> Arc<Schema> {
         Arc::clone(&self.inner.tables.read()[t.0 as usize].schema)
+    }
+
+    /// Bind `q` against the catalog: its fact schema and its dimension
+    /// schemas in join order. The one place a plan meets the physical
+    /// layout — every engine binds through here. An unresolvable column is
+    /// a typed [`BindError`]; the tables themselves must exist
+    /// ([`StorageManager::table`]).
+    pub fn bind_query(&self, q: &StarQuery) -> Result<BoundQuery, BindError> {
+        let fact = self.schema(self.table(&q.fact));
+        let dims: Vec<Arc<Schema>> = q
+            .dims
+            .iter()
+            .map(|d| self.schema(self.table(&d.dim)))
+            .collect();
+        let dim_refs: Vec<&Schema> = dims.iter().map(|s| s.as_ref()).collect();
+        try_bind(&fact, &dim_refs, q)
     }
 
     /// Number of pages in the table.

@@ -51,9 +51,9 @@ use workshare_cjoin::window::{
     WindowMutation,
 };
 use workshare_cjoin::wrap::{WrapLedger, WrapMutation};
+use workshare_common::cell::{CellMutation, CompletionCell};
 use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Ordering};
 use workshare_common::QueryBitmap;
-use workshare_core::cell::{CellMutation, CompletionCell};
 use workshare_core::lease::{LeaseMutation, LeaseRegistry, Leased};
 use workshare_core::slots::{ServiceSlots, SlotMutation};
 

@@ -5,7 +5,9 @@
 //! — at any ladder rung the load lands on, every submitted query must end
 //! in exactly one of {completed, shed, error}. Faults degrade answers into
 //! typed per-query error outcomes; they never lose a query, wedge the
-//! admission queue, or hang the run.
+//! admission queue, or hang the run. The non-star route (QPipe's circular
+//! scans) is held to the same contract row by row: an answer that differs
+//! from Volcano's carries an error, and a failed scan host is replaced.
 //!
 //! A chaos failure replays deterministically from the printed proptest
 //! seed: the fault schedule is a pure function of `FaultPlan::seed` and the
@@ -15,8 +17,12 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use workshare::harness::{run_service, ServiceLoad};
-use workshare::{workload, Dataset, ExecPolicy, FaultPlan, RunConfig, ServiceConfig};
+use workshare::harness::{run_batch, run_service, ServiceLoad};
+use workshare::{
+    workload, Dataset, Engine, ExecPolicy, FaultPlan, NamedConfig, RunConfig, ServiceConfig,
+};
+use workshare_common::{AggSpec, ColRef, Predicate, StarQuery};
+use workshare_sim::Machine;
 
 fn ssb() -> &'static Dataset {
     static D: OnceLock<Dataset> = OnceLock::new();
@@ -219,5 +225,94 @@ fn no_recovery_baseline_fails_queries_but_conserves() {
     assert_eq!(
         h.admission.demotions, 0,
         "no monitor without self_heal: {h:?}"
+    );
+}
+
+/// The governed engine's **non-star route** under a permanent page fault.
+/// A dimension-less scan-aggregate cannot enter a GQP, so the Shared policy
+/// runs it on QPipe over a circular scan. Forty of them back to back from
+/// one client: the scan that takes the injected fault must fail the query
+/// riding it with a typed error — *degraded, never wrong* — and must not
+/// stay in the scan service as a closed exchange that "completes" every
+/// later query in a microsecond with no rows. One sequential client, so the
+/// fault schedule (a function of the page-read count) is the same on every
+/// run.
+#[test]
+fn faulted_non_star_route_is_degraded_never_wrong() {
+    let sum_revenue = |id: u64| StarQuery {
+        id,
+        fact: "lineorder".into(),
+        fact_pred: Predicate::True,
+        dims: vec![],
+        group_by: vec![],
+        aggs: vec![AggSpec::sum(ColRef::fact("lo_revenue"))],
+        order_by: vec![],
+    };
+    let mut cfg = RunConfig::governed(ExecPolicy::Shared);
+    cfg.faults = FaultPlan {
+        seed: 7,
+        permanent_page_stride: Some(50),
+        ..FaultPlan::default()
+    };
+    // The oracle reads a fault-free instance of the same data.
+    let oracle = RunConfig::named(NamedConfig::Volcano);
+    let want = run_batch(ssb(), &oracle, &[sum_revenue(0)], true)
+        .results
+        .unwrap()[0]
+        .clone();
+
+    let machine = Machine::new(cfg.machine_config());
+    let storage = ssb().instantiate(cfg.storage_config(), cfg.cost);
+    let engine = Engine::new(&machine, &storage, &cfg, "lineorder");
+    let e2 = engine.clone();
+    let outcomes = machine
+        .spawn("client", move |_| {
+            (1..=40)
+                .map(|id| {
+                    let ticket = e2.submit(&sum_revenue(id));
+                    (ticket.wait(), ticket.error())
+                })
+                .collect::<Vec<_>>()
+        })
+        .join()
+        .unwrap();
+    let health = engine.health_stats();
+    engine.shutdown();
+
+    for (i, (rows, error)) in outcomes.iter().enumerate() {
+        assert!(
+            error.is_some() || *rows == want,
+            "query {} is wrong, not degraded: {rows:?} (want {want:?})",
+            i + 1
+        );
+    }
+    assert!(health.storage.injected_permanent > 0, "{health:?}");
+    let first_error = outcomes
+        .iter()
+        .position(|(_, error)| error.is_some())
+        .expect("the query whose scan took the fault must error");
+    assert!(
+        outcomes[first_error + 1..]
+            .iter()
+            .any(|(_, error)| error.is_none()),
+        "no query after the first error is right again: the dead scan host was never replaced"
+    );
+
+    // The same plan through the service loop: the errors are counted, and
+    // nothing "completes" faster than a scan of the table can.
+    let load = ServiceLoad {
+        clients: 1,
+        arrivals_per_sec: None,
+        tenants: 1,
+        window_secs: 0.05,
+        seed: 11,
+    };
+    let rep = run_service(ssb(), &cfg, "lineorder", load, move |id, _| sum_revenue(id));
+    assert!(rep.is_conserved(), "{rep:?}");
+    assert!(rep.errors > 0, "{rep:?}");
+    assert!(rep.completed > 0, "{rep:?}");
+    assert!(
+        rep.completed as f64 * 100e-6 <= load.window_secs,
+        "one client completed queries in under 100 µs each: {rep:?}"
     );
 }

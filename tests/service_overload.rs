@@ -7,10 +7,26 @@ use std::sync::OnceLock;
 
 use workshare::harness::{run_service, ServiceLoad};
 use workshare::{workload, Dataset, ExecPolicy, RunConfig, ServiceConfig, MAX_TENANTS};
+use workshare_common::{AggSpec, ColRef, Predicate, StarQuery};
 
 fn ssb() -> &'static Dataset {
     static D: OnceLock<Dataset> = OnceLock::new();
     D.get_or_init(|| Dataset::ssb(0.05, 2468))
+}
+
+/// A dimension-less scan-aggregate over `lineorder`: it cannot enter a CJOIN
+/// GQP, so the governed engine's shared route runs it on QPipe — the
+/// non-star route, held here to what the star route is held to.
+fn sum_of(id: u64, column: &str) -> StarQuery {
+    StarQuery {
+        id,
+        fact: "lineorder".into(),
+        fact_pred: Predicate::True,
+        dims: vec![],
+        group_by: vec![],
+        aggs: vec![AggSpec::sum(ColRef::fact(column))],
+        order_by: vec![],
+    }
 }
 
 fn load(clients: usize, tenants: usize, window_secs: f64) -> ServiceLoad {
@@ -104,15 +120,22 @@ fn bind_errors_surface_as_error_outcomes() {
     // the governed engine must return per-query error outcomes (completing
     // the slot immediately) instead of panicking a stage worker.
     let cfg = RunConfig::governed(ExecPolicy::Shared);
-    let rep = run_service(ssb(), &cfg, "lineorder", load(2, 1, 0.2), |id, rng| {
+    let star = run_service(ssb(), &cfg, "lineorder", load(2, 1, 0.2), |id, rng| {
         let mut q = workload::ssb_q3_2(id, rng);
         q.dims[0].payload = vec!["no_such_col".into()];
         q
     });
-    assert!(rep.submitted > 0, "{rep:?}");
-    assert_eq!(rep.errors, rep.submitted, "{rep:?}");
-    assert_eq!(rep.completed, 0, "{rep:?}");
-    assert!(rep.is_conserved(), "{rep:?}");
+    // The same mistake on the non-star route (it used to panic the
+    // submitting client inside QPipe's own bind).
+    let non_star = run_service(ssb(), &cfg, "lineorder", load(2, 1, 0.2), |id, _| {
+        sum_of(id, "no_such_col")
+    });
+    for rep in [star, non_star] {
+        assert!(rep.submitted > 0, "{rep:?}");
+        assert_eq!(rep.errors, rep.submitted, "{rep:?}");
+        assert_eq!(rep.completed, 0, "{rep:?}");
+        assert!(rep.is_conserved(), "{rep:?}");
+    }
 }
 
 #[test]
@@ -155,5 +178,35 @@ fn lone_closed_loop_client_repeats_bit_for_bit() {
             first.p99_latency_secs
         );
         assert_eq!(again.stages, first.stages);
+    }
+
+    // The non-star route, with one queue slot: the client's next submission
+    // arrives in the virtual instant its last query completes, so it is
+    // admitted only if the permit was released before the completion was
+    // published — which an observer vthread used to do afterwards, shedding
+    // a quarter of the submissions and a different quarter on every run.
+    let mut cfg = RunConfig::governed(ExecPolicy::Shared);
+    cfg.service.queue_cap = Some(1);
+    let run = || {
+        run_service(ssb(), &cfg, "lineorder", load(1, 1, 0.13), |id, _| {
+            sum_of(id, "lo_revenue")
+        })
+    };
+    let first = run();
+    assert!(first.completed >= 100, "{first:?}");
+    assert_eq!(first.shed_queue_full, 0, "{first:?}");
+    assert!(first.is_conserved(), "{first:?}");
+    for _ in 0..2 {
+        let again = run();
+        assert_eq!(again.shed_queue_full, 0, "{again:?}");
+        assert_eq!(again.completed, first.completed);
+        assert_eq!(
+            again.p50_latency_secs.to_bits(),
+            first.p50_latency_secs.to_bits()
+        );
+        assert_eq!(
+            again.p99_latency_secs.to_bits(),
+            first.p99_latency_secs.to_bits()
+        );
     }
 }
