@@ -38,6 +38,14 @@
 //!   one attaches to the host packet's output exchange instead of being
 //!   admitted — skipping admission, bitmap extension, and all per-query
 //!   bitwise work.
+//!
+//! The stage is an **always-on** operator (§2.4): queries come and go —
+//! admission sets a bit, finalisation clears it — the pipeline does not.
+//! With no active query the preprocessor parks (zero virtual cost) until
+//! the next submission, and when the last query referencing any filter
+//! finishes the filter list is emptied, so a stage nobody references is
+//! indistinguishable from a freshly built one. The governed engine builds
+//! one per fact table and keeps it until engine shutdown.
 
 mod admission;
 pub mod epoch;

@@ -158,9 +158,7 @@ pub struct CjoinStats {
 
 impl CjoinStats {
     /// Fold another stage's counters into this one. Used by the sharded
-    /// multi-fact engine: when an idle per-fact stage is torn down, its
-    /// lifetime counters are absorbed into the engine-level totals so run
-    /// reports survive stage churn.
+    /// multi-fact engine to total its per-fact stages.
     pub fn absorb(&mut self, other: &CjoinStats) {
         self.admitted += other.admitted;
         self.admission_batches += other.admission_batches;
@@ -267,8 +265,10 @@ pub(crate) struct FilterEpoch {
 /// [`StageInner::control`], which doubles as the epoch writer lock.
 pub(crate) struct GqpControl {
     /// `(dim, fact_fk_idx, dim_pk_idx)` → index into the epoch's `filters`:
-    /// O(1) shared-filter lookup during admission. Filters are append-only,
-    /// so indices are stable across epochs.
+    /// O(1) shared-filter lookup during admission. Filters are append-only
+    /// while any query references one, so the indices a query holds are
+    /// stable for its whole life; [`release_slot`] empties both when the
+    /// last reference goes.
     pub(crate) filter_index: FxHashMap<(TableId, usize, usize), usize>,
     pub(crate) free_slots: Vec<u32>,
     pub(crate) next_slot: u32,
@@ -651,12 +651,6 @@ impl CjoinStage {
             }
         });
         satellite
-    }
-
-    /// Whether two handles refer to the same stage instance (used by the
-    /// engine's stage registry to detect a lost double-checked insert).
-    pub fn same_stage(a: &CjoinStage, b: &CjoinStage) -> bool {
-        Arc::ptr_eq(&a.inner, &b.inner)
     }
 
     /// Stage statistics.
@@ -1219,6 +1213,14 @@ fn fail_fact_page(inner: &Arc<StageInner>, ctx: &SimCtx, msg: &str) {
 /// from every filter's `referencing` set and entry bitmaps (dropping
 /// entries that go empty) and release the slot for reuse. Shared by
 /// `finalize_query`'s cleanup and the admission failure paths' rollback.
+///
+/// A stage nobody references is a fresh stage: when that was the last
+/// reference to the last referenced filter, the filter list and its index
+/// are emptied in the same epoch. Both kernels probe every filter for every
+/// live tuple, so a long-lived stage would otherwise pay for each dimension
+/// any earlier query joined. Nothing can hold an index across the reset —
+/// admission locates a filter and sets its `referencing` bit inside one
+/// [`StageInner::mutate_epoch`].
 pub(crate) fn release_slot(c: &mut GqpControl, e: &mut FilterEpoch, slot: u32) {
     let sl = slot as usize;
     for f in &mut e.filters {
@@ -1230,6 +1232,10 @@ pub(crate) fn release_slot(c: &mut GqpControl, e: &mut FilterEpoch, slot: u32) {
                 entry.bits.any()
             });
         }
+    }
+    if !e.filters.iter().any(|f| f.referencing.any()) {
+        e.filters.clear();
+        c.filter_index.clear();
     }
     c.free_slots.push(slot);
 }
@@ -1367,6 +1373,16 @@ mod tests {
         }
     }
 
+    /// `query(id, false)` cut down to its `keep`-th dimension (0 = dima,
+    /// 1 = dimb), grouped by that dimension's tag.
+    fn single_dim_query(id: u64, keep: usize) -> StarQuery {
+        let mut q = query(id, false);
+        q.dims = vec![q.dims[keep].clone()];
+        q.group_by = vec![ColRef::dim(0, "tag")];
+        q.order_by.truncate(1);
+        q
+    }
+
     /// Reference evaluation with plain nested loops.
     fn expected(a_even_only: bool) -> Vec<Row> {
         use std::collections::BTreeMap;
@@ -1493,20 +1509,7 @@ mod tests {
     fn queries_with_disjoint_dimensions_coexist() {
         // One query joins only dima, the other only dimb; the shared plan
         // must not let one query's filter hurt the other.
-        let mut qa = query(1, false);
-        qa.dims.truncate(1);
-        qa.group_by = vec![ColRef::dim(0, "tag")];
-        qa.order_by = vec![OrderKey {
-            output_idx: 0,
-            desc: false,
-        }];
-        let mut qb = query(2, false);
-        qb.dims.remove(0);
-        qb.group_by = vec![ColRef::dim(0, "tag")];
-        qb.order_by = vec![OrderKey {
-            output_idx: 0,
-            desc: false,
-        }];
+        let (qa, qb) = (single_dim_query(1, 0), single_dim_query(2, 1));
         let (res, _) = run_queries(CjoinConfig::default(), vec![qa, qb]);
         // dima tags: sum of i where (i%10)%2==tag parity.
         let mut a0 = 0.0;
@@ -1538,6 +1541,67 @@ mod tests {
                 vec![Value::str("b0"), Value::Float(b0)],
                 vec![Value::str("b1"), Value::Float(b1)],
             ]
+        );
+    }
+
+    #[test]
+    fn a_reused_stage_probes_no_stale_filter() {
+        // Run `q` alone on `stage`, to completion. Returns its rows, the
+        // Hashing + Join CPU spent meanwhile, and how many filters the
+        // epoch that held it active carried.
+        fn run_alone(m: &Machine, stage: &CjoinStage, q: StarQuery) -> (Vec<Row>, f64, usize) {
+            let cpu0 = m.cpu_breakdown();
+            let st = stage.clone();
+            let (rows, filters) = m
+                .spawn("coord", move |ctx| {
+                    let bound = st.bound_for(&q);
+                    let outp = st.submit(&q);
+                    let (order, cost) = (q.order_by.clone(), st.inner.cost);
+                    let agg = ctx.machine().spawn("agg", move |ctx| {
+                        run_aggregate(ctx, outp.reader, &bound, &order, &cost)
+                    });
+                    let filters = loop {
+                        let e = st.inner.epoch.load();
+                        if !e.queries.is_empty() {
+                            break e.filters.len();
+                        }
+                        ctx.sleep(10_000.0);
+                    };
+                    let rows = agg.join().unwrap();
+                    // Finalisation drops the query and releases its slot in
+                    // one epoch, after it closed the stream.
+                    while st.active_queries() > 0 {
+                        ctx.sleep(10_000.0);
+                    }
+                    (rows, filters)
+                })
+                .join()
+                .unwrap();
+            let cpu = m.cpu_breakdown().delta(&cpu0);
+            (rows, cpu.secs(CostKind::Hashing) + cpu.secs(CostKind::Join), filters)
+        }
+        let new_stage = |(m, sm): &(Machine, StorageManager)| {
+            CjoinStage::new(m, sm, "fact", CjoinConfig::default(), CostModel::default())
+        };
+        // A query over dima only, then one over dimb only, on one stage…
+        let env = setup();
+        let reused = new_stage(&env);
+        let (_, _, filters) = run_alone(&env.0, &reused, single_dim_query(1, 0));
+        assert_eq!(filters, 1);
+        assert!(filter_snapshot(&reused).is_empty(), "nobody references a filter");
+        let (rows, cpu, filters) = run_alone(&env.0, &reused, single_dim_query(2, 1));
+        assert_eq!(filters, 1, "the finished query's dimension is still probed");
+        assert!(filter_snapshot(&reused).is_empty(), "nobody references a filter");
+        reused.shutdown();
+        // …costs the second what it costs on a stage of its own.
+        let env = setup();
+        let fresh = new_stage(&env);
+        let (fresh_rows, fresh_cpu, _) = run_alone(&env.0, &fresh, single_dim_query(2, 1));
+        fresh.shutdown();
+        assert_eq!(rows, fresh_rows);
+        assert!(
+            (cpu - fresh_cpu).abs() <= 1e-9 * fresh_cpu,
+            "reused {cpu} vs fresh {fresh_cpu} s of Hashing + Join"
         );
     }
 

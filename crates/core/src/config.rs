@@ -177,8 +177,8 @@ impl ServiceConfig {
 ///   exponential backoff), permanent read errors (typed `StorageError`
 ///   after retries), torn pages (checksum verify + quarantine).
 /// * cjoin admission — scan-unit stalls and panics; fabric-worker wedges.
-/// * core engine — stage-build failures (quarantined and rebuilt through
-///   the `LeaseRegistry` retired ledger) and mid-execution worker panics.
+/// * core engine — stage-build failures (the carcass is shut down and the
+///   stage built again) and mid-execution worker panics.
 ///
 /// With any site armed the governed engine also arms the **self-healing**
 /// machinery: the health monitor, the fabric's straggler re-dispatch, and
@@ -207,8 +207,13 @@ pub struct FaultPlan {
     /// A fabric worker wedges (parks until shutdown) at its `n`-th window;
     /// fires once per fabric lifetime.
     pub fabric_wedge_after: Option<u64>,
-    /// Every ~`stride`-th stage build fails; the engine quarantines the
-    /// carcass through the lease registry's retired ledger and rebuilds.
+    /// Every ~`stride`-th stage build fails; the engine shuts the carcass
+    /// down, counts it in `stage_rebuilds` and builds the stage again. A
+    /// stage is built once per fact table per engine, so the site draws
+    /// once per fact table per engine (not once per idle gap, as it did
+    /// while stages were torn down between queries): a schedule that wants
+    /// a rebuild must fire on one of those first draws — the heavy-fault
+    /// chaos test's seed 42 / stride 2 does, on the very first.
     pub stage_build_stride: Option<u64>,
     /// Panic inside the producer vthread of every query whose id is a
     /// multiple of the stride, *after* admission (the completion guard and

@@ -4,11 +4,13 @@
 //!
 //! Since the multi-fact sharding refactor the governed engine's shared side
 //! is a stage registry: one [`CjoinStage`] **per fact table** referenced
-//! by a star query, built lazily on first routing and torn down when its
-//! last in-flight query completes. Star queries over *any* fact table enter
-//! their fact's Global Query Plan; the QPipe fallback remains only for
-//! genuinely non-star plans (zero dimension joins). Per-fact accounting is
-//! surfaced as [`StageRow`]s.
+//! by a star query, built on the first star query routed to it and
+//! **always on** from then until [`Engine::shutdown`] — queries come and go
+//! (admission sets a bit, finalisation clears it), the operator does not
+//! (paper §2.4, §3.2); between queries its threads park at zero virtual
+//! cost. Star queries over *any* fact table enter their fact's Global Query
+//! Plan; the QPipe fallback remains only for genuinely non-star plans (zero
+//! dimension joins). Per-fact accounting is surfaced as [`StageRow`]s.
 
 use workshare_cjoin::{
     AdmissionFabric, AdmissionHealth, CjoinConfig, CjoinRuntimeStats, CjoinStage, CjoinStats,
@@ -20,7 +22,7 @@ use workshare_common::fxhash::FxHashMap;
 // layer: production builds get the same `std`/`parking_lot` types as
 // before, `--cfg interleave` builds get the deterministic-model shim (see
 // `workshare_common::sync` and docs/TESTING.md).
-use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Ordering};
+use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
 use workshare_common::value::Row;
 use workshare_common::{CostModel, SharingSignals, StarQuery};
 use workshare_qpipe::ops::run_aggregate;
@@ -31,7 +33,6 @@ use workshare_storage::{StorageManager, TableId};
 use crate::config::{ExecPolicy, NamedConfig, RunConfig, ServiceConfig};
 use crate::governor::{GovernorStats, Route, SharingGovernor, SloDecision};
 use crate::health::HealthStats;
-use crate::lease::{LeaseRegistry, Leased};
 use crate::slots::{ServiceSlots, SlotPermit};
 use crate::ticket::Ticket;
 use crate::volcano::try_run_volcano_query;
@@ -92,10 +93,9 @@ pub enum Outcome {
 
 /// Per-fact-table row of a governed run's shared side, surfaced in
 /// [`RunReport::stages`](crate::harness::RunReport::stages): which stage
-/// served how many shared star queries, with the stage's CJOIN counters.
-/// Rows persist across stage teardown (idle stages are torn down and their
-/// counters absorbed), so a report always covers every fact table that was
-/// ever sharded.
+/// served how many shared star queries, with the stage's CJOIN counters. A
+/// row exists from the first star query routed to its fact table, so a
+/// report covers every fact table that was ever sharded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageRow {
     /// Fact table this stage is bound to.
@@ -105,59 +105,25 @@ pub struct StageRow {
     pub label: String,
     /// Shared star queries served by this stage over the engine's lifetime.
     pub shared_queries: u64,
-    /// Whether the stage was still running at report time (idle stages are
-    /// torn down once their last in-flight query completes).
-    pub live: bool,
-    /// Stage pipelines built for this fact table so far: the live one plus
-    /// every torn-down one. A lone closed-loop client pays one per query.
+    /// Stage pipelines built for this fact table: 1, plus one per injected
+    /// stage-build failure
+    /// ([`FaultPlan::stage_build_stride`](crate::config::FaultPlan)).
     pub incarnations: u64,
-    /// The stage's CJOIN counters (lifetime, including torn-down
-    /// incarnations).
+    /// The stage's CJOIN counters over the engine's lifetime.
     pub stats: CjoinStats,
 }
 
-/// A fact table's stage as the lease registry's managed value: the
-/// checkout / refcount / teardown lifecycle itself lives in
-/// [`LeaseRegistry`] (model-checked by `tests/interleave_core.rs`); this
-/// impl supplies the stage-specific pieces — identity, teardown, and the
-/// retired-ledger absorb.
-#[derive(Clone)]
+/// One fact table's always-on stage and its routing counters.
 struct FactStage {
     fact_name: String,
     stage: CjoinStage,
-}
-
-impl Leased for FactStage {
-    type Retired = RetiredStage;
-
-    fn same(&self, other: &Self) -> bool {
-        CjoinStage::same_stage(&self.stage, &other.stage)
-    }
-
-    fn retire_into(&self, served: u64, cell: &mut RetiredStage) {
-        cell.fact_name = self.fact_name.clone();
-        cell.served += served;
-        cell.incarnations += 1;
-        cell.stats.absorb(&self.stage.stats());
-        cell.last_runtime = Some(self.stage.runtime_stats());
-    }
-
-    fn shutdown(&self) {
-        self.stage.shutdown();
-    }
-}
-
-/// Counters and last-observed signals of torn-down incarnations of a
-/// fact's stage.
-#[derive(Default)]
-struct RetiredStage {
-    fact_name: String,
+    /// Shared star queries routed here and not yet finished: the governor's
+    /// `stage_in_flight` signal, and what the health monitor idles on.
+    in_flight: u64,
+    /// Shared star queries ever routed here.
     served: u64,
+    /// Pipelines built for this fact ([`StageRow::incarnations`]).
     incarnations: u64,
-    stats: CjoinStats,
-    /// Last runtime signals before teardown: the governor's selectivity /
-    /// key-run EWMAs survive stage churn.
-    last_runtime: Option<CjoinRuntimeStats>,
 }
 
 /// Lazily sharded CJOIN stages, one per fact table ([`StageRow`] docs).
@@ -169,13 +135,12 @@ struct StageRegistry {
     cost: CostModel,
     /// Engine-level cross-stage admission pool, shared by every stage this
     /// registry builds ([`RunConfig::admission_fabric`]); stages fall back
-    /// to their own per-stage workers when `None`. The fabric outlives
-    /// stage teardown — its workers hold no stage state between windows —
-    /// and is shut down with the engine.
+    /// to their own per-stage workers when `None`. Shut down with the
+    /// engine.
     fabric: Option<AdmissionFabric>,
-    /// Stage lifecycle: lease-counted lazy checkout, teardown at refcount
-    /// zero with counters absorbed into the retired ledger.
-    leases: LeaseRegistry<TableId, FactStage>,
+    /// The stages, built on first routing and kept until
+    /// [`StageRegistry::shutdown_all`].
+    stages: Mutex<FxHashMap<TableId, FactStage>>,
     /// Shared admission-health state (ladder rung + fault/recovery
     /// counters), present iff [`FaultPlan::heals`](crate::config::FaultPlan)
     /// — stages route pending batches by its live rung, the fabric runs
@@ -184,21 +149,22 @@ struct StageRegistry {
     /// Stride of the injected stage-build fault site
     /// ([`FaultPlan::stage_build_stride`](crate::config::FaultPlan)).
     stage_build_stride: Option<u64>,
-    /// Injection tick of the stage-build site (one per actual build).
+    /// Injection tick of the stage-build site (one per fact table).
     stage_builds: AtomicU64,
-    /// Builds that failed by injection: the carcass was quarantined through
-    /// the retired ledger and the stage rebuilt.
+    /// Builds that failed by injection: the carcass was shut down and the
+    /// stage built again.
     stage_rebuilds: AtomicU64,
     /// Wakes the health monitor when admission work appears (it blocks
-    /// while no stage is live and the fabric is empty, so an idle engine's
-    /// virtual clock never advances on monitor ticks).
+    /// while no query is in flight and the fabric is empty, so an idle
+    /// engine's virtual clock never advances on monitor ticks).
     monitor_ws: WaitSet,
     /// Stops the health monitor (engine shutdown).
     monitor_stop: AtomicBool,
 }
 
-/// One shared star query's claim on its fact's stage: released on
-/// completion; the stage is torn down when the last claim is released.
+/// One shared star query's claim on its fact's stage: one unit of the
+/// stage's in-flight count, given back on completion. It keeps nothing
+/// alive — the stage lives as long as the engine.
 struct StageLease {
     registry: Arc<StageRegistry>,
     fact: TableId,
@@ -206,7 +172,11 @@ struct StageLease {
 
 impl StageLease {
     fn release(&self) {
-        self.registry.release(self.fact);
+        let mut stages = self.registry.stages.lock();
+        let fs = stages
+            .get_mut(&self.fact)
+            .expect("a lease's stage stays in the map until the engine is dropped");
+        fs.in_flight -= 1;
     }
 }
 
@@ -226,7 +196,7 @@ impl StageRegistry {
             config,
             cost,
             fabric,
-            leases: LeaseRegistry::new(),
+            stages: Mutex::new(FxHashMap::default()),
             health,
             stage_build_stride,
             stage_builds: AtomicU64::new(0),
@@ -236,12 +206,15 @@ impl StageRegistry {
         }
     }
 
-    /// Build one stage pipeline over `fact_name` (the lease registry's
-    /// build closure).
+    /// Build `fact_name`'s stage (once per fact table per engine). The
+    /// stage-build fault site draws here: on a hit the fresh pipeline is a
+    /// bad build — shut down and counted in `stage_rebuilds` before any
+    /// query has seen it — and the stage is built again. This site recovers
+    /// regardless of `self_heal`: the failure is synchronous and rebuild is
+    /// its only sane continuation.
     fn build_stage(&self, fact_name: &str) -> FactStage {
-        FactStage {
-            fact_name: fact_name.to_string(),
-            stage: CjoinStage::with_admission(
+        let build = || {
+            CjoinStage::with_admission(
                 &self.machine,
                 &self.storage,
                 fact_name,
@@ -249,62 +222,60 @@ impl StageRegistry {
                 self.cost,
                 self.fabric.clone(),
                 self.health.clone(),
-            ),
+            )
+        };
+        let mut stage = build();
+        let mut incarnations = 1;
+        let tick = self.stage_builds.fetch_add(1, Ordering::Relaxed);
+        if self
+            .config
+            .faults
+            .fires(SITE_STAGE_BUILD, self.stage_build_stride, tick)
+        {
+            stage.shutdown();
+            self.stage_rebuilds.fetch_add(1, Ordering::Relaxed);
+            stage = build();
+            incarnations += 1;
+        }
+        FactStage {
+            fact_name: fact_name.to_string(),
+            stage,
+            in_flight: 0,
+            served: 0,
+            incarnations,
         }
     }
 
-    /// The stage for `fact`, built lazily on first use; registers one
-    /// in-flight query on it. The returned stage stays valid until the
-    /// matching [`StageLease::release`] (stages are only torn down at
-    /// refcount zero). The stage pipeline is constructed *outside* the
-    /// registry lock ([`LeaseRegistry::checkout`]'s double-checked insert)
-    /// so that routing and signal reads for other facts never stall behind
-    /// a stage build; a racing duplicate build loses the insert and is
-    /// shut down.
+    /// The stage for `fact`, built under the registry lock on first use
+    /// (once per fact table per engine); registers one in-flight query on
+    /// it, given back by the matching [`StageLease::release`].
     fn checkout(self: &Arc<Self>, fact: TableId, fact_name: &str) -> (CjoinStage, StageLease) {
+        let stage = {
+            let mut stages = self.stages.lock();
+            let fs = stages
+                .entry(fact)
+                .or_insert_with(|| self.build_stage(fact_name));
+            fs.in_flight += 1;
+            fs.served += 1;
+            fs.stage.clone()
+        };
+        // The health monitor parks while nothing is in flight; a checkout
+        // is the arrival of admission work.
+        self.monitor_ws.notify_all();
         let lease = StageLease {
             registry: Arc::clone(self),
             fact,
         };
-        let mut built = false;
-        let fs = self.leases.checkout(fact, || {
-            built = true;
-            self.build_stage(fact_name)
-        });
-        // The health monitor parks while no stage is live; a checkout is
-        // the arrival of admission work.
-        self.monitor_ws.notify_all();
-        if built {
-            let tick = self.stage_builds.fetch_add(1, Ordering::Relaxed);
-            // Injected stage-build failure: the fresh pipeline is treated
-            // as a bad build — quarantined through the lease registry's
-            // retired ledger exactly like a torn-down incarnation (release
-            // at refcount one retires its counters and shuts it down) —
-            // and the stage is rebuilt. A concurrent checkout that already
-            // holds a lease suppresses the fault (the incumbent build is
-            // proven good). This site recovers regardless of `self_heal`:
-            // the failure is synchronous and rebuild is its only sane
-            // continuation.
-            if self
-                .config
-                .faults
-                .fires(SITE_STAGE_BUILD, self.stage_build_stride, tick)
-            {
-                self.leases.release(fact);
-                self.stage_rebuilds.fetch_add(1, Ordering::Relaxed);
-                let fs2 = self.leases.checkout(fact, || self.build_stage(fact_name));
-                return (fs2.stage, lease);
-            }
-        }
-        (fs.stage, lease)
+        (stage, lease)
     }
 
-    /// Whether the health monitor has anything to watch: a live stage or
-    /// queued fabric work.
+    /// Whether the health monitor has nothing to watch: no query in flight
+    /// on any stage and no queued fabric work. Deliberately not "no stage
+    /// exists" — stages are always on, and the monitor must not tick the
+    /// virtual clock of a quiet engine.
     fn monitor_idle(&self) -> bool {
-        let mut live = 0usize;
-        self.leases.for_each_live(|_, _| live += 1);
-        live == 0 && self.fabric_pending() == 0
+        let in_flight: u64 = self.stages.lock().values().map(|fs| fs.in_flight).sum();
+        in_flight == 0 && self.fabric_pending() == 0
     }
 
     /// Spawn the self-healing monitor vthread: while admission work is
@@ -396,43 +367,22 @@ impl StageRegistry {
         });
     }
 
-    /// Drop one in-flight claim on `fact`'s stage; tears the stage down
-    /// when it was the last (its counters and last runtime signals are
-    /// absorbed into the retired ledger, so reports and governor signals
-    /// survive the churn). `in_flight == 0` means every ticket on this
-    /// stage has completed; a finalizer still in its last bookkeeping step
-    /// is fine — stage shutdown is cooperative (flags + closed queues), so
-    /// tearing down under it is benign.
-    fn release(&self, fact: TableId) {
-        self.leases.release(fact);
-    }
-
     /// Per-stage governor signals for `fact`: in-flight count plus the
-    /// stage's runtime stats. Falls back to the last retired incarnation's
-    /// signals (selectivity / key-run EWMAs) when the stage is currently
-    /// torn down.
+    /// stage's runtime stats (its selectivity / key-run EWMAs persist with
+    /// the stage); the cold default for a fact no query was routed to yet.
     fn stage_signals(&self, fact: TableId) -> (u64, CjoinRuntimeStats) {
-        if let Some(sig) = self
-            .leases
-            .with_live(fact, |e| (e.in_flight, e.value.stage.runtime_stats()))
-        {
-            return sig;
+        match self.stages.lock().get(&fact) {
+            Some(fs) => (fs.in_flight, fs.stage.runtime_stats()),
+            None => (
+                0,
+                CjoinRuntimeStats {
+                    active_queries: 0,
+                    avg_key_run: 1.0,
+                    dim_selectivity: None,
+                    dim_selectivity_by_dim: Vec::new(),
+                },
+            ),
         }
-        let rt = self
-            .leases
-            .with_retired(fact, |r| r.last_runtime.clone())
-            .flatten()
-            .map(|rt| CjoinRuntimeStats {
-                active_queries: 0,
-                ..rt
-            })
-            .unwrap_or(CjoinRuntimeStats {
-                active_queries: 0,
-                avg_key_run: 1.0,
-                dim_selectivity: None,
-                dim_selectivity_by_dim: Vec::new(),
-            });
-        (0, rt)
     }
 
     /// Queries pending on the cross-stage admission fabric (0 without one):
@@ -441,17 +391,16 @@ impl StageRegistry {
         self.fabric.as_ref().map_or(0, |f| f.pending_queries())
     }
 
-    /// Aggregate CJOIN counters over every stage ever built (live +
-    /// retired), plus the physical pages the cross-stage fabric read on
-    /// their behalf (each counted once per batching window, attributed to
-    /// the fabric — per-stage counters stay 0 under it), so the aggregate
-    /// keeps covering every physical admission read of the engine.
+    /// Aggregate CJOIN counters over every stage, plus the physical pages
+    /// the cross-stage fabric read on their behalf (each counted once per
+    /// batching window, attributed to the fabric — per-stage counters stay
+    /// 0 under it), so the aggregate keeps covering every physical
+    /// admission read of the engine.
     fn total_stats(&self) -> CjoinStats {
         let mut total = CjoinStats::default();
-        self.leases
-            .for_each_live(|_, entry| total.absorb(&entry.value.stage.stats()));
-        self.leases
-            .for_each_retired(|_, cell| total.absorb(&cell.stats));
+        for fs in self.stages.lock().values() {
+            total.absorb(&fs.stage.stats());
+        }
         if let Some(fabric) = &self.fabric {
             total.admission_dim_pages += fabric.stats().admission_dim_pages;
         }
@@ -460,46 +409,29 @@ impl StageRegistry {
 
     /// Per-fact report rows, sorted by fact name (deterministic output).
     fn rows(&self) -> Vec<StageRow> {
-        let mut by_fact: FxHashMap<TableId, StageRow> = FxHashMap::default();
-        self.leases.for_each_retired(|fact, cell| {
-            by_fact.insert(
-                *fact,
-                StageRow {
-                    fact: cell.fact_name.clone(),
-                    label: format!("Shared({})", cell.fact_name),
-                    shared_queries: cell.served,
-                    live: false,
-                    incarnations: cell.incarnations,
-                    stats: cell.stats.clone(),
-                },
-            );
-        });
-        self.leases.for_each_live(|fact, entry| {
-            let row = by_fact.entry(*fact).or_insert_with(|| StageRow {
-                fact: entry.value.fact_name.clone(),
-                label: format!("Shared({})", entry.value.fact_name),
-                shared_queries: 0,
-                live: true,
-                incarnations: 0,
-                stats: CjoinStats::default(),
-            });
-            row.live = true;
-            row.incarnations += 1;
-            row.shared_queries += entry.served;
-            row.stats.absorb(&entry.value.stage.stats());
-        });
-        let mut rows: Vec<StageRow> = by_fact.into_values().collect();
+        let mut rows: Vec<StageRow> = self
+            .stages
+            .lock()
+            .values()
+            .map(|fs| StageRow {
+                fact: fs.fact_name.clone(),
+                label: format!("Shared({})", fs.fact_name),
+                shared_queries: fs.served,
+                incarnations: fs.incarnations,
+                stats: fs.stage.stats(),
+            })
+            .collect();
         rows.sort_by(|a, b| a.fact.cmp(&b.fact));
         rows
     }
 
-    /// Shut every live stage down, then the shared admission fabric
-    /// (engine shutdown). The health monitor is stopped first so it cannot
-    /// act on the dying fabric.
+    /// Shut every stage down, then the shared admission fabric (engine
+    /// shutdown). The health monitor is stopped first so it cannot act on
+    /// the dying fabric. The entries stay, so reports still read them.
     fn shutdown_all(&self) {
         self.monitor_stop.store(true, Ordering::Release);
         self.monitor_ws.notify_all();
-        for fs in self.leases.drain_live() {
+        for fs in self.stages.lock().values() {
             fs.stage.shutdown();
         }
         if let Some(fabric) = &self.fabric {
@@ -511,7 +443,7 @@ impl StageRegistry {
 /// The governed engine: both execution paths plus the router between them.
 struct Governed {
     policy: ExecPolicy,
-    /// Shared star path: one lazily-built CJOIN stage per fact table.
+    /// Shared star path: one always-on CJOIN stage per fact table.
     registry: Arc<StageRegistry>,
     /// Shared path for genuinely non-star queries (circular scans + SP on).
     qpipe: QpipeEngine,
@@ -593,9 +525,9 @@ impl RouteFeedback {
 /// feedback — **before** its completion is published. Publishing wakes the
 /// client in the same virtual instant; a client that resubmits at once then
 /// races, in real time, whatever the producer has not yet released: it
-/// checks out the dying stage or a fresh one, is shed at the cap or not, is
-/// routed on the old in-flight count or the new. Released first, the next
-/// submission always sees the engine as the finished query left it.
+/// finds its stage's in-flight count one high or not, is shed at the cap or
+/// not, is routed on the old in-flight count or the new. Released first, the
+/// next submission always sees the engine as the finished query left it.
 /// `ok = false` keeps a faulted query's abnormally short non-latency out of
 /// the governor's calibration EWMAs.
 fn release_claims(
@@ -627,9 +559,9 @@ impl Engine {
     /// Build the engine selected by `config` over an already mounted
     /// storage manager. `fact_table` names the default fact table: the
     /// single CJOIN stage's for the named CJOIN engines; the governed
-    /// engine ignores it and shards its stages lazily, one per fact table
-    /// referenced by a star query. With [`RunConfig::policy`] set, both
-    /// paths are built and submissions are routed per the policy.
+    /// engine ignores it and builds one always-on stage per fact table, on
+    /// the first star query that references it. With [`RunConfig::policy`]
+    /// set, both paths are built and submissions are routed per the policy.
     pub fn new(
         machine: &Machine,
         storage: &StorageManager,
@@ -963,11 +895,14 @@ impl Engine {
     /// The injected worker panic sits after the gate and **before** the
     /// work, so it unwinds past [`release_claims`]: the guard poisons the
     /// slot and the permit's `Drop` frees its queue slot, but
-    /// [`StageLease`] and [`RouteFeedback`] have no `Drop` and leak. That
-    /// is a known bug the chaos gate currently rides on — ROADMAP item 1
-    /// (i)–(iii) has the measurements and says what must land first; do
-    /// not make the two RAII, move the site, or reorder release and
-    /// publication here before then.
+    /// [`StageLease`] and [`RouteFeedback`] have no `Drop` and leak. What
+    /// leaks is a count, not a stage: one unit of the stage's `in_flight`
+    /// (the governor's `stage_in_flight` reads one high and the health
+    /// monitor never idles again for this engine) and one of the engine's.
+    /// The chaos gate still rides on the monitor that keeps ticking —
+    /// ROADMAP item 1 (i)–(iii) has the measurements and says what must
+    /// land first; do not make the two RAII, move the site, or reorder
+    /// release and publication here before then.
     fn drive<B>(
         &self,
         packet: &str,
@@ -1048,8 +983,8 @@ impl Engine {
     /// aggregation packet sits on top (paper §3.2: "subsequent operators in
     /// a query plan, e.g. aggregations or sorts, are query-centric") —
     /// unless `shared_agg` folds aggregation into the distributor. A
-    /// `lease` (governed path) pins the sharded stage until the query
-    /// completes.
+    /// `lease` (governed path) is the query's unit of the sharded stage's
+    /// in-flight count.
     fn submit_cjoin(
         &self,
         stage: &CjoinStage,
@@ -1116,8 +1051,8 @@ impl Engine {
     }
 
     /// CJOIN stage statistics, if applicable. For a governed engine this is
-    /// the aggregate over every sharded stage ever built (see
-    /// [`Engine::stage_rows`] for the per-fact breakdown).
+    /// the aggregate over every sharded stage (see [`Engine::stage_rows`]
+    /// for the per-fact breakdown).
     pub fn cjoin_stats(&self) -> Option<workshare_cjoin::CjoinStats> {
         match &self.inner.kind {
             EngineKind::Cjoin(s) => Some(s.stats()),

@@ -39,7 +39,6 @@ pub mod engine;
 pub mod governor;
 pub mod harness;
 pub mod health;
-pub mod lease;
 pub mod slots;
 pub mod ticket;
 pub mod volcano;

@@ -5,9 +5,10 @@
 //! the model-checked `loom` shim. Each scenario runs a load-bearing
 //! protocol of the engine under **every** (bounded) thread interleaving:
 //!
-//! 1. [`LeaseRegistry`] checkout vs teardown (the engine's per-fact stage
-//!    registry): no instance torn down under a live lease, counters land in
-//!    exactly one ledger.
+//! 1. *(retired — lease checkout vs stage teardown and the retired-ledger
+//!    absorb. A fact's stage now lives as long as its engine, so the
+//!    protocol no longer exists: the registry is a map under one lock.
+//!    Numbers stay stable.)*
 //! 2. [`PendingSlot`] window drain vs concurrent submission (the fabric's
 //!    merged batching windows): every submission rides exactly one window,
 //!    and the [`WindowLedger`] depth signal balances.
@@ -52,15 +53,14 @@ use workshare_cjoin::window::{
 };
 use workshare_cjoin::wrap::{WrapLedger, WrapMutation};
 use workshare_common::cell::{CellMutation, CompletionCell};
-use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Ordering};
+use workshare_common::sync::{Arc, AtomicU64, Ordering};
 use workshare_common::QueryBitmap;
-use workshare_core::lease::{LeaseMutation, LeaseRegistry, Leased};
 use workshare_core::slots::{ServiceSlots, SlotMutation};
 
 /// The suite's preemption bound. The scenarios' full interleaving spaces
-/// run past the schedule cap (the lease scenario alone exceeds 10⁵), so we
-/// search the bounded subspace **exhaustively** instead: every schedule
-/// with at most this many involuntary context switches. That is where
+/// run past the schedule cap, so we search the bounded subspace
+/// **exhaustively** instead: every schedule with at most this many
+/// involuntary context switches. That is where
 /// concurrency bugs live (all the mutation variants below are caught well
 /// inside it), and it keeps the suite's wall-clock bounded as scenarios
 /// grow. See docs/TESTING.md for how to re-tune it.
@@ -107,101 +107,6 @@ where
         explore(Some(PREEMPTION_BOUND), f)
     }))
     .is_err()
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 1: stage-registry checkout vs teardown
-// ---------------------------------------------------------------------------
-
-/// Stand-in for the engine's `FactStage`: a shutdown flag and a served-work
-/// counter, both shared so the test can observe teardown from outside.
-#[derive(Clone)]
-struct FakeStage {
-    id: u64,
-    shut: Arc<AtomicBool>,
-    work: Arc<AtomicU64>,
-}
-
-#[derive(Default)]
-struct FakeRetired {
-    served: u64,
-    work: u64,
-}
-
-impl Leased for FakeStage {
-    type Retired = FakeRetired;
-    fn same(&self, other: &Self) -> bool {
-        self.id == other.id
-    }
-    fn retire_into(&self, served: u64, cell: &mut FakeRetired) {
-        cell.served += served;
-        cell.work += self.work.load(Ordering::Acquire);
-    }
-    fn shutdown(&self) {
-        self.shut.store(true, Ordering::Release);
-    }
-}
-
-/// Three leaseholders race checkout → work → release on one key (the
-/// engine shape: concurrent queries leasing the same fact stage while
-/// earlier leases tear it down). Invariants: no instance is ever shut down
-/// while a lease on it is live, and after all releases every checkout and
-/// every unit of work is visible in the retired ledger (teardown absorbed
-/// the counters before shutdown).
-fn lease_scenario(mutation: LeaseMutation) -> impl Fn() + Send + Sync + 'static {
-    move || {
-        let reg: Arc<LeaseRegistry<u32, FakeStage>> =
-            Arc::new(LeaseRegistry::with_mutation(mutation));
-        let build = |id: u64| {
-            move || FakeStage {
-                id,
-                shut: Arc::new(AtomicBool::new(false)),
-                work: Arc::new(AtomicU64::new(0)),
-            }
-        };
-        let lease_once = move |reg: &LeaseRegistry<u32, FakeStage>, id: u64| {
-            let s = reg.checkout(1, build(id));
-            s.work.fetch_add(1, Ordering::AcqRel);
-            assert!(
-                !s.shut.load(Ordering::Acquire),
-                "instance torn down under a live lease"
-            );
-            reg.release(1);
-        };
-        let ts: Vec<_> = (0..2)
-            .map(|i| {
-                let reg = Arc::clone(&reg);
-                thread::spawn(move || lease_once(&reg, i + 1))
-            })
-            .collect();
-        lease_once(&reg, 3);
-        for t in ts {
-            t.join().unwrap();
-        }
-        // Conservation: every checkout and work unit retired, no live
-        // entry leaked.
-        assert_eq!(reg.with_live(1, |_| ()), None, "live entry leaked");
-        let (served, work) = reg
-            .with_retired(1, |c| (c.served, c.work))
-            .expect("teardown must retire the counters");
-        assert_eq!(served, 3, "checkout lost in teardown churn");
-        assert_eq!(work, 3, "work absorbed after shutdown or not at all");
-    }
-}
-
-#[test]
-fn lease_checkout_vs_teardown_holds() {
-    check_exhaustive(lease_scenario(LeaseMutation::None));
-}
-
-#[test]
-fn lease_mutation_teardown_while_leased_is_caught() {
-    assert!(catches(lease_scenario(LeaseMutation::TeardownWhileLeased)));
-}
-
-#[test]
-fn lease_mutation_absorb_dropped_is_caught() {
-    assert!(catches(lease_scenario(LeaseMutation::AbsorbDropped)));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 
 use std::sync::OnceLock;
 
-use workshare::harness::{run_batch, run_service, ServiceLoad};
-use workshare::{workload, Dataset, IoMode, NamedConfig, RunConfig};
+use workshare::harness::{run_batch, run_service, run_staggered, ServiceLoad};
+use workshare::{workload, Dataset, FaultPlan, IoMode, NamedConfig, RunConfig};
 use workshare_sim::{CostKind, COST_KINDS};
 
 fn ssb() -> &'static Dataset {
@@ -142,7 +142,8 @@ fn stage_rows_label_shared_queries_by_fact_table() {
     let mut q2 = workload::ssb_q3_2(2, &mut r);
     q2.fact = "lineorder2".into();
     let cfg = RunConfig::governed(workshare::ExecPolicy::Shared);
-    let rep = run_batch(&d, &cfg, &[q1, q2], false);
+    let queries = [q1, q2];
+    let rep = run_batch(&d, &cfg, &queries, true);
     let labels: Vec<&str> = rep.stages.iter().map(|s| s.label.as_str()).collect();
     assert_eq!(
         labels,
@@ -153,9 +154,54 @@ fn stage_rows_label_shared_queries_by_fact_table() {
     for row in &rep.stages {
         assert_eq!(row.shared_queries, 1, "{row:?}");
         assert_eq!(row.stats.admitted, 1, "{row:?}");
+        assert_eq!(row.incarnations, 1, "{row:?}");
     }
     // The aggregate CJOIN counters cover both stages.
-    assert_eq!(rep.cjoin.unwrap().admitted, 2);
+    assert_eq!(rep.cjoin.clone().unwrap().admitted, 2);
+
+    // Every stage build fails once by injection: the carcass is shut down
+    // before any query sees it, so each routed query is still counted once
+    // (the carcass used to be retired as a served query and the rebuild
+    // counted it again) and the answers are the fault-free run's.
+    let mut faulted_cfg = cfg;
+    faulted_cfg.faults = FaultPlan {
+        seed: 42,
+        stage_build_stride: Some(1),
+        ..FaultPlan::default()
+    };
+    let faulted = run_batch(&d, &faulted_cfg, &queries, true);
+    let served: u64 = faulted.stages.iter().map(|s| s.shared_queries).sum();
+    let admitted: u64 = faulted.stages.iter().map(|s| s.stats.admitted).sum();
+    assert_eq!(served, 2, "{:?}", faulted.stages);
+    assert_eq!(served, faulted.governor.unwrap().routed_shared);
+    assert_eq!(served, admitted, "{:?}", faulted.stages);
+    assert_eq!(faulted.health.stage_rebuilds, 2, "{:?}", faulted.health);
+    for row in &faulted.stages {
+        assert_eq!(row.incarnations, 2, "{row:?}");
+    }
+    assert_eq!(faulted.results, rep.results);
+
+    // A lone client alternating between the two facts, each query finished
+    // before the next arrives: two always-on stages, each built once, and
+    // answers equal to Volcano's.
+    let mut r = workload::rng(6);
+    let alternating: Vec<_> = (0..6)
+        .map(|i| {
+            let mut q = workload::ssb_q3_2(i, &mut r);
+            if i % 2 == 1 {
+                q.fact = "lineorder2".into();
+            }
+            q
+        })
+        .collect();
+    let lone = run_staggered(&d, &cfg, "lineorder", &alternating, 0.02, true);
+    assert!(lone.latencies_secs.iter().all(|&l| l < 0.02), "{lone:?}");
+    assert_eq!(lone.stages.len(), 2, "{:?}", lone.stages);
+    for row in &lone.stages {
+        assert_eq!((row.shared_queries, row.incarnations), (3, 1), "{row:?}");
+    }
+    let oracle = run_batch(&d, &RunConfig::named(NamedConfig::Volcano), &alternating, true);
+    assert_eq!(lone.results, oracle.results);
     // Ungoverned engines report no stage rows.
     let rep = run_batch(ssb(), &RunConfig::named(NamedConfig::CjoinSp), &[], false);
     assert!(rep.stages.is_empty());

@@ -1,13 +1,17 @@
 //! Smoke tests of the service loop — the deterministic CI companions to the
 //! self-gating `overload` bench: queue-full sheds, deadline sheds on every
 //! routing policy, weighted tenant lockout, bind errors surfacing as
-//! per-query error outcomes, and a lone closed-loop client repeating exactly.
+//! per-query error outcomes, a lone closed-loop client repeating exactly, and
+//! the health monitor parking on an idle engine whose stage stays built.
 
 use std::sync::OnceLock;
 
 use workshare::harness::{run_service, ServiceLoad};
-use workshare::{workload, Dataset, ExecPolicy, RunConfig, ServiceConfig, MAX_TENANTS};
+use workshare::{
+    workload, Dataset, Engine, ExecPolicy, FaultPlan, RunConfig, ServiceConfig, MAX_TENANTS,
+};
 use workshare_common::{AggSpec, ColRef, Predicate, StarQuery};
+use workshare_sim::Machine;
 
 fn ssb() -> &'static Dataset {
     static D: OnceLock<Dataset> = OnceLock::new();
@@ -142,42 +146,45 @@ fn bind_errors_surface_as_error_outcomes() {
 fn lone_closed_loop_client_repeats_bit_for_bit() {
     // One client, so nothing it measures may depend on who wins a race in
     // real time. It used to: a finished query published its result before it
-    // released its stage lease, and the client's next submission — same
-    // virtual instant — sometimes checked out the dying stage instead of
-    // building a fresh one, a second latency mode ~14 % up.
-    let cfg = RunConfig::governed(ExecPolicy::Adaptive);
-    let run = || {
-        run_service(ssb(), &cfg, "lineorder", load(1, 1, 0.13), |id, rng| {
-            workload::ssb_q3_2(id, rng)
-        })
-    };
-    let first = run();
-    assert!(first.completed >= 200, "{first:?}");
-    assert!(first.is_conserved(), "{first:?}");
-    // Every query found the registry empty and built its own stage.
-    let [stage] = &first.stages[..] else {
-        panic!("one fact table, one row: {:?}", first.stages);
-    };
-    assert_eq!(stage.shared_queries, first.submitted, "{stage:?}");
-    assert_eq!(stage.incarnations, first.submitted, "{stage:?}");
-    for _ in 0..2 {
-        let again = run();
-        assert_eq!(again.completed, first.completed);
-        assert_eq!(
-            again.p50_latency_secs.to_bits(),
-            first.p50_latency_secs.to_bits(),
-            "p50 {} vs {}",
-            again.p50_latency_secs,
-            first.p50_latency_secs
-        );
-        assert_eq!(
-            again.p99_latency_secs.to_bits(),
-            first.p99_latency_secs.to_bits(),
-            "p99 {} vs {}",
-            again.p99_latency_secs,
-            first.p99_latency_secs
-        );
-        assert_eq!(again.stages, first.stages);
+    // gave back its claims on the engine, and the client's next submission —
+    // same virtual instant — sometimes saw them still held, a second latency
+    // mode ~14 % up.
+    for policy in [ExecPolicy::Adaptive, ExecPolicy::Shared] {
+        let cfg = RunConfig::governed(policy);
+        let run = || {
+            run_service(ssb(), &cfg, "lineorder", load(1, 1, 0.13), |id, rng| {
+                workload::ssb_q3_2(id, rng)
+            })
+        };
+        let first = run();
+        assert!(first.completed >= 200, "{policy:?}: {first:?}");
+        assert!(first.is_conserved(), "{policy:?}: {first:?}");
+        // Always on: the first query built the fact's stage, every later
+        // one found it parked and reused it.
+        let [stage] = &first.stages[..] else {
+            panic!("one fact table, one row: {:?}", first.stages);
+        };
+        assert_eq!(stage.shared_queries, first.submitted, "{policy:?}: {stage:?}");
+        assert_eq!(stage.incarnations, 1, "{policy:?}: {stage:?}");
+        for _ in 0..2 {
+            let again = run();
+            assert_eq!(again.completed, first.completed);
+            assert_eq!(
+                again.p50_latency_secs.to_bits(),
+                first.p50_latency_secs.to_bits(),
+                "{policy:?}: p50 {} vs {}",
+                again.p50_latency_secs,
+                first.p50_latency_secs
+            );
+            assert_eq!(
+                again.p99_latency_secs.to_bits(),
+                first.p99_latency_secs.to_bits(),
+                "{policy:?}: p99 {} vs {}",
+                again.p99_latency_secs,
+                first.p99_latency_secs
+            );
+            assert_eq!(again.stages, first.stages);
+        }
     }
 
     // The non-star route, with one queue slot: the client's next submission
@@ -209,4 +216,44 @@ fn lone_closed_loop_client_repeats_bit_for_bit() {
             first.p99_latency_secs.to_bits()
         );
     }
+}
+
+#[test]
+fn health_monitor_parks_on_an_idle_engine_with_a_built_stage() {
+    // A healing plan (so the monitor exists) whose one armed site never
+    // fires: query ids here are not multiples of u64::MAX. After one star
+    // query the fact's stage stays built — and the monitor must go back to
+    // parking, not tick the virtual clock of a quiet engine forever.
+    let mut cfg = RunConfig::governed(ExecPolicy::Shared);
+    cfg.faults = FaultPlan {
+        worker_panic_stride: Some(u64::MAX),
+        ..FaultPlan::default()
+    };
+    assert!(cfg.faults.heals());
+    let machine = Machine::new(cfg.machine_config());
+    let storage = ssb().instantiate(cfg.storage_config(), cfg.cost);
+    let engine = Engine::new(&machine, &storage, &cfg, "lineorder");
+    let q = workload::ssb_q3_2(1, &mut workload::rng(9));
+    let e2 = engine.clone();
+    let error = machine
+        .spawn("client", move |_| {
+            let ticket = e2.submit(&q);
+            ticket.wait();
+            ticket.error()
+        })
+        .join()
+        .expect("client vthread panicked");
+    assert_eq!(error, None);
+    let [stage] = &engine.stage_rows()[..] else {
+        panic!("one row: {:?}", engine.stage_rows());
+    };
+    assert_eq!((stage.shared_queries, stage.incarnations), (1, 1));
+    assert!(engine.health_stats().is_quiet(), "{:?}", engine.health_stats());
+    // Let the query's finaliser and the monitor's last tick run out first.
+    let pause = || std::thread::sleep(std::time::Duration::from_millis(50));
+    pause();
+    let before = machine.now_ns();
+    pause();
+    assert_eq!(machine.now_ns(), before, "the monitor ticks an idle engine");
+    engine.shutdown();
 }
