@@ -14,8 +14,7 @@
 //!   win back the crowds while the pipelined shared plan still takes the
 //!   low end.
 //!
-//! Mean virtual response times are printed as JSON lines (the
-//! `filter_vectorized` convention):
+//! Mean virtual response times are printed as JSON lines:
 //!
 //! ```text
 //! {"bench":"adaptive_router/disk/mean_latency/64","query_centric_secs":…,
@@ -30,6 +29,8 @@
 //! governor must match whichever execution model wins, without being told
 //! which regime it is in.
 
+use workshare_bench::json::Json;
+use workshare_bench::{bench_line, count, gate, rounded};
 use workshare_core::harness::run_batch;
 use workshare_core::{workload, Dataset, ExecPolicy, IoMode, RunConfig, StarQuery};
 
@@ -67,9 +68,18 @@ fn sweep_regime(
         };
         let ratio = ad / best;
         let gov = means[2].2.expect("adaptive run reports governor stats");
-        println!(
-            "{{\"bench\":\"adaptive_router/{}/mean_latency/{}\",\"query_centric_secs\":{:.6},\"shared_secs\":{:.6},\"adaptive_secs\":{:.6},\"best\":\"{}\",\"adaptive_vs_best\":{:.3},\"routed_shared\":{},\"routed_query_centric\":{},\"flips\":{}}}",
-            regime, n, qc, sh, ad, best_label, ratio, gov.routed_shared, gov.routed_query_centric, gov.flips
+        bench_line(
+            &format!("adaptive_router/{regime}/mean_latency/{n}"),
+            [
+                ("query_centric_secs", rounded(qc, 6)),
+                ("shared_secs", rounded(sh, 6)),
+                ("adaptive_secs", rounded(ad, 6)),
+                ("best", Json::Str(best_label.into())),
+                ("adaptive_vs_best", rounded(ratio, 3)),
+                ("routed_shared", count(gov.routed_shared)),
+                ("routed_query_centric", count(gov.routed_query_centric)),
+                ("flips", count(gov.flips)),
+            ],
         );
         if gate.contains(&n) && ratio > 1.10 {
             failures.push(format!(
@@ -80,7 +90,7 @@ fn sweep_regime(
 }
 
 fn main() {
-    let gate = [1usize, 64];
+    let gated = [1usize, 64];
     let mut failures = Vec::new();
     // The paper's headline regime: disk-resident, sharing wins at scale.
     sweep_regime(
@@ -88,7 +98,7 @@ fn main() {
         &Dataset::ssb(3.0, 42),
         IoMode::BufferedDisk,
         &[1, 4, 16, 64, 256],
-        &gate,
+        &gated,
         &mut failures,
     );
     // The inverted regime: memory-resident tiny fact, admission-bound —
@@ -98,13 +108,8 @@ fn main() {
         &Dataset::ssb(0.1, 42),
         IoMode::Memory,
         &[1, 4, 16, 64, 256],
-        &gate,
+        &gated,
         &mut failures,
     );
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    gate(&failures);
 }

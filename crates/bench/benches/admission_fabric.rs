@@ -14,8 +14,7 @@
 //!   each stage's own worker scans customer/supplier/date for its half of
 //!   the crowd — every shared dimension is read twice per burst.
 //!
-//! Virtual admission seconds are printed as JSON lines (the
-//! `filter_vectorized` convention):
+//! Virtual admission seconds are printed as JSON lines:
 //!
 //! ```text
 //! {"bench":"speedup_admission_fabric/32","fabric_secs":…,
@@ -31,6 +30,7 @@
 //!   per batch window: `admission_dim_pages` equals the distinct dimension
 //!   page count × windows, and undercuts the per-stage pools' reads.
 
+use workshare_bench::{bench_line, count, gate, rounded};
 use workshare_core::harness::run_batch;
 use workshare_core::{workload, Dataset, ExecPolicy, RunConfig, StarQuery};
 
@@ -75,16 +75,17 @@ fn main() {
         let fs = fabric_run.fabric.expect("fabric run reports FabricStats");
         let fabric_pages = fabric_run.cjoin.clone().unwrap().admission_dim_pages;
         let perstage_pages = perstage_run.cjoin.clone().unwrap().admission_dim_pages;
-        println!(
-            "{{\"bench\":\"speedup_admission_fabric/{}\",\"fabric_secs\":{:.6},\"perstage_secs\":{:.6},\"ratio\":{:.3},\"fabric_pages\":{},\"perstage_pages\":{},\"windows\":{},\"cross_stage_windows\":{}}}",
-            n,
-            fabric_run.admission_secs(),
-            perstage_run.admission_secs(),
-            ratio,
-            fabric_pages,
-            perstage_pages,
-            fs.batches,
-            fs.cross_stage_batches,
+        bench_line(
+            &format!("speedup_admission_fabric/{n}"),
+            [
+                ("fabric_secs", rounded(fabric_run.admission_secs(), 6)),
+                ("perstage_secs", rounded(perstage_run.admission_secs(), 6)),
+                ("ratio", rounded(ratio, 3)),
+                ("fabric_pages", count(fabric_pages)),
+                ("perstage_pages", count(perstage_pages)),
+                ("windows", count(fs.batches)),
+                ("cross_stage_windows", count(fs.cross_stage_batches)),
+            ],
         );
         // Shared-scan invariant: each distinct dimension scanned once per
         // batching window, counted once (fabric-attributed), strictly
@@ -111,10 +112,5 @@ fn main() {
             ));
         }
     }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    gate(&failures);
 }

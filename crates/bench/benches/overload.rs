@@ -47,6 +47,7 @@
 //! no-recovery baseline under the same storage schedule degrades into typed
 //! per-query errors and loses goodput.
 
+use workshare_bench::{bench_line, count, gate, rounded};
 use workshare_core::harness::{run_service, ServiceLoad, ThroughputReport};
 use workshare_core::{workload, Dataset, ExecPolicy, FaultPlan, RunConfig, ServiceConfig};
 
@@ -132,15 +133,18 @@ fn main() {
     let pre = service_run(&dataset, cap_only, Some(0.5 * capacity));
     conserved(&mut failures, "pre-saturation calibration", &pre);
     let p99_pre = pre.p99_latency_secs;
-    println!(
-        "{{\"bench\":\"overload/calibration\",\"capacity_qps\":{:.3},\"p99_pre_secs\":{:.6},\"pre_shed\":{}}}",
-        capacity,
-        p99_pre,
-        pre.shed_queue_full + pre.shed_deadline,
+    bench_line(
+        "overload/calibration",
+        [
+            ("capacity_qps", rounded(capacity, 3)),
+            ("p99_pre_secs", rounded(p99_pre, 6)),
+            ("pre_shed", count(pre.shed_queue_full + pre.shed_deadline)),
+        ],
     );
     if capacity <= 0.0 || p99_pre <= 0.0 {
-        eprintln!("FAIL: degenerate calibration (capacity {capacity}, p99_pre {p99_pre})");
-        std::process::exit(1);
+        gate(&[format!(
+            "degenerate calibration (capacity {capacity}, p99_pre {p99_pre})"
+        )]);
     }
     let deadline = 2.0 * p99_pre;
 
@@ -161,16 +165,19 @@ fn main() {
         let rate = mult * capacity;
         let bounded = service_run(&dataset, bounded_cfg, Some(rate));
         let unbounded = service_run(&dataset, unbounded_cfg, Some(rate));
-        println!(
-            "{{\"bench\":\"overload/{mult}x\",\"rate_qps\":{rate:.3},\"bounded_p99\":{:.6},\"unbounded_p99\":{:.6},\"bounded_goodput\":{:.1},\"unbounded_goodput\":{:.1},\"shed_queue_full\":{},\"shed_deadline\":{},\"bounded_submitted\":{},\"unbounded_submitted\":{}}}",
-            bounded.p99_latency_secs,
-            unbounded.p99_latency_secs,
-            bounded.goodput_per_hour,
-            unbounded.goodput_per_hour,
-            bounded.shed_queue_full,
-            bounded.shed_deadline,
-            bounded.submitted,
-            unbounded.submitted,
+        bench_line(
+            &format!("overload/{mult}x"),
+            [
+                ("rate_qps", rounded(rate, 3)),
+                ("bounded_p99", rounded(bounded.p99_latency_secs, 6)),
+                ("unbounded_p99", rounded(unbounded.p99_latency_secs, 6)),
+                ("bounded_goodput", rounded(bounded.goodput_per_hour, 1)),
+                ("unbounded_goodput", rounded(unbounded.goodput_per_hour, 1)),
+                ("shed_queue_full", count(bounded.shed_queue_full)),
+                ("shed_deadline", count(bounded.shed_deadline)),
+                ("bounded_submitted", count(bounded.submitted)),
+                ("unbounded_submitted", count(unbounded.submitted)),
+            ],
         );
         conserved(&mut failures, &format!("bounded {mult}x"), &bounded);
         conserved(&mut failures, &format!("unbounded {mult}x"), &unbounded);
@@ -261,18 +268,20 @@ fn main() {
     conserved(&mut failures, "faulted no-recovery baseline", &baseline);
 
     let h = &healed.health;
-    println!(
-        "{{\"bench\":\"overload/faulted\",\"clean_p99\":{:.6},\"healed_p99\":{:.6},\"healed_goodput\":{:.1},\"baseline_goodput\":{:.1},\"baseline_errors\":{},\"retries\":{},\"wedges\":{},\"demotions\":{},\"respawns\":{},\"rung\":{}}}",
-        clean.p99_latency_secs,
-        healed.p99_latency_secs,
-        healed.goodput_per_hour,
-        baseline.goodput_per_hour,
-        baseline.errors,
-        h.storage.retries,
-        h.admission.injected_wedges,
-        h.admission.demotions,
-        h.admission.fabric_respawns,
-        h.admission.rung,
+    bench_line(
+        "overload/faulted",
+        [
+            ("clean_p99", rounded(clean.p99_latency_secs, 6)),
+            ("healed_p99", rounded(healed.p99_latency_secs, 6)),
+            ("healed_goodput", rounded(healed.goodput_per_hour, 1)),
+            ("baseline_goodput", rounded(baseline.goodput_per_hour, 1)),
+            ("baseline_errors", count(baseline.errors)),
+            ("retries", count(h.storage.retries)),
+            ("wedges", count(h.admission.injected_wedges)),
+            ("demotions", count(h.admission.demotions)),
+            ("respawns", count(h.admission.fabric_respawns)),
+            ("rung", count(h.admission.rung as u64)),
+        ],
     );
     if healed.completed + healed.completed_late == 0 {
         failures.push("healed run produced no goodput".into());
@@ -305,10 +314,5 @@ fn main() {
         ));
     }
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    gate(&failures);
 }

@@ -287,10 +287,9 @@ impl AdmissionFabric {
         }
     }
 
-    /// Stop the fabric workers (engine shutdown). Stages outlive their
-    /// requests; tearing a stage down with a request in flight is benign
-    /// (stage shutdown is cooperative). Wedged workers are woken so their
-    /// carrier threads exit.
+    /// Stop the fabric workers (engine shutdown, the only time a stage goes
+    /// away too). A request still in flight is benign: stage shutdown is
+    /// cooperative. Wedged workers are woken so their carrier threads exit.
     pub fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::Release);
         self.inner.queue.close();

@@ -99,7 +99,7 @@ pub struct CjoinRuntimeStats {
     /// dimension is cheap to share: the engine averages the entries
     /// matching a candidate query's own dimension joins instead of using
     /// one engine-wide blend — the first step toward the skew-aware
-    /// per-query thresholds named in the ROADMAP.
+    /// per-query thresholds of ROADMAP item 3(c).
     pub dim_selectivity_by_dim: Vec<(TableId, f64)>,
 }
 

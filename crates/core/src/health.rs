@@ -23,8 +23,9 @@ pub struct HealthStats {
     /// straggler re-dispatches, failed batches, reclaimed queries, and the
     /// ladder's demotions / promotions (plus the current rung).
     pub admission: AdmissionHealthSnapshot,
-    /// Stage builds that failed by injection and were quarantined through
-    /// the lease registry's retired ledger, then rebuilt.
+    /// Stage builds that failed by injection: the carcass was shut down
+    /// under the registry lock and the stage built again before any query
+    /// saw it.
     pub stage_rebuilds: u64,
 }
 

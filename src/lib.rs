@@ -14,8 +14,8 @@
 //! * `workshare-cjoin` — CJOIN Global Query Plan with shared operators.
 //! * [`workshare_core`] — engine configurations, planner, harness, workloads.
 //!
-//! See `README.md` for a quickstart and `docs/FIGURES.md` for the map of
-//! paper-figure binaries.
+//! See `README.md` for a quickstart and `docs/FIGURES.md` for the paper's
+//! figures, their predicates and today's verdicts.
 
 pub use workshare_core::*;
 
