@@ -2,7 +2,12 @@
 //! dimension scans that seed filter state for newly admitted queries.
 //!
 //! Three execution paths share one phase structure (**prepare → scan →
-//! activate**):
+//! activate**). On the fabric path an **admission memo** ([`crate::memo`])
+//! sits between prepare and scan: a part whose `(dimension, pk column,
+//! predicate)` the fabric has selected before is staged from the memo
+//! ([`stage_memo_hits`]) and leaves its unit, only the remaining parts are
+//! scanned, and a scan that completed fills the memo before activation.
+//! The serial oracle and the per-stage pool never consult it.
 //!
 //! * [`admit_batch_serial`] — the retained per-query oracle (the paper's
 //!   §3.2 behavior), run inline on the preprocessor thread.
@@ -37,6 +42,7 @@ use workshare_storage::{StorageError, TableId};
 
 use crate::filter::DimEntry;
 use crate::health::{SITE_SCAN_PANIC, SITE_SCAN_STALL};
+use crate::memo::{MemoHit, Selected};
 use crate::stage::{
     activate_query, alloc_slot, locate_filter, release_slot, Admission, StageInner,
 };
@@ -90,6 +96,16 @@ pub(crate) struct ScanUnit {
     pub dim: TableId,
     pub pk_idx: usize,
     pub parts: Vec<UnitPart>,
+    /// Whether the scan returns each part's selection for the fabric's
+    /// admission memo (set by the fabric on the units it may fill from).
+    pub memoize: bool,
+}
+
+/// A [`UnitPart`] whose selection the admission memo already holds.
+pub(crate) struct MemoPart {
+    pub dim: TableId,
+    pub part: UnitPart,
+    pub hit: MemoHit,
 }
 
 /// Fold `sample` into the stage's per-dimension admission-selectivity EWMA
@@ -186,6 +202,7 @@ pub(crate) fn build_units(prepared: &[PreparedBatch]) -> Vec<ScanUnit> {
                     dim: p.dim,
                     pk_idx: p.pk_idx,
                     parts: Vec::new(),
+                    memoize: false,
                 });
                 units.len() - 1
             });
@@ -241,6 +258,10 @@ pub(crate) const SCAN_STALL_NS: f64 = 8_000_000.0;
 /// [`ScanAttempt::try_claim`] race, so a straggler and its re-dispatched
 /// replacement publish exactly once between them (the protocol
 /// model-checked by `tests/interleave_core.rs`).
+///
+/// Returns, for a [`ScanUnit::memoize`] unit, what each part selected from
+/// the scanned pages (parallel to `unit.parts`, page order) — the `bank`
+/// bits the staging loop walks anyway; empty otherwise.
 pub(crate) fn run_scan_unit(
     ctx: &SimCtx,
     stages: &[&StageInner],
@@ -249,7 +270,7 @@ pub(crate) fn run_scan_unit(
     pages: Option<(usize, usize)>,
     attempt: Option<&ScanAttempt>,
     inject: bool,
-) -> Result<(), StorageError> {
+) -> Result<Vec<Selected>, StorageError> {
     let primary = stages[unit.parts[0].stage_idx];
     let plan = &primary.config.faults;
     if inject && plan.is_armed() {
@@ -288,6 +309,10 @@ pub(crate) fn run_scan_unit(
     // per-dimension EWMAs only at publish time, behind the claim, so a
     // re-dispatched straggler never double-folds the governor signal.
     let mut sel_samples: Vec<(usize, f64)> = Vec::new();
+    let mut selections: Vec<Selected> = Vec::new();
+    if unit.memoize {
+        selections.resize_with(nq, Vec::new);
+    }
     for p in page_lo..page_hi {
         let page = primary.storage.try_read_page(ctx, unit.dim, p, stream)?;
         let rows = page.decode_all(&dim_schema);
@@ -315,6 +340,9 @@ pub(crate) fn run_scan_unit(
             let key = row[unit.pk_idx].as_int();
             let arc = Arc::new(row);
             for q in bank.row_ones(i) {
+                if unit.memoize {
+                    selections[q].push((key, Arc::clone(&arc)));
+                }
                 let part = &unit.parts[q];
                 let bkey = (part.stage_idx, part.fi);
                 let bi = *bucket_of.entry(bkey).or_insert_with(|| {
@@ -343,7 +371,7 @@ pub(crate) fn run_scan_unit(
     // the scan above only read pages and charged costs.
     if let Some(att) = attempt {
         if !att.try_claim() {
-            return Ok(());
+            return Ok(selections);
         }
     }
     for (si, sample) in sel_samples {
@@ -400,7 +428,50 @@ pub(crate) fn run_scan_unit(
     if let Some(att) = attempt {
         att.mark_done();
     }
-    Ok(())
+    Ok(selections)
+}
+
+/// Stage the memo's answer for every part of a window that hit it: the
+/// entry merge a scan of the dimension would have ended in, without the
+/// scan. One charge on the window's worker — the filter writer lock plus the
+/// hash insert / bit-extend of each selected row, per part — then, per
+/// stage, the logical counters a scan keeps (`admission_dim_rows`, one
+/// `selected ÷ rows` selectivity sample per part) and **one** epoch publish.
+/// Runs before [`activate_batch`], like any scan's publish.
+pub(crate) fn stage_memo_hits(ctx: &SimCtx, stages: &[&StageInner], hits: &[MemoPart]) {
+    let cost = &stages[hits[0].part.stage_idx].cost;
+    let selected: usize = hits.iter().map(|h| h.hit.selected.len()).sum();
+    ctx.charge(
+        CostKind::Admission,
+        cost.lock_acquire_ns * hits.len() as f64 + cost.admission_tuple_ns * selected as f64,
+    );
+    for (si, stage) in stages.iter().enumerate() {
+        let mine = || hits.iter().filter(|h| h.part.stage_idx == si);
+        if mine().next().is_none() {
+            continue;
+        }
+        for h in mine() {
+            stage
+                .admission_dim_rows
+                .fetch_add(h.hit.dim_rows, Ordering::Relaxed);
+            if h.hit.dim_rows > 0 {
+                let sample = h.hit.selected.len() as f64 / h.hit.dim_rows as f64;
+                fold_dim_selectivity(stage, h.dim, sample);
+            }
+        }
+        stage.mutate_epoch(|_, e| {
+            for h in mine() {
+                let filter = Arc::make_mut(&mut e.filters[h.part.fi]);
+                for (key, row) in h.hit.selected.iter() {
+                    let entry = filter.hash.entry(*key).or_insert_with(|| DimEntry {
+                        row: Arc::clone(row),
+                        bits: QueryBitmap::zeros(64),
+                    });
+                    entry.bits.set(h.part.slot as usize);
+                }
+            }
+        });
+    }
 }
 
 /// Phase 3: activate the whole batch — build each query's sink/runtime and
@@ -451,11 +522,12 @@ pub(crate) fn admit_batch_shared(inner: &StageInner, ctx: &SimCtx, pending: Vec<
             match catch_unwind(AssertUnwindSafe(|| {
                 run_scan_unit(ctx, &[inner], unit, None, None, None, true)
             })) {
-                Ok(r) => r.map_err(|e| e.to_string()),
+                Ok(r) => r.map(drop).map_err(|e| e.to_string()),
                 Err(_) => Err("admission scan unit panicked".to_string()),
             }
         } else {
             run_scan_unit(ctx, &[inner], unit, None, None, None, true)
+                .map(drop)
                 .map_err(|e| e.to_string())
         };
         if let Err(msg) = outcome {

@@ -19,6 +19,14 @@
 //! maintained exactly as under a per-stage pool, so stage-level reports
 //! stay batching-invariant.
 //!
+//! The fabric also owns the **admission memo** (`memo.rs`): a part
+//! whose `(dimension, pk column, predicate)` an earlier window selected is
+//! staged from the memo instead of scanned, so physical pages fall while the
+//! stages' logical counters stay where a scan would have put them. The memo
+//! is bypassed — no lookup, no fill — while any fault site is armed or
+//! windows run supervised, so no seeded fault schedule shifts and no entry
+//! can come from a retried, torn or quarantined read.
+//!
 //! Stages keep working without a fabric: [`crate::CjoinStage::new`] falls
 //! back to the per-stage pool (one admission worker per stage), which
 //! remains the oracle-tested baseline and the path of the standalone /
@@ -30,14 +38,16 @@ use workshare_common::fxhash::FxHashMap;
 // `workshare_common::sync` and docs/TESTING.md).
 use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
 use workshare_sim::{Machine, SimCtx, WaitSet};
+use workshare_storage::StorageManager;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::admission::{
-    activate_batch, build_units, fail_batch, prepare_batch, run_scan_unit, PreparedBatch,
-    ScanUnit,
+    activate_batch, build_units, fail_batch, prepare_batch, run_scan_unit, stage_memo_hits,
+    MemoPart, PreparedBatch, ScanUnit,
 };
 use crate::health::{AdmissionHealth, CjoinFaultPlan};
+use crate::memo::{AdmissionMemo, Selected, ADMISSION_MEMO_BUDGET_BYTES};
 use crate::stage::{Admission, CjoinStage, StageInner, ADMISSION_BATCH_WINDOW_NS};
 use crate::window::{ScanAttempt, ShardedSlot, WindowLedger};
 
@@ -147,8 +157,19 @@ pub struct FabricStats {
     /// Physical dimension pages read by fabric scans. Each page is counted
     /// **once per window** no matter how many stages and pending queries
     /// shared it; per-stage `admission_dim_pages` stays 0 under the fabric
-    /// (see [`crate::CjoinStats::admission_dim_pages`]).
+    /// (see [`crate::CjoinStats::admission_dim_pages`]). A part served by
+    /// the admission memo reads none.
     pub admission_dim_pages: u64,
+    /// `(query, dimension)` parts staged from the admission memo instead of
+    /// scanned.
+    pub memo_hits: u64,
+    /// Parts looked up and not found (scanned, then remembered). Hits and
+    /// misses both stay 0 while the memo is bypassed under faults.
+    pub memo_misses: u64,
+    /// Estimated bytes the memo holds now (entries + interned rows).
+    pub memo_bytes: u64,
+    /// Estimated bytes evicted to stay under the memo's budget.
+    pub memo_evicted_bytes: u64,
 }
 
 struct FabricInner {
@@ -172,6 +193,10 @@ struct FabricInner {
     cross_stage_batches: AtomicU64,
     merged_requests: AtomicU64,
     admission_dim_pages: AtomicU64,
+    /// The admission memo. A plain mutex, taken only by a window's worker —
+    /// to look its parts up before the scan fan-out and to fill after the
+    /// join, never across a charge — and by `stats()`.
+    memo: Mutex<AdmissionMemo>,
     /// The machine the workers run on, kept so the health monitor can
     /// spawn replacement workers ([`AdmissionFabric::respawn_worker`]).
     machine: Machine,
@@ -208,6 +233,18 @@ impl FabricInner {
         // published through it that a winner would need to acquire.
         !self.wedge_fired.swap(true, Ordering::Relaxed)
     }
+
+    /// Whether this window may consult and fill the admission memo: not
+    /// while any fault site is armed or windows run supervised — a hit skips
+    /// page reads and `scan_tick` draws, which would shift every seeded
+    /// fault schedule.
+    fn memo_allowed(&self, stages: &[CjoinStage]) -> bool {
+        self.health.is_none()
+            && !self.faults.is_armed()
+            && stages.iter().all(|s| {
+                !s.inner.config.faults.is_armed() && !s.inner.storage.config().faults.is_armed()
+            })
+    }
 }
 
 /// Engine-level cross-stage admission worker pool. Cheap to clone; one per
@@ -242,6 +279,22 @@ impl AdmissionFabric {
         faults: CjoinFaultPlan,
         health: Option<Arc<AdmissionHealth>>,
     ) -> AdmissionFabric {
+        Self::with_memo(
+            machine,
+            capacity,
+            faults,
+            health,
+            AdmissionMemo::new(ADMISSION_MEMO_BUDGET_BYTES),
+        )
+    }
+
+    fn with_memo(
+        machine: &Machine,
+        capacity: u64,
+        faults: CjoinFaultPlan,
+        health: Option<Arc<AdmissionHealth>>,
+        memo: AdmissionMemo,
+    ) -> AdmissionFabric {
         let fabric = AdmissionFabric {
             inner: Arc::new(FabricInner {
                 queue: ShardedQueue::new(machine, FABRIC_QUEUE_SHARDS),
@@ -250,6 +303,7 @@ impl AdmissionFabric {
                 cross_stage_batches: AtomicU64::new(0),
                 merged_requests: AtomicU64::new(0),
                 admission_dim_pages: AtomicU64::new(0),
+                memo: Mutex::new(memo),
                 machine: machine.clone(),
                 faults,
                 health,
@@ -279,11 +333,16 @@ impl AdmissionFabric {
 
     /// Lifetime fabric counters.
     pub fn stats(&self) -> FabricStats {
+        let memo = self.inner.memo.lock();
         FabricStats {
             batches: self.inner.batches.load(Ordering::Relaxed),
             cross_stage_batches: self.inner.cross_stage_batches.load(Ordering::Relaxed),
             merged_requests: self.inner.merged_requests.load(Ordering::Relaxed),
             admission_dim_pages: self.inner.admission_dim_pages.load(Ordering::Relaxed),
+            memo_hits: memo.hits,
+            memo_misses: memo.misses,
+            memo_bytes: memo.bytes,
+            memo_evicted_bytes: memo.evicted_bytes,
         }
     }
 
@@ -442,7 +501,38 @@ fn process_window(
         .zip(pendings)
         .map(|(stage, pending)| prepare_batch(&stage.inner, ctx, pending))
         .collect();
-    let units = build_units(&prepared);
+    let mut units = build_units(&prepared);
+    let inners: Vec<&StageInner> = stages.iter().map(|s| &*s.inner).collect();
+    // Admission memo: parts whose selection an earlier window computed are
+    // staged now — before any scan publishes and before activation — and
+    // leave their unit; a unit left without parts is not scanned at all.
+    // With a single worker the window count is the window's sequence number.
+    let memo_window = fabric
+        .memo_allowed(&stages)
+        .then(|| fabric.windows.load(Ordering::Relaxed));
+    if let Some(window) = memo_window {
+        let mut hits: Vec<MemoPart> = Vec::new();
+        {
+            let mut memo = fabric.memo.lock();
+            for unit in &mut units {
+                unit.memoize = true;
+                for part in std::mem::take(&mut unit.parts) {
+                    match memo.lookup(unit.dim, unit.pk_idx, &part.pred, window) {
+                        Some(hit) => hits.push(MemoPart {
+                            dim: unit.dim,
+                            part,
+                            hit,
+                        }),
+                        None => unit.parts.push(part),
+                    }
+                }
+            }
+        }
+        units.retain(|u| !u.parts.is_empty());
+        if !hits.is_empty() {
+            stage_memo_hits(ctx, &inners, &hits);
+        }
+    }
     // Scan units are independent — a filter core belongs to exactly one
     // `(dim, pk)` unit — and a unit's page subranges stage disjoint filter
     // entries (dimension primary keys are unique), so the window fans the
@@ -465,10 +555,13 @@ fn process_window(
                 .collect::<Vec<_>>()
         })
         .collect();
-    let scan_result: Result<(), String> = if let Some(health) = fabric.health.clone() {
-        supervise_subscans(fabric, &stages, tasks, worker_idx, &health)
+    let task_units: Vec<Arc<ScanUnit>> = tasks.iter().map(|(u, _)| Arc::clone(u)).collect();
+    // Per task, what each of its unit's parts selected (memoized units only).
+    let scan_result: Result<Vec<Vec<Selected>>, String> = if let Some(health) =
+        fabric.health.clone()
+    {
+        supervise_subscans(fabric, &stages, tasks, worker_idx, &health).map(|()| Vec::new())
     } else if tasks.len() == 1 {
-        let inners: Vec<&StageInner> = stages.iter().map(|s| &*s.inner).collect();
         run_scan_unit(
             ctx,
             &inners,
@@ -478,6 +571,7 @@ fn process_window(
             None,
             true,
         )
+        .map(|selected| vec![selected])
         .map_err(|e| e.to_string())
     } else {
         let machine = stages[0].inner.machine.clone();
@@ -505,19 +599,26 @@ fn process_window(
                 )
             })
             .collect();
+        let mut selected = Vec::with_capacity(handles.len());
         let mut failure = None;
         for h in handles {
-            if let Err(e) = h.join().expect("fabric scan subunit panicked") {
-                failure.get_or_insert(e.to_string());
+            match h.join().expect("fabric scan subunit panicked") {
+                Ok(s) => selected.push(s),
+                Err(e) => {
+                    failure.get_or_insert(e.to_string());
+                }
             }
         }
         match failure {
-            None => Ok(()),
+            None => Ok(selected),
             Some(msg) => Err(msg),
         }
     };
     match scan_result {
-        Ok(()) => {
+        Ok(selected) => {
+            if let Some(window) = memo_window {
+                fill_memo(fabric, storage, &task_units, selected, window);
+            }
             for (stage, prep) in stages.iter().zip(prepared) {
                 activate_batch(&stage.inner, prep);
                 // The stage's preprocessor may be parked waiting for an
@@ -538,6 +639,36 @@ fn process_window(
     fabric.batches.fetch_add(1, Ordering::Relaxed);
     if stages.len() > 1 {
         fabric.cross_stage_batches.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Remember what a window's scans selected: every page-range subscan
+/// succeeded, so a unit's tasks (consecutive in `task_units`, in page order)
+/// concatenate into each part's complete selection.
+fn fill_memo(
+    fabric: &FabricInner,
+    storage: &StorageManager,
+    task_units: &[Arc<ScanUnit>],
+    selected: Vec<Vec<Selected>>,
+    window: u64,
+) {
+    let mut memo = fabric.memo.lock();
+    let mut ranges = selected.into_iter();
+    for tasks in task_units.chunk_by(Arc::ptr_eq) {
+        let unit = &tasks[0];
+        let complete = memo.usable_ranges(tasks.len());
+        let mut per_part: Vec<Selected> = vec![Vec::new(); unit.parts.len()];
+        for (ri, range) in ranges.by_ref().take(tasks.len()).enumerate() {
+            if ri < complete {
+                for (whole, piece) in per_part.iter_mut().zip(range) {
+                    whole.extend(piece);
+                }
+            }
+        }
+        let dim_rows = storage.row_count(unit.dim) as u64;
+        for (part, whole) in unit.parts.iter().zip(per_part) {
+            memo.fill(unit.dim, unit.pk_idx, &part.pred, whole, dim_rows, window);
+        }
     }
 }
 
@@ -625,7 +756,7 @@ fn supervise_subscans(
                     )
                 }));
                 match outcome {
-                    Ok(Ok(())) => {}
+                    Ok(Ok(_)) => {}
                     Ok(Err(e)) => {
                         let mut slot = err.lock();
                         if slot.is_none() {
@@ -713,5 +844,283 @@ fn supervise_subscans(
             ws.wait_until(|| tasks.iter().all(SubscanTask::quiescent));
             Err(msg)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stage::tests::shared_admission_oracle::build_query;
+    use crate::stage::tests::{query, setup_sized};
+    use crate::stage::{AdmissionSink, CjoinConfig, CjoinStats};
+    use proptest::prelude::*;
+    use workshare_common::value::Row;
+    use workshare_common::{CostModel, StarQuery};
+    use workshare_qpipe::exchange::{Exchange, ExchangeKind};
+    use workshare_qpipe::ops::run_aggregate;
+    use workshare_sim::CostKind;
+
+    fn fabric_with(m: &Machine, memo: AdmissionMemo) -> AdmissionFabric {
+        AdmissionFabric::with_memo(m, u64::MAX, CjoinFaultPlan::default(), None, memo)
+    }
+
+    /// Run `queries` on `stage` from `clients` closed-loop clients (query
+    /// `i` is client `i % clients`'s, each client one query at a time);
+    /// rows in query order.
+    fn run_clients(
+        m: &Machine,
+        stage: &CjoinStage,
+        queries: &[StarQuery],
+        clients: usize,
+    ) -> Vec<Vec<Row>> {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let st = stage.clone();
+                let mine: Vec<(usize, StarQuery)> = queries
+                    .iter()
+                    .cloned()
+                    .enumerate()
+                    .skip(c)
+                    .step_by(clients)
+                    .collect();
+                m.spawn(&format!("client-{c}"), move |ctx| {
+                    mine.into_iter()
+                        .map(|(i, q)| {
+                            let (bound, outp) = (st.bound_for(&q), st.submit(&q));
+                            let rows = run_aggregate(
+                                ctx,
+                                outp.reader,
+                                &bound,
+                                &q.order_by,
+                                &st.inner.cost,
+                            );
+                            (i, rows)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut rows: Vec<(usize, Vec<Row>)> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        rows.sort_by_key(|(i, _)| *i);
+        rows.into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// `queries` on a fresh stage — served by a fabric holding `memo`, or
+    /// with no fabric at all: rows and counters.
+    fn run_stage(
+        queries: &[StarQuery],
+        clients: usize,
+        dima_rows: i64,
+        config: CjoinConfig,
+        memo: Option<AdmissionMemo>,
+    ) -> (Vec<Vec<Row>>, CjoinStats, Option<FabricStats>) {
+        let (m, sm) = setup_sized(dima_rows, 7);
+        let fabric = memo.map(|memo| fabric_with(&m, memo));
+        let cost = CostModel::default();
+        let stage = CjoinStage::with_admission(&m, &sm, "fact", config, cost, fabric.clone(), None);
+        let rows = run_clients(&m, &stage, queries, clients);
+        let stats = stage.stats();
+        stage.shutdown();
+        let fs = fabric.map(|f| {
+            f.shutdown();
+            f.stats()
+        });
+        (rows, stats, fs)
+    }
+
+    /// `specs` as queries on a fabric-served stage holding `memo`, against
+    /// the serial oracle on a stage of its own: rows and logical counters.
+    fn check_against_oracle(
+        specs: &[(u8, u8, u8)],
+        clients: usize,
+        dima_rows: i64,
+        memo: AdmissionMemo,
+    ) -> Result<FabricStats, String> {
+        let queries: Vec<StarQuery> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(pa, pb, subset))| build_query(i as u64, pa, pb, subset))
+            .collect();
+        let (rows, stats, fs) = run_stage(
+            &queries,
+            clients,
+            dima_rows,
+            CjoinConfig::default(),
+            Some(memo),
+        );
+        let fs = fs.expect("fabric run");
+        let serial = CjoinConfig {
+            serial_admission: true,
+            ..Default::default()
+        };
+        let (o_rows, o_stats, _) = run_stage(&queries, clients, dima_rows, serial, None);
+        if rows != o_rows {
+            return Err(format!("rows diverged from the serial oracle: {fs:?}"));
+        }
+        if (stats.admitted, stats.admission_dim_rows)
+            != (o_stats.admitted, o_stats.admission_dim_rows)
+        {
+            return Err(format!(
+                "logical counters diverged: {stats:?} vs {o_stats:?}"
+            ));
+        }
+        let parts: u64 = queries.iter().map(|q| q.dims.len() as u64).sum();
+        if fs.memo_hits + fs.memo_misses != parts {
+            return Err(format!("{parts} parts, {fs:?}"));
+        }
+        Ok(fs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Random query sequences with repeats, one at a time and from 8
+        /// concurrent clients: every result equals the serial oracle's row
+        /// for row, and so do `admitted` / `admission_dim_rows`.
+        #[test]
+        fn memo_served_admission_matches_the_serial_oracle(
+            specs in proptest::collection::vec((0u8..3, 0u8..3, 0u8..3), 2..12),
+            concurrent in proptest::bool::ANY,
+            paged_dims in proptest::bool::ANY,
+        ) {
+            let dima_rows = if paged_dims { 3000 } else { 10 };
+            let clients = if concurrent { 8 } else { 1 };
+            let memo = AdmissionMemo::new(ADMISSION_MEMO_BUDGET_BYTES);
+            let fs = check_against_oracle(&specs, clients, dima_rows, memo)
+                .unwrap_or_else(|e| panic!("{e}"));
+            if !concurrent {
+                // One window per query: a miss per distinct (dimension,
+                // predicate) the sequence holds, everything else hits.
+                let mut distinct: Vec<(bool, u8)> = specs
+                    .iter()
+                    .flat_map(|&(pa, pb, subset)| {
+                        let a = (subset % 3 != 2).then_some((false, pa % 3));
+                        let b = (subset % 3 != 1).then_some((true, pb % 3));
+                        a.into_iter().chain(b)
+                    })
+                    .collect();
+                distinct.sort();
+                distinct.dedup();
+                prop_assert_eq!(fs.memo_misses, distinct.len() as u64, "{:?}", fs);
+            }
+        }
+    }
+
+    /// Mutation: a memo filled from a scan with one page range withheld is a
+    /// wrong answer the oracle comparison above must see.
+    #[test]
+    fn a_memo_filled_short_of_one_page_range_is_caught() {
+        let specs = [(1, 0, 1), (1, 0, 1)];
+        let mut short = AdmissionMemo::new(ADMISSION_MEMO_BUDGET_BYTES);
+        short.withhold_last_range = true;
+        let err = check_against_oracle(&specs, 1, 3000, short).unwrap_err();
+        assert!(err.starts_with("rows diverged"), "{err}");
+        let whole = AdmissionMemo::new(ADMISSION_MEMO_BUDGET_BYTES);
+        assert_eq!(
+            check_against_oracle(&specs, 1, 3000, whole)
+                .unwrap()
+                .memo_hits,
+            1
+        );
+    }
+
+    /// Under a budget of a few entries the memo evicts and refills, and is
+    /// still never wrong.
+    #[test]
+    fn eviction_under_a_tiny_budget_keeps_answers_right() {
+        let specs: Vec<(u8, u8, u8)> = (0..18u8).map(|i| (i % 3, (i / 3) % 3, 0)).collect();
+        let fs = check_against_oracle(&specs, 1, 3000, AdmissionMemo::new(300_000)).unwrap();
+        assert!(
+            fs.memo_evicted_bytes > 0 && fs.memo_bytes <= 300_000,
+            "{fs:?}"
+        );
+        assert!(fs.memo_hits > 0 && fs.memo_misses > 6, "{fs:?}");
+    }
+
+    /// Two windows driven by hand on a stage whose queries never finish
+    /// (`cap_pages: 1`, no reader): the first misses — two equal queries,
+    /// four parts, two entries — the second is served by the memo alone.
+    #[test]
+    fn a_hit_only_window_reads_no_page_and_spawns_no_vthread() {
+        let (m, sm) = setup_sized(3000, 7);
+        let fabric = fabric_with(&m, AdmissionMemo::new(ADMISSION_MEMO_BUDGET_BYTES));
+        let config = CjoinConfig {
+            cap_pages: 1,
+            ..Default::default()
+        };
+        let cost = CostModel::default();
+        let stage =
+            CjoinStage::with_admission(&m, &sm, "fact", config, cost, Some(fabric.clone()), None);
+        let (st, fab, mm) = (stage.clone(), fabric.clone(), m.clone());
+        let (admission_s, spawns) = m
+            .spawn("driver", move |ctx| {
+                let window = |ids: &[u64]| {
+                    let pending = ids
+                        .iter()
+                        .map(|&id| {
+                            let q = query(id, true);
+                            Admission {
+                                bound: st.bound_for(&q),
+                                sink: AdmissionSink::Stream(Exchange::new(
+                                    ExchangeKind::Spl,
+                                    &st.inner.machine,
+                                    cost,
+                                    1,
+                                )),
+                                sig: q.cjoin_signature(),
+                                fault: Arc::new(Mutex::new(None)),
+                                query: q,
+                            }
+                        })
+                        .collect();
+                    let req = FabricRequest {
+                        stage: st.clone(),
+                        pending,
+                    };
+                    process_window(&fab.inner, ctx, vec![req], 0);
+                    fab.inner.windows.fetch_add(1, Ordering::Relaxed);
+                };
+                window(&[1, 2]);
+                let (cpu, handoffs) = (mm.cpu_breakdown(), mm.handoff_counts());
+                window(&[3]);
+                (
+                    mm.cpu_breakdown().delta(&cpu).secs(CostKind::Admission),
+                    mm.handoff_counts().spawns - handoffs.spawns,
+                )
+            })
+            .join()
+            .unwrap();
+        let pages = (sm.page_count(sm.table("dima")) + sm.page_count(sm.table("dimb"))) as u64;
+        let fs = fabric.stats();
+        assert_eq!((fs.memo_misses, fs.memo_hits), (4, 2), "{fs:?}");
+        assert_eq!(
+            fabric.inner.memo.lock().entries(),
+            2,
+            "equal predicates, one entry"
+        );
+        assert_eq!(
+            fs.admission_dim_pages, pages,
+            "the hit-only window read a page"
+        );
+        assert_eq!(spawns, 0, "the hit-only window spawned a subscan");
+        // prepare_batch's fixed charges, then per part the writer lock and
+        // 45 ns per selected row: half of dima, all of dimb.
+        let expect = cost.admission_query_fixed_ns * 1.1
+            + 2.0 * cost.lock_acquire_ns
+            + cost.admission_tuple_ns * (1500 + 7) as f64;
+        assert!(
+            (admission_s * 1e9 - expect).abs() < 1e-3,
+            "{admission_s} s vs {expect} ns"
+        );
+        assert_eq!(
+            stage.stats().admission_dim_rows,
+            3 * (3000 + 7),
+            "logical rows"
+        );
+        stage.shutdown();
+        fabric.shutdown();
     }
 }

@@ -23,7 +23,7 @@
 //! * [`filter_page_scalar`] — the retained tuple-at-a-time reference path
 //!   (enabled with `CjoinConfig::scalar_filter`), kept as the behavioral
 //!   oracle for property tests and as the baseline the
-//!   `filter_vectorized` criterion bench measures against.
+//!   `filter_vectorized` bench measures against.
 //!
 //! Both kernels produce the same [`FilteredPage`] (survivor indices, a
 //! survivor-aligned bitmap bank, and the matched dimension rows), so the

@@ -52,6 +52,7 @@ pub mod epoch;
 pub mod fabric;
 pub mod filter;
 pub mod health;
+mod memo;
 mod stage;
 pub mod window;
 pub mod wrap;

@@ -533,7 +533,7 @@ impl CjoinStage {
         stage
     }
 
-    fn bound_for(&self, q: &StarQuery) -> Arc<BoundQuery> {
+    pub(crate) fn bound_for(&self, q: &StarQuery) -> Arc<BoundQuery> {
         let bound = self.inner.storage.bind_query(q);
         Arc::new(bound.unwrap_or_else(|e| panic!("bind failed for query {}: {e}", q.id)))
     }
@@ -847,8 +847,8 @@ impl CjoinStage {
     ///
     /// This is the **per-stage fallback pool** — a pool of one: it serves
     /// stages built standalone via [`CjoinStage::new`] (direct stage users,
-    /// the paper-figure binaries, ungoverned engines). Stages built by the
-    /// governed engine's registry with an engine-level
+    /// the named engines the `figures` driver runs, ungoverned engines).
+    /// Stages built by the governed engine's registry with an engine-level
     /// [`AdmissionFabric`] (`RunConfig::admission_fabric`, the default
     /// there) hand their pending batches to the fabric instead and spawn
     /// no worker of their own — the fabric batches admissions **across
@@ -1277,7 +1277,7 @@ fn finalize_query(inner: &StageInner, ctx: &SimCtx, qrt: &QueryRuntime) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use workshare_common::codec::PageBuilder;
     use workshare_common::{
@@ -1287,7 +1287,7 @@ mod tests {
     use workshare_sim::MachineConfig;
     use workshare_storage::{IoMode, StorageConfig};
 
-    fn setup_sized(dima_rows: i64, dimb_rows: i64) -> (Machine, StorageManager) {
+    pub(crate) fn setup_sized(dima_rows: i64, dimb_rows: i64) -> (Machine, StorageManager) {
         let m = Machine::new(MachineConfig {
             cores: 8,
             ..Default::default()
@@ -1333,7 +1333,7 @@ mod tests {
         setup_sized(10, 7)
     }
 
-    fn query(id: u64, a_even_only: bool) -> StarQuery {
+    pub(crate) fn query(id: u64, a_even_only: bool) -> StarQuery {
         StarQuery {
             id,
             fact: "fact".into(),
@@ -1739,7 +1739,7 @@ mod tests {
     /// shared-scan admission must be behaviorally identical to the retained
     /// per-query serial path across random query mixes, dimension subsets,
     /// page counts, and arrival patterns.
-    mod shared_admission_oracle {
+    pub(crate) mod shared_admission_oracle {
         use super::*;
         use proptest::prelude::*;
 
@@ -1751,7 +1751,7 @@ mod tests {
             }
         }
 
-        fn build_query(id: u64, pa: u8, pb: u8, subset: u8) -> StarQuery {
+        pub(crate) fn build_query(id: u64, pa: u8, pb: u8, subset: u8) -> StarQuery {
             let mut q = query(id, false);
             q.dims[0].pred = dim_pred(pa, "a");
             q.dims[1].pred = dim_pred(pb, "b");

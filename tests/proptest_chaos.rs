@@ -111,6 +111,11 @@ proptest! {
         // climbed back up where it first stepped down.
         prop_assert!(h.admission.rung <= 2, "{h:?}");
         prop_assert!(h.admission.promotions <= h.admission.demotions, "{h:?}");
+        // The admission memo is bypassed while any site is armed: a hit
+        // would skip page reads and scan ticks and shift the schedule.
+        if let (true, Some(fs)) = (faults.is_armed(), &rep.fabric) {
+            prop_assert_eq!((fs.memo_hits, fs.memo_misses), (0, 0), "{fs:?}");
+        }
         // Errors only ever come from injected faults.
         if !faults.is_armed() {
             prop_assert_eq!(rep.errors, 0, "{rep:?}");
@@ -187,6 +192,75 @@ fn heavy_fault_schedule_recovers_and_accounts_every_action() {
         "the monitor must stand up a replacement worker: {h:?}"
     );
     assert!(h.admission.promotions <= h.admission.demotions, "{h:?}");
+    let fs = rep.fabric.expect("the fabric path reports its stats");
+    assert_eq!((fs.memo_hits, fs.memo_misses), (0, 0), "{fs:?}");
+}
+
+/// The admission memo's fence. One sequential client sending three queries
+/// four times over — every window after the third would be served by the
+/// memo — under a healing plan and under a storage-only plan without healing
+/// (no health handle, so only `is_armed()` holds the fence): the memo
+/// reports nothing, and the fault schedule (a function of the page-read and
+/// scan-draw counts a hit would have skipped) is what it was before the memo
+/// existed, to the count.
+#[test]
+fn an_armed_plan_bypasses_the_admission_memo_and_keeps_its_schedule() {
+    let run = |faults: FaultPlan| {
+        let mut cfg = RunConfig::governed(ExecPolicy::Shared);
+        cfg.faults = faults;
+        let machine = Machine::new(cfg.machine_config());
+        let storage = ssb().instantiate(cfg.storage_config(), cfg.cost);
+        let engine = Engine::new(&machine, &storage, &cfg, "lineorder");
+        let e2 = engine.clone();
+        let errors = machine
+            .spawn("client", move |_| {
+                (0..12u64)
+                    .filter(|&id| {
+                        let ticket = e2.submit(&workload::ssb_q3_2(id, &mut workload::rng(id % 3)));
+                        ticket.wait();
+                        ticket.error().is_some()
+                    })
+                    .count()
+            })
+            .join()
+            .expect("client vthread panicked");
+        let fs = engine
+            .fabric_stats()
+            .expect("the fabric path reports its stats");
+        assert_eq!((fs.memo_hits, fs.memo_misses), (0, 0), "{fs:?}");
+        let h = engine.health_stats();
+        engine.shutdown();
+        (errors, fs.admission_dim_pages, h)
+    };
+    // Measured on the commit before the memo (PR 21), debug and release.
+    // The healed run's fabric pages and ladder moves are left out: which
+    // windows the monitor sends down the ladder is item 1's to pin.
+    let (errors, _, h) = run(FaultPlan {
+        seed: 7,
+        transient_page_stride: Some(13),
+        scan_stall_stride: Some(5),
+        self_heal: true,
+        ..FaultPlan::default()
+    });
+    let (st, ad) = (h.storage, h.admission);
+    assert_eq!(
+        (errors, st.injected_transient, st.retries),
+        (0, 19, 38),
+        "{h:?}"
+    );
+    assert_eq!((ad.injected_stalls, ad.redispatches), (8, 4), "{h:?}");
+    let (errors, pages, h) = run(FaultPlan {
+        seed: 7,
+        transient_page_stride: Some(13),
+        self_heal: false,
+        ..FaultPlan::default()
+    });
+    assert_eq!(
+        (errors, pages, h.storage.injected_transient),
+        (10, 68, 17),
+        "{h:?}"
+    );
+    assert_eq!(h.storage.retries, 0, "{h:?}");
 }
 
 /// No-recovery baseline: the same storage fault schedule with `self_heal`

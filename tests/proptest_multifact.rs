@@ -3,17 +3,21 @@
 //! and aggregates on the sharded governed engine — under the cross-stage
 //! admission fabric and under per-stage admission pools — and the per-query
 //! Volcano oracle, mirroring the `scalar_filter` / `serial_admission`
-//! oracle pattern.
+//! oracle pattern. The same holds for an engine that stays up while queries
+//! come and go, where the fabric's admission memo — filled by a window of
+//! either stage — stands in for most dimension scans.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use workshare::harness::run_batch;
-use workshare::{ExecPolicy, NamedConfig, RunConfig, StarQuery};
+use workshare::{Engine, ExecPolicy, FabricStats, NamedConfig, RunConfig, StarQuery};
+use workshare_cjoin::CjoinStats;
 use workshare_common::value::Row;
 use workshare_common::{AggSpec, ColRef, DimJoin, OrderKey, Predicate, Value};
 use workshare_datagen::{customer_schema, date_schema, supplier_schema, NATIONS};
+use workshare_sim::Machine;
 
 fn ssb2() -> &'static workshare::Dataset {
     static D: OnceLock<workshare::Dataset> = OnceLock::new();
@@ -99,8 +103,154 @@ fn results_of(cfg: &RunConfig, queries: &[StarQuery]) -> Vec<Vec<Row>> {
         .collect()
 }
 
+/// Run `queries` on one governed engine from `clients` closed-loop clients
+/// (query `i` is client `i % clients`'s, each client one query at a time):
+/// rows in query order, the stages' summed counters, the fabric's.
+fn drive(
+    cfg: &RunConfig,
+    queries: &[StarQuery],
+    clients: usize,
+) -> (Vec<Vec<Row>>, CjoinStats, Option<FabricStats>) {
+    let machine = Machine::new(cfg.machine_config());
+    let storage = ssb2().instantiate(cfg.storage_config(), cfg.cost);
+    let engine = Engine::new(&machine, &storage, cfg, "lineorder");
+    let handles: Vec<_> = (0..clients)
+        .map(|c| {
+            let engine = engine.clone();
+            let mine: Vec<(usize, StarQuery)> = queries
+                .iter()
+                .cloned()
+                .enumerate()
+                .skip(c)
+                .step_by(clients)
+                .collect();
+            machine.spawn(&format!("client-{c}"), move |_| {
+                mine.into_iter()
+                    .map(|(i, q)| {
+                        let ticket = engine.submit(&q);
+                        let rows = (*ticket.wait()).clone();
+                        assert_eq!(ticket.error(), None, "query {i}");
+                        (i, rows)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut rows: Vec<(usize, Vec<Row>)> = handles
+        .into_iter()
+        .flat_map(|h| h.join().expect("client vthread panicked"))
+        .collect();
+    rows.sort_by_key(|(i, _)| *i);
+    let stats = engine.cjoin_stats().expect("a governed engine has stages");
+    let fabric = engine.fabric_stats();
+    engine.shutdown();
+    (rows.into_iter().map(|(_, r)| r).collect(), stats, fabric)
+}
+
+fn customer_nation(nation: &str, fact: &str, fk: &str) -> StarQuery {
+    StarQuery {
+        id: 0,
+        fact: fact.into(),
+        fact_pred: Predicate::True,
+        dims: vec![DimJoin {
+            dim: "customer".into(),
+            fact_fk: fk.into(),
+            dim_pk: "c_custkey".into(),
+            pred: Predicate::eq(customer_schema().col("c_nation"), Value::str(nation)),
+            payload: vec!["c_city".into()],
+        }],
+        group_by: vec![ColRef::dim(0, "c_city")],
+        aggs: vec![AggSpec::sum(ColRef::fact("lo_revenue"))],
+        order_by: vec![OrderKey {
+            output_idx: 0,
+            desc: false,
+        }],
+    }
+}
+
+/// The memo is keyed on the predicate's value, its table and its key
+/// column — and on nothing else. Warm it with `c_nation = 'FRANCE'`; then
+/// another nation, the same predicate over `supplier` (`s_nation` sits at
+/// `c_nation`'s column index, so the `Predicate`s are equal), the warm
+/// predicate through a second foreign key, and on the second fact table.
+#[test]
+fn the_memo_is_keyed_on_table_key_column_and_predicate_value() {
+    let france = customer_nation("FRANCE", "lineorder", "lo_custkey");
+    let mut supplier = customer_nation("FRANCE", "lineorder", "lo_suppkey");
+    supplier.dims[0].dim = "supplier".into();
+    supplier.dims[0].dim_pk = "s_suppkey".into();
+    supplier.dims[0].payload = vec!["s_city".into()];
+    supplier.group_by = vec![ColRef::dim(0, "s_city")];
+    assert_eq!(supplier.dims[0].pred, france.dims[0].pred);
+    let mut queries = vec![
+        france.clone(),
+        customer_nation("GERMANY", "lineorder", "lo_custkey"),
+        supplier,
+        // Supplier keys are customer keys too (there are fewer suppliers).
+        customer_nation("FRANCE", "lineorder", "lo_suppkey"),
+        customer_nation("FRANCE", "lineorder2", "lo_custkey"),
+        france,
+    ];
+    for (i, q) in queries.iter_mut().enumerate() {
+        q.id = i as u64;
+    }
+    let reference = results_of(&RunConfig::named(NamedConfig::Volcano), &queries);
+    let (rows, _, fabric) = drive(&RunConfig::governed(ExecPolicy::Shared), &queries, 1);
+    for (i, (got, want)) in rows.iter().zip(&reference).enumerate() {
+        assert_eq!(got, want, "query {i} diverged from Volcano");
+    }
+    // Second foreign key, second fact table (an entry a `lineorder` window
+    // filled serves `lineorder2`'s stage) and the repeat hit; the rest miss.
+    let fs = fabric.expect("a governed engine runs a fabric");
+    assert_eq!((fs.memo_misses, fs.memo_hits), (3, 3), "{fs:?}");
+    assert!(fs.memo_bytes > 0 && fs.memo_evicted_bytes == 0, "{fs:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// An engine that stays up: a random two-fact sequence with repeats,
+    /// one query at a time and from 8 concurrent clients, equals Volcano
+    /// row for row while the memo serves every repeated `(dimension,
+    /// predicate)` — whichever stage's window filled it — and the stages'
+    /// logical counters are the serial oracle's.
+    #[test]
+    fn a_warm_memo_serves_both_stages_like_the_oracle(
+        distinct in proptest::collection::vec(arb_query(), 1..5),
+        picks in proptest::collection::vec(0usize..5, 2..10),
+    ) {
+        let mut queries: Vec<StarQuery> =
+            picks.iter().map(|&p| distinct[p % distinct.len()].clone()).collect();
+        for (i, q) in queries.iter_mut().enumerate() {
+            q.id = i as u64;
+        }
+        let reference = results_of(&RunConfig::named(NamedConfig::Volcano), &queries);
+        let cfg = RunConfig::governed(ExecPolicy::Shared);
+        let (rows, stats, fabric) = drive(&cfg, &queries, 1);
+        prop_assert_eq!(&rows, &reference, "one at a time");
+        let fs = fabric.expect("a governed engine runs a fabric");
+        let mut keys: Vec<(&str, &Predicate)> = queries
+            .iter()
+            .flat_map(|q| q.dims.iter().map(|d| (d.dim.as_str(), &d.pred)))
+            .collect();
+        let parts = keys.len() as u64;
+        keys.sort_by_key(|(dim, pred)| (*dim, format!("{pred:?}")));
+        keys.dedup();
+        prop_assert_eq!((fs.memo_misses, fs.memo_hits), (keys.len() as u64, parts - keys.len() as u64));
+
+        let mut serial_cfg = cfg;
+        serial_cfg.cjoin_serial_admission = true;
+        let (serial_rows, serial_stats, _) = drive(&serial_cfg, &queries, 1);
+        prop_assert_eq!(&serial_rows, &reference, "serial oracle");
+        prop_assert_eq!(
+            (stats.admitted, stats.admission_dim_rows),
+            (serial_stats.admitted, serial_stats.admission_dim_rows),
+            "logical admission counters are memo-invariant"
+        );
+
+        let (rows, _, _) = drive(&cfg, &queries, 8);
+        prop_assert_eq!(&rows, &reference, "8 concurrent clients");
+    }
 
     /// Sharded per-fact stages vs. the per-query Volcano oracle: identical
     /// joined rows and aggregates for every query of a random two-fact
