@@ -40,7 +40,7 @@ pub struct Figure {
     pub run: fn(Scale) -> Vec<Row>,
 }
 
-pub const FIGURES: [Figure; 12] = [
+pub const FIGURES: [Figure; 11] = [
     Figure {
         id: "fig06",
         title: "Figure 6 (§4): identical TPC-H Q1, push SP (FIFO) vs pull SP (SPL)",
@@ -95,11 +95,6 @@ pub const FIGURES: [Figure; 12] = [
         id: "ablation_prediction",
         title: "Ablation (§1.3, §4): prediction model for push-based SP vs SPL",
         run: ablation_prediction,
-    },
-    Figure {
-        id: "ablation_shared_agg",
-        title: "Ablation (§2.4): shared aggregation in the GQP distributor",
-        run: ablation_shared_agg,
     },
 ];
 
@@ -532,30 +527,6 @@ fn ablation_prediction(_: Scale) -> Vec<Row> {
             let mut cfg = RunConfig::named(engine);
             (cfg.exchange, cfg.cs_prediction) = (exchange, cs_prediction);
             out.put(RESPONSE, n, label, ms(&run(&dataset, cfg, &q1_batch(n))));
-        }
-    }
-    out.rows
-}
-
-fn ablation_shared_agg(_: Scale) -> Vec<Row> {
-    let mut out = Rows::of("ablation_shared_agg");
-    let dataset = Dataset::ssb(1.0, 42);
-    let saved = Panel("cores used, shared-agg minus plain", "delta_cores", "cores");
-    for &n in &pow2_sweep(128)[2..] {
-        let queries = workload::limited_plans(n, 16, 9, workload::ssb_q3_2);
-        for engine in [Cjoin, CjoinSp] {
-            let mut cores = [0.0; 2];
-            for cjoin_shared_agg in [false, true] {
-                let suffix = if cjoin_shared_agg { "+shared-agg" } else { "" };
-                let mut cfg = RunConfig::named(engine);
-                cfg.cjoin_shared_agg = cjoin_shared_agg;
-                let rep = run(&dataset, cfg, &queries);
-                out.put(RESPONSE, n, format!("{}{suffix}", engine.label()), ms(&rep));
-                cores[cjoin_shared_agg as usize] = rep.avg_cores_used;
-            }
-            if engine == Cjoin {
-                out.put(saved, n, "CJOIN", cores[1] - cores[0]);
-            }
         }
     }
     out.rows

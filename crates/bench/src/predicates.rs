@@ -539,15 +539,6 @@ pub const PREDICATES: &[Predicate] = &[
         check: |r| everywhere(r, |x| within(r, x, "CS (SPL)", 1.10, "Predict (FIFO)")),
         expected: Holds,
     },
-    Predicate {
-        id: "ablation_shared_agg.never_slower",
-        panel: RESPONSE,
-        paper_claim: "Aggregating inside the GQP's distributor (DataPath, §2.4) saves an \
-                      exchange hop and a packet thread per query: CJOIN+shared-agg ≤ CJOIN at \
-                      every point",
-        check: |r| everywhere(r, |x| !below(r, x, "CJOIN", "CJOIN+shared-agg")),
-        expected: Marginal,
-    },
 ];
 
 #[cfg(test)]

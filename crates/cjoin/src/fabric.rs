@@ -851,8 +851,8 @@ fn supervise_subscans(
 mod tests {
     use super::*;
     use crate::stage::tests::shared_admission_oracle::build_query;
-    use crate::stage::tests::{query, setup_sized};
-    use crate::stage::{AdmissionSink, CjoinConfig, CjoinStats};
+    use crate::stage::tests::{bound_for, query, setup_sized};
+    use crate::stage::{CjoinConfig, CjoinStats};
     use proptest::prelude::*;
     use workshare_common::value::Row;
     use workshare_common::{CostModel, StarQuery};
@@ -886,7 +886,8 @@ mod tests {
                 m.spawn(&format!("client-{c}"), move |ctx| {
                     mine.into_iter()
                         .map(|(i, q)| {
-                            let (bound, outp) = (st.bound_for(&q), st.submit(&q));
+                            let bound = bound_for(&st, &q);
+                            let outp = st.submit(&q, Arc::clone(&bound));
                             let rows = run_aggregate(
                                 ctx,
                                 outp.reader,
@@ -1063,13 +1064,8 @@ mod tests {
                         .map(|&id| {
                             let q = query(id, true);
                             Admission {
-                                bound: st.bound_for(&q),
-                                sink: AdmissionSink::Stream(Exchange::new(
-                                    ExchangeKind::Spl,
-                                    &st.inner.machine,
-                                    cost,
-                                    1,
-                                )),
+                                bound: bound_for(&st, &q),
+                                out: Exchange::new(ExchangeKind::Spl, &st.inner.machine, cost, 1),
                                 sig: q.cjoin_signature(),
                                 fault: Arc::new(Mutex::new(None)),
                                 query: q,

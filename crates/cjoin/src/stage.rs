@@ -5,11 +5,10 @@
 // `workshare_common::sync` and docs/TESTING.md).
 use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
 
-use workshare_common::agg::Aggregator;
 use workshare_common::bind::BoundQuery;
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
-use workshare_common::{CostModel, OrderKey, Predicate, QueryBitmap, SelVec, StarQuery};
+use workshare_common::{CostModel, Predicate, QueryBitmap, SelVec, StarQuery};
 
 use crate::admission::{admit_batch_serial, admit_batch_shared};
 use crate::epoch::EpochCell;
@@ -22,8 +21,6 @@ use crate::filter::{
 };
 use workshare_qpipe::batch::BatchBuilder;
 use workshare_qpipe::exchange::{Exchange, ExchangeKind, ExchangeReader};
-use workshare_qpipe::ops::finish_aggregate;
-use workshare_qpipe::SlotResult;
 use workshare_sim::{CostKind, Machine, SimCtx, SimQueue, WaitSet};
 use workshare_storage::{StorageManager, TableId};
 
@@ -36,12 +33,6 @@ pub struct CjoinConfig {
     pub cap_pages: usize,
     /// Enable SP over identical CJOIN packets (`CJOIN-SP`).
     pub sp: bool,
-    /// DataPath-style **shared aggregation** (paper §2.4: "DataPath also
-    /// adds support for a shared aggregate operator, that calculates a
-    /// running sum for each group and query"): the distributor folds tuples
-    /// directly into per-query aggregators instead of streaming joined
-    /// tuples to query-centric aggregation packets.
-    pub shared_aggregation: bool,
     /// Use the retained tuple-at-a-time filter kernel instead of the
     /// vectorized batch kernel ([`crate::filter`]). The scalar path is the
     /// behavioral reference: property tests assert both produce identical
@@ -68,7 +59,6 @@ impl Default for CjoinConfig {
             exchange: ExchangeKind::Spl,
             cap_pages: 8,
             sp: false,
-            shared_aggregation: false,
             scalar_filter: false,
             serial_admission: false,
             faults: CjoinFaultPlan::default(),
@@ -197,24 +187,6 @@ pub struct CjoinOutput {
 // Internal state
 // ---------------------------------------------------------------------------
 
-
-/// Where a query's joined tuples go.
-enum Sink {
-    /// Stream joined pages to a per-query exchange (the paper's design:
-    /// query-centric operators above CJOIN).
-    Stream {
-        out: Exchange,
-        builder: Mutex<BatchBuilder>,
-    },
-    /// Fold tuples into a per-query aggregator inside the distributor
-    /// (the DataPath shared-aggregate extension).
-    Agg {
-        agg: Mutex<Aggregator>,
-        order: Vec<OrderKey>,
-        result: Arc<SlotResult>,
-    },
-}
-
 pub(crate) struct QueryRuntime {
     slot: u32,
     qid: u64,
@@ -223,7 +195,11 @@ pub(crate) struct QueryRuntime {
     fact_pred: Predicate,
     /// `(filter index, dim-schema payload column indices)` per query dim.
     dim_filters: Vec<(usize, Vec<usize>)>,
-    sink: Sink,
+    /// The query's way out of the stage: joined pages on its own exchange
+    /// (the paper's design — the operators above CJOIN are query-centric),
+    /// batched by `builder` across fact pages and distributor parts.
+    out: Exchange,
+    builder: Mutex<BatchBuilder>,
     /// Fact pages still to be processed by the distributor before this
     /// query completes (initialized to one full wrap).
     process_left: AtomicU64,
@@ -274,19 +250,12 @@ pub(crate) struct GqpControl {
     pub(crate) next_slot: u32,
 }
 
-/// Where an admitted query's output will go: the per-query exchange its
-/// tail reads, or the slot its shared aggregate is published in. Also what
-/// an SP satellite of the query attaches to.
-#[derive(Clone)]
-pub(crate) enum AdmissionSink {
-    Stream(Exchange),
-    Agg(Arc<SlotResult>),
-}
-
 pub(crate) struct Admission {
     pub(crate) query: StarQuery,
     pub(crate) bound: Arc<BoundQuery>,
-    pub(crate) sink: AdmissionSink,
+    /// The per-query exchange the query's tail reads — also what an SP
+    /// satellite of the query attaches to.
+    pub(crate) out: Exchange,
     pub(crate) sig: u64,
     pub(crate) fault: FaultCell,
 }
@@ -295,15 +264,12 @@ impl Admission {
     /// Surface a typed admission failure on this query: record the error on
     /// the shared fault cell, drop the SP-registry host entry (so later
     /// identical queries admit fresh instead of attaching to a dead host),
-    /// and wake the sink's waiters — a closed empty stream or a poisoned
-    /// result slot. Never a hang, never an abort.
+    /// and wake the readers with a closed, empty stream. Never a hang,
+    /// never an abort.
     pub(crate) fn fail(&self, inner: &StageInner, msg: &str) {
         set_fault(&self.fault, msg);
         inner.retire_host(self.sig, self.query.id);
-        match &self.sink {
-            AdmissionSink::Stream(out) => out.close(),
-            AdmissionSink::Agg(result) => result.complete_error(msg, inner.machine.now_ns()),
-        }
+        self.out.close();
     }
 }
 
@@ -384,10 +350,10 @@ pub(crate) struct StageInner {
     /// flag alone is not a wakeup — `shutdown` also notifies `wake` and
     /// closes the queues so parked threads re-check it.
     shutdown: AtomicBool,
-    /// SP hosts by CJOIN signature: the host's query id, its sink, and its
-    /// fault cell — satellites that attach to the sink share the host's
-    /// error outcome too.
-    sp_registry: Mutex<FxHashMap<u64, (u64, AdmissionSink, FaultCell)>>,
+    /// SP hosts by CJOIN signature: the host's query id, its exchange, and
+    /// its fault cell — satellites that attach to the exchange share the
+    /// host's error outcome too.
+    sp_registry: Mutex<FxHashMap<u64, (u64, Exchange, FaultCell)>>,
     pub(crate) admitted: AtomicU64,
     pub(crate) admission_batches: AtomicU64,
     sp_shares: AtomicU64,
@@ -533,24 +499,15 @@ impl CjoinStage {
         stage
     }
 
-    pub(crate) fn bound_for(&self, q: &StarQuery) -> Arc<BoundQuery> {
-        let bound = self.inner.storage.bind_query(q);
-        Arc::new(bound.unwrap_or_else(|e| panic!("bind failed for query {}: {e}", q.id)))
-    }
-
-    /// The submission path both [`CjoinStage::submit`] flavours share.
-    /// `attach` turns a sink into the caller's handle on it, or declines
-    /// (wrong flavour, window of opportunity closed). With SP enabled, a
-    /// query identical to an in-flight host is handed the host's sink and
-    /// skips admission; otherwise the query is bound, its `new_sink` is
-    /// registered as a host and queued for the next admission batch. The
-    /// flag says whether the handle is a satellite's.
-    fn enqueue<H>(
-        &self,
-        q: &StarQuery,
-        new_sink: impl FnOnce(&StageInner) -> AdmissionSink,
-        attach: impl Fn(&AdmissionSink, &FaultCell) -> Option<H>,
-    ) -> (H, bool) {
+    /// Submit the join part of a star query, bound by the caller (the
+    /// engine's driver binds once per query); returns a reader over joined
+    /// tuples. With SP enabled, a query identical to an in-flight CJOIN
+    /// packet whose output has not started attaches to the host's exchange
+    /// (step WoP) and skips admission; the satellite shares the host's
+    /// fault cell: if the host's admission fails, every attached reader
+    /// sees the same typed error. Otherwise the query is registered as a
+    /// host and queued for the next admission batch.
+    pub fn submit(&self, q: &StarQuery, bound: Arc<BoundQuery>) -> CjoinOutput {
         let inner = &self.inner;
         assert_eq!(
             inner.storage.table(&q.fact),
@@ -560,97 +517,43 @@ impl CjoinStage {
         let sig = q.cjoin_signature();
         if inner.config.sp {
             let registry = inner.sp_registry.lock();
-            let host = registry.get(&sig);
-            if let Some(handle) = host.and_then(|(_, sink, fault)| attach(sink, fault)) {
-                inner.sp_shares.fetch_add(1, Ordering::Relaxed);
-                return (handle, true);
+            if let Some((_, host, fault)) = registry.get(&sig) {
+                if host.emitted() == 0 && !host.is_closed() {
+                    inner.sp_shares.fetch_add(1, Ordering::Relaxed);
+                    return CjoinOutput {
+                        reader: host.attach(None),
+                        fault: Arc::clone(fault),
+                    };
+                }
             }
         }
-        let bound = self.bound_for(q);
-        let sink = new_sink(inner);
+        let out = Exchange::new(
+            inner.config.exchange,
+            &inner.machine,
+            inner.cost,
+            inner.config.cap_pages,
+        );
         let fault: FaultCell = Arc::new(Mutex::new(None));
-        // The submitter's own handle is attached before the query can be
-        // admitted, so it misses nothing the sink will carry.
-        let handle = attach(&sink, &fault).expect("a fresh sink takes its own reader");
+        // The submitter's own reader is attached before the query can be
+        // admitted, so it misses nothing the exchange will carry.
+        let reader = out.attach(None);
         if inner.config.sp {
             // Register the host at submit time so that identical queries in
             // the same submission batch can attach before admission runs.
             inner
                 .sp_registry
                 .lock()
-                .insert(sig, (q.id, sink.clone(), Arc::clone(&fault)));
+                .insert(sig, (q.id, out.clone(), Arc::clone(&fault)));
         }
         inner.pending.push(Admission {
             query: q.clone(),
             bound,
-            sink,
+            out,
             sig,
-            fault,
+            fault: Arc::clone(&fault),
         });
         inner.wake.notify_all();
-        (handle, false)
-    }
-
-    /// Submit the join part of a star query; returns a reader over joined
-    /// tuples. With SP enabled, a query identical to an in-flight CJOIN
-    /// packet attaches to the host's output (step WoP) and skips admission;
-    /// the satellite shares the host's fault cell: if the host's admission
-    /// fails, every attached reader sees the same typed error.
-    pub fn submit(&self, q: &StarQuery) -> CjoinOutput {
-        let new_sink = |inner: &StageInner| {
-            AdmissionSink::Stream(Exchange::new(
-                inner.config.exchange,
-                &inner.machine,
-                inner.cost,
-                inner.config.cap_pages,
-            ))
-        };
-        let attach = |sink: &AdmissionSink, fault: &FaultCell| match sink {
-            AdmissionSink::Stream(ex) if ex.emitted() == 0 && !ex.is_closed() => {
-                Some(CjoinOutput {
-                    reader: ex.attach(None),
-                    fault: Arc::clone(fault),
-                })
-            }
-            _ => None,
-        };
-        self.enqueue(q, new_sink, attach).0
-    }
-
-    /// Submit a star query with **shared aggregation**: the distributor
-    /// folds this query's tuples into a per-query aggregator; the returned
-    /// slot yields the buffered final rows, or the typed error of a fault
-    /// that failed the query. With SP enabled, an identical in-flight query
-    /// shares the host's buffered result (full step WoP: reuse is possible
-    /// at any time during the host's evaluation, §3.1).
-    pub fn submit_aggregated(&self, q: &StarQuery) -> Arc<SlotResult> {
-        let machine = &self.inner.machine;
-        let new_sink = |inner: &StageInner| {
-            AdmissionSink::Agg(SlotResult::new(&inner.machine, inner.machine.now_ns()))
-        };
-        let attach = |sink: &AdmissionSink, _: &FaultCell| match sink {
-            AdmissionSink::Agg(result) if !result.is_done() => Some(Arc::clone(result)),
-            _ => None,
-        };
-        let (host, is_satellite) = self.enqueue(q, new_sink, attach);
-        if !is_satellite {
-            return host;
-        }
-        let satellite = SlotResult::new(machine, machine.now_ns());
-        let sat2 = Arc::clone(&satellite);
-        let cost = self.inner.cost;
-        machine.spawn(&format!("cj-agg-sat-q{}", q.id), move |ctx| {
-            let rows = host.wait();
-            ctx.charge(CostKind::Copy, cost.copy_cost(rows.len() * 64));
-            let now = ctx.machine().now_ns();
-            // A host that failed with a typed error fails its satellites
-            // with the same error.
-            match host.error() {
-                Some(msg) => sat2.complete_error(msg, now),
-                None => sat2.complete(rows, now),
-            }
-        });
-        satellite
+        CjoinOutput { reader, fault }
     }
 
     /// Stage statistics.
@@ -1009,7 +912,6 @@ impl CjoinStage {
                     let rows = &batch.rows;
                     let mut routed = 0u64;
                     let mut out_rows = 0u64;
-                    let mut agg_rows = 0u64;
                     for qrt in &runtimes {
                         // Routing column: survivors carrying this query's
                         // bit (extracted as one pass over the bank).
@@ -1029,7 +931,11 @@ impl CjoinStage {
                             &mut pred_sel,
                         );
                         out_rows += pred_sel.count() as u64;
-                        let route_query = |sink_rows: &mut dyn FnMut(Row)| {
+                        // Joined pages are collected under the builder
+                        // lock and emitted once it is released.
+                        let mut pages = Vec::new();
+                        {
+                            let mut builder = qrt.builder.lock();
                             for j in pred_sel.iter_ones() {
                                 let row = &rows[page.selected[j] as usize];
                                 let mut joined = qrt.bound.project_fact(row);
@@ -1041,32 +947,13 @@ impl CjoinStage {
                                         joined.push(dim_row[ci].clone());
                                     }
                                 }
-                                sink_rows(joined);
-                            }
-                        };
-                        let mut pages = Vec::new();
-                        match &qrt.sink {
-                            Sink::Stream { out, builder } => {
-                                {
-                                    let mut builder = builder.lock();
-                                    route_query(&mut |joined| {
-                                        if let Some(full) = builder.push(joined) {
-                                            pages.push(full);
-                                        }
-                                    });
-                                }
-                                for p in pages {
-                                    out.emit(ctx, p);
+                                if let Some(full) = builder.push(joined) {
+                                    pages.push(full);
                                 }
                             }
-                            Sink::Agg { agg, .. } => {
-                                let mut guard = agg.lock();
-                                let before = guard.rows_in();
-                                route_query(&mut |joined| {
-                                    guard.update(&joined);
-                                });
-                                agg_rows += guard.rows_in() - before;
-                            }
+                        }
+                        for p in pages {
+                            qrt.out.emit(ctx, p);
                         }
                     }
                     ctx.charge_many(&[
@@ -1078,19 +965,16 @@ impl CjoinStage {
                             CostKind::Join,
                             inner.cost.join_output_tuple_ns * out_rows as f64,
                         ),
-                        (
-                            CostKind::Aggregation,
-                            inner.cost.agg_update_tuple_ns * agg_rows as f64,
-                        ),
                     ]);
                     // Completion bookkeeping: the part that processes a
                     // query's last page finalizes it. **Ordering
                     // invariant**: the decrement is `AcqRel` so the winner
                     // (the part that observes the count hit zero) acquires
-                    // every other part's released writes — the sink updates
-                    // they made before their own decrement — before
-                    // `finalize_query` reads the aggregator. `Relaxed`
-                    // would let finalization read a stale aggregate.
+                    // every other part's released writes — the rows they
+                    // pushed and the pages they emitted before their own
+                    // decrement — before `finalize_query` flushes the tail
+                    // page and closes the exchange. `Relaxed` would let
+                    // finalization close ahead of another part's page.
                     for qrt in &runtimes {
                         if qrt.process_left.fetch_sub(1, Ordering::AcqRel) == 1 {
                             finalize_query(&inner, ctx, qrt);
@@ -1142,7 +1026,7 @@ pub(crate) fn locate_filter(
     fi
 }
 
-/// Activate one admitted query: build its sink/runtime, publish it in the
+/// Activate one admitted query: build its runtime, publish it in the
 /// next filter epoch (distributor visibility), then raise its wrap-ledger
 /// bit (preprocessor visibility). The publish is sequenced **before** the
 /// activation — entries-then-activate ([`crate::epoch`]): a scan that
@@ -1153,17 +1037,6 @@ pub(crate) fn activate_query(
     slot: u32,
     dim_filters: Vec<(usize, Vec<usize>)>,
 ) {
-    let sink = match &adm.sink {
-        AdmissionSink::Stream(out) => Sink::Stream {
-            out: out.clone(),
-            builder: Mutex::new(BatchBuilder::new()),
-        },
-        AdmissionSink::Agg(result) => Sink::Agg {
-            agg: Mutex::new(Aggregator::new(&adm.bound)),
-            order: adm.query.order_by.clone(),
-            result: Arc::clone(result),
-        },
-    };
     let qrt = Arc::new(QueryRuntime {
         slot,
         qid: adm.query.id,
@@ -1171,7 +1044,8 @@ pub(crate) fn activate_query(
         bound: Arc::clone(&adm.bound),
         fact_pred: adm.query.fact_pred.clone(),
         dim_filters,
-        sink,
+        out: adm.out.clone(),
+        builder: Mutex::new(BatchBuilder::new()),
         process_left: AtomicU64::new(inner.fact_pages.max(1)),
         fault: Arc::clone(&adm.fault),
     });
@@ -1241,30 +1115,13 @@ pub(crate) fn release_slot(c: &mut GqpControl, e: &mut FilterEpoch, slot: u32) {
 }
 
 fn finalize_query(inner: &StageInner, ctx: &SimCtx, qrt: &QueryRuntime) {
-    let fault = qrt.fault.lock().clone();
-    match &qrt.sink {
-        Sink::Stream { out, builder } => {
-            // Flush the tail page and close the packet's output.
-            if let Some(rest) = builder.lock().flush() {
-                out.emit(ctx, rest);
-            }
-            out.close();
-        }
-        Sink::Agg { agg, order, result } => {
-            // Finalize the shared aggregate: sort and buffer the rows.
-            let mut done = Aggregator::new(&qrt.bound);
-            std::mem::swap(&mut *agg.lock(), &mut done);
-            let rows = finish_aggregate(ctx, done, order, &inner.cost);
-            let now = ctx.machine().now_ns();
-            match fault {
-                // A faulted query's partial aggregate is unsound — fail the
-                // result (waiters wake with the typed error) instead of
-                // publishing it.
-                Some(msg) => result.complete_error(msg, now),
-                None => result.complete(Arc::new(rows), now),
-            }
-        }
+    // Flush the tail page and close the packet's output. A fault recorded
+    // on the query's cell is the reader's to check once the stream ends.
+    let rest = qrt.builder.lock().flush();
+    if let Some(rest) = rest {
+        qrt.out.emit(ctx, rest);
     }
+    qrt.out.close();
     // Remove from the GQP: publish an epoch without the query — its bit
     // cleared from every filter entry, empty entries dropped, the slot
     // released for reuse.
@@ -1285,9 +1142,17 @@ pub(crate) mod tests {
     };
     use workshare_qpipe::ops::run_aggregate;
     use workshare_sim::MachineConfig;
-    use workshare_storage::{IoMode, StorageConfig};
+    use workshare_storage::{IoMode, StorageConfig, StorageFaultPlan};
 
     pub(crate) fn setup_sized(dima_rows: i64, dimb_rows: i64) -> (Machine, StorageManager) {
+        setup_faulted(dima_rows, dimb_rows, StorageFaultPlan::default())
+    }
+
+    fn setup_faulted(
+        dima_rows: i64,
+        dimb_rows: i64,
+        faults: StorageFaultPlan,
+    ) -> (Machine, StorageManager) {
         let m = Machine::new(MachineConfig {
             cores: 8,
             ..Default::default()
@@ -1295,6 +1160,7 @@ pub(crate) mod tests {
         let sm = StorageManager::new(
             StorageConfig {
                 io_mode: IoMode::Memory,
+                faults,
                 ..Default::default()
             },
             CostModel::default(),
@@ -1331,6 +1197,12 @@ pub(crate) mod tests {
 
     fn setup() -> (Machine, StorageManager) {
         setup_sized(10, 7)
+    }
+
+    /// Bind `q` against the stage's catalog, as the engine's driver does
+    /// before it submits.
+    pub(crate) fn bound_for(stage: &CjoinStage, q: &StarQuery) -> Arc<BoundQuery> {
+        Arc::new(stage.inner.storage.bind_query(q).expect("fixture queries bind"))
     }
 
     pub(crate) fn query(id: u64, a_even_only: bool) -> StarQuery {
@@ -1431,8 +1303,8 @@ pub(crate) mod tests {
                     if qi > 0 && interarrival_ns > 0.0 {
                         ctx.sleep(interarrival_ns);
                     }
-                    let bound = st.bound_for(q);
-                    let outp = st.submit(q);
+                    let bound = bound_for(&st, q);
+                    let outp = st.submit(q, Arc::clone(&bound));
                     let order = q.order_by.clone();
                     let cost = st.inner.cost;
                     jobs.push(ctx.machine().spawn(&format!("agg-q{}", q.id), move |ctx| {
@@ -1490,19 +1362,78 @@ pub(crate) mod tests {
         assert_eq!(stats.sp_shares, 0);
     }
 
-    #[test]
-    fn sp_shares_identical_packets() {
-        let config = CjoinConfig {
+    /// CJOIN-SP; [`identical_batch`] is one batch of identical packets for it.
+    fn sp_config() -> CjoinConfig {
+        CjoinConfig {
             sp: true,
             ..Default::default()
-        };
-        let qs = vec![query(1, true), query(2, true), query(3, true)];
-        let (res, stats) = run_queries(config, qs);
+        }
+    }
+
+    fn identical_batch() -> Vec<StarQuery> {
+        vec![query(1, true), query(2, true), query(3, true)]
+    }
+
+    #[test]
+    fn sp_shares_identical_packets() {
+        let (res, stats) = run_queries(sp_config(), identical_batch());
         for r in &res {
             assert_eq!(*r, expected(true));
         }
         assert_eq!(stats.admitted, 1, "only the host is admitted");
         assert_eq!(stats.sp_shares, 2);
+    }
+
+    /// The SP contract [`CjoinStage::submit`] is written around, under a
+    /// host whose admission fails ([`sp_shares_identical_packets`] is the
+    /// fault-free twin of the same batch): satellites attached to the
+    /// host's exchange share its typed error and its end-of-stream, and a
+    /// dead host takes no more satellites.
+    #[test]
+    fn sp_satellites_share_a_failed_hosts_error_and_a_later_query_admits_fresh() {
+        // Read 0 of this storage — the host's first dimension page — is
+        // unreadable on every attempt; no other read of the run fires.
+        let faults = StorageFaultPlan {
+            seed: 17_945,
+            permanent_stride: Some(1 << 16),
+            ..Default::default()
+        };
+        let (m, sm) = setup_faulted(10, 7, faults);
+        let stage = CjoinStage::new(&m, &sm, "fact", sp_config(), CostModel::default());
+        let st = stage.clone();
+        let (errors, late) = m
+            .spawn("coord", move |ctx| {
+                // One batch: no virtual time passes between submissions, so
+                // every satellite attaches before admission runs.
+                let outputs: Vec<CjoinOutput> = identical_batch()
+                    .iter()
+                    .map(|q| st.submit(q, bound_for(&st, q)))
+                    .collect();
+                let mut errors = Vec::new();
+                for mut o in outputs {
+                    assert!(o.reader.next(ctx).is_none(), "a failed host emits nothing");
+                    errors.push(o.fault.lock().clone());
+                }
+                assert_eq!(st.stats().admitted, 0, "the host never activated");
+                // The same query again, after the failure.
+                let q = query(9, true);
+                let bound = bound_for(&st, &q);
+                let outp = st.submit(&q, Arc::clone(&bound));
+                let rows = run_aggregate(ctx, outp.reader, &bound, &q.order_by, &st.inner.cost);
+                let fault = outp.fault.lock().clone();
+                (errors, (rows, fault))
+            })
+            .join()
+            .unwrap();
+        let msg = errors[0].clone().expect("the host's admission failed");
+        assert!(msg.contains("unreadable"), "a typed storage error: {msg}");
+        assert!(errors.iter().all(|e| e.as_ref() == Some(&msg)), "{errors:?}");
+        assert_eq!(sm.fault_stats().injected_permanent, 1, "one fault, the host's");
+        assert_eq!(late, (expected(true), None), "admitted fresh, on a healthy scan");
+        let stats = stage.stats();
+        assert_eq!(stats.sp_shares, 2, "the latecomer is no share of the dead host");
+        assert_eq!(stats.admitted, 1, "the latecomer alone");
+        stage.shutdown();
     }
 
     #[test]
@@ -1554,8 +1485,8 @@ pub(crate) mod tests {
             let st = stage.clone();
             let (rows, filters) = m
                 .spawn("coord", move |ctx| {
-                    let bound = st.bound_for(&q);
-                    let outp = st.submit(&q);
+                    let bound = bound_for(&st, &q);
+                    let outp = st.submit(&q, Arc::clone(&bound));
                     let (order, cost) = (q.order_by.clone(), st.inner.cost);
                     let agg = ctx.machine().spawn("agg", move |ctx| {
                         run_aggregate(ctx, outp.reader, &bound, &order, &cost)
@@ -1686,8 +1617,7 @@ pub(crate) mod tests {
         };
         let shared = mk_stage(false);
         let serial = mk_stage(true);
-        let queries =
-            vec![query(1, false), query(2, true), query(3, false), query(4, true)];
+        let queries = [query(1, false), query(2, true), query(3, false), query(4, true)];
         let sh = shared.clone();
         let se = serial.clone();
         let snaps = m
@@ -1697,13 +1627,13 @@ pub(crate) mod tests {
                         .iter()
                         .map(|q| Admission {
                             query: q.clone(),
-                            bound: st.bound_for(q),
-                            sink: AdmissionSink::Stream(Exchange::new(
+                            bound: bound_for(st, q),
+                            out: Exchange::new(
                                 ExchangeKind::Spl,
                                 &st.inner.machine,
                                 st.inner.cost,
                                 1,
-                            )),
+                            ),
                             sig: q.cjoin_signature(),
                             fault: Arc::new(Mutex::new(None)),
                         })
@@ -1855,7 +1785,7 @@ pub(crate) mod tests {
         m.spawn("coord", move |ctx| {
             for round in 0..3 {
                 let q = query(round, false);
-                let mut outp = st.submit(&q);
+                let mut outp = st.submit(&q, bound_for(&st, &q));
                 // Drain without aggregating.
                 while outp.reader.next(ctx).is_some() {}
             }

@@ -6,12 +6,12 @@
 //!
 //! Protocol invariants, checked by the model:
 //!
-//! * Draining a pending set is one atomic take under a single lock
-//!   acquisition: every submission either rides the window that drained it
-//!   or stays pending for the next — none is lost, none runs twice. (A
-//!   clone-then-clear drain in two lock acquisitions loses submissions that
-//!   land between the two; that is the `WindowMutation::TornDrain`
-//!   mutation.)
+//! * Draining a pending set is one atomic take per shard under a single
+//!   lock acquisition: every submission either rides the window that
+//!   drained it or stays pending for the next — none is lost, none runs
+//!   twice. (A size-then-take drain in two lock acquisitions loses
+//!   submissions that land between the two; that is the
+//!   `ShardMutation::TornDrain` mutation.)
 //! * The depth ledger's add happens *before* the request is visible to a
 //!   window, and the failed-submit rollback restores it exactly, so the
 //!   governor's cross-stage pending signal never undercounts work a window
@@ -21,89 +21,6 @@
 //! the primitives for the model-checked shim.
 
 use workshare_common::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
-
-/// Test-only protocol mutations, compiled only under `--cfg interleave`.
-#[cfg(interleave)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WindowMutation {
-    /// The faithful protocol.
-    #[default]
-    None,
-    /// Drain with clone-then-clear in two lock acquisitions instead of one
-    /// atomic take: a submission that lands between the clone and the clear
-    /// is silently dropped.
-    TornDrain,
-}
-
-/// A stage's pending-admission set: submissions accumulate here until an
-/// admission worker (per-stage pool or fabric window) drains them as one
-/// batch. All methods take `&self`; share it behind the stage's `Arc`.
-pub struct PendingSlot<A> {
-    items: Mutex<Vec<A>>,
-    #[cfg(interleave)]
-    mutation: WindowMutation,
-}
-
-impl<A> PendingSlot<A> {
-    /// Empty pending set.
-    pub fn new() -> Self {
-        PendingSlot {
-            items: Mutex::new(Vec::new()),
-            #[cfg(interleave)]
-            mutation: WindowMutation::None,
-        }
-    }
-
-    /// Test-only constructor selecting a deliberately broken protocol
-    /// variant (see [`WindowMutation`]).
-    #[cfg(interleave)]
-    pub fn with_mutation(mutation: WindowMutation) -> Self {
-        PendingSlot {
-            items: Mutex::new(Vec::new()),
-            mutation,
-        }
-    }
-
-    /// Queue one submission for the next window.
-    pub fn push(&self, item: A) {
-        self.items.lock().push(item);
-    }
-
-    /// Queue a batch of submissions for the next window.
-    pub fn extend(&self, items: impl IntoIterator<Item = A>) {
-        self.items.lock().extend(items);
-    }
-
-    /// Atomically take everything pending: the window drain. One lock
-    /// acquisition — see the module invariants.
-    pub fn drain(&self) -> Vec<A> {
-        #[cfg(interleave)]
-        if self.mutation == WindowMutation::TornDrain {
-            // Torn: the lock is released between sizing the batch and
-            // taking it, so a submission landing in the gap is dropped.
-            let snapshot = self.items.lock().len();
-            let mut items = self.items.lock();
-            return items.drain(..).take(snapshot).collect();
-        }
-        std::mem::take(&mut *self.items.lock())
-    }
-
-    /// Submissions currently pending.
-    pub fn len(&self) -> usize {
-        self.items.lock().len()
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.items.lock().is_empty()
-    }
-}
-
-impl<A> Default for PendingSlot<A> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Test-only mutations of the sharded pending protocol, compiled only
 /// under `--cfg interleave`.
@@ -115,17 +32,15 @@ pub enum ShardMutation {
     None,
     /// Drain each shard with a size-then-take in two lock acquisitions
     /// instead of one atomic take per shard: a submission landing in the
-    /// gap is silently dropped — the sharded relapse of
-    /// [`WindowMutation::TornDrain`].
+    /// gap is silently dropped.
     TornDrain,
 }
 
 /// An MPMC **sharded** pending set: submissions spread over `n` independent
 /// lock shards by an atomic ticket, so concurrent producers (stage
-/// preprocessors, fabric submitters, re-queued reclaims) no longer
-/// serialize on one mutex the way [`PendingSlot`] does. Used for the
-/// stages' pending-admission sets and as the storage of the fabric's
-/// request queue ([`crate::fabric`]).
+/// preprocessors, fabric submitters, re-queued reclaims) do not serialize
+/// on one mutex. Used for the stages' pending-admission sets and as the
+/// storage of the fabric's request queue ([`crate::fabric`]).
 ///
 /// Protocol invariants, checked by the model:
 ///
@@ -396,17 +311,6 @@ impl Default for ScanAttempt {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn drain_takes_everything_once() {
-        let slot: PendingSlot<u32> = PendingSlot::new();
-        slot.push(1);
-        slot.extend([2, 3]);
-        assert_eq!(slot.len(), 3);
-        assert_eq!(slot.drain(), vec![1, 2, 3]);
-        assert!(slot.is_empty());
-        assert!(slot.drain().is_empty(), "second drain finds nothing");
-    }
 
     #[test]
     fn sharded_drain_takes_everything_once() {

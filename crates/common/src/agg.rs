@@ -65,7 +65,6 @@ pub struct Aggregator {
     group_idx: Vec<usize>,
     aggs: Vec<BoundAgg>,
     groups: FxHashMap<Vec<Value>, Vec<Acc>>,
-    rows_in: u64,
 }
 
 impl Aggregator {
@@ -75,13 +74,11 @@ impl Aggregator {
             group_idx: bound.group_idx.clone(),
             aggs: bound.aggs.clone(),
             groups: FxHashMap::default(),
-            rows_in: 0,
         }
     }
 
     /// Fold one joined row into the accumulator table.
     pub fn update(&mut self, row: &[Value]) {
-        self.rows_in += 1;
         let key: Vec<Value> = self.group_idx.iter().map(|&i| row[i].clone()).collect();
         let aggs = &self.aggs;
         let accs = self
@@ -94,11 +91,6 @@ impl Aggregator {
                 None => acc.update(0.0), // Count ignores the value
             }
         }
-    }
-
-    /// Rows folded so far.
-    pub fn rows_in(&self) -> u64 {
-        self.rows_in
     }
 
     /// Current group count.
@@ -171,7 +163,6 @@ mod tests {
         for (g, v) in [(1, 10.0), (2, 5.0), (1, 2.5), (2, 5.0)] {
             a.update(&[Value::Int(g), Value::Float(v)]);
         }
-        assert_eq!(a.rows_in(), 4);
         assert_eq!(a.group_count(), 2);
         let out = a.finish(&[OrderKey {
             output_idx: 0,

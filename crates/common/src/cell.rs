@@ -1,7 +1,7 @@
 //! One-shot completion cell: the publish-then-flag protocol behind every
-//! engine's result slot (`workshare_qpipe::SlotResult` — QPipe handles,
-//! CJOIN's shared-aggregate results and the core `Ticket` are all that one
-//! slot), extracted so the deterministic interleaving checker
+//! engine's result slot (`workshare_qpipe::SlotResult`, which the core
+//! `Ticket` is a struct over whichever route ran the query), extracted so
+//! the deterministic interleaving checker
 //! (`tests/interleave_core.rs`) can race a completing producer, a poisoning
 //! error path (the slot's `CompletionGuard` dropping), and a polling waiter
 //! exhaustively.

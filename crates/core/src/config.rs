@@ -298,9 +298,6 @@ pub struct RunConfig {
     pub io_mode: IoMode,
     /// Buffer-pool capacity in pages (`None` = large default).
     pub buffer_pool_pages: Option<usize>,
-    /// DataPath-style shared aggregation inside the CJOIN distributor
-    /// (extension; see `workshare_cjoin::CjoinConfig::shared_aggregation`).
-    pub cjoin_shared_agg: bool,
     /// Run CJOIN with the retained tuple-at-a-time filter kernel instead of
     /// the vectorized batch kernel (the property tests' reference path; see
     /// `workshare_cjoin::CjoinConfig::scalar_filter`).
@@ -354,7 +351,6 @@ impl Default for RunConfig {
             exchange: ExchangeKind::Spl,
             io_mode: IoMode::Memory,
             buffer_pool_pages: None,
-            cjoin_shared_agg: false,
             cjoin_scalar_filter: false,
             cjoin_serial_admission: false,
             cs_prediction: false,
@@ -454,7 +450,6 @@ impl RunConfig {
         CjoinConfig {
             exchange: self.exchange,
             sp: self.engine == NamedConfig::CjoinSp,
-            shared_aggregation: self.cjoin_shared_agg,
             scalar_filter: self.cjoin_scalar_filter,
             serial_admission: self.cjoin_serial_admission,
             faults: self.faults.cjoin_faults(),
@@ -601,9 +596,9 @@ mod tests {
     fn knob_census() -> Vec<(&'static str, Vec<&'static str>)> {
         vec![
             fields!(RunConfig {
-                engine, cores, exchange, io_mode, buffer_pool_pages, cjoin_shared_agg,
-                cjoin_scalar_filter, cjoin_serial_admission, cs_prediction, cost, disk, policy,
-                admission_fabric, governor, service, faults,
+                engine, cores, exchange, io_mode, buffer_pool_pages, cjoin_scalar_filter,
+                cjoin_serial_admission, cs_prediction, cost, disk, policy, admission_fabric,
+                governor, service, faults,
             }),
             fields!(ServiceConfig { queue_cap, deadline_secs, slo_p99_secs, tenant_weights }),
             fields!(FaultPlan {
@@ -613,8 +608,7 @@ mod tests {
             }),
             fields!(GovernorConfig { hysteresis, ewma_alpha, max_crossover }),
             fields!(CjoinConfig {
-                exchange, cap_pages, sp, shared_aggregation, scalar_filter, serial_admission,
-                faults,
+                exchange, cap_pages, sp, scalar_filter, serial_admission, faults,
             }),
             fields!(CjoinFaultPlan {
                 seed, scan_stall_stride, scan_panic_stride, wedge_after_windows,

@@ -480,7 +480,6 @@ struct EngineInner {
     machine: Machine,
     storage: StorageManager,
     cost: CostModel,
-    shared_agg: bool,
     kind: EngineKind,
     gate_ws: WaitSet,
     gate_open: Arc<AtomicBool>,
@@ -649,7 +648,6 @@ impl Engine {
                 machine: machine.clone(),
                 storage: storage.clone(),
                 cost: config.cost,
-                shared_agg: config.cjoin_shared_agg,
                 kind,
                 gate_ws: WaitSet::new(machine),
                 gate_open: Arc::new(AtomicBool::new(true)),
@@ -981,10 +979,10 @@ impl Engine {
 
     /// Run `q` on the CJOIN stage: the joins are shared; a query-centric
     /// aggregation packet sits on top (paper §3.2: "subsequent operators in
-    /// a query plan, e.g. aggregations or sorts, are query-centric") —
-    /// unless `shared_agg` folds aggregation into the distributor. A
-    /// `lease` (governed path) is the query's unit of the sharded stage's
-    /// in-flight count.
+    /// a query plan, e.g. aggregations or sorts, are query-centric"); the
+    /// stage takes the driver's `bound`, the query's one bind. A `lease`
+    /// (governed path) is the query's unit of the sharded stage's in-flight
+    /// count.
     fn submit_cjoin(
         &self,
         stage: &CjoinStage,
@@ -993,23 +991,9 @@ impl Engine {
         lease: Option<StageLease>,
         permit: Option<SlotPermit>,
     ) -> Ticket {
-        if self.inner.shared_agg {
-            // DataPath extension: the distributor aggregates in place; the
-            // producer only waits for the stage's buffered result. An
-            // admission fault surfaced into it turns this query into a
-            // typed error outcome — never a hang, never a partial
-            // aggregate.
-            return self.drive("cj-sagg", q, feedback, lease, permit, |_| {
-                let agg = stage.submit_aggregated(q);
-                move |_: &SimCtx| {
-                    let rows = agg.wait();
-                    agg.error().map_or(Ok(rows), Err)
-                }
-            });
-        }
         let (order, cost) = (q.order_by.clone(), self.inner.cost);
         self.drive("cj-agg", q, feedback, lease, permit, |bound| {
-            let output = stage.submit(q);
+            let output = stage.submit(q, Arc::clone(&bound));
             move |ctx: &SimCtx| {
                 let rows = run_aggregate(ctx, output.reader, &bound, &order, &cost);
                 // A fault recorded on the query's cell (admission failure,

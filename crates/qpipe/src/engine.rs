@@ -1,7 +1,7 @@
 //! The QPipe engine: plan instantiation, packet spawning, SP wiring.
 //!
-//! `submit` converts a [`StarQuery`] into a tree of packet vthreads connected
-//! by exchanges:
+//! [`QpipeEngine::submit_stream`] converts a [`StarQuery`] into a tree of
+//! packet vthreads connected by exchanges, up to the tail:
 //!
 //! ```text
 //! scan(fact) → fact-select ─┐
@@ -18,10 +18,10 @@
 //!   (deepest prefix first); on a hit the satellite consumes the host's
 //!   output exchange and only builds the plan *above* the shared pivot.
 //!
-//! [`QpipeEngine::submit_stream`] plans everything below the tail and hands
-//! back the joined stream; the aggregate/sort tail and the result slot on
-//! top of it are [`QpipeEngine::submit`] here and the engine facade's query
-//! driver in `workshare-core` — one [`QpipeStream::aggregate`] either way.
+//! It plans everything below the tail and hands back the joined stream; the
+//! aggregate/sort tail ([`QpipeStream::aggregate`]) and the result slot on
+//! top of it belong to the one query driver, the engine facade's in
+//! `workshare-core`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,11 +71,11 @@ impl Default for QpipeConfig {
     }
 }
 
-/// The waitable result slot every engine ends a query in: this engine's
-/// handle, CJOIN's shared-aggregate result and the core `Ticket` are all
-/// this one type. The write-once publish/claim protocol lives in
-/// [`CompletionCell`] (model-checked by `tests/interleave_core.rs`); this
-/// type adds the sim-side plumbing: virtual-time waiters and latency stamps.
+/// The waitable result slot every engine ends a query in — what the core
+/// `Ticket` is a struct over, whichever route ran the query. The write-once
+/// publish/claim protocol lives in [`CompletionCell`] (model-checked by
+/// `tests/interleave_core.rs`); this type adds the sim-side plumbing:
+/// virtual-time waiters and latency stamps.
 /// It lives in this crate, next to [`Exchange`], because this is the lowest
 /// one that sees both `workshare_common::sync` and the simulator's
 /// [`WaitSet`].
@@ -343,37 +343,6 @@ impl QpipeEngine {
         self.inner.in_flight.load(Ordering::Acquire)
     }
 
-    /// Submit one query; returns immediately with its result slot. Callable
-    /// from a coordinator vthread (deterministic batches) or an external
-    /// thread. This is [`QpipeEngine::submit_stream`] plus the
-    /// query-centric tail on a packet of its own; plans here are
-    /// machine-generated, so a query that does not bind panics the caller
-    /// (the engine facade binds first and reports a typed error instead).
-    pub fn submit(&self, q: &StarQuery) -> Arc<SlotResult> {
-        let inner = &self.inner;
-        let slot = SlotResult::new(&inner.machine, inner.machine.now_ns());
-        let bound = Arc::new(
-            inner
-                .storage
-                .bind_query(q)
-                .unwrap_or_else(|e| panic!("bind failed for query {}: {e}", q.id)),
-        );
-        let stream = self.submit_stream(q, &bound);
-        let (qid, order, cost) = (q.id, q.order_by.clone(), inner.cost);
-        let slot2 = Arc::clone(&slot);
-        self.spawn_packet(&format!("agg-q{qid}"), move |ctx| {
-            let guard = CompletionGuard::new(Arc::clone(&slot2));
-            let result = stream.aggregate(ctx, &bound, &order, &cost);
-            let now = ctx.machine().now_ns();
-            match result {
-                Ok(rows) => slot2.complete(rows, now),
-                Err(msg) => slot2.complete_error(format!("query {qid}: {msg}"), now),
-            }
-            guard.disarm();
-        });
-        slot
-    }
-
     /// Plan and start everything below the tail — scans, selects, joins,
     /// with whatever sharing the configuration allows — and return the
     /// joined stream for the caller's aggregate/sort packet. `bound` is
@@ -578,14 +547,30 @@ mod tests {
 
     fn run_config(config: QpipeConfig, queries: Vec<StarQuery>) -> (Vec<Arc<Vec<Row>>>, QpipeEngine) {
         let (m, sm) = setup();
-        let engine = QpipeEngine::new(&m, &sm, config, CostModel::default());
+        let cost = CostModel::default();
+        let engine = QpipeEngine::new(&m, &sm, config, cost);
         let e2 = engine.clone();
         let out = m
-            .spawn("coord", move |_ctx| {
+            .spawn("coord", move |ctx| {
                 e2.close_gate();
-                let handles: Vec<_> = queries.iter().map(|q| e2.submit(q)).collect();
+                // One aggregate/sort tail per query on a vthread of its
+                // own, as the engine facade's driver runs it.
+                let tails: Vec<_> = queries
+                    .iter()
+                    .map(|q| {
+                        let bound = Arc::new(sm.bind_query(q).expect("fixture queries bind"));
+                        let stream = e2.submit_stream(q, &bound);
+                        let order = q.order_by.clone();
+                        ctx.machine().spawn(&format!("agg-q{}", q.id), move |ctx| {
+                            stream.aggregate(ctx, &bound, &order, &cost)
+                        })
+                    })
+                    .collect();
                 e2.open_gate();
-                handles.iter().map(|h| h.wait()).collect::<Vec<_>>()
+                tails
+                    .into_iter()
+                    .map(|t| t.join().unwrap().expect("fault-free run"))
+                    .collect::<Vec<_>>()
             })
             .join()
             .unwrap();

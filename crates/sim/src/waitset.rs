@@ -149,7 +149,7 @@ mod tests {
         let w1 = ws.clone();
         let a = m.spawn("a", move |ctx| {
             for _ in 0..100 {
-                w1.wait_until(|| *s1.lock() % 2 == 0);
+                w1.wait_until(|| s1.lock().is_multiple_of(2));
                 ctx.charge(CostKind::Misc, 100.0);
                 *s1.lock() += 1;
                 w1.notify_all();

@@ -93,7 +93,7 @@ fn main() {
     );
 
     // ---- measured: the three policies + the paper's configs -----------
-    println!("{:<12} {:>12} {:>8}  {}", "config", "mean (s)", "cores", "routing");
+    println!("{:<12} {:>12} {:>8}  routing", "config", "mean (s)", "cores");
     let mut best: Option<(&'static str, f64)> = None;
     for policy in [
         ExecPolicy::QueryCentric,

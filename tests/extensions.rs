@@ -1,5 +1,5 @@
-//! Tests of the extension features: shared aggregation, the prediction
-//! model, and staggered arrivals (WoP semantics end-to-end).
+//! Tests of the extension features: the prediction model and staggered
+//! arrivals (WoP semantics end-to-end).
 
 use std::sync::OnceLock;
 
@@ -19,54 +19,6 @@ fn results(cfg: &RunConfig, queries: &[workshare::StarQuery]) -> Vec<Vec<Row>> {
         .iter()
         .map(|r| (**r).clone())
         .collect()
-}
-
-#[test]
-fn shared_aggregation_matches_reference() {
-    let mut r = workload::rng(61);
-    let queries: Vec<_> = (0..4)
-        .map(|i| workload::ssb_q3_2(i as u64, &mut r))
-        .collect();
-    let reference = results(&RunConfig::named(NamedConfig::Volcano), &queries);
-    let mut cfg = RunConfig::named(NamedConfig::Cjoin);
-    cfg.cjoin_shared_agg = true;
-    let got = results(&cfg, &queries);
-    assert_eq!(got, reference);
-}
-
-#[test]
-fn shared_aggregation_with_sp_matches_reference() {
-    let queries = workload::limited_plans(8, 2, 3, workload::ssb_q3_2_narrow);
-    let reference = results(&RunConfig::named(NamedConfig::Volcano), &queries);
-    let mut cfg = RunConfig::named(NamedConfig::CjoinSp);
-    cfg.cjoin_shared_agg = true;
-    let rep = run_batch(ssb(), &cfg, &queries, true);
-    let got: Vec<Vec<Row>> = rep
-        .results
-        .unwrap()
-        .iter()
-        .map(|r| (**r).clone())
-        .collect();
-    assert_eq!(got, reference);
-    let stats = rep.cjoin.unwrap();
-    assert!(stats.sp_shares >= 6, "identical packets must share: {stats:?}");
-    assert!(stats.admitted <= 2);
-}
-
-#[test]
-fn shared_aggregation_drops_per_query_threads_cost() {
-    // The ablation's sign: same answers, less or equal total CPU.
-    let queries = workload::limited_plans(12, 6, 5, workload::ssb_q3_2);
-    let base = run_batch(ssb(), &RunConfig::named(NamedConfig::Cjoin), &queries, false);
-    let mut cfg = RunConfig::named(NamedConfig::Cjoin);
-    cfg.cjoin_shared_agg = true;
-    let shared = run_batch(ssb(), &cfg, &queries, false);
-    assert!(
-        shared.cpu.total_secs() <= base.cpu.total_secs(),
-        "shared agg must not add CPU: {} vs {}",
-        shared.cpu.total_secs(),
-        base.cpu.total_secs()
-    );
 }
 
 #[test]

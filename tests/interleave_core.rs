@@ -9,9 +9,11 @@
 //!    absorb. A fact's stage now lives as long as its engine, so the
 //!    protocol no longer exists: the registry is a map under one lock.
 //!    Numbers stay stable.)*
-//! 2. [`PendingSlot`] window drain vs concurrent submission (the fabric's
-//!    merged batching windows): every submission rides exactly one window,
-//!    and the [`WindowLedger`] depth signal balances.
+//! 2. *(retired — the window drain of the single-mutex pending set. The
+//!    stages' pending sets and the fabric queue are [`ShardedSlot`]s;
+//!    scenario 9 is the same race, `TornDrain` mutation and
+//!    [`WindowLedger`] balance included, on the type production runs.
+//!    Numbers stay stable.)*
 //! 3. *(retired — the lock-based publish-then-activate spec; scenario 7
 //!    checks the same discipline, `ActivateBeforePublish` mutation
 //!    included, on the production `EpochCell`. Numbers stay stable.)*
@@ -48,8 +50,7 @@ use loom::{Builder, Report};
 
 use workshare_cjoin::epoch::{EpochFilterSpec, EpochMutation};
 use workshare_cjoin::window::{
-    PendingSlot, RedispatchMutation, ScanAttempt, ShardMutation, ShardedSlot, WindowLedger,
-    WindowMutation,
+    RedispatchMutation, ScanAttempt, ShardMutation, ShardedSlot, WindowLedger,
 };
 use workshare_cjoin::wrap::{WrapLedger, WrapMutation};
 use workshare_common::cell::{CellMutation, CompletionCell};
@@ -107,58 +108,6 @@ where
         explore(Some(PREEMPTION_BOUND), f)
     }))
     .is_err()
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 2: fabric window drain vs concurrent submission
-// ---------------------------------------------------------------------------
-
-/// A window worker drains the pending set while two submitters race their
-/// pushes (each adding to the depth ledger *before* the push, as the fabric
-/// does). Invariants: every submission is drained exactly once across the
-/// racing window and the final sweep, and the ledger balances to zero.
-fn window_scenario(mutation: WindowMutation) -> impl Fn() + Send + Sync + 'static {
-    move || {
-        let slot: Arc<PendingSlot<u32>> = Arc::new(PendingSlot::with_mutation(mutation));
-        let ledger = Arc::new(WindowLedger::new(u64::MAX));
-        let drained = Arc::new(AtomicU64::new(0));
-        let submitter = {
-            let (slot, ledger) = (Arc::clone(&slot), Arc::clone(&ledger));
-            thread::spawn(move || {
-                ledger.add(1);
-                slot.push(7);
-            })
-        };
-        let window = {
-            let (slot, ledger, drained) =
-                (Arc::clone(&slot), Arc::clone(&ledger), Arc::clone(&drained));
-            thread::spawn(move || {
-                let batch = slot.drain();
-                ledger.sub(batch.len() as u64);
-                drained.fetch_add(batch.len() as u64, Ordering::AcqRel);
-            })
-        };
-        ledger.add(1);
-        slot.push(8);
-        submitter.join().unwrap();
-        window.join().unwrap();
-        // Final sweep: whatever the racing window left pending.
-        let batch = slot.drain();
-        ledger.sub(batch.len() as u64);
-        let total = drained.load(Ordering::Acquire) + batch.len() as u64;
-        assert_eq!(total, 2, "a submission was lost or drained twice");
-        assert_eq!(ledger.pending(), 0, "depth ledger out of balance");
-    }
-}
-
-#[test]
-fn window_drain_vs_submission_holds() {
-    check_exhaustive(window_scenario(WindowMutation::None));
-}
-
-#[test]
-fn window_mutation_torn_drain_is_caught() {
-    assert!(catches(window_scenario(WindowMutation::TornDrain)));
 }
 
 // ---------------------------------------------------------------------------
@@ -502,12 +451,12 @@ fn wrap_mutation_lost_decrement_is_caught() {
 // Scenario 9: sharded MPMC pending drain
 // ---------------------------------------------------------------------------
 
-/// [`window_scenario`] re-run against the sharded pending set that replaces
-/// the single-mutex [`PendingSlot`] on the stages and under the fabric
-/// queue: a window worker drains all shards while two submitters race
-/// their pushes onto different shards. Invariants: every submission rides
-/// exactly one window across the racing drain and the final sweep, and the
-/// depth ledger balances.
+/// The sharded pending set of the stages and of the fabric queue: a window
+/// worker drains all shards while two submitters race their pushes onto
+/// different shards (each adding to the depth ledger *before* the push, as
+/// the fabric does). Invariants: every submission rides exactly one window
+/// across the racing drain and the final sweep, and the depth ledger
+/// balances to zero.
 fn sharded_scenario(mutation: ShardMutation) -> impl Fn() + Send + Sync + 'static {
     move || {
         let slot: Arc<ShardedSlot<u32>> = Arc::new(ShardedSlot::with_mutation(2, mutation));
@@ -533,6 +482,7 @@ fn sharded_scenario(mutation: ShardMutation) -> impl Fn() + Send + Sync + 'stati
         slot.push(8);
         submitter.join().unwrap();
         window.join().unwrap();
+        // Final sweep: whatever the racing window left pending.
         let batch = slot.drain();
         ledger.sub(batch.len() as u64);
         let total = drained.load(Ordering::Acquire) + batch.len() as u64;

@@ -151,7 +151,6 @@ proptest! {
     fn vectorized_filter_matches_scalar_reference(
         mut queries in proptest::collection::vec(arb_query(), 1..5),
         dup in proptest::bool::ANY,
-        shared_agg in proptest::bool::ANY,
     ) {
         if dup {
             let q = queries[0].clone();
@@ -160,8 +159,7 @@ proptest! {
         for (i, q) in queries.iter_mut().enumerate() {
             q.id = i as u64;
         }
-        let mut vec_cfg = RunConfig::named(NamedConfig::CjoinSp);
-        vec_cfg.cjoin_shared_agg = shared_agg;
+        let vec_cfg = RunConfig::named(NamedConfig::CjoinSp);
         let mut scalar_cfg = vec_cfg;
         scalar_cfg.cjoin_scalar_filter = true;
         let vec_run = run_batch(ssb(), &vec_cfg, &queries, true);
@@ -169,7 +167,7 @@ proptest! {
         prop_assert_eq!(
             vec_run.results.as_ref().unwrap(),
             scalar_run.results.as_ref().unwrap(),
-            "kernels diverged (shared_agg={})", shared_agg
+            "kernels diverged"
         );
         // admission_batches (and with it the physical page count of the
         // shared admission scans) shifts with pipeline timing (a faster
@@ -191,15 +189,14 @@ proptest! {
     /// The shared-scan admission path (dimension tables scanned once per
     /// admission batch by off-thread workers) must be indistinguishable
     /// from the retained per-query serial path: row-identical output and
-    /// identical logical `CjoinStats`, across random star queries, SP
-    /// duplicates, and both sink kinds. Only the physical read counters
+    /// identical logical `CjoinStats`, across random star queries and SP
+    /// duplicates. Only the physical read counters
     /// (`admission_batches`, `admission_dim_pages`) may differ — that is
     /// the optimization being tested.
     #[test]
     fn shared_scan_admission_matches_serial_reference(
         mut queries in proptest::collection::vec(arb_query(), 1..5),
         dup in proptest::bool::ANY,
-        shared_agg in proptest::bool::ANY,
     ) {
         if dup {
             let q = queries[0].clone();
@@ -208,8 +205,7 @@ proptest! {
         for (i, q) in queries.iter_mut().enumerate() {
             q.id = i as u64;
         }
-        let mut shared_cfg = RunConfig::named(NamedConfig::CjoinSp);
-        shared_cfg.cjoin_shared_agg = shared_agg;
+        let shared_cfg = RunConfig::named(NamedConfig::CjoinSp);
         let mut serial_cfg = shared_cfg;
         serial_cfg.cjoin_serial_admission = true;
         let shared_run = run_batch(ssb(), &shared_cfg, &queries, true);
@@ -217,7 +213,7 @@ proptest! {
         prop_assert_eq!(
             shared_run.results.as_ref().unwrap(),
             serial_run.results.as_ref().unwrap(),
-            "admission paths diverged (shared_agg={})", shared_agg
+            "admission paths diverged"
         );
         let mut sh = shared_run.cjoin.unwrap();
         let mut se = serial_run.cjoin.unwrap();
