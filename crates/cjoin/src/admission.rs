@@ -35,13 +35,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
-use workshare_common::{BitmapBank, Predicate, QueryBitmap, SelVec};
+use workshare_common::{BitmapBank, FaultSite, Predicate, QueryBitmap, SelVec};
 
 use workshare_sim::{CostKind, SimCtx};
 use workshare_storage::{StorageError, TableId};
 
 use crate::filter::DimEntry;
-use crate::health::{SITE_SCAN_PANIC, SITE_SCAN_STALL};
 use crate::memo::{MemoHit, Selected};
 use crate::stage::{
     activate_query, alloc_slot, locate_filter, release_slot, Admission, StageInner,
@@ -243,12 +242,12 @@ pub(crate) const SCAN_STALL_NS: f64 = 8_000_000.0;
 /// per-query volume (`admission_dim_rows`) is always attributed per stage
 /// and is batching-invariant.
 ///
-/// **Fault sites** (armed via [`crate::CjoinFaultPlan`], default off):
-/// with `inject` true each call draws one tick of the primary stage's
-/// schedule and may stall or panic before scanning. The pool calls this
-/// once per unit; the fabric once per page-range subscan, so it draws up to
-/// `UNIT_SCAN_PARALLELISM` times per unit. Page reads go through the
-/// storage layer's fault-aware
+/// **Fault sites** 4–5 ([`FaultSite::ScanStall`], [`FaultSite::ScanPanic`]
+/// of the stage's plan, default off): with `inject` true each call draws
+/// one tick of the primary stage's counter and may stall or panic before
+/// scanning. The pool calls this once per unit; the fabric once per
+/// page-range subscan, so it draws up to `UNIT_SCAN_PARALLELISM` times per
+/// unit. Page reads go through the storage layer's fault-aware
 /// [`try_read_page`](workshare_storage::StorageManager::try_read_page),
 /// surfacing typed [`StorageError`]s to the caller.
 ///
@@ -275,13 +274,13 @@ pub(crate) fn run_scan_unit(
     let plan = &primary.config.faults;
     if inject && plan.is_armed() {
         let tick = primary.scan_tick();
-        if plan.fires(SITE_SCAN_PANIC, plan.scan_panic_stride, tick) {
+        if plan.fires(FaultSite::ScanPanic, tick) {
             if let Some(h) = &primary.health {
                 h.count_panic();
             }
             panic!("injected fault: scan unit over {:?} panicked", unit.dim);
         }
-        if plan.fires(SITE_SCAN_STALL, plan.scan_stall_stride, tick) {
+        if plan.fires(FaultSite::ScanStall, tick) {
             if let Some(h) = &primary.health {
                 h.count_stall();
             }

@@ -33,6 +33,7 @@
 //! paper-figure deployments.
 
 use workshare_common::fxhash::FxHashMap;
+use workshare_common::FaultPlan;
 // Concurrent-core primitives come through the swappable sync layer so the
 // `--cfg interleave` build model-checks this module's protocols (see
 // `workshare_common::sync` and docs/TESTING.md).
@@ -46,7 +47,7 @@ use crate::admission::{
     activate_batch, build_units, fail_batch, prepare_batch, run_scan_unit, stage_memo_hits,
     MemoPart, PreparedBatch, ScanUnit,
 };
-use crate::health::{AdmissionHealth, CjoinFaultPlan};
+use crate::health::AdmissionHealth;
 use crate::memo::{AdmissionMemo, Selected, ADMISSION_MEMO_BUDGET_BYTES};
 use crate::stage::{Admission, CjoinStage, StageInner, ADMISSION_BATCH_WINDOW_NS};
 use crate::window::{ScanAttempt, ShardedSlot, WindowLedger};
@@ -200,8 +201,8 @@ struct FabricInner {
     /// The machine the workers run on, kept so the health monitor can
     /// spawn replacement workers ([`AdmissionFabric::respawn_worker`]).
     machine: Machine,
-    /// Seeded fault schedule for the fabric's own sites (worker wedges).
-    faults: CjoinFaultPlan,
+    /// The seeded fault plan; the fabric's own site is the worker wedge.
+    faults: FaultPlan,
     /// Shared admission-health state; `Some` turns on window supervision
     /// (subscan deadlines + straggler re-dispatch) and fault accounting.
     health: Option<Arc<AdmissionHealth>>,
@@ -221,7 +222,7 @@ struct FabricInner {
 impl FabricInner {
     /// Whether this worker should wedge now (injected fault, fires once).
     fn wedge_due(&self) -> bool {
-        let Some(n) = self.faults.wedge_after_windows else {
+        let Some(n) = self.faults.fabric_wedge_after else {
             return false;
         };
         if self.windows.load(Ordering::Relaxed) < n {
@@ -235,15 +236,12 @@ impl FabricInner {
     }
 
     /// Whether this window may consult and fill the admission memo: not
-    /// while any fault site is armed or windows run supervised — a hit skips
-    /// page reads and `scan_tick` draws, which would shift every seeded
-    /// fault schedule.
+    /// while any fault site is armed in a plan the window can see (the
+    /// fabric's, each stage's storage manager's) — a hit skips page reads
+    /// and `scan_tick` draws, which would shift every seeded fault schedule.
     fn memo_allowed(&self, stages: &[CjoinStage]) -> bool {
-        self.health.is_none()
-            && !self.faults.is_armed()
-            && stages.iter().all(|s| {
-                !s.inner.config.faults.is_armed() && !s.inner.storage.config().faults.is_armed()
-            })
+        !self.faults.is_armed()
+            && stages.iter().all(|s| !s.inner.storage.config().faults.is_armed())
     }
 }
 
@@ -266,8 +264,9 @@ impl AdmissionFabric {
     /// [`AdmissionFabric::has_capacity`] turns false and the service layer
     /// sheds further submissions instead of enqueueing them forever.
     ///
-    /// `faults` is the seeded fault plan (worker-wedge site) and `health`
-    /// an optional shared [`AdmissionHealth`]. With a health handle every
+    /// `faults` is the seeded fault plan (worker-wedge site; any armed site
+    /// bypasses the memo) and `health` an optional shared
+    /// [`AdmissionHealth`]. With a health handle every
     /// window runs under **supervision**: subscans get a virtual deadline
     /// ([`UNIT_REDISPATCH_DEADLINE_NS`]); a straggler (stalled, panicked,
     /// or wedged-behind) is re-dispatched idempotently through the
@@ -276,7 +275,7 @@ impl AdmissionFabric {
     pub fn new(
         machine: &Machine,
         capacity: u64,
-        faults: CjoinFaultPlan,
+        faults: FaultPlan,
         health: Option<Arc<AdmissionHealth>>,
     ) -> AdmissionFabric {
         Self::with_memo(
@@ -291,7 +290,7 @@ impl AdmissionFabric {
     fn with_memo(
         machine: &Machine,
         capacity: u64,
-        faults: CjoinFaultPlan,
+        faults: FaultPlan,
         health: Option<Arc<AdmissionHealth>>,
         memo: AdmissionMemo,
     ) -> AdmissionFabric {
@@ -861,7 +860,7 @@ mod tests {
     use workshare_sim::CostKind;
 
     fn fabric_with(m: &Machine, memo: AdmissionMemo) -> AdmissionFabric {
-        AdmissionFabric::with_memo(m, u64::MAX, CjoinFaultPlan::default(), None, memo)
+        AdmissionFabric::with_memo(m, u64::MAX, FaultPlan::default(), None, memo)
     }
 
     /// Run `queries` on `stage` from `clients` closed-loop clients (query

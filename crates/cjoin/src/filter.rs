@@ -20,10 +20,10 @@
 //!   into long runs) and folding bitmap updates as whole-word ANDs. All
 //!   working state lives in a per-worker [`FilterScratch`], so the
 //!   steady-state loop performs **zero heap allocations per tuple**.
-//! * [`filter_page_scalar`] — the retained tuple-at-a-time reference path
-//!   (enabled with `CjoinConfig::scalar_filter`), kept as the behavioral
-//!   oracle for property tests and as the baseline the
-//!   `filter_vectorized` bench measures against.
+//! * [`filter_page_scalar`] — the retained tuple-at-a-time reference
+//!   kernel. No engine path runs it: it is the oracle the property test
+//!   below compares the vectorized kernel against, and the baseline the
+//!   `filter_vectorized` bench measures.
 //!
 //! Both kernels produce the same [`FilteredPage`] (survivor indices, a
 //! survivor-aligned bitmap bank, and the matched dimension rows), so the
@@ -478,6 +478,125 @@ mod tests {
         let (vp, _) = filter_page_vectorized(&filters, &small, &members, &mut scratch);
         let (sp, _) = filter_page_scalar(&filters, &small, &members);
         pages_equal(&sp, &vp);
+    }
+
+    /// The kernel-level oracle: over random filter sets, query key sets,
+    /// batch members and FK shapes the vectorized kernel is page-identical
+    /// to [`filter_page_scalar`] and never probes more runs than tuples.
+    mod scalar_oracle {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        use std::cell::RefCell;
+
+        /// FK values range over `0..KEYS`; filters cover at most `0..40`,
+        /// so some keys are absent from every hash.
+        const KEYS: i64 = 48;
+
+        thread_local! {
+            // One scratch for every case: stale state from a larger earlier
+            // batch must never leak into a later one.
+            static SCRATCH: RefCell<FilterScratch> = RefCell::new(FilterScratch::default());
+        }
+
+        /// A query slot, biased to both sides of the first and second
+        /// 64-bit word boundaries (taken modulo the members' width).
+        fn slot() -> impl Strategy<Value = usize> {
+            prop_oneof![0usize..8, 56usize..72, 120usize..136, 0usize..192]
+        }
+
+        /// `(fk column, key space, [(referencing slot, key mask)])`: slot
+        /// `q` selects key `k` iff bit `k` of its mask is set.
+        fn arb_filter() -> impl Strategy<Value = (usize, i64, Vec<(usize, u64)>)> {
+            (0usize..3, 1i64..40, vec((slot(), any::<u64>()), 0..5))
+        }
+
+        fn build_filter(
+            ncols: usize,
+            width: usize,
+            (col, keys, refs): (usize, i64, Vec<(usize, u64)>),
+        ) -> Arc<FilterCore> {
+            let mut referencing = QueryBitmap::zeros(64);
+            let mut hash = FxHashMap::default();
+            for (q, mask) in refs.into_iter().map(|(q, mask)| (q % width, mask)) {
+                referencing.set(q);
+                for key in (0..keys).filter(|k| mask >> k & 1 == 1) {
+                    hash.entry(key)
+                        .or_insert_with(|| DimEntry {
+                            row: Arc::new(vec![Value::Int(key), Value::Int(-key)]),
+                            bits: QueryBitmap::zeros(64),
+                        })
+                        .bits
+                        .set(q);
+                }
+            }
+            Arc::new(FilterCore {
+                dim: TableId(0),
+                fact_fk_idx: col % ncols,
+                dim_pk_idx: 0,
+                hash,
+                referencing,
+            })
+        }
+
+        /// An FK of row `i` under shape `(kind, param, hot)`: kind 0 is
+        /// clustered (runs of `param` equal keys), 1 a single hot key with
+        /// every `param`-th row scattered, 2 scattered.
+        fn fk(shape: (u8, usize, i64), i: usize, scattered: i64) -> i64 {
+            match shape {
+                (0, run, hot) => ((i / run) as i64 + hot) % KEYS,
+                (1, every, hot) if !i.is_multiple_of(every) => hot,
+                _ => scattered,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn vectorized_kernel_matches_the_scalar_oracle(
+                ncols in 2usize..4,
+                words in 1usize..4,
+                filters in vec(arb_filter(), 0..5),
+                // Bit `j` makes the `j`-th referencing slot a member; the
+                // free slots mostly reference no filter. Both can be empty.
+                member_refs in prop_oneof![Just(0u64), any::<u64>(), any::<u64>()],
+                free_slots in vec(slot(), 0..3),
+                shapes in vec((0u8..3, 1usize..16, 0i64..KEYS), 3..4),
+                scattered in vec((0i64..KEYS, 0i64..KEYS, 0i64..KEYS), 0..300),
+            ) {
+                let width = 64 * words;
+                let mut members = QueryBitmap::zeros(width);
+                let refs = filters.iter().flat_map(|(_, _, refs)| refs.iter().map(|r| r.0));
+                for (j, q) in refs.enumerate() {
+                    if member_refs >> j & 1 == 1 {
+                        members.set(q % width);
+                    }
+                }
+                for q in free_slots {
+                    members.set(q % width);
+                }
+                let filters: Vec<_> =
+                    filters.into_iter().map(|f| build_filter(ncols, width, f)).collect();
+                let rows: Vec<Row> = scattered
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(a, b, c))| {
+                        [a, b, c][..ncols]
+                            .iter()
+                            .zip(&shapes)
+                            .map(|(&s, &shape)| Value::Int(fk(shape, i, s)))
+                            .collect()
+                    })
+                    .collect();
+                let (sp, _) = filter_page_scalar(&filters, &rows, &members);
+                let (vp, vc) = SCRATCH.with(|s| {
+                    filter_page_vectorized(&filters, &rows, &members, &mut s.borrow_mut())
+                });
+                pages_equal(&sp, &vp);
+                prop_assert!(vc.key_runs <= vc.probes, "{vc:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Admission-path fault plan, health counters, and the degradation ladder.
+//! Admission health counters and the degradation ladder.
 //!
 //! One shared [`AdmissionHealth`] is created by the governed engine when the
 //! fault plan is armed and handed to every stage and the fabric. It carries
@@ -22,61 +22,6 @@
 // model-checked protocol — the rung is a routing knob and the counters are
 // monotone tallies (orderings documented per site below).
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-
-/// Fault-site ids mixed into the seeded schedule so the sites draw
-/// decorrelated fire patterns from one seed. Storage-level sites live in
-/// `workshare_storage` and use ids 1–3; these continue the sequence. (The
-/// fabric-wedge site needs no id: it fires by window count, not stride.)
-pub const SITE_SCAN_STALL: u64 = 4;
-/// See [`SITE_SCAN_STALL`].
-pub const SITE_SCAN_PANIC: u64 = 5;
-
-/// Seeded fault schedule for the cjoin admission paths. Default: fully off.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CjoinFaultPlan {
-    /// Seed mixed into every site's fire decision.
-    pub seed: u64,
-    /// Every ~`stride`-th scan draw stalls for `SCAN_STALL_NS`
-    /// (`admission.rs`) before scanning; the fabric's deadline supervision
-    /// re-dispatches it. A *draw* is one call of `run_scan_unit`: the pool
-    /// rung draws once per scan unit, the fabric once per page-range
-    /// **subscan** (up to `UNIT_SCAN_PARALLELISM` = 4 per unit), and the
-    /// serial rung never draws — `admit_batch_serial` does its own scans.
-    pub scan_stall_stride: Option<u64>,
-    /// Every ~`stride`-th scan draw (see
-    /// [`scan_stall_stride`](CjoinFaultPlan::scan_stall_stride)) panics
-    /// instead of scanning. The fabric treats the dead subscan as a
-    /// straggler; the pool driver catches the panic and fails the batch
-    /// with typed errors.
-    pub scan_panic_stride: Option<u64>,
-    /// A fabric worker wedges (parks until shutdown) at its `n`-th window.
-    /// Fires once per fabric lifetime; the health monitor respawns a
-    /// replacement worker after demoting the ladder.
-    pub wedge_after_windows: Option<u64>,
-}
-
-impl CjoinFaultPlan {
-    /// Whether any admission fault site is armed.
-    pub fn is_armed(&self) -> bool {
-        self.scan_stall_stride.is_some()
-            || self.scan_panic_stride.is_some()
-            || self.wedge_after_windows.is_some()
-    }
-
-    /// Whether `site` fires on `tick` (seeded splitmix-style schedule).
-    pub fn fires(&self, site: u64, stride: Option<u64>, tick: u64) -> bool {
-        stride.is_some_and(|s| s > 0 && mix(self.seed, site, tick).is_multiple_of(s))
-    }
-}
-
-fn mix(seed: u64, site: u64, tick: u64) -> u64 {
-    let mut x = tick
-        .wrapping_add(seed.rotate_left(23))
-        .wrapping_add(site.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The degradation ladder's rungs, fastest to most conservative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +59,6 @@ impl LadderRung {
 /// recovery counter the monitor and reports read. All methods are lock-free.
 pub struct AdmissionHealth {
     rung: AtomicU8,
-    scan_ticks: AtomicU64,
     injected_stalls: AtomicU64,
     injected_panics: AtomicU64,
     injected_wedges: AtomicU64,
@@ -132,7 +76,6 @@ impl AdmissionHealth {
     pub fn new(initial: LadderRung) -> AdmissionHealth {
         AdmissionHealth {
             rung: AtomicU8::new(initial as u8),
-            scan_ticks: AtomicU64::new(0),
             injected_stalls: AtomicU64::new(0),
             injected_panics: AtomicU64::new(0),
             injected_wedges: AtomicU64::new(0),
@@ -193,11 +136,6 @@ impl AdmissionHealth {
     // counter bumped on its own, read only by snapshot observers that
     // tolerate staleness; no decision reads one counter expecting to see
     // writes published through another.
-
-    /// Draw a scan-unit injection tick.
-    pub fn scan_tick(&self) -> u64 {
-        self.scan_ticks.fetch_add(1, Ordering::Relaxed)
-    }
 
     /// Count an injected scan-unit stall.
     pub fn count_stall(&self) {
@@ -286,11 +224,6 @@ pub struct AdmissionHealthSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_plan_is_off() {
-        assert!(!CjoinFaultPlan::default().is_armed());
-    }
 
     #[test]
     fn ladder_saturates_both_ends() {

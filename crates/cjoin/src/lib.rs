@@ -28,8 +28,8 @@
 //!   ([`filter`]): tuple bitmaps live in a word-strided
 //!   [`workshare_common::BitmapBank`], dimension hashes are probed once per
 //!   key run, and a per-worker scratch keeps the steady-state loop free of
-//!   per-tuple heap allocations (the tuple-at-a-time reference kernel is
-//!   retained behind [`CjoinConfig::scalar_filter`]).
+//!   per-tuple heap allocations (the tuple-at-a-time [`filter_page_scalar`]
+//!   is the kernel-level oracle; no engine path runs it).
 //! * **Distributor parts** (the paper's fix for the single-threaded
 //!   distributor bottleneck) route surviving tuples to the queries whose bit
 //!   is set, applying per-query fact predicates (evaluated on CJOIN output,
@@ -63,9 +63,7 @@ pub use filter::{
     filter_page_scalar, filter_page_vectorized, DimEntry, FilterCore, FilterCounters,
     FilterScratch, FilteredPage,
 };
-pub use health::{
-    AdmissionHealth, AdmissionHealthSnapshot, CjoinFaultPlan, LadderRung,
-};
+pub use health::{AdmissionHealth, AdmissionHealthSnapshot, LadderRung};
 pub use stage::{
     CjoinConfig, CjoinOutput, CjoinRuntimeStats, CjoinStage, CjoinStats, FaultCell,
     N_FILTER_WORKERS,

@@ -8,17 +8,15 @@ use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
 use workshare_common::bind::BoundQuery;
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
-use workshare_common::{CostModel, Predicate, QueryBitmap, SelVec, StarQuery};
+use workshare_common::{CostModel, FaultPlan, Predicate, QueryBitmap, SelVec, StarQuery};
 
 use crate::admission::{admit_batch_serial, admit_batch_shared};
 use crate::epoch::EpochCell;
 use crate::fabric::AdmissionFabric;
-use crate::health::{AdmissionHealth, CjoinFaultPlan, LadderRung};
+use crate::health::{AdmissionHealth, LadderRung};
 use crate::window::ShardedSlot;
 use crate::wrap::WrapLedger;
-use crate::filter::{
-    filter_page_scalar, filter_page_vectorized, FilterCore, FilterScratch, FilteredPage,
-};
+use crate::filter::{filter_page_vectorized, FilterCore, FilterScratch, FilteredPage};
 use workshare_qpipe::batch::BatchBuilder;
 use workshare_qpipe::exchange::{Exchange, ExchangeKind, ExchangeReader};
 use workshare_sim::{CostKind, Machine, SimCtx, SimQueue, WaitSet};
@@ -33,12 +31,6 @@ pub struct CjoinConfig {
     pub cap_pages: usize,
     /// Enable SP over identical CJOIN packets (`CJOIN-SP`).
     pub sp: bool,
-    /// Use the retained tuple-at-a-time filter kernel instead of the
-    /// vectorized batch kernel ([`crate::filter`]). The scalar path is the
-    /// behavioral reference: property tests assert both produce identical
-    /// rows and stats, and the `filter_vectorized` bench measures the
-    /// speedup against it. Defaults to `false` (vectorized).
-    pub scalar_filter: bool,
     /// Use the retained **per-query serial** admission path (the paper's
     /// §3.2 behavior: the preprocessor pauses the pipeline and scans every
     /// dimension table once per pending query) instead of the shared-scan,
@@ -47,10 +39,10 @@ pub struct CjoinConfig {
     /// `admission` bench measures the speedup against it. Defaults to
     /// `false` (shared scans).
     pub serial_admission: bool,
-    /// Seeded fault schedule for this stage's admission scans (stalls,
-    /// panics) and the fabric windows serving it. Default: fully off —
-    /// every fault path compiles to the legacy behavior.
-    pub faults: CjoinFaultPlan,
+    /// The seeded fault plan; the stage fires its admission scan sites
+    /// (stalls, panics). Default: fully off — every fault path compiles to
+    /// the legacy behavior.
+    pub faults: FaultPlan,
 }
 
 impl Default for CjoinConfig {
@@ -59,9 +51,8 @@ impl Default for CjoinConfig {
             exchange: ExchangeKind::Spl,
             cap_pages: 8,
             sp: false,
-            scalar_filter: false,
             serial_admission: false,
-            faults: CjoinFaultPlan::default(),
+            faults: FaultPlan::default(),
         }
     }
 }
@@ -791,7 +782,6 @@ impl CjoinStage {
 
     fn spawn_worker(&self, idx: usize) {
         let inner = Arc::clone(&self.inner);
-        let scalar = self.inner.config.scalar_filter;
         self.inner
             .machine
             .clone()
@@ -819,16 +809,7 @@ impl CjoinStage {
                     // entries are present.
                     let (page, counters) = {
                         let epoch = reader.current(&inner.epoch);
-                        if scalar {
-                            filter_page_scalar(&epoch.filters, &rows, &batch.members)
-                        } else {
-                            filter_page_vectorized(
-                                &epoch.filters,
-                                &rows,
-                                &batch.members,
-                                &mut scratch,
-                            )
-                        }
+                        filter_page_vectorized(&epoch.filters, &rows, &batch.members, &mut scratch)
                     };
                     // Observed skew signal for the governor: this batch's
                     // tuple×filter probe steps per actual hash probe (key
@@ -844,28 +825,20 @@ impl CjoinStage {
                     // The page's decode cost and the shared-operator
                     // bookkeeping costs (the §5.2.2 overhead), charged as one
                     // CPU job once the kernel has run and its counters are
-                    // known. The scalar path charges per tuple; the
-                    // vectorized path charges per key run + per bank word.
-                    let (hashing_ns, join_ns) = if scalar {
-                        (
-                            inner.cost.hash_probe_tuple_ns * counters.probes as f64,
-                            inner.cost.shared_probe_extra_ns * counters.probes as f64
-                                + inner.cost.bitmap_word_and_ns
-                                    * counters.bitmap_words as f64,
-                        )
-                    } else {
-                        (
-                            inner.cost.filter_probe_run_ns * counters.key_runs as f64,
-                            inner.cost.filter_batch_cost(0, counters.bitmap_words),
-                        )
-                    };
+                    // known: per key run + per bank word.
                     ctx.charge_many(&[
                         (
                             CostKind::Scan,
                             inner.cost.scan_tuple_ns * rows.len() as f64,
                         ),
-                        (CostKind::Hashing, hashing_ns),
-                        (CostKind::Join, join_ns),
+                        (
+                            CostKind::Hashing,
+                            inner.cost.filter_probe_run_ns * counters.key_runs as f64,
+                        ),
+                        (
+                            CostKind::Join,
+                            inner.cost.filter_batch_cost(0, counters.bitmap_words),
+                        ),
                     ]);
                     let dist = DistBatch {
                         rows,
@@ -1142,16 +1115,16 @@ pub(crate) mod tests {
     };
     use workshare_qpipe::ops::run_aggregate;
     use workshare_sim::MachineConfig;
-    use workshare_storage::{IoMode, StorageConfig, StorageFaultPlan};
+    use workshare_storage::{IoMode, StorageConfig};
 
     pub(crate) fn setup_sized(dima_rows: i64, dimb_rows: i64) -> (Machine, StorageManager) {
-        setup_faulted(dima_rows, dimb_rows, StorageFaultPlan::default())
+        setup_faulted(dima_rows, dimb_rows, FaultPlan::default())
     }
 
     fn setup_faulted(
         dima_rows: i64,
         dimb_rows: i64,
-        faults: StorageFaultPlan,
+        faults: FaultPlan,
     ) -> (Machine, StorageManager) {
         let m = Machine::new(MachineConfig {
             cores: 8,
@@ -1329,28 +1302,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn scalar_filter_config_matches_vectorized() {
-        let qs = || vec![query(1, false), query(2, true), query(3, false)];
-        let (vec_res, mut vec_stats) = run_queries(CjoinConfig::default(), qs());
-        let scalar = CjoinConfig {
-            scalar_filter: true,
-            ..Default::default()
-        };
-        let (sc_res, mut sc_stats) = run_queries(scalar, qs());
-        assert_eq!(vec_res, sc_res, "filter kernels must be row-identical");
-        // admission_batches (and with it the physical page count of the
-        // shared admission scans) depends on how submissions interleave
-        // with page boundaries, which legitimately shifts when the filter
-        // path speeds up; every workload-derived counter must match
-        // exactly.
-        vec_stats.admission_batches = 0;
-        sc_stats.admission_batches = 0;
-        vec_stats.admission_dim_pages = 0;
-        sc_stats.admission_dim_pages = 0;
-        assert_eq!(vec_stats, sc_stats, "and stats-identical");
-    }
-
-    #[test]
     fn concurrent_queries_with_different_predicates() {
         let qs = vec![query(1, false), query(2, true), query(3, false), query(4, true)];
         let (res, stats) = run_queries(CjoinConfig::default(), qs);
@@ -1393,9 +1344,9 @@ pub(crate) mod tests {
     fn sp_satellites_share_a_failed_hosts_error_and_a_later_query_admits_fresh() {
         // Read 0 of this storage — the host's first dimension page — is
         // unreadable on every attempt; no other read of the run fires.
-        let faults = StorageFaultPlan {
+        let faults = FaultPlan {
             seed: 17_945,
-            permanent_stride: Some(1 << 16),
+            permanent_page_stride: Some(1 << 16),
             ..Default::default()
         };
         let (m, sm) = setup_faulted(10, 7, faults);
@@ -1665,9 +1616,9 @@ pub(crate) mod tests {
         serial.shutdown();
     }
 
-    /// Property test mirroring the `scalar_filter` oracle pattern: batched
-    /// shared-scan admission must be behaviorally identical to the retained
-    /// per-query serial path across random query mixes, dimension subsets,
+    /// Property test of the serial-admission oracle: batched shared-scan
+    /// admission must be behaviorally identical to the retained per-query
+    /// serial path across random query mixes, dimension subsets,
     /// page counts, and arrival patterns.
     pub(crate) mod shared_admission_oracle {
         use super::*;

@@ -11,8 +11,9 @@
 //!
 //! * `copy_byte_ns` — the push-based SP forwarding cost, paid *by the
 //!   producer per satellite* (the serialization point of §4).
-//! * `bitmap_word_and_ns` and `shared_probe_extra_ns` — the shared-operator
-//!   bookkeeping overhead that makes GQP lose at low concurrency (§5.2.2).
+//! * `filter_batch_fixed_ns`, `filter_probe_run_ns` and `bank_word_and_ns` —
+//!   the shared-operator bookkeeping overhead that makes GQP lose at low
+//!   concurrency (§5.2.2).
 //! * `volcano_tuple_overhead_ns` — tuple-at-a-time iterator overhead of the
 //!   Postgres-substitute baseline.
 
@@ -29,11 +30,6 @@ pub struct CostModel {
     pub hash_probe_tuple_ns: f64,
     /// Join output assembly, per emitted tuple.
     pub join_output_tuple_ns: f64,
-    /// Extra bookkeeping of a *shared* hash-join probe, per tuple, on top of
-    /// the query-centric probe (wider hash table, slot indirection).
-    pub shared_probe_extra_ns: f64,
-    /// Bitmap AND, per 64-bit word, per tuple.
-    pub bitmap_word_and_ns: f64,
     /// Aggregation hash-table update, per input tuple.
     pub agg_update_tuple_ns: f64,
     /// Aggregate finalization, per output group.
@@ -61,10 +57,7 @@ pub struct CostModel {
     /// probes once per run of equal consecutive FKs instead of once per
     /// tuple, which is how batch routing absorbs join-product skew.
     pub filter_probe_run_ns: f64,
-    /// Bitmap-bank AND per 64-bit word. Contiguous word-strided layout makes
-    /// this cheaper than the pointer-chasing per-tuple
-    /// [`bitmap_word_and_ns`](CostModel::bitmap_word_and_ns) charge of the
-    /// scalar path.
+    /// Bitmap-bank AND per 64-bit word (contiguous word-strided layout).
     pub bank_word_and_ns: f64,
     /// Predicate evaluation, per atomic term per tuple, at the batch rate
     /// (operator dispatch amortized by `select_batch_fixed_ns`). Every
@@ -88,8 +81,6 @@ impl Default for CostModel {
             hash_build_tuple_ns: 90.0,
             hash_probe_tuple_ns: 70.0,
             join_output_tuple_ns: 80.0,
-            shared_probe_extra_ns: 40.0,
-            bitmap_word_and_ns: 6.0,
             agg_update_tuple_ns: 60.0,
             agg_group_output_ns: 120.0,
             sort_tuple_factor_ns: 25.0,
@@ -131,7 +122,7 @@ impl CostModel {
 
     /// Cost of one vectorized shared-filter pass over a batch: `runs` hash
     /// probes (one per key run) plus `words` bitmap-bank word ANDs. Charged
-    /// per batch, replacing the scalar path's per-tuple probe + AND charges.
+    /// per batch.
     pub fn filter_batch_cost(&self, runs: u64, words: u64) -> f64 {
         self.filter_batch_fixed_ns
             + self.filter_probe_run_ns * runs as f64
@@ -443,7 +434,6 @@ mod tests {
         let c = CostModel::default();
         assert!(c.scan_tuple_ns > 0.0);
         assert!(c.copy_byte_ns > 0.0);
-        assert!(c.shared_probe_extra_ns > 0.0);
     }
 
     #[test]
@@ -471,14 +461,6 @@ mod tests {
             c.filter_batch_cost(10, 100) - base,
             c.filter_probe_run_ns * 10.0 + c.bank_word_and_ns * 100.0
         );
-        // The vectorized filter of a clustered batch (few key runs) is
-        // cheaper than the scalar per-tuple charges for the same tuples.
-        let tuples = 1000u64;
-        let words = tuples; // one-word bitmaps
-        let scalar = (c.hash_probe_tuple_ns + c.shared_probe_extra_ns) * tuples as f64
-            + c.bitmap_word_and_ns * words as f64;
-        let vectorized = c.filter_batch_cost(tuples / 10, words);
-        assert!(vectorized < scalar / 2.0, "{vectorized} vs {scalar}");
     }
 
     fn ssb_like_signals() -> SharingSignals {

@@ -12,6 +12,8 @@
 //! * [`QueryBitmap`] — the per-tuple query-membership bitmap that shared
 //!   operators AND together (CJOIN's core mechanism).
 //! * [`CostModel`] — calibrated virtual CPU cost constants.
+//! * [`FaultPlan`] / [`FaultSite`] — the seeded fault-injection schedule
+//!   every layer reads ([`fault`]).
 //! * [`fxhash`] — a fast non-cryptographic hasher for hot join paths.
 //! * [`sync`] — the swappable synchronization layer: `parking_lot`/`std`
 //!   in production, the deterministic `loom` shim under `--cfg interleave`.
@@ -26,6 +28,7 @@ pub mod bitmap;
 pub mod cell;
 pub mod codec;
 pub mod costs;
+pub mod fault;
 pub mod fxhash;
 pub mod plan;
 pub mod predicate;
@@ -35,6 +38,7 @@ pub mod value;
 
 pub use bitmap::{BitmapBank, QueryBitmap, SelVec};
 pub use costs::{CostModel, SharingSignals};
+pub use fault::{FaultPlan, FaultSite};
 pub use plan::{AggExpr, AggFn, AggSpec, ColRef, ColSource, DimJoin, OrderKey, StarQuery};
 pub use predicate::{CmpOp, Predicate};
 pub use schema::{ColType, Column, Schema};

@@ -1,10 +1,11 @@
 //! Engine configurations matching the paper's §5.1 experimental matrix.
 
-use workshare_cjoin::{CjoinConfig, CjoinFaultPlan};
+use workshare_cjoin::CjoinConfig;
+pub use workshare_common::FaultPlan;
 use workshare_common::CostModel;
 use workshare_qpipe::{ExchangeKind, QpipeConfig};
 use workshare_sim::{DiskConfig, MachineConfig};
-use workshare_storage::{IoMode, StorageConfig, StorageFaultPlan};
+use workshare_storage::{IoMode, StorageConfig};
 
 use crate::governor::GovernorConfig;
 
@@ -166,125 +167,6 @@ impl ServiceConfig {
     }
 }
 
-/// The seeded, deterministic fault-injection schedule, threaded from
-/// [`RunConfig::faults`] into every layer's fault sites. The default is
-/// **fully off**: no site fires, no recovery machinery is built, and the
-/// engine behaves bit-for-bit as before.
-///
-/// Sites (see `docs/FAULTS.md` for the full table):
-///
-/// * storage — transient page-read errors (recovered by bounded retry with
-///   exponential backoff), permanent read errors (typed `StorageError`
-///   after retries), torn pages (checksum verify + quarantine).
-/// * cjoin admission — scan-unit stalls and panics; fabric-worker wedges.
-/// * core engine — stage-build failures (the carcass is shut down and the
-///   stage built again) and mid-execution worker panics.
-///
-/// With any site armed the governed engine also arms the **self-healing**
-/// machinery: the health monitor, the fabric's straggler re-dispatch, and
-/// the fabric → pool → serial degradation ladder. Set
-/// [`self_heal`](FaultPlan::self_heal) to `false` to measure the
-/// no-recovery baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPlan {
-    /// Seed mixed into every site's fire schedule; a chaos failure replays
-    /// from its seed.
-    pub seed: u64,
-    /// Every ~`stride`-th page read fails transiently (for 2 consecutive
-    /// attempts; the retry budget is 4, so a retried read always recovers).
-    pub transient_page_stride: Option<u64>,
-    /// Every ~`stride`-th page read fails on every attempt.
-    pub permanent_page_stride: Option<u64>,
-    /// Every ~`stride`-th page read returns a torn page.
-    pub torn_page_stride: Option<u64>,
-    /// Every ~`stride`-th admission scan draw stalls past the fabric's
-    /// re-dispatch deadline. The pool rung draws once per scan unit, the
-    /// fabric once per page-range subscan (up to 4 per unit), the serial
-    /// rung never (see `workshare_cjoin::CjoinFaultPlan`).
-    pub scan_stall_stride: Option<u64>,
-    /// Every ~`stride`-th admission scan draw (as above) panics.
-    pub scan_panic_stride: Option<u64>,
-    /// A fabric worker wedges (parks until shutdown) at its `n`-th window;
-    /// fires once per fabric lifetime.
-    pub fabric_wedge_after: Option<u64>,
-    /// Every ~`stride`-th stage build fails; the engine shuts the carcass
-    /// down, counts it in `stage_rebuilds` and builds the stage again. A
-    /// stage is built once per fact table per engine, so the site draws
-    /// once per fact table per engine (not once per idle gap, as it did
-    /// while stages were torn down between queries): a schedule that wants
-    /// a rebuild must fire on one of those first draws — the heavy-fault
-    /// chaos test's seed 42 / stride 2 does, on the very first.
-    pub stage_build_stride: Option<u64>,
-    /// Panic inside the producer vthread of every query whose id is a
-    /// multiple of the stride, *after* admission (the completion guard and
-    /// permit drop must turn the panic into an error outcome that still
-    /// balances
-    /// [`ThroughputReport::is_conserved`](crate::ThroughputReport::is_conserved)).
-    pub worker_panic_stride: Option<u64>,
-    /// Whether the recovery machinery runs (retry/backoff, re-dispatch,
-    /// health monitor, ladder). `false` = no-recovery baseline: the first
-    /// failure of each injected fault is final.
-    pub self_heal: bool,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            seed: 0,
-            transient_page_stride: None,
-            permanent_page_stride: None,
-            torn_page_stride: None,
-            scan_stall_stride: None,
-            scan_panic_stride: None,
-            fabric_wedge_after: None,
-            stage_build_stride: None,
-            worker_panic_stride: None,
-            self_heal: true,
-        }
-    }
-}
-
-impl FaultPlan {
-    /// Whether any fault site is armed.
-    pub fn is_armed(&self) -> bool {
-        self.transient_page_stride.is_some()
-            || self.permanent_page_stride.is_some()
-            || self.torn_page_stride.is_some()
-            || self.scan_stall_stride.is_some()
-            || self.scan_panic_stride.is_some()
-            || self.fabric_wedge_after.is_some()
-            || self.stage_build_stride.is_some()
-            || self.worker_panic_stride.is_some()
-    }
-
-    /// Whether the governed engine should build the self-healing machinery
-    /// (health monitor, ladder, re-dispatch supervision).
-    pub fn heals(&self) -> bool {
-        self.is_armed() && self.self_heal
-    }
-
-    /// The storage layer's slice of the plan.
-    pub fn storage_faults(&self) -> StorageFaultPlan {
-        StorageFaultPlan {
-            seed: self.seed,
-            transient_stride: self.transient_page_stride,
-            permanent_stride: self.permanent_page_stride,
-            torn_stride: self.torn_page_stride,
-            retry: self.self_heal,
-        }
-    }
-
-    /// The cjoin admission layer's slice of the plan.
-    pub fn cjoin_faults(&self) -> CjoinFaultPlan {
-        CjoinFaultPlan {
-            seed: self.seed,
-            scan_stall_stride: self.scan_stall_stride,
-            scan_panic_stride: self.scan_panic_stride,
-            wedge_after_windows: self.fabric_wedge_after,
-        }
-    }
-}
-
 /// Full run configuration: engine + machine + storage knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
@@ -298,10 +180,6 @@ pub struct RunConfig {
     pub io_mode: IoMode,
     /// Buffer-pool capacity in pages (`None` = large default).
     pub buffer_pool_pages: Option<usize>,
-    /// Run CJOIN with the retained tuple-at-a-time filter kernel instead of
-    /// the vectorized batch kernel (the property tests' reference path; see
-    /// `workshare_cjoin::CjoinConfig::scalar_filter`).
-    pub cjoin_scalar_filter: bool,
     /// Run CJOIN with the retained per-query **serial** admission path (the
     /// paper's §3.2 behavior: the preprocessor pauses the pipeline and
     /// scans every dimension once per pending query) instead of the
@@ -351,7 +229,6 @@ impl Default for RunConfig {
             exchange: ExchangeKind::Spl,
             io_mode: IoMode::Memory,
             buffer_pool_pages: None,
-            cjoin_scalar_filter: false,
             cjoin_serial_admission: false,
             cs_prediction: false,
             cost: CostModel::default(),
@@ -418,7 +295,7 @@ impl RunConfig {
     pub fn storage_config(&self) -> StorageConfig {
         let mut sc = StorageConfig {
             io_mode: self.io_mode,
-            faults: self.faults.storage_faults(),
+            faults: self.faults,
             ..Default::default()
         };
         if let Some(p) = self.buffer_pool_pages {
@@ -450,9 +327,8 @@ impl RunConfig {
         CjoinConfig {
             exchange: self.exchange,
             sp: self.engine == NamedConfig::CjoinSp,
-            scalar_filter: self.cjoin_scalar_filter,
             serial_admission: self.cjoin_serial_admission,
-            faults: self.faults.cjoin_faults(),
+            faults: self.faults,
             ..Default::default()
         }
     }
@@ -564,19 +440,13 @@ mod tests {
             fabric_wedge_after: Some(3),
             ..Default::default()
         };
-        let sf = rc.storage_config().faults;
-        assert_eq!(sf.seed, 42);
-        assert_eq!(sf.transient_stride, Some(5));
-        assert_eq!(sf.torn_stride, Some(9));
-        assert!(sf.retry, "self-heal arms the retry path");
-        let cf = rc.cjoin_config().faults;
-        assert_eq!(cf.seed, 42);
-        assert_eq!(cf.scan_stall_stride, Some(7));
-        assert_eq!(cf.wedge_after_windows, Some(3));
+        // Every layer reads the one plan, unchanged.
+        assert_eq!(rc.storage_config().faults, rc.faults);
+        assert_eq!(rc.cjoin_config().faults, rc.faults);
         assert!(rc.faults.heals());
         // The no-recovery baseline disables the retry machinery.
         rc.faults.self_heal = false;
-        assert!(!rc.storage_config().faults.retry);
+        assert!(!rc.storage_config().faults.self_heal);
         assert!(!rc.faults.heals());
     }
 
@@ -596,9 +466,8 @@ mod tests {
     fn knob_census() -> Vec<(&'static str, Vec<&'static str>)> {
         vec![
             fields!(RunConfig {
-                engine, cores, exchange, io_mode, buffer_pool_pages, cjoin_scalar_filter,
-                cjoin_serial_admission, cs_prediction, cost, disk, policy, admission_fabric,
-                governor, service, faults,
+                engine, cores, exchange, io_mode, buffer_pool_pages, cjoin_serial_admission,
+                cs_prediction, cost, disk, policy, admission_fabric, governor, service, faults,
             }),
             fields!(ServiceConfig { queue_cap, deadline_secs, slo_p99_secs, tenant_weights }),
             fields!(FaultPlan {
@@ -607,20 +476,12 @@ mod tests {
                 worker_panic_stride, self_heal,
             }),
             fields!(GovernorConfig { hysteresis, ewma_alpha, max_crossover }),
-            fields!(CjoinConfig {
-                exchange, cap_pages, sp, scalar_filter, serial_admission, faults,
-            }),
-            fields!(CjoinFaultPlan {
-                seed, scan_stall_stride, scan_panic_stride, wedge_after_windows,
-            }),
+            fields!(CjoinConfig { exchange, cap_pages, sp, serial_admission, faults }),
             fields!(QpipeConfig {
                 exchange, circular_scans, sp_joins, cs_prediction, cap_pages,
             }),
             fields!(StorageConfig {
                 io_mode, buffer_pool_pages, fs_extent_pages, fs_cache_extents, faults,
-            }),
-            fields!(StorageFaultPlan {
-                seed, transient_stride, permanent_stride, torn_stride, retry,
             }),
             fields!(DiskConfig {
                 bandwidth_bytes_per_sec, per_request_overhead_ns, stream_switch_seek_ns,
@@ -635,7 +496,7 @@ mod tests {
         let total: usize = knob_census().iter().map(|(_, f)| f.len()).sum();
         // docs/KNOBS.md's "Count" section leads with the total and explains
         // which of the fields are set independently.
-        let headline = format!("{total} fields in ten structs");
+        let headline = format!("{total} fields in eight structs");
         assert!(KNOBS_MD.contains(&headline), "docs/KNOBS.md does not say \"{headline}\"");
     }
 

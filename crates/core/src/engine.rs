@@ -24,7 +24,7 @@ use workshare_common::fxhash::FxHashMap;
 // `workshare_common::sync` and docs/TESTING.md).
 use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
 use workshare_common::value::Row;
-use workshare_common::{CostModel, SharingSignals, StarQuery};
+use workshare_common::{CostModel, FaultSite, SharingSignals, StarQuery};
 use workshare_qpipe::ops::run_aggregate;
 use workshare_qpipe::{CompletionGuard, QpipeEngine, SlotResult};
 use workshare_sim::{Machine, SimCtx, WaitSet};
@@ -36,10 +36,6 @@ use crate::health::HealthStats;
 use crate::slots::{ServiceSlots, SlotPermit};
 use crate::ticket::Ticket;
 use crate::volcano::try_run_volcano_query;
-
-/// Fault-site id of the engine's stage-build site in the seeded injection
-/// schedule (storage uses 1–3, the cjoin admission layer 4–5).
-const SITE_STAGE_BUILD: u64 = 6;
 
 /// Virtual nanoseconds between health-monitor ticks while admission work is
 /// outstanding. Two ticks bracket a wedged fabric well under the default
@@ -146,9 +142,6 @@ struct StageRegistry {
     /// — stages route pending batches by its live rung, the fabric runs
     /// supervised windows under it, and the health monitor drives it.
     health: Option<Arc<AdmissionHealth>>,
-    /// Stride of the injected stage-build fault site
-    /// ([`FaultPlan::stage_build_stride`](crate::config::FaultPlan)).
-    stage_build_stride: Option<u64>,
     /// Injection tick of the stage-build site (one per fact table).
     stage_builds: AtomicU64,
     /// Builds that failed by injection: the carcass was shut down and the
@@ -188,7 +181,6 @@ impl StageRegistry {
         cost: CostModel,
         fabric: Option<AdmissionFabric>,
         health: Option<Arc<AdmissionHealth>>,
-        stage_build_stride: Option<u64>,
     ) -> StageRegistry {
         StageRegistry {
             machine: machine.clone(),
@@ -198,7 +190,6 @@ impl StageRegistry {
             fabric,
             stages: Mutex::new(FxHashMap::default()),
             health,
-            stage_build_stride,
             stage_builds: AtomicU64::new(0),
             stage_rebuilds: AtomicU64::new(0),
             monitor_ws: WaitSet::new(machine),
@@ -227,11 +218,7 @@ impl StageRegistry {
         let mut stage = build();
         let mut incarnations = 1;
         let tick = self.stage_builds.fetch_add(1, Ordering::Relaxed);
-        if self
-            .config
-            .faults
-            .fires(SITE_STAGE_BUILD, self.stage_build_stride, tick)
-        {
+        if self.config.faults.fires(FaultSite::StageBuild, tick) {
             stage.shutdown();
             self.stage_rebuilds.fetch_add(1, Ordering::Relaxed);
             stage = build();
@@ -598,12 +585,11 @@ impl Engine {
                             AdmissionFabric::new(
                                 machine,
                                 config.service.queue_cap.map_or(u64::MAX, |cap| cap as u64),
-                                config.faults.cjoin_faults(),
+                                config.faults,
                                 health.clone(),
                             )
                         }),
                         health.clone(),
-                        config.faults.stage_build_stride,
                     ));
                     if let Some(h) = &health {
                         registry.spawn_health_monitor(Arc::clone(h));

@@ -10,15 +10,17 @@
 //! modeling a replica re-fetch).
 //!
 //! Injection is seeded and counter-driven: every logical page read draws one
-//! tick from a global counter, and each site fires when its hash of
-//! `(seed, site, tick)` lands on the configured stride. Everything is pure
-//! virtual time — no wall clocks — so a failing schedule replays from its
-//! seed (see `docs/FAULTS.md`).
+//! tick from the manager's counter, and each page site fires where
+//! [`FaultPlan::fires`](workshare_common::FaultPlan::fires) says — the one
+//! schedule every layer reads (`workshare_common::fault`). Everything is
+//! pure virtual time — no wall clocks (see `docs/FAULTS.md`).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
+
+use workshare_common::FaultSite;
 
 /// A typed page-read failure. Never a panic: callers turn these into
 /// per-query error outcomes (`Ticket::error`).
@@ -63,44 +65,6 @@ impl std::fmt::Display for StorageError {
 
 impl std::error::Error for StorageError {}
 
-/// Seeded fault schedule for the storage layer. Default: fully off — the
-/// read path is bit-for-bit the legacy one.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StorageFaultPlan {
-    /// Seed mixed into every site's fire decision.
-    pub seed: u64,
-    /// Every ~`stride`-th read fails transiently (recovered by retry).
-    pub transient_stride: Option<u64>,
-    /// Every ~`stride`-th read fails on every attempt (typed error).
-    pub permanent_stride: Option<u64>,
-    /// Every ~`stride`-th read returns a torn page (checksum mismatch).
-    pub torn_stride: Option<u64>,
-    /// Whether the recovery machinery (retry/backoff) runs. `false` models
-    /// the no-recovery baseline: the first failed attempt is final.
-    pub retry: bool,
-}
-
-impl Default for StorageFaultPlan {
-    fn default() -> Self {
-        StorageFaultPlan {
-            seed: 0,
-            transient_stride: None,
-            permanent_stride: None,
-            torn_stride: None,
-            retry: true,
-        }
-    }
-}
-
-impl StorageFaultPlan {
-    /// Whether any storage fault site is armed.
-    pub fn is_armed(&self) -> bool {
-        self.transient_stride.is_some()
-            || self.permanent_stride.is_some()
-            || self.torn_stride.is_some()
-    }
-}
-
 /// Counters the health monitor and `HealthStats` read off the storage layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageFaultStats {
@@ -137,24 +101,6 @@ pub(crate) struct FaultState {
     pages_rebuilt: AtomicU64,
 }
 
-/// Distinct salts so the sites fire on unrelated read ticks.
-#[derive(Clone, Copy)]
-pub(crate) enum FaultSite {
-    Transient = 1,
-    Permanent = 2,
-    Torn = 3,
-}
-
-fn mix(seed: u64, site: u64, tick: u64) -> u64 {
-    // splitmix64-style finalizer: decorrelates the per-site schedules.
-    let mut x = tick
-        .wrapping_add(seed.rotate_left(17))
-        .wrapping_add(site.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl FaultState {
     pub(crate) fn new() -> FaultState {
         FaultState {
@@ -174,21 +120,12 @@ impl FaultState {
         self.reads.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Whether `site` fires on `tick` under `plan`.
-    pub(crate) fn fires(plan: &StorageFaultPlan, site: FaultSite, tick: u64) -> bool {
-        let stride = match site {
-            FaultSite::Transient => plan.transient_stride,
-            FaultSite::Permanent => plan.permanent_stride,
-            FaultSite::Torn => plan.torn_stride,
-        };
-        stride.is_some_and(|s| s > 0 && mix(plan.seed, site as u64, tick).is_multiple_of(s))
-    }
-
     pub(crate) fn count_injected(&self, site: FaultSite) {
         match site {
             FaultSite::Transient => &self.injected_transient,
             FaultSite::Permanent => &self.injected_permanent,
             FaultSite::Torn => &self.injected_torn,
+            other => unreachable!("{other:?} is not a page-read site"),
         }
         .fetch_add(1, Ordering::Relaxed);
     }
@@ -242,46 +179,6 @@ pub(crate) fn page_checksum(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_plan_is_off() {
-        let p = StorageFaultPlan::default();
-        assert!(!p.is_armed());
-        assert!(p.retry);
-    }
-
-    #[test]
-    fn stride_one_always_fires() {
-        let p = StorageFaultPlan {
-            transient_stride: Some(1),
-            ..Default::default()
-        };
-        for tick in 0..32 {
-            assert!(FaultState::fires(&p, FaultSite::Transient, tick));
-        }
-        assert!(!FaultState::fires(&p, FaultSite::Permanent, 0));
-    }
-
-    #[test]
-    fn sites_fire_on_decorrelated_ticks() {
-        let p = StorageFaultPlan {
-            transient_stride: Some(5),
-            permanent_stride: Some(5),
-            ..Default::default()
-        };
-        let (mut t, mut q, mut both) = (0u32, 0u32, 0u32);
-        for tick in 0..10_000 {
-            let a = FaultState::fires(&p, FaultSite::Transient, tick);
-            let b = FaultState::fires(&p, FaultSite::Permanent, tick);
-            t += a as u32;
-            q += b as u32;
-            both += (a && b) as u32;
-        }
-        // Each site hits ~1/5 of ticks, but not the same ticks.
-        assert!((1500..2500).contains(&t), "{t}");
-        assert!((1500..2500).contains(&q), "{q}");
-        assert!(both < t.min(q) / 2, "sites overlap too much: {both}");
-    }
 
     #[test]
     fn quarantine_roundtrip() {

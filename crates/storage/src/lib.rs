@@ -23,8 +23,8 @@
 //! faults recover via bounded retry with exponential backoff, torn pages are
 //! caught by per-page checksums and quarantined, and unrecoverable faults
 //! surface as a typed [`StorageError`] — never a panic on query paths. The
-//! seeded [`StorageFaultPlan`] (default off) drives deterministic fault
-//! injection for the chaos tests (`docs/FAULTS.md`).
+//! seeded [`FaultPlan`](workshare_common::FaultPlan)'s page-read sites
+//! (default off) drive fault injection for the chaos tests (`docs/FAULTS.md`).
 
 // Query-path code must surface typed errors, not unwrap; tests may unwrap.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -35,7 +35,7 @@ mod fscache;
 mod manager;
 
 pub use bufferpool::BufferPool;
-pub use fault::{StorageError, StorageFaultPlan, StorageFaultStats};
+pub use fault::{StorageError, StorageFaultStats};
 pub use fscache::FsCache;
 pub use manager::{
     IoMode, StorageConfig, StorageManager, TableId, MAX_PAGE_ATTEMPTS,

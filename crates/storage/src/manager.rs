@@ -7,14 +7,14 @@ use parking_lot::{Mutex, RwLock};
 
 use workshare_common::bind::{try_bind, BindError, BoundQuery};
 use workshare_common::codec::Page;
-use workshare_common::{CostModel, Schema, StarQuery, PAGE_SIZE};
+use workshare_common::{CostModel, FaultPlan, FaultSite, Schema, StarQuery, PAGE_SIZE};
 use workshare_sim::disk::StreamId;
 use workshare_sim::{CostKind, SimCtx};
 
 use crate::bufferpool::BufferPool;
-use crate::fault::{page_checksum, FaultSite, FaultState};
+use crate::fault::{page_checksum, FaultState};
 use crate::fscache::FsCache;
-use crate::{StorageError, StorageFaultPlan, StorageFaultStats};
+use crate::{StorageError, StorageFaultStats};
 
 /// Attempts (first try + retries) before a failing page read gives up.
 pub const MAX_PAGE_ATTEMPTS: u32 = 4;
@@ -54,8 +54,8 @@ pub struct StorageConfig {
     pub fs_extent_pages: usize,
     /// FS-cache capacity in extents.
     pub fs_cache_extents: usize,
-    /// Seeded page-fault schedule (default fully off).
-    pub faults: StorageFaultPlan,
+    /// The seeded fault plan (default fully off); its page-read sites.
+    pub faults: FaultPlan,
 }
 
 impl Default for StorageConfig {
@@ -68,7 +68,7 @@ impl Default for StorageConfig {
             buffer_pool_pages: 1 << 20,
             fs_extent_pages: 32,
             fs_cache_extents: 1 << 16,
-            faults: StorageFaultPlan::default(),
+            faults: FaultPlan::default(),
         }
     }
 }
@@ -235,8 +235,8 @@ impl StorageManager {
 
     /// Fallible page read: retries transient faults with exponential backoff,
     /// verifies the per-page checksum (quarantining torn pages), and surfaces
-    /// unrecoverable faults as a typed [`StorageError`]. With the default
-    /// (unarmed) fault plan this is exactly the legacy read path.
+    /// unrecoverable faults as a typed [`StorageError`]. With no page-read
+    /// site armed this is exactly the legacy read path.
     pub fn try_read_page(
         &self,
         ctx: &SimCtx,
@@ -245,7 +245,7 @@ impl StorageManager {
         stream: StreamId,
     ) -> Result<Page, StorageError> {
         let plan = &self.inner.config.faults;
-        if !plan.is_armed() {
+        if !plan.arms_page_reads() {
             return Ok(self.read_page_raw(ctx, t, page_no, stream));
         }
         let cost = self.inner.cost;
@@ -259,12 +259,9 @@ impl StorageManager {
         // Decide this read's fate up front (seeded, counter-driven), so the
         // schedule replays from the plan's seed.
         let tick = self.inner.fault.tick();
-        let permanent = FaultState::fires(plan, FaultSite::Permanent, tick);
-        let transient =
-            !permanent && FaultState::fires(plan, FaultSite::Transient, tick);
-        let torn = !permanent
-            && !transient
-            && FaultState::fires(plan, FaultSite::Torn, tick);
+        let permanent = plan.fires(FaultSite::Permanent, tick);
+        let transient = !permanent && plan.fires(FaultSite::Transient, tick);
+        let torn = !permanent && !transient && plan.fires(FaultSite::Torn, tick);
         if permanent {
             self.inner.fault.count_injected(FaultSite::Permanent);
         } else if transient {
@@ -272,7 +269,7 @@ impl StorageManager {
         } else if torn {
             self.inner.fault.count_injected(FaultSite::Torn);
         }
-        let max_attempts = if plan.retry { MAX_PAGE_ATTEMPTS } else { 1 };
+        let max_attempts = if plan.self_heal { MAX_PAGE_ATTEMPTS } else { 1 };
         let mut attempt = 0u32;
         loop {
             attempt += 1;
@@ -535,7 +532,7 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    fn faulted_manager(faults: StorageFaultPlan) -> StorageManager {
+    fn faulted_manager(faults: FaultPlan) -> StorageManager {
         StorageManager::new(
             StorageConfig {
                 io_mode: IoMode::Memory,
@@ -572,9 +569,9 @@ mod tests {
     #[test]
     fn transient_faults_recover_via_retry() {
         let m = machine();
-        let sm = faulted_manager(StorageFaultPlan {
+        let sm = faulted_manager(FaultPlan {
             seed: 7,
-            transient_stride: Some(3),
+            transient_page_stride: Some(3),
             ..Default::default()
         });
         let t = sm.create_table("t", schema(), build_table(5000));
@@ -590,10 +587,10 @@ mod tests {
     #[test]
     fn transient_faults_without_retry_surface_errors() {
         let m = machine();
-        let sm = faulted_manager(StorageFaultPlan {
+        let sm = faulted_manager(FaultPlan {
             seed: 7,
-            transient_stride: Some(3),
-            retry: false,
+            transient_page_stride: Some(3),
+            self_heal: false,
             ..Default::default()
         });
         let t = sm.create_table("t", schema(), build_table(5000));
@@ -605,9 +602,9 @@ mod tests {
     #[test]
     fn permanent_faults_error_after_bounded_attempts() {
         let m = machine();
-        let sm = faulted_manager(StorageFaultPlan {
+        let sm = faulted_manager(FaultPlan {
             seed: 11,
-            permanent_stride: Some(4),
+            permanent_page_stride: Some(4),
             ..Default::default()
         });
         let t = sm.create_table("t", schema(), build_table(5000));
@@ -628,9 +625,9 @@ mod tests {
     #[test]
     fn torn_pages_quarantine_then_rebuild() {
         let m = machine();
-        let sm = faulted_manager(StorageFaultPlan {
+        let sm = faulted_manager(FaultPlan {
             seed: 3,
-            torn_stride: Some(5),
+            torn_page_stride: Some(5),
             ..Default::default()
         });
         let t = sm.create_table("t", schema(), build_table(5000));

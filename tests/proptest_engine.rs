@@ -143,49 +143,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The vectorized batch filter path must be indistinguishable from the
-    /// retained scalar reference path: row-identical output and identical
-    /// `CjoinStats`, across random star queries and admission batch shapes
-    /// (slot counts drive the bitmap widths both kernels stride over).
-    #[test]
-    fn vectorized_filter_matches_scalar_reference(
-        mut queries in proptest::collection::vec(arb_query(), 1..5),
-        dup in proptest::bool::ANY,
-    ) {
-        if dup {
-            let q = queries[0].clone();
-            queries.push(q);
-        }
-        for (i, q) in queries.iter_mut().enumerate() {
-            q.id = i as u64;
-        }
-        let vec_cfg = RunConfig::named(NamedConfig::CjoinSp);
-        let mut scalar_cfg = vec_cfg;
-        scalar_cfg.cjoin_scalar_filter = true;
-        let vec_run = run_batch(ssb(), &vec_cfg, &queries, true);
-        let scalar_run = run_batch(ssb(), &scalar_cfg, &queries, true);
-        prop_assert_eq!(
-            vec_run.results.as_ref().unwrap(),
-            scalar_run.results.as_ref().unwrap(),
-            "kernels diverged"
-        );
-        // admission_batches (and with it the physical page count of the
-        // shared admission scans) shifts with pipeline timing (a faster
-        // filter path changes when the preprocessor observes pending
-        // admissions); every workload-derived counter must match exactly.
-        let mut vs = vec_run.cjoin.unwrap();
-        let mut ss = scalar_run.cjoin.unwrap();
-        vs.admission_batches = 0;
-        ss.admission_batches = 0;
-        vs.admission_dim_pages = 0;
-        ss.admission_dim_pages = 0;
-        prop_assert_eq!(vs, ss, "stats diverged");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
     /// The shared-scan admission path (dimension tables scanned once per
     /// admission batch by off-thread workers) must be indistinguishable
     /// from the retained per-query serial path: row-identical output and

@@ -2,8 +2,7 @@
 //! mixed workloads over two fact tables must produce identical joined rows
 //! and aggregates on the sharded governed engine — under the cross-stage
 //! admission fabric and under per-stage admission pools — and the per-query
-//! Volcano oracle, mirroring the `scalar_filter` / `serial_admission`
-//! oracle pattern. The same holds for an engine that stays up while queries
+//! Volcano oracle, mirroring the `serial_admission` oracle pattern. The same holds for an engine that stays up while queries
 //! come and go, where the fabric's admission memo — filled by a window of
 //! either stage — stands in for most dimension scans.
 
