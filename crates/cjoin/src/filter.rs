@@ -19,15 +19,20 @@
 //!   equal FKs — clustered fact data and join-product skew both collapse
 //!   into long runs) and folding bitmap updates as whole-word ANDs. All
 //!   working state lives in a per-worker [`FilterScratch`], so the
-//!   steady-state loop performs **zero heap allocations per tuple**.
+//!   steady-state loop performs **zero heap allocations per tuple**. It
+//!   probes only for a query that is still listening: a tuple none of
+//!   whose surviving bits references the filter passes it unprobed, and a
+//!   filter no member of the page references is not visited at all. The
+//!   stage probes the filters most queries reference first.
 //! * [`filter_page_scalar`] — the retained tuple-at-a-time reference
 //!   kernel. No engine path runs it: it is the oracle the property test
 //!   below compares the vectorized kernel against, and the baseline the
-//!   `filter_vectorized` bench measures.
+//!   `filter_vectorized` bench measures. It probes every pair.
 //!
-//! Both kernels produce the same [`FilteredPage`] (survivor indices, a
-//! survivor-aligned bitmap bank, and the matched dimension rows), so the
-//! distributor is agnostic to which one ran.
+//! Both kernels produce a [`FilteredPage`] (survivor indices, a
+//! survivor-aligned bitmap bank, and the matched dimension rows) that reads
+//! the same to the distributor: equal survivors and bitmaps, and equal
+//! matches at every pair a surviving query reads.
 
 use std::sync::Arc;
 
@@ -125,11 +130,13 @@ impl FilteredPage {
 /// GQP state lock is held).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterCounters {
-    /// Tuple × filter probe steps performed.
+    /// Tuples actually probed, summed over filters: a tuple the kernel
+    /// skipped at a filter is not counted there.
     pub probes: u64,
     /// Distinct key runs actually probed into a dimension hash table.
     pub key_runs: u64,
-    /// 64-bit bitmap words ANDed.
+    /// 64-bit bitmap words read: the still-alive tuples of every visited
+    /// filter × the bank stride, probed or skipped.
     pub bitmap_words: u64,
 }
 
@@ -193,8 +200,8 @@ pub fn filter_page_scalar(
     )
 }
 
-/// Vectorized batch-at-a-time kernel. See the module docs for the loop
-/// structure; behavior is row-identical to [`filter_page_scalar`].
+/// Vectorized batch-at-a-time kernel, probing the filters in insertion
+/// order. See the module docs for the loop structure.
 ///
 /// Inner-loop discipline: the AND mask `entry | !referencing` is computed
 /// once per *key run*, so the per-tuple work is one FK extraction, one key
@@ -202,8 +209,49 @@ pub fn filter_page_scalar(
 /// matches are resolved from run codes at compaction, so `Arc` clones
 /// (atomic RMWs) are paid only for survivors, never for tuples the filters
 /// kill.
+///
+/// **Skip rule.** A tuple whose bitmap shares no bit with a filter's
+/// `referencing` is not probed there, since the AND would be the identity:
+/// it stays alive, its match code at that filter stays 0, and the key-run
+/// state carries across it (the mask depends only on the key, so
+/// `key_runs` counts exactly the runs probed). A filter whose
+/// `referencing` shares no bit with `members` is not visited at all, and
+/// one every member references runs no per-tuple test, since no tuple can
+/// be skipped there. Survivors and bitmaps therefore equal
+/// [`filter_page_scalar`]'s.
+///
+/// **Reader contract.** [`FilteredPage::dim_match`]`(j, fi)` equals the
+/// oracle's wherever a query `q` in survivor `j`'s bitmap references
+/// filter `fi`; elsewhere it may be `None`. That covers every reader: the
+/// stage's distributor and the ledger's layer sweep read `dim_match(j, fi)`
+/// only for a `q` in `j`'s final bits with `fi` among `q`'s own filters.
+/// Such a `q` references `fi`, and final bits are a subset of the bits
+/// `j` carried into `fi`, so the pair was probed.
 pub fn filter_page_vectorized(
     filters: &[Arc<FilterCore>],
+    rows: &[Row],
+    members: &QueryBitmap,
+    scratch: &mut FilterScratch,
+) -> (FilteredPage, FilterCounters) {
+    filter_page_in_order(filters, 0..filters.len(), rows, members, scratch)
+}
+
+/// Probe order of `filters`: descending population count of `referencing`,
+/// ties in insertion order. A filter every query joins goes first and
+/// clears the bits that would otherwise make the narrower filters after it
+/// probe; with one query, or any set of queries referencing every filter,
+/// this is insertion order. The stage computes it once per epoch publish.
+pub(crate) fn probe_order(filters: &[Arc<FilterCore>]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..filters.len()).collect();
+    order.sort_by_key(|&fi| std::cmp::Reverse(filters[fi].referencing.count_ones()));
+    order
+}
+
+/// [`filter_page_vectorized`], probing the filters in `order` (a
+/// permutation of their indices). Match codes stay indexed by filter index.
+pub(crate) fn filter_page_in_order(
+    filters: &[Arc<FilterCore>],
+    order: impl IntoIterator<Item = usize>,
     rows: &[Row],
     members: &QueryBitmap,
     scratch: &mut FilterScratch,
@@ -229,15 +277,23 @@ pub fn filter_page_vectorized(
     // all filters (codes in `match_run` are 1-based indices into this).
     // Sized by runs, not tuples — the only per-batch allocation in the loop.
     let mut run_hits: Vec<&DimEntry> = Vec::new();
-    for (fi, f) in filters.iter().enumerate() {
+    let mw = members.words();
+    for fi in order {
+        let f = &filters[fi];
         if !alive.any() {
             break;
         }
+        // No member of the page references this filter: nothing to probe.
+        let refs = f.referencing.words();
+        if mw.iter().zip(refs).all(|(m, r)| m & r == 0) {
+            continue;
+        }
         // `!referencing`, extended to the bank stride, fixed per filter.
         notref.clear();
-        notref.extend(
-            (0..stride).map(|j| !f.referencing.words().get(j).copied().unwrap_or(0)),
-        );
+        notref.extend((0..stride).map(|j| !refs.get(j).copied().unwrap_or(0)));
+        // Only a member that does not reference the filter can leave a
+        // tuple with nothing to probe for.
+        let may_skip = mw.iter().zip(&notref[..]).any(|(m, n)| m & n != 0);
         // Probe once per run of equal consecutive keys: clustered fact
         // pages and join-product skew both collapse into long runs, so the
         // hash lookup and mask construction amortize across the run.
@@ -247,16 +303,21 @@ pub fn filter_page_vectorized(
         let fk = f.fact_fk_idx;
         let mrow = &mut match_run[..];
         let hits = &mut run_hits;
-        // Every still-alive tuple is visited exactly once by this pass, so
-        // the per-tuple counters hoist out of the inner loop entirely.
+        // Every still-alive tuple is visited exactly once by this pass and
+        // its bitmap words read, by the skip test or the AND; only tuples
+        // that some referencing query still needs count as probes.
         let visited = alive.count() as u64;
-        counters.probes += visited;
         counters.bitmap_words += visited * stride as u64;
+        let mut skipped = 0u64;
         if stride == 1 {
             // Up to 64 query slots: the whole mask is one word.
             let notref0 = notref[0];
             let mut mask0 = 0u64;
             alive.retain(|i| {
+                if may_skip && bank.word(i) & !notref0 == 0 {
+                    skipped += 1;
+                    return true;
+                }
                 let key = rows[i][fk].as_int();
                 if !in_run || key != run_key {
                     run_key = key;
@@ -280,6 +341,10 @@ pub fn filter_page_vectorized(
             });
         } else {
             alive.retain(|i| {
+                if may_skip && bank.row(i).iter().zip(refs).all(|(w, r)| w & r == 0) {
+                    skipped += 1;
+                    return true;
+                }
                 let key = rows[i][fk].as_int();
                 if !in_run || key != run_key {
                     run_key = key;
@@ -306,6 +371,7 @@ pub fn filter_page_vectorized(
                 bank.and_mask_row(i, mask)
             });
         }
+        counters.probes += visited - skipped;
     }
     // Compact survivors out of the scratch (per-batch allocations only).
     // Match codes copy over verbatim; the `Arc` clones are one per key run
@@ -380,21 +446,26 @@ mod tests {
             .collect()
     }
 
-    fn pages_equal(a: &FilteredPage, b: &FilteredPage) {
-        assert_eq!(a.selected, b.selected);
-        assert_eq!(a.nfilters, b.nfilters);
-        for j in 0..a.selected.len() {
-            assert_eq!(
-                a.bank.to_query_bitmap(j),
-                b.bank.to_query_bitmap(j),
-                "bitmap of survivor {j}"
-            );
-            for fi in 0..a.nfilters {
-                assert_eq!(
-                    a.dim_match(j, fi).map(|r| r.as_slice()),
-                    b.dim_match(j, fi).map(|r| r.as_slice()),
-                    "match of survivor {j} filter {fi}"
-                );
+    /// `page` shows a reader what `oracle` does: the same survivors and
+    /// bitmaps, and the same match of survivor `j` at filter `fi` wherever
+    /// one of `j`'s surviving queries references `fi`. Elsewhere the
+    /// vectorized kernel may have skipped the pair, so it holds `None` — or
+    /// the oracle's row, when a query a later filter dropped still needed
+    /// the probe.
+    fn pages_equal(filters: &[Arc<FilterCore>], oracle: &FilteredPage, page: &FilteredPage) {
+        assert_eq!(oracle.selected, page.selected);
+        assert_eq!(oracle.nfilters, page.nfilters);
+        for j in 0..page.selected.len() {
+            let bits = page.bank.to_query_bitmap(j);
+            assert_eq!(oracle.bank.to_query_bitmap(j), bits, "survivor {j}");
+            for (fi, f) in filters.iter().enumerate() {
+                let want = oracle.dim_match(j, fi).map(|r| r.as_slice());
+                let got = page.dim_match(j, fi).map(|r| r.as_slice());
+                if bits.iter_ones().any(|q| f.referencing.get(q)) {
+                    assert_eq!(want, got, "match of survivor {j} filter {fi}");
+                } else {
+                    assert!(got.is_none() || got == want, "survivor {j} filter {fi}");
+                }
             }
         }
     }
@@ -410,7 +481,7 @@ mod tests {
         let (sp, sc) = filter_page_scalar(&filters, &rows, &members);
         let mut scratch = FilterScratch::default();
         let (vp, vc) = filter_page_vectorized(&filters, &rows, &members, &mut scratch);
-        pages_equal(&sp, &vp);
+        pages_equal(&filters, &sp, &vp);
         assert!(!vp.selected.is_empty(), "test must exercise survivors");
         assert!(vp.selected.len() < rows.len(), "and deaths");
         // The vectorized path probes strictly less: runs ≤ probes.
@@ -429,7 +500,7 @@ mod tests {
         let (sp, _) = filter_page_scalar(&filters, &rows, &members);
         let mut scratch = FilterScratch::default();
         let (vp, _) = filter_page_vectorized(&filters, &rows, &members, &mut scratch);
-        pages_equal(&sp, &vp);
+        pages_equal(&filters, &sp, &vp);
         assert_eq!(vp.selected.len(), rows.len(), "bit 5 shields every tuple");
         for j in 0..vp.selected.len() {
             assert!(vp.bank.get(j, 5));
@@ -477,12 +548,102 @@ mod tests {
         let small = mk_rows(30);
         let (vp, _) = filter_page_vectorized(&filters, &small, &members, &mut scratch);
         let (sp, _) = filter_page_scalar(&filters, &small, &members);
-        pages_equal(&sp, &vp);
+        pages_equal(&filters, &sp, &vp);
+    }
+
+    #[test]
+    fn a_filter_probes_only_the_tuples_a_referencing_query_still_needs() {
+        // A is referenced by {0, 1}, B by {1}: B probes exactly the tuples
+        // whose bit 1 survived A; a tuple carrying only bit 0 passes B
+        // untouched.
+        let a = mk_filter(0, 13, &[0, 1]);
+        let b = mk_filter(1, 11, &[1]);
+        let rows = mk_rows(500);
+        let mut members = QueryBitmap::zeros(64);
+        members.set(0);
+        members.set(1);
+        let mut scratch = FilterScratch::default();
+        let (after_a, ac) =
+            filter_page_vectorized(&[Arc::clone(&a)], &rows, &members, &mut scratch);
+        let bit1_after_a = after_a.bank.count_column(1) as u64;
+        let alive_after_a = after_a.selected.len() as u64;
+        assert_eq!(ac.probes, rows.len() as u64, "every member references A");
+        assert!(bit1_after_a < alive_after_a, "the skip must fire");
+        let filters = vec![a, b];
+        let (vp, vc) = filter_page_vectorized(&filters, &rows, &members, &mut scratch);
+        assert_eq!(vc.probes - ac.probes, bit1_after_a);
+        assert_eq!(vc.bitmap_words - ac.bitmap_words, alive_after_a);
+        assert!(vc.key_runs <= vc.probes);
+        let (sp, _) = filter_page_scalar(&filters, &rows, &members);
+        pages_equal(&filters, &sp, &vp);
+    }
+
+    #[test]
+    fn members_referencing_every_filter_probe_as_before_the_skip() {
+        // One word and two words of members, each referencing both filters:
+        // the skip never fires, so the page is the oracle's pair for pair
+        // (every survivor's bits reference every filter, which makes
+        // `pages_equal` compare every pair) and the counters are the ones
+        // the kernel reported before it had a skip (pinned).
+        let pin = |probes, key_runs, bitmap_words| FilterCounters {
+            probes,
+            key_runs,
+            bitmap_words,
+        };
+        for (slots, want) in [([0, 1], pin(844, 469, 844)), ([0, 70], pin(768, 393, 1536))] {
+            let filters = vec![mk_filter(0, 13, &slots), mk_filter(1, 11, &slots)];
+            let rows = mk_rows(500);
+            let mut members = QueryBitmap::zeros(64);
+            for q in slots {
+                members.set(q);
+            }
+            let (sp, sc) = filter_page_scalar(&filters, &rows, &members);
+            let mut scratch = FilterScratch::default();
+            let (vp, vc) = filter_page_vectorized(&filters, &rows, &members, &mut scratch);
+            pages_equal(&filters, &sp, &vp);
+            assert_eq!((vc.probes, vc.bitmap_words), (sc.probes, sc.bitmap_words));
+            assert_eq!(vc, want, "members {slots:?}");
+        }
+    }
+
+    #[test]
+    fn probe_order_puts_the_most_referenced_filter_first_and_keeps_ties() {
+        let filters = vec![
+            mk_filter(0, 13, &[0]),
+            mk_filter(0, 13, &[0, 1, 2]),
+            mk_filter(1, 11, &[1, 2]),
+            mk_filter(1, 11, &[0, 1, 3]),
+        ];
+        assert_eq!(probe_order(&filters), [1, 3, 2, 0]);
+        let one_query: Vec<_> = (0..3).map(|c| mk_filter(c, 13, &[4])).collect();
+        assert_eq!(probe_order(&one_query), [0, 1, 2]);
+    }
+
+    #[test]
+    fn a_filter_no_member_references_costs_nothing() {
+        let a = mk_filter(0, 13, &[0, 1]);
+        let rows = mk_rows(500);
+        let mut members = QueryBitmap::zeros(64);
+        members.set(0);
+        members.set(1);
+        let mut scratch = FilterScratch::default();
+        let (alone, want) =
+            filter_page_vectorized(&[Arc::clone(&a)], &rows, &members, &mut scratch);
+        // C is referenced only by slot 5, which is not a member of the page.
+        let filters = vec![a, mk_filter(1, 11, &[5])];
+        let (vp, vc) = filter_page_vectorized(&filters, &rows, &members, &mut scratch);
+        assert_eq!(vc, want, "C adds no probe, run or word");
+        assert_eq!(vp.selected, alone.selected);
+        for j in 0..vp.selected.len() {
+            assert_eq!(vp.bank.to_query_bitmap(j), alone.bank.to_query_bitmap(j));
+            assert!(vp.dim_match(j, 1).is_none());
+        }
     }
 
     /// The kernel-level oracle: over random filter sets, query key sets,
-    /// batch members and FK shapes the vectorized kernel is page-identical
-    /// to [`filter_page_scalar`] and never probes more runs than tuples.
+    /// batch members, FK shapes and probe orders the vectorized kernel shows
+    /// a reader the page [`filter_page_scalar`] builds, and never probes
+    /// more runs than tuples.
     mod scalar_oracle {
         use super::*;
         use proptest::collection::vec;
@@ -593,8 +754,15 @@ mod tests {
                 let (vp, vc) = SCRATCH.with(|s| {
                     filter_page_vectorized(&filters, &rows, &members, &mut s.borrow_mut())
                 });
-                pages_equal(&sp, &vp);
+                pages_equal(&filters, &sp, &vp);
                 prop_assert!(vc.key_runs <= vc.probes, "{vc:?}");
+                // Any probe order is observably the same page.
+                for order in [probe_order(&filters), (0..filters.len()).rev().collect()] {
+                    let (op, _) = SCRATCH.with(|s| {
+                        filter_page_in_order(&filters, order, &rows, &members, &mut s.borrow_mut())
+                    });
+                    pages_equal(&filters, &sp, &op);
+                }
             }
         }
     }

@@ -16,7 +16,7 @@ use crate::fabric::AdmissionFabric;
 use crate::health::{AdmissionHealth, LadderRung};
 use crate::window::ShardedSlot;
 use crate::wrap::WrapLedger;
-use crate::filter::{filter_page_vectorized, FilterCore, FilterScratch, FilteredPage};
+use crate::filter::{filter_page_in_order, probe_order, FilterCore, FilterScratch, FilteredPage};
 use workshare_qpipe::batch::BatchBuilder;
 use workshare_qpipe::exchange::{Exchange, ExchangeKind, ExchangeReader};
 use workshare_sim::{CostKind, Machine, SimCtx, SimQueue, WaitSet};
@@ -64,8 +64,8 @@ impl Default for CjoinConfig {
 pub struct CjoinRuntimeStats {
     /// Queries currently active in the GQP.
     pub active_queries: usize,
-    /// Observed average key-run length in filtered fact pages (tuple×filter
-    /// probe steps per actual hash probe), as an EWMA over batches so a
+    /// Observed average key-run length in filtered fact pages (tuples
+    /// probed per actual hash probe), as an EWMA over batches so a
     /// workload shift re-converges quickly. 1.0 until the pipeline has
     /// filtered its first page; rises with clustered or skewed foreign keys.
     pub avg_key_run: f64,
@@ -101,13 +101,37 @@ const N_DISTRIBUTORS: usize = 10;
 /// Pipeline queue depth (batches in flight between stages).
 const PIPELINE_DEPTH: usize = 16;
 
-/// Fold `sample` into an optional EWMA cell with smoothing factor `alpha`.
-fn ewma_fold(cell: &Mutex<Option<f64>>, sample: f64, alpha: f64) {
-    let mut v = cell.lock();
-    *v = Some(match *v {
-        None => sample,
-        Some(prev) => (1.0 - alpha) * prev + alpha * sample,
-    });
+/// An EWMA statistic in one atomic word: the `f64`'s bits, NaN until the
+/// first sample. Every filter worker folds into it once per page, so it is
+/// a CAS loop, not a lock. It is a statistic, not a model-checked protocol,
+/// so it takes `std`'s atomic rather than `workshare_common::sync`'s.
+struct EwmaCell(std::sync::atomic::AtomicU64);
+
+impl EwmaCell {
+    fn new() -> EwmaCell {
+        EwmaCell(std::sync::atomic::AtomicU64::new(f64::NAN.to_bits()))
+    }
+
+    /// Fold `sample` in with smoothing factor `alpha`.
+    fn fold(&self, sample: f64, alpha: f64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        let fold = |bits| {
+            let prev = f64::from_bits(bits);
+            let next = if prev.is_nan() {
+                sample
+            } else {
+                (1.0 - alpha) * prev + alpha * sample
+            };
+            Some(next.to_bits())
+        };
+        let _ = self.0.fetch_update(Relaxed, Relaxed, fold);
+    }
+
+    /// The current average, `None` before the first sample.
+    fn get(&self) -> Option<f64> {
+        use std::sync::atomic::Ordering::Relaxed;
+        Some(f64::from_bits(self.0.load(Relaxed))).filter(|v| !v.is_nan())
+    }
 }
 
 /// Sharing/admission statistics of the stage.
@@ -224,6 +248,9 @@ const WRAP_SLOT_CAPACITY: usize = 65_536;
 #[derive(Clone, Default)]
 pub(crate) struct FilterEpoch {
     pub(crate) filters: Vec<Arc<FilterCore>>,
+    /// The order the filter workers probe `filters` in ([`probe_order`]),
+    /// recomputed on every publish.
+    pub(crate) probe_order: Vec<usize>,
     pub(crate) queries: FxHashMap<u32, Arc<QueryRuntime>>,
 }
 
@@ -355,7 +382,7 @@ pub(crate) struct StageInner {
     /// selectivity is kept **per dimension table** so the governor can see
     /// which dimension is cheap to share.
     pub(crate) dim_sel_ewma: Mutex<FxHashMap<TableId, f64>>,
-    key_run_ewma: Mutex<Option<f64>>,
+    key_run_ewma: EwmaCell,
 }
 
 impl StageInner {
@@ -392,6 +419,7 @@ impl StageInner {
         let mut control = self.control.lock();
         let mut next = (*self.epoch.load()).clone();
         let r = f(&mut control, &mut next);
+        next.probe_order = probe_order(&next.filters);
         self.epoch.publish(Arc::new(next));
         r
     }
@@ -466,7 +494,7 @@ impl CjoinStage {
             admission_dim_rows: AtomicU64::new(0),
             admission_dim_pages: AtomicU64::new(0),
             dim_sel_ewma: Mutex::new(FxHashMap::default()),
-            key_run_ewma: Mutex::new(None),
+            key_run_ewma: EwmaCell::new(),
         });
         let stage = CjoinStage { inner };
         stage.spawn_preprocessor();
@@ -581,7 +609,7 @@ impl CjoinStage {
         };
         CjoinRuntimeStats {
             active_queries: self.active_queries(),
-            avg_key_run: self.inner.key_run_ewma.lock().unwrap_or(1.0),
+            avg_key_run: self.inner.key_run_ewma.get().unwrap_or(1.0),
             dim_selectivity,
             dim_selectivity_by_dim,
         }
@@ -806,21 +834,25 @@ impl CjoinStage {
                     // least as new as the one whose activation stamped this
                     // page's members (publish happens-before activate
                     // happens-before the stamp), so every stamped slot's
-                    // entries are present.
+                    // entries are present. The epoch carries its probe order,
+                    // computed when it was published.
                     let (page, counters) = {
                         let epoch = reader.current(&inner.epoch);
-                        filter_page_vectorized(&epoch.filters, &rows, &batch.members, &mut scratch)
+                        filter_page_in_order(
+                            &epoch.filters,
+                            epoch.probe_order.iter().copied(),
+                            &rows,
+                            &batch.members,
+                            &mut scratch,
+                        )
                     };
                     // Observed skew signal for the governor: this batch's
-                    // tuple×filter probe steps per actual hash probe (key
-                    // run), EWMA-folded so shifts in page clustering show up
+                    // tuples probed per actual hash probe (key run),
+                    // EWMA-folded so shifts in page clustering show up
                     // within a few batches.
                     if counters.key_runs > 0 {
-                        ewma_fold(
-                            &inner.key_run_ewma,
-                            counters.probes as f64 / counters.key_runs as f64,
-                            0.1,
-                        );
+                        let run_len = counters.probes as f64 / counters.key_runs as f64;
+                        inner.key_run_ewma.fold(run_len, 0.1);
                     }
                     // The page's decode cost and the shared-operator
                     // bookkeeping costs (the §5.2.2 overhead), charged as one
@@ -1063,11 +1095,12 @@ fn fail_fact_page(inner: &Arc<StageInner>, ctx: &SimCtx, msg: &str) {
 ///
 /// A stage nobody references is a fresh stage: when that was the last
 /// reference to the last referenced filter, the filter list and its index
-/// are emptied in the same epoch. Both kernels probe every filter for every
-/// live tuple, so a long-lived stage would otherwise pay for each dimension
-/// any earlier query joined. Nothing can hold an index across the reset —
-/// admission locates a filter and sets its `referencing` bit inside one
-/// [`StageInner::mutate_epoch`].
+/// are emptied in the same epoch. The vectorized kernel does not visit a
+/// filter no page member references, but every filter still widens each
+/// page's match codes and the scalar oracle probes it, so a long-lived
+/// stage would otherwise carry each dimension any earlier query joined.
+/// Nothing can hold an index across the reset — admission locates a filter
+/// and sets its `referencing` bit inside one [`StageInner::mutate_epoch`].
 pub(crate) fn release_slot(c: &mut GqpControl, e: &mut FilterEpoch, slot: u32) {
     let sl = slot as usize;
     for f in &mut e.filters {
@@ -1747,5 +1780,25 @@ pub(crate) mod tests {
         .join()
         .unwrap();
         stage.shutdown();
+    }
+
+    #[test]
+    fn the_atomic_key_run_average_reads_as_the_locked_one_did() {
+        // The form the cell replaced: an optional average under a mutex.
+        fn locked_fold(cell: &Mutex<Option<f64>>, sample: f64, alpha: f64) {
+            let mut v = cell.lock();
+            *v = Some(match *v {
+                None => sample,
+                Some(prev) => (1.0 - alpha) * prev + alpha * sample,
+            });
+        }
+        let (cell, locked) = (EwmaCell::new(), Mutex::new(None));
+        assert_eq!(cell.get().unwrap_or(1.0), locked.lock().unwrap_or(1.0));
+        for sample in [1.0, 1.0007, 4.0, 1.0 / 3.0, 16.0, 1.0, 1.25, 1e6, 1.0] {
+            cell.fold(sample, 0.1);
+            locked_fold(&locked, sample, 0.1);
+            let (a, b) = (cell.get().unwrap_or(1.0), locked.lock().unwrap_or(1.0));
+            assert_eq!(a.to_bits(), b.to_bits(), "after {sample}");
+        }
     }
 }

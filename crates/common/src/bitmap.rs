@@ -393,6 +393,7 @@ impl BitmapBank {
     }
 
     /// Tuple `i`'s bitmap words.
+    #[inline]
     pub fn row(&self, i: usize) -> &[u64] {
         &self.words[i * self.stride..(i + 1) * self.stride]
     }
@@ -436,6 +437,13 @@ impl BitmapBank {
             any |= *w;
         }
         any != 0
+    }
+
+    /// Tuple `i`'s bitmap in a bank with `stride == 1`.
+    #[inline]
+    pub fn word(&self, i: usize) -> u64 {
+        debug_assert_eq!(self.stride, 1);
+        self.words[i]
     }
 
     /// Single-word specialization of [`BitmapBank::and_mask_row`] for banks

@@ -53,9 +53,11 @@ pub struct CostModel {
     /// Fixed per-batch cost of entering the vectorized shared-filter path
     /// (scratch reset, selection-vector setup).
     pub filter_batch_fixed_ns: f64,
-    /// Hash probe per distinct *key run* in a batch: the vectorized filter
-    /// probes once per run of equal consecutive FKs instead of once per
-    /// tuple, which is how batch routing absorbs join-product skew.
+    /// Hash probe per distinct *key run* among the tuples some referencing
+    /// query still needs: the vectorized filter probes once per run of
+    /// equal consecutive FKs instead of once per tuple, which is how batch
+    /// routing absorbs join-product skew, and skips a tuple whose surviving
+    /// queries do not join the filter's dimension.
     pub filter_probe_run_ns: f64,
     /// Bitmap-bank AND per 64-bit word (contiguous word-strided layout).
     pub bank_word_and_ns: f64,
@@ -194,7 +196,10 @@ impl CostModel {
             + self.scan_page_fixed_ns * (s.fact_tuples / TUPLES_PER_PAGE).max(1.0))
             / n;
         // One probe per key run, shared by every subscriber; skewed/clustered
-        // foreign keys (long runs) make this cheaper — the skew signal.
+        // foreign keys (long runs) make this cheaper — the skew signal. An
+        // upper bound: it charges `n_dims` probes per fact tuple, where the
+        // filter skips a tuple none of whose surviving queries joins the
+        // dimension.
         let probes = self.filter_probe_run_ns * (s.fact_tuples / s.avg_key_run.max(1.0))
             * s.n_dims as f64
             / n;
@@ -272,6 +277,8 @@ impl CostModel {
         // wrap spreads over the pipeline workers.
         let wrap_scan = self.scan_tuple_ns * s.fact_tuples / s.pipeline_parallelism.max(1.0)
             + self.scan_page_fixed_ns * (s.fact_tuples / TUPLES_PER_PAGE).max(1.0);
+        // An upper bound, as in `shared_marginal_query_ns`: `n_dims` probes
+        // per fact tuple, none skipped.
         let filter = self.filter_probe_run_ns * (s.fact_tuples / s.avg_key_run.max(1.0))
             * s.n_dims as f64
             / s.pipeline_parallelism.max(1.0);
