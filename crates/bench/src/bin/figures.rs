@@ -1,6 +1,6 @@
 //! The one figure driver: `figures [<id>…] [--full] [--json] [--check]`.
 //!
-//! Runs the named figures (all eleven if none is named) at default sizes, or
+//! Runs the named figures (all fourteen if none is named) at default sizes, or
 //! at paper scale with `--full`, and prints their rows as text tables — or,
 //! with `--json`, as one JSON object per row on stdout (verdicts then go to
 //! stderr). Every predicate of the figures that ran is evaluated against

@@ -8,9 +8,13 @@
 //! row scale, so absolute values are ~100× smaller than the paper's and the
 //! shapes are the comparison unit.
 
-use workshare_core::harness::{run_batch_on, run_service, run_staggered, RunReport, ServiceLoad};
+use workshare_core::harness::{run_batch_on, run_service, run_staggered, RunReport};
+use workshare_core::harness::{ServiceLoad, ThroughputReport};
 use workshare_core::NamedConfig::{self, Cjoin, CjoinSp, Qpipe, QpipeCs, QpipeSp, Volcano};
-use workshare_core::{workload, Dataset, ExchangeKind, IoMode, RunConfig, StarQuery};
+use workshare_core::{
+    workload, Dataset, ExchangeKind, ExecPolicy, FaultPlan, IoMode, RunConfig, ServiceConfig,
+    StarQuery,
+};
 use workshare_sim::{CostKind, CpuBreakdown};
 
 use crate::{pow2_sweep, Row};
@@ -40,7 +44,7 @@ pub struct Figure {
     pub run: fn(Scale) -> Vec<Row>,
 }
 
-pub const FIGURES: [Figure; 11] = [
+pub const FIGURES: [Figure; 14] = [
     Figure {
         id: "fig06",
         title: "Figure 6 (§4): identical TPC-H Q1, push SP (FIFO) vs pull SP (SPL)",
@@ -95,6 +99,21 @@ pub const FIGURES: [Figure; 11] = [
         id: "ablation_prediction",
         title: "Ablation (§1.3, §4): prediction model for push-based SP vs SPL",
         run: ablation_prediction,
+    },
+    Figure {
+        id: "ablation_fabric",
+        title: "Ablation (§3.2): one admission fabric for two fact stages vs per-stage pools",
+        run: ablation_fabric,
+    },
+    Figure {
+        id: "ablation_governor",
+        title: "Ablation (Table 1): the sharing governor vs its two static routes",
+        run: ablation_governor,
+    },
+    Figure {
+        id: "overload",
+        title: "Service loop: bounded vs unbounded admission past saturation, and under faults",
+        run: overload,
     },
 ];
 
@@ -171,6 +190,16 @@ impl Rows {
         let panel = Panel("CJOIN-SP packet shares", "shares", "count");
         self.put(panel, x, "CJOIN-SP", shares as f64);
     }
+
+    /// Submissions of a service run that ended as none of completed, late,
+    /// shed or error: 0 when the report is conserved.
+    fn unaccounted(&mut self, x: impl ToString, series: &str, rep: &ThroughputReport) {
+        let ended = rep.completed + rep.completed_late + rep.errors;
+        let shed = rep.shed_queue_full + rep.shed_deadline;
+        let unaccounted = rep.submitted as f64 - (ended + shed) as f64;
+        let panel = Panel("unaccounted submissions", "unaccounted", "count");
+        self.put(panel, x, series, unaccounted);
+    }
 }
 
 /// Mean response time of the batch, virtual ms.
@@ -191,7 +220,7 @@ fn on(engine: NamedConfig, io_mode: IoMode) -> RunConfig {
 
 /// Paper-faithful CJOIN of Figs. 11–12: their admission component is the
 /// *serial* per-query admission of §3.2 (the default engine shares the
-/// dimension scans across the batch; see the `admission` bench).
+/// dimension scans across the batch: their `shared scan` series).
 fn cjoin_serial() -> RunConfig {
     let mut cfg = RunConfig::named(Cjoin);
     cfg.cjoin_serial_admission = true;
@@ -327,7 +356,9 @@ fn fig12(scale: Scale) -> Vec<Row> {
         let queries = q3_2_wide_batch(n, 13, 14, 13);
         let sp = run(&dataset, RunConfig::named(QpipeSp), &queries);
         let cj = run(&dataset, cjoin_serial(), &queries);
+        let shared = run(&dataset, RunConfig::named(Cjoin), &queries);
         out.put(ADMISSION, n, "serial", cj.admission_secs() * 1e3);
+        out.put(ADMISSION, n, "shared scan", shared.admission_secs() * 1e3);
         for (series, rep) in [("QPipe-SP", &sp), ("CJOIN", &cj)] {
             out.put(RESPONSE, n, series, ms(rep));
             let hashing = Panel("hashing CPU", "cpu", "ms");
@@ -529,5 +560,178 @@ fn ablation_prediction(_: Scale) -> Vec<Row> {
             out.put(RESPONSE, n, label, ms(&run(&dataset, cfg, &q1_batch(n))));
         }
     }
+    out.rows
+}
+
+fn ablation_fabric(_: Scale) -> Vec<Row> {
+    let mut out = Rows::of("ablation_fabric");
+    // At SF 2 the dimension scan, the part the fabric shares, outweighs the
+    // per-query admission charges. Narrow Q3.2 alternate between the facts.
+    let dataset = Dataset::ssb_two_facts(2.0, 42);
+    let pages = Panel("dimension pages read", "pages", "count");
+    for n in [8, 32] {
+        let mut queries = q3_2_wide_batch(n, 11 + n as u64, 1, 1);
+        for q in queries.iter_mut().skip(1).step_by(2) {
+            q.fact = "lineorder2".into();
+        }
+        for (series, fabric) in [("fabric", true), ("per-stage pools", false)] {
+            let mut cfg = RunConfig::governed(ExecPolicy::Shared);
+            cfg.admission_fabric = fabric;
+            let rep = run(&dataset, cfg, &queries);
+            out.put(ADMISSION, n, series, rep.admission_secs() * 1e3);
+            let cjoin = rep.cjoin.as_ref().expect("the shared route reports it");
+            out.put(pages, n, series, cjoin.admission_dim_pages as f64);
+        }
+    }
+    out.rows
+}
+
+fn ablation_governor(_: Scale) -> Vec<Row> {
+    let mut out = Rows::of("ablation_governor");
+    let routed = Panel("Adaptive: routed query-centric", "routed", "count");
+    let memory = Panel("memory-resident: response time", "mean_latency", "ms");
+    let disk = Panel("disk-resident: response time", "mean_latency", "ms");
+    let regimes = [
+        ("memory", memory, 0.1, IoMode::Memory),
+        ("disk", disk, 3.0, IoMode::BufferedDisk),
+    ];
+    let policies = [
+        ("Gov-QC", ExecPolicy::QueryCentric),
+        ("Gov-Shared", ExecPolicy::Shared),
+        ("Adaptive", ExecPolicy::Adaptive),
+    ];
+    for (regime, response, sf, io) in regimes {
+        let dataset = Dataset::ssb(sf, 42);
+        for n in [1, 4, 16, 64, 256] {
+            let queries = q3_2_batch(n, 7 + n as u64);
+            for (series, policy) in policies {
+                let mut cfg = RunConfig::governed(policy);
+                cfg.io_mode = io;
+                let rep = run(&dataset, cfg, &queries);
+                out.put(response, n, series, ms(&rep));
+                if policy == ExecPolicy::Adaptive {
+                    let gov = rep.governor.expect("a governed run reports it");
+                    out.put(routed, n, regime, gov.routed_query_centric as f64);
+                }
+            }
+        }
+    }
+    // The count panel after both response-time panels.
+    out.rows.sort_by_key(|r| r.panel == routed.0);
+    out.rows
+}
+
+fn overload(_: Scale) -> Vec<Row> {
+    let mut out = Rows::of("overload");
+    let p99 = Panel("admitted p99, by offered load", "p99_latency", "ms");
+    let goodput = Panel("goodput, by offered load", "goodput", "q/h");
+    let sheds = Panel("bounded sheds, by offered load", "shed", "count");
+    let faulted_p99 = Panel("faulted p99", "p99_latency", "ms");
+    let faulted_goodput = Panel("faulted goodput", "goodput", "q/h");
+    let actions = Panel("recovery actions", "actions", "count");
+    // A 2 s window of wide Q3.2 (12 × 12 nations) from six clients on 4
+    // cores, where aggregation the shared path cannot amortise saturates the
+    // CPUs: open loop at `rate` queries per second, closed loop if `None`.
+    let dataset = Dataset::ssb(0.05, 11);
+    let window_secs = 2.0;
+    let serve = |mut cfg: RunConfig, service, rate| {
+        (cfg.cores, cfg.service) = (4, service);
+        let load = ServiceLoad {
+            clients: 6,
+            arrivals_per_sec: rate,
+            tenants: 1,
+            window_secs,
+            seed: 77,
+        };
+        let wide = |id, rng: &mut _| workload::ssb_q3_2_wide(id, rng, 12, 12);
+        run_service(&dataset, &cfg, "lineorder", load, wide)
+    };
+    let adaptive = RunConfig::governed(ExecPolicy::Adaptive);
+    // A queue cap small enough that queueing alone cannot push admitted
+    // queries past twice the pre-saturation p99.
+    let cap_only = ServiceConfig {
+        queue_cap: Some(8),
+        ..ServiceConfig::default()
+    };
+
+    // Calibration: the closed loop's completions per second are the capacity
+    // C; an open loop at 0.5 C, the cap armed but idle, the pre-saturation p99.
+    let closed = serve(adaptive, ServiceConfig::default(), None);
+    let capacity = closed.completed as f64 / window_secs;
+    let capacity_row = Panel("at-capacity throughput (closed loop)", "throughput", "q/s");
+    out.put(capacity_row, "6 clients", "capacity", capacity);
+    out.unaccounted("closed loop", "unbounded", &closed);
+    let pre = serve(adaptive, cap_only, Some(0.5 * capacity));
+    out.put(p99, 0.5, "cap only", pre.p99_latency_secs * 1e3);
+    out.unaccounted(0.5, "cap only", &pre);
+
+    // Past it, the bounded loop sheds on a full queue or a predicted miss of
+    // twice the pre-saturation p99; the unbounded engine admits everything
+    // and counts goodput against the same deadline without enforcing it.
+    let deadline = 2.0 * pre.p99_latency_secs;
+    let bounded_cfg = ServiceConfig {
+        deadline_secs: Some(deadline),
+        ..cap_only
+    };
+    let unbounded_cfg = ServiceConfig {
+        slo_p99_secs: Some(deadline),
+        ..ServiceConfig::default()
+    };
+    for mult in [0.75, 2.0, 4.0] {
+        let rate = Some(mult * capacity);
+        let bounded = serve(adaptive, bounded_cfg, rate);
+        let unbounded = serve(adaptive, unbounded_cfg, rate);
+        for (series, rep) in [("bounded", &bounded), ("unbounded", &unbounded)] {
+            out.put(p99, mult, series, rep.p99_latency_secs * 1e3);
+            out.put(goodput, mult, series, rep.goodput_per_hour);
+            out.unaccounted(mult, series, rep);
+        }
+        out.put(p99, mult, "2× pre-saturation", deadline * 1e3);
+        out.put(sheds, mult, "queue full", bounded.shed_queue_full as f64);
+        out.put(sheds, mult, "deadline", bounded.shed_deadline as f64);
+    }
+
+    // Faults on the fabric path (docs/FAULTS.md), so the route is pinned to
+    // Shared. Healed: transient page faults retried, and a fabric worker
+    // that wedges after two windows, demoted, reclaimed and respawned. No
+    // recovery: the same page faults with healing off, and no wedge — a
+    // wedged fabric without its monitor holds its queue forever by design.
+    let faulted = |faults| {
+        let mut cfg = RunConfig::governed(ExecPolicy::Shared);
+        cfg.faults = faults;
+        serve(cfg, cap_only, None)
+    };
+    let page_faults = FaultPlan {
+        seed: 1337,
+        transient_page_stride: Some(9),
+        ..FaultPlan::default()
+    };
+    let clean = faulted(FaultPlan::default());
+    let healed = faulted(FaultPlan {
+        fabric_wedge_after: Some(2),
+        ..page_faults
+    });
+    let no_recovery = faulted(FaultPlan {
+        self_heal: false,
+        ..page_faults
+    });
+    let plan = "seed 1337";
+    out.put(faulted_p99, plan, "clean", clean.p99_latency_secs * 1e3);
+    out.put(faulted_p99, plan, "healed", healed.p99_latency_secs * 1e3);
+    out.put(faulted_goodput, plan, "healed", healed.goodput_per_hour);
+    let lost = no_recovery.goodput_per_hour;
+    out.put(faulted_goodput, plan, "no recovery", lost);
+    let (storage, admission) = (&healed.health.storage, &healed.health.admission);
+    out.put(actions, plan, "retries", storage.retries as f64);
+    out.put(actions, plan, "wedges", admission.injected_wedges as f64);
+    out.put(actions, plan, "demotions", admission.demotions as f64);
+    out.put(actions, plan, "respawns", admission.fabric_respawns as f64);
+    let errors = no_recovery.errors as f64;
+    out.put(actions, plan, "no-recovery errors", errors);
+    out.unaccounted(plan, "clean", &clean);
+    out.unaccounted(plan, "healed", &healed);
+    out.unaccounted(plan, "no recovery", &no_recovery);
+    // The accounting of every run after the panels it accounts for.
+    out.rows.sort_by_key(|r| r.metric == "unaccounted");
     out.rows
 }

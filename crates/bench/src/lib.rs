@@ -6,8 +6,9 @@
 //! JSON lines through the one JSON writer ([`json`]), and [`predicates`]
 //! evaluates the paper's conclusions over them. The `figures` binary is the
 //! driver (`cargo run --release -p workshare-bench --bin figures -- --check`
-//! is the gate); the self-gating benches in `benches/` print their numbers
-//! through the same writer and end in [`gate`].
+//! is the gate) for every virtual-time claim. The one bench in `benches/`,
+//! the filter kernel's wall-clock speed-up, prints its numbers through the
+//! same writer and gates itself.
 
 use std::fmt::Write as _;
 
@@ -190,36 +191,6 @@ impl TextTable {
     }
 }
 
-/// `value` rounded to `decimals` places, as a JSON number — how a bench keeps
-/// printing a ratio as `3.03` now that the writer prints every digit it is
-/// given.
-pub fn rounded(value: f64, decimals: i32) -> Json {
-    let scale = 10f64.powi(decimals);
-    Json::Num((value * scale).round() / scale)
-}
-
-/// A counter as a JSON number.
-pub fn count(n: u64) -> Json {
-    Json::Num(n as f64)
-}
-
-/// Print one result of a bench as a JSON line, `bench` first.
-pub fn bench_line<const N: usize>(bench: &str, fields: [(&str, Json); N]) {
-    let line = std::iter::once(("bench", Json::Str(bench.into()))).chain(fields);
-    println!("{}", Json::obj(line).render());
-}
-
-/// The one gate convention of the self-gating benches: every failure on
-/// stderr, and a non-zero exit if there was any.
-pub fn gate(failures: &[String]) {
-    for f in failures {
-        eprintln!("FAIL: {f}");
-    }
-    if !failures.is_empty() {
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,6 +287,5 @@ mod tests {
         let back = Json::parse(&line).unwrap();
         assert_eq!(back.get("x").and_then(Json::as_str), Some("0.16%"));
         assert_eq!(back.get("value").and_then(Json::as_f64), Some(6.9));
-        assert_eq!(rounded(3.0349, 2), Json::Num(3.03));
     }
 }

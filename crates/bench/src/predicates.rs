@@ -223,16 +223,26 @@ fn slope(rows: &[Row], series: &str) -> (f64, f64) {
 }
 
 const RESPONSE: &str = "response time";
-const FIG10_MEMORY: &str = "memory-resident: response time";
-const FIG10_DISK: &str = "disk-resident: response time";
+const MEMORY_RESPONSE: &str = "memory-resident: response time";
+const DISK_RESPONSE: &str = "disk-resident: response time";
 const TABLE01_ENGINE: &str = "execution engine: response time";
 const QPIPES: [&str; 3] = ["QPipe", "QPipe-CS", "QPipe-SP"];
+const ADMISSION: &str = "CJOIN admission";
+
+/// Adaptive is within 10 % of the better of the two static routes at 1 and
+/// at 64 queries.
+fn adaptive_tracks_the_better_static(r: &[Row]) -> bool {
+    ["1", "64"].iter().all(|x| {
+        let better = at(r, x, "Gov-QC").min(at(r, x, "Gov-Shared"));
+        at(r, x, "Adaptive") <= 1.10 * better
+    })
+}
 
 /// Every conclusion of the paper the figures are checked for, ≥ 1 per
 /// figure. Thresholds are the paper's where it gives one, the repo's
 /// customary 10 % (5 % where `figures_smoke` used it) where a claim is
-/// "matches" or "flat", and otherwise the plain ordering; verdicts are
-/// today's (PR 21, default sizes).
+/// "matches" or "flat", a retired bench's bar where the claim was its gate,
+/// and otherwise the plain ordering; verdicts are today's (default sizes).
 pub const PREDICATES: &[Predicate] = &[
     Predicate {
         id: "fig06.fifo_sharing_hurts_at_low_concurrency",
@@ -267,7 +277,7 @@ pub const PREDICATES: &[Predicate] = &[
     },
     Predicate {
         id: "fig10.qpipe_over_2x_qpipe_sp_at_top",
-        panel: FIG10_MEMORY,
+        panel: MEMORY_RESPONSE,
         paper_claim: "Without sharing QPipe saturates the cores and degrades sharply: more than \
                       2× QPipe-SP at the top point (§5.2.1, Fig. 10)",
         check: |r| at(r, top(r), "QPipe") > 2.0 * at(r, top(r), "QPipe-SP"),
@@ -275,7 +285,7 @@ pub const PREDICATES: &[Predicate] = &[
     },
     Predicate {
         id: "fig10.sharing_order_at_top",
-        panel: FIG10_MEMORY,
+        panel: MEMORY_RESPONSE,
         paper_claim: "Circular scans reduce contention and SP exploits common sub-plans: QPipe > \
                       QPipe-CS ≥ QPipe-SP at high concurrency (§5.2.1, Fig. 10)",
         check: |r| {
@@ -285,7 +295,7 @@ pub const PREDICATES: &[Predicate] = &[
     },
     Predicate {
         id: "fig10.cjoin_lowest_at_64_and_up",
-        panel: FIG10_MEMORY,
+        panel: MEMORY_RESPONSE,
         paper_claim: "Shared operators are the most efficient at high concurrency: CJOIN has the \
                       lowest response time at ≥ 64 queries, memory-resident (§5.2.1, Fig. 10)",
         check: |r| wherever(r, 64.0.., |x| lowest(r, x, "CJOIN", &QPIPES)),
@@ -293,7 +303,7 @@ pub const PREDICATES: &[Predicate] = &[
     },
     Predicate {
         id: "fig10.cjoin_lowest_at_64_and_up_on_disk",
-        panel: FIG10_DISK,
+        panel: DISK_RESPONSE,
         paper_claim: "… and disk-resident (§5.2.1, Fig. 10)",
         check: |r| wherever(r, 64.0.., |x| lowest(r, x, "CJOIN", &QPIPES)),
         expected: Marginal,
@@ -324,7 +334,7 @@ pub const PREDICATES: &[Predicate] = &[
     },
     Predicate {
         id: "fig11.admission_grows_with_selectivity",
-        panel: "CJOIN admission",
+        panel: ADMISSION,
         paper_claim: "The cost of CJOIN's admission phase increases as more dimension tuples are \
                       selected (§5.2.2)",
         check: |r| at(r, top(r), "serial") > at(r, first(r), "serial"),
@@ -332,7 +342,7 @@ pub const PREDICATES: &[Predicate] = &[
     },
     Predicate {
         id: "fig11.serial_admission_costs_more_than_shared_scan",
-        panel: "CJOIN admission",
+        panel: ADMISSION,
         paper_claim: "Admission scans every dimension table once per query (§3.2); sharing the \
                       scans across the batch — this repo's default — costs less at every \
                       selectivity",
@@ -375,6 +385,14 @@ pub const PREDICATES: &[Predicate] = &[
                       (§5.2.2, Fig. 12)",
         check: |r| below(r, top(r), "CJOIN", "QPipe-SP"),
         expected: Fails { since: 21 },
+    },
+    Predicate {
+        id: "fig12.shared_scan_admission_at_least_2x_cheaper",
+        panel: ADMISSION,
+        paper_claim: "Serial admission scans each dimension once per query (§3.2); one shared \
+                      scan per batch, this repo's default, is ≥ 2× cheaper from 32 queries up",
+        check: |r| wherever(r, 32.0.., |x| within(r, x, "shared scan", 0.5, "serial")),
+        expected: Holds,
     },
     Predicate {
         id: "fig13.response_time_linear_in_scale_factor",
@@ -539,6 +557,106 @@ pub const PREDICATES: &[Predicate] = &[
         check: |r| everywhere(r, |x| within(r, x, "CS (SPL)", 1.10, "Predict (FIFO)")),
         expected: Holds,
     },
+    Predicate {
+        id: "ablation_fabric.merged_windows_admit_at_least_1_3x_cheaper",
+        panel: ADMISSION,
+        paper_claim: "Admission shared across CJOIN stages (§3.2, one level up): a fabric window \
+                      admits a 32-query two-fact crowd ≥ 1.3× cheaper than per-stage pools",
+        check: |r| at(r, "32", "per-stage pools") >= 1.3 * at(r, "32", "fabric"),
+        expected: Holds,
+    },
+    Predicate {
+        id: "ablation_governor.adaptive_within_10_percent_of_better_static_in_memory",
+        panel: MEMORY_RESPONSE,
+        paper_claim: "Table 1's choice between query-centric and shared operators, made per \
+                      query: Adaptive is within 10 % of the better static route at 1 and at 64 \
+                      queries, memory-resident",
+        check: adaptive_tracks_the_better_static,
+        expected: Holds,
+    },
+    Predicate {
+        id: "ablation_governor.adaptive_within_10_percent_of_better_static_on_disk",
+        panel: DISK_RESPONSE,
+        paper_claim: "… and disk-resident (Table 1)",
+        check: adaptive_tracks_the_better_static,
+        expected: Holds,
+    },
+    Predicate {
+        id: "ablation_governor.query_centric_route_wins_somewhere",
+        panel: MEMORY_RESPONSE,
+        paper_claim: "Below some concurrency query-centric operators win (Table 1): Gov-QC \
+                      answers faster than Gov-Shared at some point, memory-resident",
+        check: |r| xs(r).iter().any(|x| below(r, x, "Gov-QC", "Gov-Shared")),
+        expected: Fails { since: 27 },
+    },
+    Predicate {
+        id: "overload.bounded_p99_holds_where_unbounded_diverges",
+        panel: "admitted p99, by offered load",
+        paper_claim: "The service loop (docs/SERVICE.md): past saturation a queue cap and \
+                      deadline shedding keep admitted p99 within 2× the pre-saturation p99, \
+                      which an engine that admits everything exceeds at the top load",
+        check: |r| {
+            let bound = |x: &str| at(r, x, "2× pre-saturation");
+            let held = |x: &str| bound(x) > 0.0 && at(r, x, "bounded") <= bound(x);
+            wherever(r, 1.0.., held) && at(r, top(r), "unbounded") > bound(top(r))
+        },
+        expected: Holds,
+    },
+    Predicate {
+        id: "overload.excess_is_shed_past_saturation",
+        panel: "bounded sheds, by offered load",
+        paper_claim: "… because the bounded loop sheds the excess at every load past \
+                      saturation (docs/SERVICE.md)",
+        check: |r| {
+            let shed = |x: &str| at(r, x, "queue full") + at(r, x, "deadline");
+            wherever(r, 1.0.., |x| shed(x) > 0.0)
+        },
+        expected: Holds,
+    },
+    Predicate {
+        id: "overload.bounded_goodput_holds_and_beats_unbounded",
+        panel: "goodput, by offered load",
+        paper_claim: "Shedding does not erode what the bounded loop serves: each load keeps \
+                      ≥ 90 % of the previous one's goodput, and at the top load it is at least \
+                      the unbounded engine's (docs/SERVICE.md)",
+        check: |r| {
+            let points: Vec<f64> = xs(r).iter().map(|x| at(r, x, "bounded")).collect();
+            let held = points.len() > 1 && points.windows(2).all(|w| w[1] >= 0.9 * w[0]);
+            held && at(r, top(r), "bounded") >= at(r, top(r), "unbounded")
+        },
+        expected: Holds,
+    },
+    Predicate {
+        id: "overload.every_submission_accounted",
+        panel: "unaccounted submissions",
+        paper_claim: "Every submission of every run ends as exactly one of completed, late, \
+                      shed or error (docs/SERVICE.md)",
+        check: |r| !r.is_empty() && r.iter().all(|row| row.value == 0.0),
+        expected: Holds,
+    },
+    Predicate {
+        id: "overload.healed_p99_within_3x_fault_free",
+        panel: "faulted p99",
+        paper_claim: "Degraded, never wrong: under page faults and a wedging fabric worker the \
+                      self-healing ladder keeps p99 ≤ 3× the fault-free run's (docs/FAULTS.md)",
+        check: |r| everywhere(r, |x| within(r, x, "healed", 3.0, "clean")),
+        expected: Holds,
+    },
+    Predicate {
+        id: "overload.no_recovery_loses_goodput",
+        panel: "faulted goodput",
+        paper_claim: "Without recovery the same fault schedule costs goodput (docs/FAULTS.md)",
+        check: |r| everywhere(r, |x| below(r, x, "no recovery", "healed")),
+        expected: Holds,
+    },
+    Predicate {
+        id: "overload.every_recovery_action_counted",
+        panel: "recovery actions",
+        paper_claim: "Every rung of the ladder acts and is counted (retries, wedge, demotion, \
+                      respawn); without it faults surface as typed errors (docs/FAULTS.md)",
+        check: |r| !r.is_empty() && r.iter().all(|counted| counted.value > 0.0),
+        expected: Holds,
+    },
 ];
 
 #[cfg(test)]
@@ -644,6 +762,71 @@ mod tests {
         // Today's numbers: CJOIN-SP ahead from one query on — no low-concurrency win.
         assert!(!(low.unwrap().check)(&engine_row(22.0)));
         assert!((low.unwrap().check)(&engine_row(12.0)));
+    }
+
+    /// Each gate a bench's exit code made before it was a predicate, with a
+    /// synthetic panel of its own: `x:series:value` cells, where the value
+    /// `k` is the one under test. Just past the threshold (first number) the
+    /// predicate must fail; just inside it (second number) it must hold.
+    const BENCH_GATES: &str = "
+        fig12.shared_scan_admission_at_least_2x_cheaper | 1.99 | 2
+            16:serial:1; 16:shared scan:1; 32:serial:k; 32:shared scan:1; 64:serial:k; 64:shared scan:1
+        ablation_fabric.merged_windows_admit_at_least_1_3x_cheaper | 1.29 | 1.31
+            8:fabric:1; 8:per-stage pools:1; 32:fabric:1; 32:per-stage pools:k
+        ablation_governor.adaptive_within_10_percent_of_better_static_in_memory | 1.11 | 1.09
+            1:Gov-QC:2; 1:Gov-Shared:1; 1:Adaptive:k; 64:Gov-QC:1; 64:Gov-Shared:3; 64:Adaptive:k; 256:Adaptive:99
+        ablation_governor.adaptive_within_10_percent_of_better_static_on_disk | 1.11 | 1.09
+            1:Gov-QC:2; 1:Gov-Shared:1; 1:Adaptive:k; 64:Gov-QC:1; 64:Gov-Shared:3; 64:Adaptive:k; 256:Adaptive:99
+        ablation_governor.query_centric_route_wins_somewhere | 1 | 0.99
+            1:Gov-QC:k; 1:Gov-Shared:1; 64:Gov-QC:5; 64:Gov-Shared:1
+        overload.bounded_p99_holds_where_unbounded_diverges | 2.01 | 1.99
+            0.5:cap only:1; 0.75:bounded:9; 0.75:2× pre-saturation:2; 2:bounded:k; 2:2× pre-saturation:2; 4:bounded:k; 4:2× pre-saturation:2; 4:unbounded:5
+        overload.bounded_p99_holds_where_unbounded_diverges | 1.99 | 2.01
+            2:bounded:1; 2:2× pre-saturation:2; 4:bounded:1; 4:2× pre-saturation:2; 4:unbounded:k
+        overload.excess_is_shed_past_saturation | 0 | 1
+            0.75:queue full:0; 0.75:deadline:0; 2:queue full:3; 2:deadline:0; 4:queue full:k; 4:deadline:0
+        overload.bounded_goodput_holds_and_beats_unbounded | 0.89 | 0.91
+            0.75:bounded:1; 2:bounded:k; 4:bounded:k; 4:unbounded:0.1
+        overload.bounded_goodput_holds_and_beats_unbounded | 1.01 | 1
+            2:bounded:1; 2:unbounded:0.5; 4:bounded:1; 4:unbounded:k
+        overload.every_submission_accounted | 1 | 0
+            closed loop:unbounded:0; 4:bounded:0; seed 1337:healed:k
+        overload.healed_p99_within_3x_fault_free | 3.01 | 2.99
+            seed 1337:clean:1; seed 1337:healed:k
+        overload.no_recovery_loses_goodput | 1 | 0.99
+            seed 1337:healed:1; seed 1337:no recovery:k
+        overload.every_recovery_action_counted | 0 | 1
+            seed 1337:retries:12; seed 1337:wedges:1; seed 1337:demotions:1; seed 1337:respawns:k; seed 1337:no-recovery errors:3
+        overload.every_recovery_action_counted | 0 | 1
+            seed 1337:retries:12; seed 1337:wedges:1; seed 1337:demotions:1; seed 1337:respawns:1; seed 1337:no-recovery errors:k";
+
+    #[test]
+    fn every_gate_taken_over_from_a_bench_fails_just_past_its_threshold() {
+        let lines: Vec<&str> = BENCH_GATES.trim().lines().map(str::trim).collect();
+        for case in lines.chunks(2) {
+            let [id, past, inside] = case[0].split(" | ").collect::<Vec<_>>()[..] else {
+                panic!("{}", case[0])
+            };
+            let panel = |k: f64| -> Vec<Row> {
+                let cell = |c: &str| {
+                    let [x, series, value] = c.split(':').collect::<Vec<_>>()[..] else {
+                        panic!("{c}")
+                    };
+                    row("panel", x, series, value.parse().unwrap_or(k), "m")
+                };
+                case[1].split("; ").map(cell).collect()
+            };
+            let p = PREDICATES.iter().find(|p| p.id == id).expect(id);
+            let (past, inside) = (past.parse().unwrap(), inside.parse().unwrap());
+            assert!(!(p.check)(&panel(past)), "{id} holds at {past}");
+            assert!((p.check)(&panel(inside)), "{id} fails at {inside}");
+        }
+        for p in PREDICATES {
+            if ["ablation_fabric", "ablation_governor", "overload"].contains(&p.figure()) {
+                let case = format!("{} |", p.id);
+                assert!(BENCH_GATES.contains(&case), "{} has no case", p.id);
+            }
+        }
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub struct CjoinConfig {
     /// dimension table once per pending query) instead of the shared-scan,
     /// pipeline-overlapped path. The serial path is the behavioral oracle:
     /// property tests assert both produce identical rows and stats, and the
-    /// `admission` bench measures the speedup against it. Defaults to
-    /// `false` (shared scans).
+    /// `figures` predicate `fig12.shared_scan_admission_at_least_2x_cheaper`
+    /// measures the speedup against it. Defaults to `false` (shared scans).
     pub serial_admission: bool,
     /// The seeded fault plan; the stage fires its admission scan sites
     /// (stalls, panics). Default: fully off — every fault path compiles to
@@ -225,8 +225,8 @@ pub(crate) struct QueryRuntime {
 /// Slot capacity of a stage's [`WrapLedger`]. Slots are recycled on query
 /// completion, so this bounds *concurrently resident* queries (active or
 /// mid-admission), not lifetime admissions; [`alloc_slot`] asserts it.
-/// Sized for the worst observed crowd — the overload bench's unbounded
-/// baseline holds several thousand queries in flight at 4× capacity —
+/// Sized for the worst observed crowd — the `overload` figure's unbounded
+/// engine holds several thousand queries in flight at 4× capacity —
 /// with generous headroom. Cost is memory only (512 KiB of budget words
 /// per stage): every per-page walk is bounded by the ledger's live
 /// high-water mark, not this capacity.

@@ -106,8 +106,8 @@ pub struct ServiceConfig {
     /// the deadline, shed only when neither can.
     pub deadline_secs: Option<f64>,
     /// Target p99 latency in seconds reported against by the `overload`
-    /// bench. Purely an observability/gating knob — shedding is driven by
-    /// `deadline_secs`.
+    /// figure's unbounded engine. Purely an observability/gating knob —
+    /// shedding is driven by `deadline_secs`.
     pub slo_p99_secs: Option<f64>,
     /// Relative admission weight per tenant (tenant id = index, queries
     /// from tenants ≥ [`MAX_TENANTS`] fold onto the last slot). All-zero
@@ -184,7 +184,7 @@ pub struct RunConfig {
     /// paper's §3.2 behavior: the preprocessor pauses the pipeline and
     /// scans every dimension once per pending query) instead of the
     /// shared-scan, pipeline-overlapped path. Behavioral oracle and
-    /// `admission` bench baseline; see
+    /// fig11 / fig12's `serial` series; see
     /// `workshare_cjoin::CjoinConfig::serial_admission`.
     pub cjoin_serial_admission: bool,
     /// Johnson et al. \[14\] run-time prediction model for scan sharing
@@ -205,7 +205,7 @@ pub struct RunConfig {
     /// all stages** — two fact tables' star queries filtering the same
     /// dimension share one physical scan. Off = each stage runs its own
     /// admission worker (the oracle for cross-stage merge invariance, the
-    /// `admission_fabric` bench's other side, and the only mode for
+    /// `ablation_fabric` figure's other side, and the only mode for
     /// ungoverned / standalone stages). Ignored under
     /// [`cjoin_serial_admission`](RunConfig::cjoin_serial_admission), which
     /// admits inline on the preprocessor.

@@ -44,7 +44,7 @@ impl Dataset {
     /// SSB plus a **second fact table** `lineorder2` (same schema,
     /// independently drawn rows) sharing the four dimension tables — the
     /// multi-fact star schema of mixed dashboards, used by the sharded
-    /// CJOIN stage tests and the `admission_fabric` bench.
+    /// CJOIN stage tests and the `ablation_fabric` figure.
     pub fn ssb_two_facts(scale: f64, seed: u64) -> Dataset {
         let mut d = Dataset::ssb(scale, seed);
         let (ls2, lp2, _) = gen_lineorder(SsbScale::new(scale), seed ^ 0x5eed_2fac);

@@ -1,5 +1,5 @@
 //! Smoke tests of the service loop — the deterministic CI companions to the
-//! self-gating `overload` bench: queue-full sheds, deadline sheds on every
+//! `overload` figure's predicates: queue-full sheds, deadline sheds on every
 //! routing policy, weighted tenant lockout, bind errors surfacing as
 //! per-query error outcomes, a lone closed-loop client repeating exactly, and
 //! the health monitor parking on an idle engine whose stage stays built.
