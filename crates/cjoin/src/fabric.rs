@@ -38,7 +38,7 @@ use workshare_common::FaultPlan;
 // `--cfg interleave` build model-checks this module's protocols (see
 // `workshare_common::sync` and docs/TESTING.md).
 use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
-use workshare_sim::{Machine, SimCtx, WaitSet};
+use workshare_sim::{Machine, SimCtx, SimQueue, WaitSet};
 use workshare_storage::StorageManager;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,7 +50,7 @@ use crate::admission::{
 use crate::health::AdmissionHealth;
 use crate::memo::{AdmissionMemo, Selected, ADMISSION_MEMO_BUDGET_BYTES};
 use crate::stage::{Admission, CjoinStage, StageInner, ADMISSION_BATCH_WINDOW_NS};
-use crate::window::{ScanAttempt, ShardedSlot, WindowLedger};
+use crate::window::{ScanAttempt, WindowLedger};
 
 /// Page-range partitions a batching window splits each scan unit into (when
 /// the dimension spans that many pages): the admission latency of a merged
@@ -69,79 +69,6 @@ pub const UNIT_REDISPATCH_DEADLINE_NS: f64 = 4_000_000.0;
 pub(crate) struct FabricRequest {
     pub stage: CjoinStage,
     pub pending: Vec<Admission>,
-}
-
-/// Shards of the fabric request queue. Submitting preprocessors round-robin
-/// over them, so a burst from several stages lands on distinct mutexes
-/// instead of serializing on one.
-const FABRIC_QUEUE_SHARDS: usize = 4;
-
-/// MPMC request queue: a sharded pending slot ([`ShardedSlot`], its drain
-/// protocol model-checked by `tests/interleave_core.rs`) behind a close
-/// flag and a wait set — the replacement for the former single-mutex
-/// pending list.
-struct ShardedQueue<A> {
-    slot: ShardedSlot<A>,
-    /// Raised by [`ShardedQueue::close`] *before* the shard barrier:
-    /// [`ShardedSlot::push_unless`] checks it inside the shard critical
-    /// section, so a push either lands before the barrier (drainable) or
-    /// observes the flag and bounces.
-    closed: AtomicBool,
-    /// Parking lot for blocked poppers.
-    not_empty: WaitSet,
-}
-
-impl<A> ShardedQueue<A> {
-    fn new(machine: &Machine, shards: usize) -> ShardedQueue<A> {
-        ShardedQueue {
-            slot: ShardedSlot::new(shards),
-            closed: AtomicBool::new(false),
-            not_empty: WaitSet::new(machine),
-        }
-    }
-
-    /// Enqueue, unless the queue has closed — then the item comes back as
-    /// `Err` for the caller to roll back its side effects.
-    fn push(&self, item: A) -> Result<(), A> {
-        self.slot.push_unless(item, &self.closed)?;
-        self.not_empty.notify_all();
-        Ok(())
-    }
-
-    /// Non-blocking pop (oldest-first within each shard).
-    fn try_pop(&self) -> Option<A> {
-        self.slot.take_one()
-    }
-
-    /// Blocking pop: `None` once the queue is closed **and** drained.
-    fn pop(&self) -> Option<A> {
-        loop {
-            // Load the close flag *before* scanning: finding the shards
-            // empty after observing `closed` proves no later push can
-            // succeed (pushes check the flag in the shard critical section
-            // and `close` barriers every shard after raising it), so the
-            // `None` below never strands an item.
-            let was_closed = self.closed.load(Ordering::Acquire);
-            if let Some(item) = self.slot.take_one() {
-                return Some(item);
-            }
-            if was_closed {
-                return None;
-            }
-            self.not_empty.wait_until(|| {
-                self.closed.load(Ordering::Acquire) || !self.slot.is_empty()
-            });
-        }
-    }
-
-    /// Close the queue: raise the flag, then lock/unlock every shard so
-    /// every in-flight push has either landed or will bounce, then wake
-    /// every blocked popper.
-    fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.slot.barrier();
-        self.not_empty.notify_all();
-    }
 }
 
 /// Lifetime counters of an [`AdmissionFabric`].
@@ -174,7 +101,9 @@ pub struct FabricStats {
 }
 
 struct FabricInner {
-    queue: ShardedQueue<FabricRequest>,
+    /// Stage requests awaiting a window, pushed once per admission hand-off
+    /// (never per page); closed by [`AdmissionFabric::shutdown`].
+    queue: SimQueue<FabricRequest>,
     /// Queries queued across all stages and not yet activated — the
     /// governor's cross-stage pending signal
     /// (`SharingSignals::cross_stage_pending`) — plus the depth cap
@@ -296,7 +225,7 @@ impl AdmissionFabric {
     ) -> AdmissionFabric {
         let fabric = AdmissionFabric {
             inner: Arc::new(FabricInner {
-                queue: ShardedQueue::new(machine, FABRIC_QUEUE_SHARDS),
+                queue: SimQueue::unbounded(machine),
                 ledger: WindowLedger::new(capacity),
                 batches: AtomicU64::new(0),
                 cross_stage_batches: AtomicU64::new(0),
@@ -853,6 +782,7 @@ mod tests {
     use crate::stage::tests::{bound_for, query, setup_sized};
     use crate::stage::{CjoinConfig, CjoinStats};
     use proptest::prelude::*;
+    use workshare_common::cell::CompletionCell;
     use workshare_common::value::Row;
     use workshare_common::{CostModel, StarQuery};
     use workshare_qpipe::exchange::{Exchange, ExchangeKind};
@@ -1066,7 +996,7 @@ mod tests {
                                 bound: bound_for(&st, &q),
                                 out: Exchange::new(ExchangeKind::Spl, &st.inner.machine, cost, 1),
                                 sig: q.cjoin_signature(),
-                                fault: Arc::new(Mutex::new(None)),
+                                fault: Arc::new(CompletionCell::new()),
                                 query: q,
                             }
                         })

@@ -65,7 +65,6 @@ pub use filter::{
 };
 pub use health::{AdmissionHealth, AdmissionHealthSnapshot, LadderRung};
 pub use stage::{
-    CjoinConfig, CjoinOutput, CjoinRuntimeStats, CjoinStage, CjoinStats, FaultCell,
-    N_FILTER_WORKERS,
+    CjoinConfig, CjoinOutput, CjoinRuntimeStats, CjoinStage, CjoinStats, N_FILTER_WORKERS,
 };
 pub use wrap::WrapLedger;

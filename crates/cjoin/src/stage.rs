@@ -6,6 +6,7 @@
 use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
 
 use workshare_common::bind::BoundQuery;
+use workshare_common::cell::CompletionCell;
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
 use workshare_common::{CostModel, FaultPlan, Predicate, QueryBitmap, SelVec, StarQuery};
@@ -173,29 +174,18 @@ impl CjoinStats {
     }
 }
 
-/// Shared per-query fault cell: `None` while healthy; set (once, first
-/// writer wins) to a typed-error message when a storage or admission fault
-/// fails the query. The same `Arc` is visible on the submission handle
-/// ([`CjoinOutput::fault`]), the in-flight `Admission`, and the activated
-/// `QueryRuntime`, so whichever layer hits the fault, the submitter sees it.
-pub type FaultCell = Arc<Mutex<Option<String>>>;
-
-/// Set `msg` into `cell` unless an earlier fault already claimed it.
-pub(crate) fn set_fault(cell: &FaultCell, msg: &str) {
-    let mut f = cell.lock();
-    if f.is_none() {
-        *f = Some(msg.to_string());
-    }
-}
-
 /// Output of submitting a star query to the stage: a reader over joined rows
 /// in the query's bound layout (`[fks… | fact payload… | dim payloads…]`).
 pub struct CjoinOutput {
     /// Stream of joined tuples for this query.
     pub reader: ExchangeReader,
-    /// Typed-error cell: set when a fault failed the query. The reader
-    /// still drains normally (possibly empty) — check after exhaustion.
-    pub fault: FaultCell,
+    /// The query's fault cell: completed with a typed error (first writer
+    /// wins) when a storage or admission fault fails the query, and never
+    /// completed otherwise. The same `Arc` is on the in-flight `Admission`
+    /// and the activated `QueryRuntime`, so whichever layer hits the fault,
+    /// the submitter sees it. The reader still drains normally (possibly
+    /// empty) — read [`CompletionCell::error`] after exhaustion.
+    pub fault: Arc<CompletionCell<()>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -219,7 +209,7 @@ pub(crate) struct QueryRuntime {
     /// query completes (initialized to one full wrap).
     process_left: AtomicU64,
     /// Shared with the submission handle; set when a fault fails the query.
-    fault: FaultCell,
+    fault: Arc<CompletionCell<()>>,
 }
 
 /// Slot capacity of a stage's [`WrapLedger`]. Slots are recycled on query
@@ -275,7 +265,7 @@ pub(crate) struct Admission {
     /// satellite of the query attaches to.
     pub(crate) out: Exchange,
     pub(crate) sig: u64,
-    pub(crate) fault: FaultCell,
+    pub(crate) fault: Arc<CompletionCell<()>>,
 }
 
 impl Admission {
@@ -285,7 +275,7 @@ impl Admission {
     /// and wake the readers with a closed, empty stream. Never a hang,
     /// never an abort.
     pub(crate) fn fail(&self, inner: &StageInner, msg: &str) {
-        set_fault(&self.fault, msg);
+        self.fault.complete_error(msg);
         inner.retire_host(self.sig, self.query.id);
         self.out.close();
     }
@@ -311,6 +301,10 @@ struct DistBatch {
     members: Arc<QueryBitmap>,
     page: FilteredPage,
 }
+
+/// An SP host: its query id, its exchange, and its fault cell — satellites
+/// that attach to the exchange share the host's error outcome too.
+type SpHost = (u64, Exchange, Arc<CompletionCell<()>>);
 
 pub(crate) struct StageInner {
     pub(crate) machine: Machine,
@@ -368,10 +362,8 @@ pub(crate) struct StageInner {
     /// flag alone is not a wakeup — `shutdown` also notifies `wake` and
     /// closes the queues so parked threads re-check it.
     shutdown: AtomicBool,
-    /// SP hosts by CJOIN signature: the host's query id, its exchange, and
-    /// its fault cell — satellites that attach to the exchange share the
-    /// host's error outcome too.
-    sp_registry: Mutex<FxHashMap<u64, (u64, Exchange, FaultCell)>>,
+    /// SP hosts by CJOIN signature.
+    sp_registry: Mutex<FxHashMap<u64, SpHost>>,
     pub(crate) admitted: AtomicU64,
     pub(crate) admission_batches: AtomicU64,
     sp_shares: AtomicU64,
@@ -552,7 +544,7 @@ impl CjoinStage {
             inner.cost,
             inner.config.cap_pages,
         );
-        let fault: FaultCell = Arc::new(Mutex::new(None));
+        let fault = Arc::new(CompletionCell::new());
         // The submitter's own reader is attached before the query can be
         // admitted, so it misses nothing the exchange will carry.
         let reader = out.attach(None);
@@ -1078,7 +1070,7 @@ fn fail_fact_page(inner: &Arc<StageInner>, ctx: &SimCtx, msg: &str) {
             .collect()
     };
     for qrt in &runtimes {
-        set_fault(&qrt.fault, msg);
+        qrt.fault.complete_error(msg);
     }
     inner.wrap.record_page(&members);
     for qrt in &runtimes {
@@ -1396,7 +1388,7 @@ pub(crate) mod tests {
                 let mut errors = Vec::new();
                 for mut o in outputs {
                     assert!(o.reader.next(ctx).is_none(), "a failed host emits nothing");
-                    errors.push(o.fault.lock().clone());
+                    errors.push(o.fault.error());
                 }
                 assert_eq!(st.stats().admitted, 0, "the host never activated");
                 // The same query again, after the failure.
@@ -1404,8 +1396,7 @@ pub(crate) mod tests {
                 let bound = bound_for(&st, &q);
                 let outp = st.submit(&q, Arc::clone(&bound));
                 let rows = run_aggregate(ctx, outp.reader, &bound, &q.order_by, &st.inner.cost);
-                let fault = outp.fault.lock().clone();
-                (errors, (rows, fault))
+                (errors, (rows, outp.fault.error()))
             })
             .join()
             .unwrap();
@@ -1619,7 +1610,7 @@ pub(crate) mod tests {
                                 1,
                             ),
                             sig: q.cjoin_signature(),
-                            fault: Arc::new(Mutex::new(None)),
+                            fault: Arc::new(CompletionCell::new()),
                         })
                         .collect()
                 };

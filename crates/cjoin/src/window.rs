@@ -37,27 +37,17 @@ pub enum ShardMutation {
 }
 
 /// An MPMC **sharded** pending set: submissions spread over `n` independent
-/// lock shards by an atomic ticket, so concurrent producers (stage
-/// preprocessors, fabric submitters, re-queued reclaims) do not serialize
-/// on one mutex. Used for the stages' pending-admission sets and as the
-/// storage of the fabric's request queue ([`crate::fabric`]).
+/// lock shards by an atomic ticket, so concurrent producers (submitting
+/// queries, re-queued reclaims) do not serialize on one mutex. Used for the
+/// stages' pending-admission sets.
 ///
-/// Protocol invariants, checked by the model:
-///
-/// * **Per-shard drains are atomic takes.** The drain visits every shard
-///   once and takes each shard's contents in one lock acquisition:
-///   cross-shard ordering is free (windows merge whatever they drain), but
-///   within a shard every submission either rides the draining window or
-///   stays for the next — none is lost, none runs twice
-///   (the interleave-only `ShardMutation::TornDrain` re-introduces the
-///   torn variant).
-/// * **Gated pushes linearize against [`ShardedSlot::barrier`].** A
-///   [`ShardedSlot::push_unless`] checks its gate flag *inside* the shard
-///   critical section; a closer that raises the flag and then takes every
-///   shard lock once ([`ShardedSlot::barrier`]) therefore observes every
-///   push that was accepted before the flag — the closed-queue handshake
-///   of the fabric's request queue, replacing `SimQueue`'s single-mutex
-///   close.
+/// Protocol invariant, checked by the model: **per-shard drains are atomic
+/// takes.** The drain visits every shard once and takes each shard's
+/// contents in one lock acquisition: cross-shard ordering is free (windows
+/// merge whatever they drain), but within a shard every submission either
+/// rides the draining window or stays for the next — none is lost, none
+/// runs twice (the interleave-only `ShardMutation::TornDrain`
+/// re-introduces the torn variant).
 pub struct ShardedSlot<A> {
     shards: Box<[Mutex<Vec<A>>]>,
     /// Round-robin ticket spreading producers over shards; `Relaxed` — it
@@ -104,28 +94,6 @@ impl<A> ShardedSlot<A> {
         self.shards[self.next_shard()].lock().extend(items);
     }
 
-    /// Queue one submission unless `closed` reads true inside the shard
-    /// critical section; returns the item back on a closed queue. Pair
-    /// with [`ShardedSlot::barrier`] on the closing side — see the module
-    /// invariants.
-    pub fn push_unless(&self, item: A, closed: &AtomicBool) -> Result<(), A> {
-        let mut shard = self.shards[self.next_shard()].lock();
-        if closed.load(Ordering::Acquire) {
-            return Err(item);
-        }
-        shard.push(item);
-        Ok(())
-    }
-
-    /// Acquire and release every shard lock once. After this returns, any
-    /// [`ShardedSlot::push_unless`] that read its gate flag before the
-    /// caller raised it has fully landed and is visible to a drain.
-    pub fn barrier(&self) {
-        for shard in self.shards.iter() {
-            drop(shard.lock());
-        }
-    }
-
     /// Take everything pending: one atomic take per shard, in shard order.
     pub fn drain(&self) -> Vec<A> {
         let mut out = Vec::new();
@@ -142,18 +110,6 @@ impl<A> ShardedSlot<A> {
             out.append(&mut shard.lock());
         }
         out
-    }
-
-    /// Dequeue one submission (FIFO within its shard), scanning shards in
-    /// order. `None` when every shard is empty.
-    pub fn take_one(&self) -> Option<A> {
-        for shard in self.shards.iter() {
-            let mut items = shard.lock();
-            if !items.is_empty() {
-                return Some(items.remove(0));
-            }
-        }
-        None
     }
 
     /// Submissions currently pending (sum over shards; advisory under
@@ -325,32 +281,6 @@ mod tests {
         assert_eq!(drained, (0..12).collect::<Vec<_>>());
         assert!(slot.is_empty());
         assert!(slot.drain().is_empty(), "second drain finds nothing");
-    }
-
-    #[test]
-    fn sharded_take_one_empties_fifo_per_shard() {
-        let slot: ShardedSlot<u32> = ShardedSlot::new(2);
-        slot.push(1);
-        slot.push(2);
-        slot.push(3);
-        let mut taken = Vec::new();
-        while let Some(x) = slot.take_one() {
-            taken.push(x);
-        }
-        taken.sort_unstable();
-        assert_eq!(taken, vec![1, 2, 3]);
-        assert!(slot.take_one().is_none());
-    }
-
-    #[test]
-    fn gated_push_respects_the_flag() {
-        let slot: ShardedSlot<u32> = ShardedSlot::new(2);
-        let closed = AtomicBool::new(false);
-        assert!(slot.push_unless(7, &closed).is_ok());
-        closed.store(true, Ordering::Release);
-        slot.barrier();
-        assert_eq!(slot.push_unless(8, &closed), Err(8), "closed queue rejects");
-        assert_eq!(slot.drain(), vec![7], "accepted push survived the close");
     }
 
     #[test]

@@ -17,9 +17,8 @@ use crate::governor::GovernorConfig;
 pub enum ExecPolicy {
     /// Route every submission to a private Volcano-style plan.
     QueryCentric,
-    /// Route every submission to the shared path: the CJOIN star stage for
-    /// star queries on the engine's fact table, the sharing-enabled QPipe
-    /// engine otherwise.
+    /// Route every submission to the shared path: its fact table's CJOIN
+    /// stage, dimension-less queries included.
     Shared,
     /// Cost-driven per-submission routing with hysteresis
     /// ([`SharingGovernor`](crate::governor::SharingGovernor)).
@@ -195,8 +194,7 @@ pub struct RunConfig {
     /// Simulated disk parameters.
     pub disk: DiskConfig,
     /// Execution policy: `None` runs the single engine named by `engine`;
-    /// `Some(_)` builds the governed engine (both paths) and routes per
-    /// submission.
+    /// `Some(_)` builds the governed engine and routes per submission.
     pub policy: Option<ExecPolicy>,
     /// Serve CJOIN admission from one engine-level **cross-stage fabric**
     /// (default, governed engines only): every sharded stage hands its
@@ -251,9 +249,11 @@ impl RunConfig {
         }
     }
 
-    /// Governed-engine constructor: both execution paths are built and
-    /// `policy` routes each submission. The `engine` field still selects
-    /// the shared side's parameters (CJOIN-SP defaults).
+    /// Governed-engine constructor: `policy` routes each submission between
+    /// Volcano and the always-on CJOIN stage of its fact table — every
+    /// shared query, star or dimension-less, rides that stage's one
+    /// circular scan. The `engine` field still selects the stages'
+    /// parameters (CJOIN-SP defaults).
     pub fn governed(policy: ExecPolicy) -> RunConfig {
         RunConfig {
             engine: NamedConfig::CjoinSp,
@@ -267,19 +267,6 @@ impl RunConfig {
         match self.policy {
             Some(p) => p.label(),
             None => self.engine.label(),
-        }
-    }
-
-    /// QPipe parameters of the governed engine's shared path: circular
-    /// scans and SP on, regardless of the named engine (sharing is what the
-    /// shared route is *for*).
-    pub fn governed_qpipe_config(&self) -> QpipeConfig {
-        QpipeConfig {
-            exchange: self.exchange,
-            circular_scans: true,
-            sp_joins: true,
-            cs_prediction: false,
-            cap_pages: 8,
         }
     }
 
@@ -371,9 +358,6 @@ mod tests {
         assert_eq!(RunConfig::governed(ExecPolicy::Shared).label(), "Gov-Shared");
         // Ungoverned configs keep the engine's label.
         assert_eq!(RunConfig::named(NamedConfig::Cjoin).label(), "CJOIN");
-        // The governed shared path always has its sharing hooks on.
-        let qp = rc.governed_qpipe_config();
-        assert!(qp.circular_scans && qp.sp_joins);
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! execution ([`ExecPolicy`], [`crate::governor::SharingGovernor`]).
 //!
 //! Since the multi-fact sharding refactor the governed engine's shared side
-//! is a stage registry: one [`CjoinStage`] **per fact table** referenced
-//! by a star query, built on the first star query routed to it and
-//! **always on** from then until [`Engine::shutdown`] — queries come and go
-//! (admission sets a bit, finalisation clears it), the operator does not
-//! (paper §2.4, §3.2); between queries its threads park at zero virtual
-//! cost. Star queries over *any* fact table enter their fact's Global Query
-//! Plan; the QPipe fallback remains only for genuinely non-star plans (zero
-//! dimension joins). Per-fact accounting is surfaced as [`StageRow`]s.
+//! is a stage registry: one [`CjoinStage`] **per fact table**, built on the
+//! first query routed to it and **always on** from then until
+//! [`Engine::shutdown`] — queries come and go (admission sets a bit,
+//! finalisation clears it), the operator does not (paper §2.4, §3.2);
+//! between queries its threads park at zero virtual cost. Every shared
+//! query over *any* fact table enters its fact's Global Query Plan; one
+//! with no dimension join is the degenerate star, routed on its fact
+//! predicate alone, so the stage's circular scan is the only scan of the
+//! table. Per-fact accounting is surfaced as [`StageRow`]s.
 
 use workshare_cjoin::{
     AdmissionFabric, AdmissionHealth, CjoinConfig, CjoinRuntimeStats, CjoinStage, CjoinStats,
@@ -89,9 +90,9 @@ pub enum Outcome {
 
 /// Per-fact-table row of a governed run's shared side, surfaced in
 /// [`RunReport::stages`](crate::harness::RunReport::stages): which stage
-/// served how many shared star queries, with the stage's CJOIN counters. A
-/// row exists from the first star query routed to its fact table, so a
-/// report covers every fact table that was ever sharded.
+/// served how many shared queries, with the stage's CJOIN counters. A row
+/// exists from the first query routed to its fact table, so a report
+/// covers every fact table that was ever sharded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageRow {
     /// Fact table this stage is bound to.
@@ -99,7 +100,7 @@ pub struct StageRow {
     /// Route label carrying the fact table, e.g. `Shared(lineorder)` — the
     /// label a shared query served by this stage is attributed to.
     pub label: String,
-    /// Shared star queries served by this stage over the engine's lifetime.
+    /// Shared queries served by this stage over the engine's lifetime.
     pub shared_queries: u64,
     /// Stage pipelines built for this fact table: 1, plus one per injected
     /// stage-build failure
@@ -113,10 +114,10 @@ pub struct StageRow {
 struct FactStage {
     fact_name: String,
     stage: CjoinStage,
-    /// Shared star queries routed here and not yet finished: the governor's
+    /// Shared queries routed here and not yet finished: the governor's
     /// `stage_in_flight` signal, and what the health monitor idles on.
     in_flight: u64,
-    /// Shared star queries ever routed here.
+    /// Shared queries ever routed here.
     served: u64,
     /// Pipelines built for this fact ([`StageRow::incarnations`]).
     incarnations: u64,
@@ -155,7 +156,7 @@ struct StageRegistry {
     monitor_stop: AtomicBool,
 }
 
-/// One shared star query's claim on its fact's stage: one unit of the
+/// One shared query's claim on its fact's stage: one unit of the
 /// stage's in-flight count, given back on completion. It keeps nothing
 /// alive — the stage lives as long as the engine.
 struct StageLease {
@@ -430,10 +431,8 @@ impl StageRegistry {
 /// The governed engine: both execution paths plus the router between them.
 struct Governed {
     policy: ExecPolicy,
-    /// Shared star path: one always-on CJOIN stage per fact table.
+    /// Shared path: one always-on CJOIN stage per fact table.
     registry: Arc<StageRegistry>,
-    /// Shared path for genuinely non-star queries (circular scans + SP on).
-    qpipe: QpipeEngine,
     governor: Arc<SharingGovernor>,
     /// Queries submitted through this engine and not yet completed — the
     /// governor's engine-wide concurrency signal (tracked in Adaptive
@@ -546,8 +545,9 @@ impl Engine {
     /// storage manager. `fact_table` names the default fact table: the
     /// single CJOIN stage's for the named CJOIN engines; the governed
     /// engine ignores it and builds one always-on stage per fact table, on
-    /// the first star query that references it. With [`RunConfig::policy`]
-    /// set, both paths are built and submissions are routed per the policy.
+    /// the first shared query that references it. With
+    /// [`RunConfig::policy`] set, submissions are routed per the policy
+    /// between those stages and Volcano.
     pub fn new(
         machine: &Machine,
         storage: &StorageManager,
@@ -596,12 +596,6 @@ impl Engine {
                     }
                     registry
                 },
-                qpipe: QpipeEngine::new(
-                    machine,
-                    storage,
-                    config.governed_qpipe_config(),
-                    config.cost,
-                ),
                 governor: Arc::new(SharingGovernor::new(config.cost, config.governor)),
                 in_flight: Arc::new(AtomicU64::new(0)),
                 cores: config.cores as f64,
@@ -645,10 +639,8 @@ impl Engine {
     /// Hold all per-query work at the start line (batch semantics).
     pub fn close_gate(&self) {
         self.inner.gate_open.store(false, Ordering::Release);
-        match &self.inner.kind {
-            EngineKind::Qpipe(e) => e.close_gate(),
-            EngineKind::Governed(g) => g.qpipe.close_gate(),
-            _ => {}
+        if let EngineKind::Qpipe(e) = &self.inner.kind {
+            e.close_gate();
         }
     }
 
@@ -656,10 +648,8 @@ impl Engine {
     pub fn open_gate(&self) {
         self.inner.gate_open.store(true, Ordering::Release);
         self.inner.gate_ws.notify_all();
-        match &self.inner.kind {
-            EngineKind::Qpipe(e) => e.open_gate(),
-            EngineKind::Governed(g) => g.qpipe.open_gate(),
-            _ => {}
+        if let EngineKind::Qpipe(e) = &self.inner.kind {
+            e.open_gate();
         }
     }
 
@@ -802,9 +792,6 @@ impl Engine {
         permit: Option<SlotPermit>,
         deadline_secs: Option<f64>,
     ) -> Result<Ticket, ShedReason> {
-        let fact_t = self.inner.storage.table(&q.fact);
-        // Any star query can enter its fact's sharded stage.
-        let is_star = !q.dims.is_empty();
         let shape = q.shape_signature();
         // One signals snapshot per submission: the decision, the recorded
         // route, and the later calibration feedback all see the same state.
@@ -830,8 +817,6 @@ impl Engine {
                 g.governor.record_forced(route);
                 route
             }
-            // Non-star queries can't enter a GQP; they are still routed by
-            // the governor — the shared side just lands on QPipe below.
             ExecPolicy::Adaptive => match deadline_secs {
                 None => g.governor.decide_keyed(shape, signals.as_ref().unwrap()),
                 Some(deadline) => {
@@ -857,11 +842,11 @@ impl Engine {
         });
         Ok(match route {
             Route::QueryCentric => self.submit_volcano(q, feedback, permit),
-            Route::Shared if is_star => {
+            Route::Shared => {
+                let fact_t = self.inner.storage.table(&q.fact);
                 let (stage, lease) = g.registry.checkout(fact_t, &q.fact);
                 self.submit_cjoin(&stage, q, feedback, Some(lease), permit)
             }
-            Route::Shared => self.submit_qpipe(&g.qpipe, q, feedback, permit),
         })
     }
 
@@ -943,8 +928,7 @@ impl Engine {
         Ticket(slot)
     }
 
-    /// Run `q` on a QPipe engine (a named one, or the governed engine's
-    /// shared path for non-star plans): the scan/select/join packets are
+    /// Run `q` on a named QPipe engine: the scan/select/join packets are
     /// QPipe's, with whatever sharing it is configured for; the producer is
     /// the query-centric aggregate/sort packet on top.
     fn submit_qpipe(
@@ -986,8 +970,7 @@ impl Engine {
                 // unreadable fact page) is checked after the stream drains:
                 // the reader sees a normal end-of-stream, the waiter a typed
                 // error outcome instead of a silently partial result.
-                let fault = output.fault.lock().clone();
-                fault.map_or(Ok(Arc::new(rows)), Err)
+                output.fault.error().map_or(Ok(Arc::new(rows)), Err)
             }
         })
     }
@@ -1011,11 +994,11 @@ impl Engine {
         })
     }
 
-    /// Sharing statistics from the QPipe path, if applicable.
+    /// Sharing statistics of a named QPipe engine (`None` for every other
+    /// engine, the governed one included).
     pub fn qpipe_sharing(&self) -> Option<workshare_qpipe::SharingStats> {
         match &self.inner.kind {
             EngineKind::Qpipe(e) => Some(e.sharing_stats()),
-            EngineKind::Governed(g) => Some(g.qpipe.sharing_stats()),
             _ => None,
         }
     }
@@ -1033,7 +1016,7 @@ impl Engine {
 
     /// Per-fact-table stage rows of the governed engine's shared side
     /// (empty for ungoverned engines, and for governed runs that never
-    /// routed a star query to a stage).
+    /// routed a query to a stage).
     pub fn stage_rows(&self) -> Vec<StageRow> {
         match &self.inner.kind {
             EngineKind::Governed(g) => g.registry.rows(),
@@ -1090,10 +1073,7 @@ impl Engine {
             EngineKind::Qpipe(e) => e.shutdown(),
             EngineKind::Cjoin(s) => s.shutdown(),
             EngineKind::Volcano => {}
-            EngineKind::Governed(g) => {
-                g.registry.shutdown_all();
-                g.qpipe.shutdown();
-            }
+            EngineKind::Governed(g) => g.registry.shutdown_all(),
         }
     }
 }

@@ -50,8 +50,8 @@ use workshare_common::{CostModel, SharingSignals};
 pub enum Route {
     /// Private Volcano-style plan: cheapest when the machine is idle.
     QueryCentric,
-    /// Shared plan (CJOIN star / QPipe shared select): cheapest past the
-    /// concurrency crossover.
+    /// Shared plan (the fact's CJOIN stage): cheapest past the concurrency
+    /// crossover.
     Shared,
 }
 

@@ -34,7 +34,7 @@ pub struct RunReport {
     pub cpu: CpuBreakdown,
     /// Disk activity of the run.
     pub disk: DiskStats,
-    /// QPipe sharing statistics (if the engine was a QPipe variant).
+    /// QPipe sharing statistics (if the engine was a named QPipe variant).
     pub qpipe_sharing: Option<workshare_qpipe::SharingStats>,
     /// CJOIN statistics (if the engine was a CJOIN variant; aggregate over
     /// all sharded stages — plus the cross-stage fabric's physical reads —
@@ -46,7 +46,7 @@ pub struct RunReport {
     /// behalf of every stage.
     pub fabric: Option<workshare_cjoin::FabricStats>,
     /// Per-fact-table stage rows of a governed run's shared side: which
-    /// sharded CJOIN stage served how many shared star queries, labeled
+    /// sharded CJOIN stage served how many shared queries, labeled
     /// with the fact table (`Shared(lineorder)`). Empty for ungoverned
     /// engines.
     pub stages: Vec<crate::engine::StageRow>,

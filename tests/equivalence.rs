@@ -6,8 +6,11 @@
 use std::sync::OnceLock;
 
 use workshare::harness::{run_batch, run_batch_on};
-use workshare::{workload, Dataset, ExchangeKind, IoMode, NamedConfig, RunConfig, StarQuery};
+use workshare::{
+    workload, Dataset, ExchangeKind, ExecPolicy, IoMode, NamedConfig, RunConfig, StarQuery,
+};
 use workshare_common::value::Row;
+use workshare_common::{AggSpec, ColRef, Predicate};
 
 fn ssb() -> &'static Dataset {
     static D: OnceLock<Dataset> = OnceLock::new();
@@ -93,6 +96,60 @@ fn tpch_q1_identical_batch_qpipe_variants() {
     // The aggregate must be non-trivial.
     let rows = &baseline.unwrap()[0];
     assert!(!rows.is_empty(), "Q1 must return groups");
+}
+
+/// A query with no dimension join is the degenerate star: a CJOIN stage
+/// routes it on its fact predicate alone. Every engine that admits such
+/// queries to a stage — the named CJOIN engines and the governed ones —
+/// must answer them exactly as Volcano does. Returns Volcano's rows.
+fn assert_stage_engines_match_volcano(
+    dataset: &Dataset,
+    fact: &str,
+    queries: &[StarQuery],
+) -> Vec<Vec<Row>> {
+    let want = results_for(
+        dataset,
+        fact,
+        &RunConfig::named(NamedConfig::Volcano),
+        queries,
+    );
+    for cfg in [
+        RunConfig::named(NamedConfig::Cjoin),
+        RunConfig::named(NamedConfig::CjoinSp),
+        RunConfig::governed(ExecPolicy::Shared),
+        RunConfig::governed(ExecPolicy::Adaptive),
+    ] {
+        let got = results_for(dataset, fact, &cfg, queries);
+        assert_eq!(got, want, "{} diverged from Volcano", cfg.label());
+    }
+    want
+}
+
+#[test]
+fn dimension_less_sums_on_every_stage_engine() {
+    let quantity = workshare_datagen::lineorder_schema().col("lo_quantity");
+    let sum_revenue = |id, fact_pred| StarQuery {
+        id,
+        fact: "lineorder".into(),
+        fact_pred,
+        dims: vec![],
+        group_by: vec![],
+        aggs: vec![AggSpec::sum(ColRef::fact("lo_revenue"))],
+        order_by: vec![],
+    };
+    let queries = [
+        sum_revenue(0, Predicate::True),
+        sum_revenue(1, Predicate::between(quantity, 1i64, 24i64)),
+    ];
+    let want = assert_stage_engines_match_volcano(ssb(), "lineorder", &queries);
+    assert_ne!(want[0], want[1], "the quantity predicate must filter");
+}
+
+#[test]
+fn tpch_q1_on_every_stage_engine() {
+    let queries: Vec<_> = (0..3).map(workload::tpch_q1).collect();
+    let want = assert_stage_engines_match_volcano(tpch(), "lineitem", &queries);
+    assert!(!want[0].is_empty(), "Q1 must return groups");
 }
 
 #[test]

@@ -121,10 +121,11 @@ fn adaptive_routes_disk_crowd_shared() {
 }
 
 #[test]
-fn governed_shared_falls_back_to_qpipe_for_non_star_queries() {
+fn governed_shared_runs_dimension_less_queries_on_the_stage() {
     let d = dataset();
-    // A dimension-less scan-aggregate cannot enter the CJOIN GQP; the
-    // governed engine's shared route must run it on QPipe instead.
+    // A dimension-less scan-aggregate is the degenerate star: the governed
+    // engine's shared route admits it to its fact's stage like any other
+    // query, and builds no second scanner of the table for it.
     let q = StarQuery {
         id: 1,
         fact: "lineorder".into(),
@@ -145,9 +146,13 @@ fn governed_shared_falls_back_to_qpipe_for_non_star_queries() {
     assert_eq!(
         rep.results.unwrap()[0],
         baseline.results.unwrap()[0],
-        "qpipe fallback result diverged"
+        "stage result diverged"
     );
-    assert_eq!(rep.cjoin.unwrap().admitted, 0, "must not enter the GQP");
+    assert_eq!(rep.cjoin.unwrap().admitted, 1, "must enter the GQP");
+    assert!(
+        rep.qpipe_sharing.is_none(),
+        "the governed engine has no QPipe"
+    );
 }
 
 /// Regression for the per-shape hysteresis ROADMAP item: a stream

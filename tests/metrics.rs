@@ -4,7 +4,8 @@
 use std::sync::OnceLock;
 
 use workshare::harness::{run_batch, run_service, run_staggered, ServiceLoad};
-use workshare::{workload, Dataset, FaultPlan, IoMode, NamedConfig, RunConfig};
+use workshare::{workload, Dataset, ExecPolicy, FaultPlan, IoMode, NamedConfig, RunConfig};
+use workshare_common::{AggSpec, ColRef, Predicate, StarQuery};
 use workshare_sim::{CostKind, COST_KINDS};
 
 fn ssb() -> &'static Dataset {
@@ -275,6 +276,37 @@ fn fabric_counts_each_physical_page_once_and_keeps_logical_rows_invariant() {
     assert!(
         fs.admission_dim_pages < perstage_cj.admission_dim_pages,
         "cross-stage sharing must reduce physical reads: fabric {fs:?} vs {perstage_cj:?}"
+    );
+}
+
+#[test]
+fn dimension_less_queries_ride_the_star_crowds_scan() {
+    // One circular scan per table: four dimension-less sums submitted
+    // beside eight Q3.2 ride the crowd's wrap of `lineorder` on the
+    // governed engine, so the fact scan is paid once, not once per scanner.
+    let mut r = workload::rng(44);
+    let stars: Vec<_> = (0..8).map(|i| workload::ssb_q3_2(i, &mut r)).collect();
+    let sums = (8..12).map(|id| StarQuery {
+        id,
+        fact: "lineorder".into(),
+        fact_pred: Predicate::True,
+        dims: vec![],
+        group_by: vec![],
+        aggs: vec![AggSpec::sum(ColRef::fact("lo_revenue"))],
+        order_by: vec![],
+    });
+    let mixed: Vec<_> = stars.iter().cloned().chain(sums).collect();
+    let cfg = RunConfig::governed(ExecPolicy::Shared);
+    let scan_secs = |queries: &[StarQuery]| {
+        let rep = run_batch(ssb(), &cfg, queries, false);
+        assert!(rep.qpipe_sharing.is_none(), "{:?}", rep.qpipe_sharing);
+        rep.cpu.secs(CostKind::Scan)
+    };
+    let (alone, together) = (scan_secs(&stars), scan_secs(&mixed));
+    let ratio = together / alone;
+    assert!(
+        (ratio - 1.0).abs() <= 0.01,
+        "Scan CPU {together} s with the sums vs {alone} s without: {ratio:.3}×"
     );
 }
 

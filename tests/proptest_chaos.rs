@@ -5,9 +5,11 @@
 //! — at any ladder rung the load lands on, every submitted query must end
 //! in exactly one of {completed, shed, error}. Faults degrade answers into
 //! typed per-query error outcomes; they never lose a query, wedge the
-//! admission queue, or hang the run. The non-star route (QPipe's circular
-//! scans) is held to the same contract row by row: an answer that differs
-//! from Volcano's carries an error, and a failed scan host is replaced.
+//! admission queue, or hang the run. Dimension-less queries are held to the
+//! same contract row by row on both circular scanners — the governed
+//! engine's CJOIN stage and a named QPipe-SP engine's scan service: an
+//! answer that differs from Volcano's carries an error, and a failed scan
+//! does not fail every later query.
 //!
 //! A chaos failure replays from the printed proptest seed as far as the
 //! fault schedule goes: each site fires as a pure function of
@@ -314,17 +316,28 @@ fn no_recovery_baseline_fails_queries_but_conserves() {
     );
 }
 
-/// The governed engine's **non-star route** under a permanent page fault.
-/// A dimension-less scan-aggregate cannot enter a GQP, so the Shared policy
-/// runs it on QPipe over a circular scan. Forty of them back to back from
-/// one client: the scan that takes the injected fault must fail the query
-/// riding it with a typed error — *degraded, never wrong* — and must not
-/// stay in the scan service as a closed exchange that "completes" every
+/// Dimension-less scan-aggregates under a permanent page fault, on both
+/// circular scanners of `lineorder`: the governed Shared route's CJOIN stage
+/// (whose per-page contract, `fail_fact_page`, fails the page's member
+/// queries and keeps scanning) and a named QPipe-SP engine's scan service
+/// (fail-stop: the failed scanner is dropped and `ScanWatch` tells every
+/// QPipe query in flight). Forty of them back to back from one client: the
+/// fault must fail the query riding it with a typed error — *degraded,
+/// never wrong* — and must not leave a dead scan that "completes" every
 /// later query in a microsecond with no rows. One sequential client, so the
 /// fault schedule (a function of the page-read count) is the same on every
 /// run.
 #[test]
 fn faulted_non_star_route_is_degraded_never_wrong() {
+    for cfg in [
+        RunConfig::governed(ExecPolicy::Shared),
+        RunConfig::named(NamedConfig::QpipeSp),
+    ] {
+        faulted_dimension_less_sums_are_degraded_never_wrong(cfg);
+    }
+}
+
+fn faulted_dimension_less_sums_are_degraded_never_wrong(mut cfg: RunConfig) {
     let sum_revenue = |id: u64| StarQuery {
         id,
         fact: "lineorder".into(),
@@ -334,7 +347,6 @@ fn faulted_non_star_route_is_degraded_never_wrong() {
         aggs: vec![AggSpec::sum(ColRef::fact("lo_revenue"))],
         order_by: vec![],
     };
-    let mut cfg = RunConfig::governed(ExecPolicy::Shared);
     cfg.faults = FaultPlan {
         seed: 7,
         permanent_page_stride: Some(50),

@@ -1,8 +1,10 @@
 //! Smoke tests of the service loop — the deterministic CI companions to the
 //! `overload` figure's predicates: queue-full sheds, deadline sheds on every
 //! routing policy, weighted tenant lockout, bind errors surfacing as
-//! per-query error outcomes, a lone closed-loop client repeating exactly, and
-//! the health monitor parking on an idle engine whose stage stays built.
+//! per-query error outcomes, a lone closed-loop client repeating exactly —
+//! with star queries and with dimension-less ones, which ride the same
+//! stage — and the health monitor parking on an idle engine whose stage
+//! stays built.
 
 use std::sync::OnceLock;
 
@@ -18,9 +20,9 @@ fn ssb() -> &'static Dataset {
     D.get_or_init(|| Dataset::ssb(0.05, 2468))
 }
 
-/// A dimension-less scan-aggregate over `lineorder`: it cannot enter a CJOIN
-/// GQP, so the governed engine's shared route runs it on QPipe — the
-/// non-star route, held here to what the star route is held to.
+/// A dimension-less scan-aggregate over `lineorder`: the degenerate star,
+/// which the governed engine's shared route admits to the fact's stage
+/// like any star query — held here to what a star query is held to.
 fn sum_of(id: u64, column: &str) -> StarQuery {
     StarQuery {
         id,
@@ -129,8 +131,7 @@ fn bind_errors_surface_as_error_outcomes() {
         q.dims[0].payload = vec!["no_such_col".into()];
         q
     });
-    // The same mistake on the non-star route (it used to panic the
-    // submitting client inside QPipe's own bind).
+    // The same mistake in a dimension-less query.
     let non_star = run_service(ssb(), &cfg, "lineorder", load(2, 1, 0.2), |id, _| {
         sum_of(id, "no_such_col")
     });
@@ -187,11 +188,12 @@ fn lone_closed_loop_client_repeats_bit_for_bit() {
         }
     }
 
-    // The non-star route, with one queue slot: the client's next submission
-    // arrives in the virtual instant its last query completes, so it is
-    // admitted only if the permit was released before the completion was
-    // published — which an observer vthread used to do afterwards, shedding
-    // a quarter of the submissions and a different quarter on every run.
+    // Dimension-less queries, with one queue slot: the client's next
+    // submission arrives in the virtual instant its last query completes, so
+    // it is admitted only if the permit was released before the completion
+    // was published — which an observer vthread used to do afterwards,
+    // shedding a quarter of the submissions and a different quarter on every
+    // run.
     let mut cfg = RunConfig::governed(ExecPolicy::Shared);
     cfg.service.queue_cap = Some(1);
     let run = || {
