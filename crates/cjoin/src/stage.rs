@@ -60,7 +60,7 @@ impl Default for CjoinConfig {
 
 /// Live signals the sharing governor reads from a running stage
 /// ([`CjoinStage::runtime_stats`]): the observed workload shape that
-/// parameterizes the cost-model crossover estimator.
+/// parameterizes the cost model's two route-latency estimates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CjoinRuntimeStats {
     /// Queries currently active in the GQP.

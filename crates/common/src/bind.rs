@@ -65,16 +65,6 @@ impl BoundQuery {
         }
         out
     }
-
-    /// Joined-row offset where dim `k`'s payload begins.
-    pub fn dim_payload_offset(&self, k: usize) -> usize {
-        self.fact_fk_idx.len()
-            + self.fact_payload_idx.len()
-            + self.dim_payload_idx[..k]
-                .iter()
-                .map(|v| v.len())
-                .sum::<usize>()
-    }
 }
 
 /// Why a [`StarQuery`] could not be bound to its physical schemas. Carried
@@ -336,8 +326,6 @@ mod tests {
         // joined row: [fk_a, fk_b, m1, m2, a_val, b_val]
         assert_eq!(b.joined_arity, 6);
         assert_eq!(b.group_idx, vec![5]);
-        assert_eq!(b.dim_payload_offset(0), 4);
-        assert_eq!(b.dim_payload_offset(1), 5);
         assert_eq!(
             b.aggs[0].expr,
             Some(BoundAggExpr::Col(2)),

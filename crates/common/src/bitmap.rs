@@ -403,26 +403,6 @@ impl BitmapBank {
         bit / 64 < self.stride && self.row(i)[bit / 64] & (1u64 << (bit % 64)) != 0
     }
 
-    /// Shared-filter AND on tuple `i`: `row &= entry | !referencing`, the
-    /// word-level form of [`QueryBitmap::and_filtered`]. Missing words on
-    /// either operand read as zero. Returns whether any bit survives.
-    pub fn and_filtered_row(
-        &mut self,
-        i: usize,
-        entry: Option<&[u64]>,
-        referencing: &[u64],
-    ) -> bool {
-        let row = &mut self.words[i * self.stride..(i + 1) * self.stride];
-        let mut any = 0u64;
-        for (j, w) in row.iter_mut().enumerate() {
-            let e = entry.and_then(|b| b.get(j)).copied().unwrap_or(0);
-            let r = referencing.get(j).copied().unwrap_or(0);
-            *w &= e | !r;
-            any |= *w;
-        }
-        any != 0
-    }
-
     /// AND tuple `i`'s bitmap with a precomputed mask of exactly `stride`
     /// words (the hot-loop form: the filter kernel computes
     /// `entry | !referencing` once per key run and reapplies it per tuple).
@@ -456,36 +436,9 @@ impl BitmapBank {
         *w != 0
     }
 
-    /// AND every tuple's bitmap with `mask` as whole-word operations;
-    /// returns the number of tuples with at least one surviving bit.
-    pub fn and_assign_all(&mut self, mask: &QueryBitmap) -> usize {
-        let mw = mask.words();
-        let mut survivors = 0;
-        for row in self.words.chunks_exact_mut(self.stride.max(1)) {
-            let mut any = 0u64;
-            for (j, w) in row.iter_mut().enumerate() {
-                *w &= mw.get(j).copied().unwrap_or(0);
-                any |= *w;
-            }
-            survivors += (any != 0) as usize;
-        }
-        survivors
-    }
-
     /// Whether any tuple has any bit set.
     pub fn any_alive(&self) -> bool {
         self.words.iter().any(|w| *w != 0)
-    }
-
-    /// Number of tuples with at least one bit set.
-    pub fn survivor_count(&self) -> usize {
-        if self.stride == 0 {
-            return 0;
-        }
-        self.words
-            .chunks_exact(self.stride)
-            .filter(|row| row.iter().any(|w| *w != 0))
-            .count()
     }
 
     /// Write bit `bit` of every tuple into `out` (`out[i] = bank[i].bit`):
@@ -721,56 +674,7 @@ mod tests {
             assert!(bank.get(i, 0) && bank.get(i, 129) && !bank.get(i, 64));
             assert_eq!(bank.to_query_bitmap(i), seed);
         }
-        assert_eq!(bank.survivor_count(), 5);
         assert!(bank.any_alive());
-    }
-
-    #[test]
-    fn bank_and_filtered_row_matches_scalar() {
-        // Same scenario as and_filtered_passes_non_referencing_queries.
-        let mut referencing = QueryBitmap::zeros(64);
-        referencing.set(0);
-        referencing.set(1);
-        let mut entry = QueryBitmap::zeros(64);
-        entry.set(0);
-        let mut members = QueryBitmap::zeros(64);
-        members.set(0);
-        members.set(1);
-        members.set(2);
-        let mut bank = BitmapBank::new();
-        bank.reset(3, &members);
-        assert!(bank.and_filtered_row(1, Some(entry.words()), referencing.words()));
-        let mut scalar = members.clone();
-        scalar.and_filtered(Some(&entry), &referencing);
-        assert_eq!(bank.to_query_bitmap(1), scalar);
-        // Untouched rows keep the seed bitmap.
-        assert_eq!(bank.to_query_bitmap(0), members);
-        // A miss (entry = None) on a fully-referencing filter kills the row.
-        let all_ref = QueryBitmap::ones(64);
-        assert!(!bank.and_filtered_row(2, None, all_ref.words()));
-        assert_eq!(bank.survivor_count(), 2);
-        assert_eq!(
-            (0..3).filter(|&i| bank.to_query_bitmap(i).any()).count(),
-            2
-        );
-    }
-
-    #[test]
-    fn bank_and_assign_all_counts_survivors() {
-        let mut members = QueryBitmap::zeros(128);
-        members.set(3);
-        members.set(100);
-        let mut bank = BitmapBank::new();
-        bank.reset(4, &members);
-        let mut mask = QueryBitmap::zeros(128);
-        mask.set(100);
-        assert_eq!(bank.and_assign_all(&mask), 4);
-        for i in 0..4 {
-            assert!(!bank.get(i, 3) && bank.get(i, 100));
-        }
-        assert_eq!(bank.and_assign_all(&QueryBitmap::zeros(128)), 0);
-        assert!(!bank.any_alive());
-        assert_eq!(bank.survivor_count(), 0);
     }
 
     #[test]
@@ -781,12 +685,8 @@ mod tests {
         let mut bank = BitmapBank::new();
         bank.reset(4, &members);
         // Kill bit 0 on rows 1 and 3.
-        let mut entry = QueryBitmap::zeros(64);
-        entry.set(1);
-        let mut refq = QueryBitmap::zeros(64);
-        refq.set(0);
-        bank.and_filtered_row(1, Some(entry.words()), refq.words());
-        bank.and_filtered_row(3, None, refq.words());
+        bank.and_mask_row(1, &[!1]);
+        bank.and_mask_row(3, &[!1]);
         let mut col = SelVec::new();
         bank.extract_column(0, &mut col);
         assert_eq!(col.iter_ones().collect::<Vec<_>>(), vec![0, 2]);

@@ -160,12 +160,6 @@ impl Page {
         }
         out
     }
-
-    /// Decode a single row by index.
-    pub fn decode_at(&self, schema: &Schema, idx: usize) -> Row {
-        assert!(idx < self.rows as usize, "row index out of bounds");
-        decode_row(schema, &self.bytes, 4 + idx * schema.row_width())
-    }
 }
 
 /// Incrementally packs rows into pages.
@@ -273,21 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_at_matches_decode_all() {
-        let s = schema();
-        let mut b = PageBuilder::new(&s);
-        for i in 0..10 {
-            b.push(&row(i));
-        }
-        let pages = b.finish();
-        assert_eq!(pages.len(), 1);
-        let all = pages[0].decode_all(&s);
-        for (i, r) in all.iter().enumerate() {
-            assert_eq!(&pages[0].decode_at(&s, i), r);
-        }
-    }
-
-    #[test]
     fn empty_builder_yields_no_pages() {
         let s = schema();
         let b = PageBuilder::new(&s);
@@ -305,15 +284,5 @@ mod tests {
         let mut buf2 = Vec::new();
         encode_row(&s, &[Value::str("")], &mut buf2);
         assert_eq!(decode_row(&s, &buf2, 0), vec![Value::str("")]);
-    }
-
-    #[test]
-    #[should_panic(expected = "row index out of bounds")]
-    fn decode_at_bounds_checked() {
-        let s = schema();
-        let mut b = PageBuilder::new(&s);
-        b.push(&row(1));
-        let pages = b.finish();
-        pages[0].decode_at(&s, 5);
     }
 }

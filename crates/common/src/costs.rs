@@ -152,10 +152,9 @@ impl CostModel {
     /// the de-serialization that makes admission cost grow with *distinct
     /// dimension pages + pending queries* instead of *pages × queries*.
     /// The per-row physical rate matches the
-    /// [`shared_latency_ns`](CostModel::shared_latency_ns) /
-    /// [`shared_marginal_query_ns`](CostModel::shared_marginal_query_ns)
-    /// estimators' `(scan_tuple_ns + admission_tuple_ns)` admission term,
-    /// so the governor's calibration starts near 1.
+    /// [`shared_latency_ns`](CostModel::shared_latency_ns) estimator's
+    /// `(scan_tuple_ns + admission_tuple_ns)` admission term, so the
+    /// governor's calibration starts near 1.
     pub fn admission_batch_cost(&self, rows: usize, pending: usize, total_terms: usize) -> f64 {
         (self.scan_tuple_ns + self.admission_tuple_ns) * rows as f64
             + pending.max(1) as f64 * self.select_batch_fixed_ns
@@ -176,38 +175,6 @@ impl CostModel {
         let probe = self.hash_probe_tuple_ns * s.fact_tuples * s.n_dims as f64;
         let agg = self.agg_update_tuple_ns * s.fact_tuples * s.fact_selectivity();
         fact_scan + dim_scan + build + probe + agg + self.volcano_tuple_overhead_ns * s.fact_tuples
-    }
-
-    /// **Marginal** virtual CPU work of admitting one more query into the
-    /// shared plan (CJOIN) when `s.concurrency` queries are already active:
-    /// the admission dimension scans are private, but the circular fact scan
-    /// and the per-key-run filter probes are amortized over all
-    /// `concurrency + 1` subscribers, while the bitmap-bank AND and
-    /// distributor routing charges grow with the query's own membership.
-    pub fn shared_marginal_query_ns(&self, s: &SharingSignals) -> f64 {
-        let n = s.concurrency + 1.0;
-        // Shared-scan admission: the physical dimension scan is performed
-        // once per admission batch and amortizes over the crowd; only the
-        // per-query predicate evaluation stays private.
-        let admission = self.admission_query_fixed_ns
-            + (self.scan_tuple_ns + self.admission_tuple_ns) * s.dim_tuples / n
-            + self.select_term_vec_ns * s.dim_tuples;
-        let shared_scan = (self.scan_tuple_ns * s.fact_tuples
-            + self.scan_page_fixed_ns * (s.fact_tuples / TUPLES_PER_PAGE).max(1.0))
-            / n;
-        // One probe per key run, shared by every subscriber; skewed/clustered
-        // foreign keys (long runs) make this cheaper — the skew signal. An
-        // upper bound: it charges `n_dims` probes per fact tuple, where the
-        // filter skips a tuple none of whose surviving queries joins the
-        // dimension.
-        let probes = self.filter_probe_run_ns * (s.fact_tuples / s.avg_key_run.max(1.0))
-            * s.n_dims as f64
-            / n;
-        // This query's own column of the bitmap bank: one bit per tuple.
-        let bank = self.bank_word_and_ns * (s.fact_tuples / 64.0) * s.n_dims as f64;
-        let route = self.route_tuple_ns * s.fact_tuples * s.fact_selectivity();
-        let agg = self.agg_update_tuple_ns * s.fact_tuples * s.fact_selectivity();
-        admission + shared_scan + probes + bank + route + agg
     }
 
     /// Estimated **response time** of a query-centric plan with
@@ -277,8 +244,11 @@ impl CostModel {
         // wrap spreads over the pipeline workers.
         let wrap_scan = self.scan_tuple_ns * s.fact_tuples / s.pipeline_parallelism.max(1.0)
             + self.scan_page_fixed_ns * (s.fact_tuples / TUPLES_PER_PAGE).max(1.0);
-        // An upper bound, as in `shared_marginal_query_ns`: `n_dims` probes
-        // per fact tuple, none skipped.
+        // One probe per key run, spread over the pipeline workers; skewed or
+        // clustered foreign keys (long runs) make this cheaper — the skew
+        // signal. An upper bound: it charges `n_dims` probes per fact tuple,
+        // where the filter skips a tuple none of whose surviving queries
+        // joins the dimension.
         let filter = self.filter_probe_run_ns * (s.fact_tuples / s.avg_key_run.max(1.0))
             * s.n_dims as f64
             / s.pipeline_parallelism.max(1.0);
@@ -305,41 +275,16 @@ impl CostModel {
     pub fn stage_saturation(&self, s: &SharingSignals) -> f64 {
         ((s.stage_in_flight + 1.0) / (4.0 * s.pipeline_parallelism.max(1.0))).max(1.0)
     }
-
-    /// The concurrency level past which shared execution is estimated to
-    /// respond faster than query-centric execution for this workload shape
-    /// (the paper's §5.2 crossover, made explicit). Returns the smallest
-    /// `n ≥ 1` whose latency estimates favor sharing, or `max_n` if
-    /// sharing never wins within the probed range. The crossover can be 1
-    /// (scan-dominated workloads, where the pipelined shared plan beats a
-    /// serial private plan even alone). Admission-dominated shapes on a
-    /// memory-resident database cross late but no longer never: with
-    /// shared-scan admission the dimension scans amortize over the batch,
-    /// so once private plans saturate the cores the shared path's cheaper
-    /// per-query increment always wins the crowd.
-    pub fn sharing_crossover_queries(&self, s: &SharingSignals, max_n: u32) -> u32 {
-        for n in 1..=max_n {
-            // The crossover probe assumes the whole crowd lands on the
-            // candidate's stage (single-fact worst case for sharing).
-            let probe = SharingSignals {
-                concurrency: (n - 1) as f64,
-                stage_in_flight: (n - 1) as f64,
-                ..*s
-            };
-            if self.shared_latency_ns(&probe) < self.query_centric_latency_ns(&probe) {
-                return n;
-            }
-        }
-        max_n
-    }
 }
 
 /// Rows per 32 KB page assumed by the estimator (SSB `lineorder` tuples are
 /// ~60 bytes fixed-width).
 const TUPLES_PER_PAGE: f64 = 512.0;
 
-/// Workload-shape and live-load signals the sharing governor feeds the
-/// cost-model crossover estimator ([`CostModel::sharing_crossover_queries`]).
+/// Workload-shape and live-load signals the sharing governor feeds the two
+/// route estimates it compares per submission
+/// ([`CostModel::query_centric_latency_ns`],
+/// [`CostModel::shared_latency_ns`]).
 ///
 /// Static fields come from the catalog (table sizes, dimension count); the
 /// dynamic fields — [`dim_selectivity`](SharingSignals::dim_selectivity),
@@ -478,21 +423,16 @@ mod tests {
     }
 
     #[test]
-    fn query_centric_wins_alone_shared_wins_crowded() {
+    fn shared_wins_an_engine_wide_crowd() {
         let c = CostModel::default();
-        let s = ssb_like_signals();
-        // A lone query: the private plan avoids admission + GQP bookkeeping.
-        assert!(
-            c.shared_marginal_query_ns(&s) > c.query_centric_query_ns(&s),
-            "shared must not win at concurrency 0"
-        );
-        // A crowded plan: scan + probes amortize, marginal cost collapses.
+        // 63 queries in flight on other stages: the private plans saturate
+        // the cores while the candidate's quiet stage answers as at idle.
         let crowded = SharingSignals {
             concurrency: 63.0,
-            ..s
+            ..ssb_like_signals()
         };
         assert!(
-            c.shared_marginal_query_ns(&crowded) < c.query_centric_query_ns(&crowded),
+            c.shared_latency_ns(&crowded) < c.query_centric_latency_ns(&crowded),
             "shared must win at concurrency 63"
         );
     }
@@ -534,25 +474,25 @@ mod tests {
     #[test]
     fn crossover_spans_the_full_range() {
         let c = CostModel::default();
+        let shares = |s: SharingSignals| c.shared_latency_ns(&s) < c.query_centric_latency_ns(&s);
         // Scan-heavy shape: sharing wins from the first query (pipeline
-        // parallelism), crossover 1.
-        let s = ssb_like_signals();
-        let x = c.sharing_crossover_queries(&s, 1024);
-        assert_eq!(x, 1, "scan-heavy shape should share immediately");
-        // Admission-dominated shape: before the admission de-serialization
-        // this shape never shared memory-resident (crossover = max_n). With
-        // batched shared scans the crossover is late but finite — the
-        // private plans saturate the cores while the shared path's
-        // per-query increment stays flat.
+        // parallelism).
+        assert!(
+            shares(ssb_like_signals()),
+            "scan-heavy shape should share immediately"
+        );
+        // Admission-dominated shape: with batched shared scans the
+        // crossover is late but finite — the private plans saturate the
+        // cores while the shared path's per-query increment stays flat.
         let flat = SharingSignals {
             dim_selectivity: 0.1,
             ..SharingSignals::cold(2_000.0, 50_000.0, 1)
         };
-        let late = c.sharing_crossover_queries(&flat, 256);
         assert!(
-            late > 16 && late < 256,
-            "admission-dominated shape should cross late but finitely, got {late}"
+            !shares(flat.with_crowd(16.0)),
+            "admission-dominated shape crosses late"
         );
+        assert!(shares(flat.with_crowd(255.0)), "…but finitely");
     }
 
     #[test]
@@ -566,17 +506,18 @@ mod tests {
         // join-product skew) collapse the probe cost and tip the crossover
         // from "late" to "immediately".
         let c = CostModel::default();
+        let shares = |s: SharingSignals| c.shared_latency_ns(&s) < c.query_centric_latency_ns(&s);
         let boundary = SharingSignals {
             dim_selectivity: 0.1,
             pipeline_parallelism: 1.0,
             ..SharingSignals::cold(40_000.0, 20_000.0, 1)
         };
-        assert!(c.sharing_crossover_queries(&boundary, 256) > 8);
+        assert!(!shares(boundary.with_crowd(8.0)));
         let skewed = SharingSignals {
             avg_key_run: 16.0,
             ..boundary
         };
-        assert_eq!(c.sharing_crossover_queries(&skewed, 256), 1);
+        assert!(shares(skewed));
     }
 
     #[test]

@@ -179,13 +179,6 @@ impl StarQuery {
         fxhash::hash_one(&(&self.fact, &self.fact_pred, &self.dims[..=k]))
     }
 
-    /// Signature of the joins-only part (everything below aggregation).
-    /// Matches when two queries differ only in their aggregation tail —
-    /// the Figure 2a scenario.
-    pub fn joins_signature(&self) -> u64 {
-        fxhash::hash_one(&(&self.fact, &self.fact_pred, &self.dims))
-    }
-
     /// Signature CJOIN-SP matches on: the star-query part evaluated by the
     /// CJOIN stage — fact table, dimension joins and their predicates, and
     /// the projection implied by payloads. Fact predicates are applied on
@@ -301,7 +294,6 @@ mod tests {
         let a = q(1, "FRANCE");
         let b = q(2, "FRANCE");
         assert_eq!(a.full_signature(), b.full_signature());
-        assert_eq!(a.joins_signature(), b.joins_signature());
         assert_eq!(a.cjoin_signature(), b.cjoin_signature());
     }
 
@@ -325,7 +317,7 @@ mod tests {
         let mut b = q(2, "FRANCE");
         b.aggs = vec![AggSpec::count()];
         assert_ne!(a.full_signature(), b.full_signature());
-        assert_eq!(a.joins_signature(), b.joins_signature());
+        assert_eq!(a.cjoin_signature(), b.cjoin_signature());
     }
 
     #[test]

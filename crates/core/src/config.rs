@@ -7,8 +7,6 @@ use workshare_qpipe::{ExchangeKind, QpipeConfig};
 use workshare_sim::{DiskConfig, MachineConfig};
 use workshare_storage::{IoMode, StorageConfig};
 
-use crate::governor::GovernorConfig;
-
 /// How submissions are routed between the query-centric and shared
 /// execution paths. `None` in [`RunConfig::policy`] keeps the legacy
 /// behavior: the single engine named by [`RunConfig::engine`] runs every
@@ -208,9 +206,6 @@ pub struct RunConfig {
     /// [`cjoin_serial_admission`](RunConfig::cjoin_serial_admission), which
     /// admits inline on the preprocessor.
     pub admission_fabric: bool,
-    /// Sharing-governor knobs (hysteresis, calibration EWMA), used when
-    /// `policy` is [`ExecPolicy::Adaptive`].
-    pub governor: GovernorConfig,
     /// Overload-control knobs (queue cap, deadline shedding, SLO target,
     /// tenant weights). Default **off**: legacy unbounded admission.
     pub service: ServiceConfig,
@@ -233,7 +228,6 @@ impl Default for RunConfig {
             disk: DiskConfig::default(),
             policy: None,
             admission_fabric: true,
-            governor: GovernorConfig::default(),
             service: ServiceConfig::default(),
             faults: FaultPlan::default(),
         }
@@ -324,6 +318,7 @@ impl RunConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::GovernorConfig;
 
     #[test]
     fn labels_are_unique() {
@@ -451,7 +446,7 @@ mod tests {
         vec![
             fields!(RunConfig {
                 engine, cores, exchange, io_mode, buffer_pool_pages, cjoin_serial_admission,
-                cs_prediction, cost, disk, policy, admission_fabric, governor, service, faults,
+                cs_prediction, cost, disk, policy, admission_fabric, service, faults,
             }),
             fields!(ServiceConfig { queue_cap, deadline_secs, slo_p99_secs, tenant_weights }),
             fields!(FaultPlan {
@@ -459,7 +454,7 @@ mod tests {
                 scan_stall_stride, scan_panic_stride, fabric_wedge_after, stage_build_stride,
                 worker_panic_stride, self_heal,
             }),
-            fields!(GovernorConfig { hysteresis, ewma_alpha, max_crossover }),
+            fields!(GovernorConfig { hysteresis, ewma_alpha }),
             fields!(CjoinConfig { exchange, cap_pages, sp, serial_admission, faults }),
             fields!(QpipeConfig {
                 exchange, circular_scans, sp_joins, cs_prediction, cap_pages,

@@ -32,7 +32,7 @@ use workshare_sim::{Machine, SimCtx, WaitSet};
 use workshare_storage::{StorageManager, TableId};
 
 use crate::config::{ExecPolicy, NamedConfig, RunConfig, ServiceConfig};
-use crate::governor::{GovernorStats, Route, SharingGovernor, SloDecision};
+use crate::governor::{GovernorConfig, GovernorStats, Route, SharingGovernor, SloDecision};
 use crate::health::HealthStats;
 use crate::slots::{ServiceSlots, SlotPermit};
 use crate::ticket::Ticket;
@@ -596,7 +596,7 @@ impl Engine {
                     }
                     registry
                 },
-                governor: Arc::new(SharingGovernor::new(config.cost, config.governor)),
+                governor: Arc::new(SharingGovernor::new(config.cost, GovernorConfig::default())),
                 in_flight: Arc::new(AtomicU64::new(0)),
                 cores: config.cores as f64,
                 pipeline_parallelism: N_FILTER_WORKERS as f64,
@@ -983,11 +983,11 @@ impl Engine {
         permit: Option<SlotPermit>,
     ) -> Ticket {
         let (storage, cost, plan) = (self.inner.storage.clone(), self.inner.cost, q.clone());
-        self.drive("volcano", q, feedback, None, permit, |_| {
+        self.drive("volcano", q, feedback, None, permit, |bound| {
             // An unrecoverable page read (permanent fault, torn page past
             // rebuild) ends the query in a typed error outcome instead of a
             // vthread panic.
-            move |ctx: &SimCtx| match try_run_volcano_query(ctx, &storage, &plan, &cost) {
+            move |ctx: &SimCtx| match try_run_volcano_query(ctx, &storage, &plan, &bound, &cost) {
                 Ok(rows) => Ok(Arc::new(rows)),
                 Err(e) => Err(e.to_string()),
             }

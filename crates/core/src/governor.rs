@@ -35,8 +35,7 @@
 //! ([`StarQuery::shape_signature`](workshare_common::StarQuery::shape_signature)):
 //! a stream alternating two shapes routes each by its own incumbent and
 //! calibrates each against its own observations, instead of flip-counting
-//! (or mis-calibrating) a single global cell. Callers that have no shape to
-//! key by use the keyless wrappers, which share one global cell.
+//! (or mis-calibrating) a single global cell.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -77,10 +76,6 @@ pub enum SloDecision {
     Shed,
 }
 
-/// The shape key the keyless [`SharingGovernor::decide`] /
-/// [`SharingGovernor::observe_latency`] wrappers file their state under.
-const GLOBAL_SHAPE: u64 = 0;
-
 /// Governor tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct GovernorConfig {
@@ -90,8 +85,6 @@ pub struct GovernorConfig {
     pub hysteresis: f64,
     /// EWMA smoothing factor for the observed/predicted calibration.
     pub ewma_alpha: f64,
-    /// Largest concurrency probed by [`SharingGovernor::crossover`].
-    pub max_crossover: u32,
 }
 
 impl Default for GovernorConfig {
@@ -99,7 +92,6 @@ impl Default for GovernorConfig {
         GovernorConfig {
             hysteresis: 0.25,
             ewma_alpha: 0.2,
-            max_crossover: 1024,
         }
     }
 }
@@ -223,11 +215,6 @@ impl SharingGovernor {
         }
     }
 
-    /// The governor's cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Uncalibrated model estimate for `route` (the denominator of the
     /// calibration ratio — calibrating against the calibrated value would
     /// converge to the square root of the true model error).
@@ -260,23 +247,48 @@ impl SharingGovernor {
         self.raw_predicted_ns(route, signals) * cal
     }
 
-    /// Keyless [`predicted_ns_keyed`](SharingGovernor::predicted_ns_keyed)
-    /// over the global shape cell.
-    pub fn predicted_ns(&self, route: Route, signals: &SharingSignals) -> f64 {
-        self.predicted_ns_keyed(GLOBAL_SHAPE, route, signals)
-    }
-
     /// Route one submission of workload shape `shape`. Applies hysteresis
     /// around the cost crossover **per shape**: the route flips only when
     /// the other path's calibrated estimate undercuts the shape's incumbent
     /// by the configured margin.
     pub fn decide_keyed(&self, shape: u64, signals: &SharingSignals) -> Route {
+        self.decide_at(shape, signals, None)
+            .expect("only a deadline sheds")
+    }
+
+    /// SLO-mode routing: like [`decide_keyed`](SharingGovernor::decide_keyed)
+    /// but deadline-aware. The hysteresis-preferred route wins when its
+    /// calibrated estimate meets `deadline_secs`; otherwise the other route
+    /// wins **if it meets the deadline** (a genuine flip — the SLO overrides
+    /// stickiness); when neither route is predicted to finish in time the
+    /// query is [shed](SloDecision::Shed) without touching the shape's
+    /// incumbent (a shed is not evidence about which route is cheaper).
+    pub fn decide_slo_keyed(
+        &self,
+        shape: u64,
+        signals: &SharingSignals,
+        deadline_secs: f64,
+    ) -> SloDecision {
+        self.decide_at(shape, signals, Some(deadline_secs))
+            .map_or(SloDecision::Shed, SloDecision::Route)
+    }
+
+    /// The one decision body behind [`decide_keyed`](SharingGovernor::decide_keyed)
+    /// and [`decide_slo_keyed`](SharingGovernor::decide_slo_keyed): the
+    /// shape's hysteresis-preferred route, overridden by `deadline_secs`
+    /// when one is set; `None` is a shed.
+    fn decide_at(
+        &self,
+        shape: u64,
+        signals: &SharingSignals,
+        deadline_secs: Option<f64>,
+    ) -> Option<Route> {
         let qc = self.predicted_ns_keyed(shape, Route::QueryCentric, signals);
         let sh = self.predicted_ns_keyed(shape, Route::Shared, signals);
         let mut state = self.state.lock();
         let shape_state = state.shapes.entry(shape).or_default();
         let margin = 1.0 - self.config.hysteresis.clamp(0.0, 0.9);
-        let route = match shape_state.route {
+        let preferred = match shape_state.route {
             // Cold start for this shape (nothing observed yet): a plain
             // latency comparison — no incumbent to be sticky about.
             None => {
@@ -301,79 +313,24 @@ impl SharingGovernor {
                 }
             }
         };
-        if shape_state.route.is_some_and(|prev| prev != route) {
-            shape_state.flips += 1;
-        }
-        shape_state.route = Some(route);
-        drop(state);
-        match route {
-            Route::QueryCentric => self.routed_qc.fetch_add(1, Ordering::Relaxed),
-            Route::Shared => self.routed_sh.fetch_add(1, Ordering::Relaxed),
-        };
-        route
-    }
-
-    /// Keyless [`decide_keyed`](SharingGovernor::decide_keyed) over the
-    /// global shape cell.
-    pub fn decide(&self, signals: &SharingSignals) -> Route {
-        self.decide_keyed(GLOBAL_SHAPE, signals)
-    }
-
-    /// SLO-mode routing: like [`decide_keyed`](SharingGovernor::decide_keyed)
-    /// but deadline-aware. The hysteresis-preferred route wins when its
-    /// calibrated estimate meets `deadline_secs`; otherwise the other route
-    /// wins **if it meets the deadline** (a genuine flip — the SLO overrides
-    /// stickiness); when neither route is predicted to finish in time the
-    /// query is [shed](SloDecision::Shed) without touching the shape's
-    /// incumbent (a shed is not evidence about which route is cheaper).
-    pub fn decide_slo_keyed(
-        &self,
-        shape: u64,
-        signals: &SharingSignals,
-        deadline_secs: f64,
-    ) -> SloDecision {
-        let qc = self.predicted_ns_keyed(shape, Route::QueryCentric, signals);
-        let sh = self.predicted_ns_keyed(shape, Route::Shared, signals);
-        let deadline_ns = deadline_secs * 1e9;
-        let meets = |ns: f64| ns <= deadline_ns;
-        let mut state = self.state.lock();
-        let shape_state = state.shapes.entry(shape).or_default();
-        let margin = 1.0 - self.config.hysteresis.clamp(0.0, 0.9);
-        let preferred = match shape_state.route {
-            None => {
-                if sh < qc {
-                    Route::Shared
+        let route = match deadline_secs {
+            None => preferred,
+            Some(deadline_secs) => {
+                let deadline_ns = deadline_secs * 1e9;
+                let (pref_ns, other, other_ns) = match preferred {
+                    Route::QueryCentric => (qc, Route::Shared, sh),
+                    Route::Shared => (sh, Route::QueryCentric, qc),
+                };
+                if pref_ns <= deadline_ns {
+                    preferred
+                } else if other_ns <= deadline_ns {
+                    other
                 } else {
-                    Route::QueryCentric
+                    drop(state);
+                    self.slo_sheds.fetch_add(1, Ordering::Relaxed);
+                    return None;
                 }
             }
-            Some(Route::QueryCentric) => {
-                if sh < qc * margin {
-                    Route::Shared
-                } else {
-                    Route::QueryCentric
-                }
-            }
-            Some(Route::Shared) => {
-                if qc < sh * margin {
-                    Route::QueryCentric
-                } else {
-                    Route::Shared
-                }
-            }
-        };
-        let (pref_ns, other, other_ns) = match preferred {
-            Route::QueryCentric => (qc, Route::Shared, sh),
-            Route::Shared => (sh, Route::QueryCentric, qc),
-        };
-        let route = if meets(pref_ns) {
-            preferred
-        } else if meets(other_ns) {
-            other
-        } else {
-            drop(state);
-            self.slo_sheds.fetch_add(1, Ordering::Relaxed);
-            return SloDecision::Shed;
         };
         if shape_state.route.is_some_and(|prev| prev != route) {
             shape_state.flips += 1;
@@ -384,7 +341,7 @@ impl SharingGovernor {
             Route::QueryCentric => self.routed_qc.fetch_add(1, Ordering::Relaxed),
             Route::Shared => self.routed_sh.fetch_add(1, Ordering::Relaxed),
         };
-        SloDecision::Route(route)
+        Some(route)
     }
 
     /// Record a route that was forced by a pinned policy
@@ -425,20 +382,6 @@ impl SharingGovernor {
             Route::Shared => &mut shape_state.sh,
         };
         cell.observe(ratio, alpha);
-    }
-
-    /// Keyless
-    /// [`observe_latency_keyed`](SharingGovernor::observe_latency_keyed)
-    /// over the global shape cell.
-    pub fn observe_latency(&self, route: Route, observed_secs: f64, signals: &SharingSignals) {
-        self.observe_latency_keyed(GLOBAL_SHAPE, route, observed_secs, signals);
-    }
-
-    /// Estimated concurrency crossover for `signals`' workload shape (the
-    /// smallest query count at which sharing wins).
-    pub fn crossover(&self, signals: &SharingSignals) -> u32 {
-        self.cost
-            .sharing_crossover_queries(signals, self.config.max_crossover)
     }
 
     /// Routing statistics, aggregated over shapes (per-route calibrations
@@ -536,12 +479,18 @@ mod tests {
         SharingGovernor::new(CostModel::default(), GovernorConfig::default())
     }
 
+    /// The shape key the single-shape tests below decide and observe under.
+    const SHAPE: u64 = 0;
+
     #[test]
     fn cold_start_decides_from_the_model_without_history() {
         // `active_queries == 0`, nothing observed: the decision is a plain
         // latency comparison per workload shape, and stats stay coherent.
         let g = governor();
-        assert_eq!(g.decide(&flat_signals(0.0)), Route::QueryCentric);
+        assert_eq!(
+            g.decide_keyed(SHAPE, &flat_signals(0.0)),
+            Route::QueryCentric
+        );
         let st = g.stats();
         assert_eq!(st.routed_query_centric, 1);
         assert_eq!(st.routed_shared, 0);
@@ -549,7 +498,7 @@ mod tests {
         // A scan-heavy shape cold-starts shared instead: the pipelined
         // wrap beats a fully serial private plan even for a lone query.
         let g2 = governor();
-        assert_eq!(g2.decide(&signals(0.0)), Route::Shared);
+        assert_eq!(g2.decide_keyed(SHAPE, &signals(0.0)), Route::Shared);
         assert_eq!(g2.stats().flips, 0);
     }
 
@@ -561,12 +510,15 @@ mod tests {
         // Shared. (Before the admission de-serialization this crowd flipped
         // back to query-centric; that inversion is gone.)
         let g = governor();
-        assert_eq!(g.decide(&flat_signals(0.0)), Route::QueryCentric);
+        assert_eq!(
+            g.decide_keyed(SHAPE, &flat_signals(0.0)),
+            Route::QueryCentric
+        );
         let g2 = governor();
-        assert_eq!(g2.decide(&flat_signals(63.0)), Route::Shared);
+        assert_eq!(g2.decide_keyed(SHAPE, &flat_signals(63.0)), Route::Shared);
         // Disk-resident crowd: bandwidth amortization wins — Shared.
         let g3 = governor();
-        assert_eq!(g3.decide(&disk_signals(63.0)), Route::Shared);
+        assert_eq!(g3.decide_keyed(SHAPE, &disk_signals(63.0)), Route::Shared);
     }
 
     #[test]
@@ -574,7 +526,10 @@ mod tests {
         // A lone admission-dominated query routes query-centric: nothing
         // amortizes its dimension scan.
         let g = governor();
-        assert_eq!(g.decide(&flat_signals(0.0)), Route::QueryCentric);
+        assert_eq!(
+            g.decide_keyed(SHAPE, &flat_signals(0.0)),
+            Route::QueryCentric
+        );
         // The same lone query while a crowd from *other* fact stages is
         // queued on the cross-stage admission fabric: the batching window
         // scans the dimension once for everyone, the candidate's share
@@ -585,7 +540,7 @@ mod tests {
             cross_stage_pending: 31.0,
             ..flat_signals(0.0)
         };
-        assert_eq!(g2.decide(&hot), Route::Shared);
+        assert_eq!(g2.decide_keyed(SHAPE, &hot), Route::Shared);
     }
 
     #[test]
@@ -611,7 +566,7 @@ mod tests {
         let mut routes = Vec::new();
         for i in 0..40 {
             let c = if i % 2 == 0 { cross + 2.0 } else { (cross - 2.0).max(0.0) };
-            routes.push(g.decide(&flat_signals(c)));
+            routes.push(g.decide_keyed(SHAPE, &flat_signals(c)));
         }
         assert!(
             g.stats().flips <= 1,
@@ -623,12 +578,18 @@ mod tests {
     #[test]
     fn large_swings_still_flip_the_route() {
         let g = governor();
-        assert_eq!(g.decide(&flat_signals(2.0)), Route::QueryCentric);
+        assert_eq!(
+            g.decide_keyed(SHAPE, &flat_signals(2.0)),
+            Route::QueryCentric
+        );
         // A disk-resident crowd is decisively shared…
-        assert_eq!(g.decide(&disk_signals(64.0)), Route::Shared);
+        assert_eq!(g.decide_keyed(SHAPE, &disk_signals(64.0)), Route::Shared);
         // …and a tiny admission-fixed-cost-dominated query decisively
         // isn't, even against the shared incumbent's hysteresis.
-        assert_eq!(g.decide(&tiny_signals(0.0)), Route::QueryCentric);
+        assert_eq!(
+            g.decide_keyed(SHAPE, &tiny_signals(0.0)),
+            Route::QueryCentric
+        );
         assert_eq!(g.stats().flips, 2);
     }
 
@@ -671,12 +632,12 @@ mod tests {
     fn calibration_waits_for_both_routes() {
         let g = governor();
         let s = signals(4.0);
-        let base = g.predicted_ns(Route::Shared, &s);
+        let base = g.predicted_ns_keyed(SHAPE, Route::Shared, &s);
         // Observing only the shared route must not change estimates…
-        g.observe_latency(Route::Shared, 1.0, &s);
-        assert_eq!(g.predicted_ns(Route::Shared, &s), base);
+        g.observe_latency_keyed(SHAPE, Route::Shared, 1.0, &s);
+        assert_eq!(g.predicted_ns_keyed(SHAPE, Route::Shared, &s), base);
         // …but once both routes are observed, calibration applies.
-        g.observe_latency(Route::QueryCentric, 1.0, &s);
+        g.observe_latency_keyed(SHAPE, Route::QueryCentric, 1.0, &s);
         assert!(g.stats().shared_calibration > 0.0);
     }
 
@@ -689,14 +650,14 @@ mod tests {
         let raw_qc = cost.query_centric_latency_ns(&s);
         // Reality is 4× the model on the shared path, exact on the other.
         for _ in 0..200 {
-            g.observe_latency(Route::Shared, 4.0 * raw_sh / 1e9, &s);
-            g.observe_latency(Route::QueryCentric, raw_qc / 1e9, &s);
+            g.observe_latency_keyed(SHAPE, Route::Shared, 4.0 * raw_sh / 1e9, &s);
+            g.observe_latency_keyed(SHAPE, Route::QueryCentric, raw_qc / 1e9, &s);
         }
         let st = g.stats();
         assert!((st.shared_calibration - 4.0).abs() < 0.1, "{st:?}");
         assert!((st.query_centric_calibration - 1.0).abs() < 0.1, "{st:?}");
         // The calibrated estimate reflects the full 4×, not √4.
-        assert!((g.predicted_ns(Route::Shared, &s) / raw_sh - 4.0).abs() < 0.1);
+        assert!((g.predicted_ns_keyed(SHAPE, Route::Shared, &s) / raw_sh - 4.0).abs() < 0.1);
         // And the convergence residuals have settled at 1.0: the
         // calibration loop fully absorbed the (stationary) model error.
         assert!((st.shared_residual - 1.0).abs() < 0.05, "{st:?}");
@@ -759,10 +720,155 @@ mod tests {
     #[test]
     fn bad_observations_are_ignored() {
         let g = governor();
-        g.observe_latency(Route::QueryCentric, -1.0, &signals(4.0));
+        g.observe_latency_keyed(SHAPE, Route::QueryCentric, -1.0, &signals(4.0));
         let st = g.stats();
         assert_eq!(st.shared_calibration, 1.0);
         assert_eq!(st.query_centric_calibration, 1.0);
         assert_eq!(st.shared_residual, 1.0);
+    }
+
+    /// The shape key every decision of a pin row is filed under.
+    const PIN_KEY: u64 = 0x5eed;
+
+    /// The decision sequence behind one row of [`PINS`]: `fixture` at
+    /// `crowd`, under deadline `deadline` (0 none, 1 roomy — twice the
+    /// larger raw estimate, 2 between the two raw estimates, 3 1e-12 s),
+    /// decided on one shape key five times — cold, against a query-centric
+    /// incumbent, against a shared incumbent, then twice more once both
+    /// routes' calibrations apply (shared observed at 3× its model). The
+    /// incumbents are set by undeadlined decisions on the tiny and the
+    /// crowded disk fixture. Returns the five outcomes (`Q`, `S`, `X` for
+    /// shed) and the final `flips`, `routed_query_centric`,
+    /// `routed_shared` and `slo_sheds`.
+    fn pin_sequence(
+        fixture: fn(f64) -> SharingSignals,
+        crowd: f64,
+        deadline: usize,
+    ) -> (String, [u64; 4]) {
+        let cost = CostModel::default();
+        let g = governor();
+        let s = fixture(crowd);
+        let qc = cost.query_centric_latency_ns(&s);
+        let sh = cost.shared_latency_ns(&s);
+        let deadline_secs = [
+            None,
+            Some(2.0 * qc.max(sh) / 1e9),
+            Some((qc + sh) / 2.0 / 1e9),
+            Some(1e-12),
+        ][deadline];
+        let decide = |s: &SharingSignals| match deadline_secs {
+            None => SloDecision::Route(g.decide_keyed(PIN_KEY, s)),
+            Some(d) => g.decide_slo_keyed(PIN_KEY, s, d),
+        };
+        let mut outcomes = String::new();
+        let mut push = |d: SloDecision| {
+            outcomes.push(match d {
+                SloDecision::Route(Route::QueryCentric) => 'Q',
+                SloDecision::Route(Route::Shared) => 'S',
+                SloDecision::Shed => 'X',
+            })
+        };
+        push(decide(&s));
+        g.decide_keyed(PIN_KEY, &tiny_signals(0.0));
+        push(decide(&s));
+        g.decide_keyed(PIN_KEY, &disk_signals(64.0));
+        push(decide(&s));
+        g.observe_latency_keyed(PIN_KEY, Route::Shared, 3.0 * sh / 1e9, &s);
+        g.observe_latency_keyed(PIN_KEY, Route::QueryCentric, qc / 1e9, &s);
+        push(decide(&s));
+        push(decide(&s));
+        let st = g.stats();
+        let counters = [
+            st.flips,
+            st.routed_query_centric,
+            st.routed_shared,
+            st.slo_sheds,
+        ];
+        (outcomes, counters)
+    }
+
+    /// `(fixture, crowd, deadline, outcomes, [flips, routed_query_centric,
+    /// routed_shared, slo_sheds])` of [`pin_sequence`], fixtures indexed
+    /// `signals`, `flat_signals`, `tiny_signals`, `disk_signals`. Taken from
+    /// the two decision bodies `decide_keyed` and `decide_slo_keyed` had
+    /// before they were merged into one.
+    const PINS: [(usize, f64, usize, &str, [u64; 4]); 64] = [
+        (0, 0.0, 0, "SSSSS", [2, 1, 6, 0]),
+        (0, 0.0, 1, "SSSSS", [2, 1, 6, 0]),
+        (0, 0.0, 2, "SSSXX", [2, 1, 4, 2]),
+        (0, 0.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (0, 2.0, 0, "SSSSS", [2, 1, 6, 0]),
+        (0, 2.0, 1, "SSSSS", [2, 1, 6, 0]),
+        (0, 2.0, 2, "SSSXX", [2, 1, 4, 2]),
+        (0, 2.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (0, 8.0, 0, "SSSSS", [2, 1, 6, 0]),
+        (0, 8.0, 1, "SSSSS", [2, 1, 6, 0]),
+        (0, 8.0, 2, "SSSXX", [2, 1, 4, 2]),
+        (0, 8.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (0, 63.0, 0, "SSSSS", [2, 1, 6, 0]),
+        (0, 63.0, 1, "SSSSS", [2, 1, 6, 0]),
+        (0, 63.0, 2, "SSSSS", [2, 1, 6, 0]),
+        (0, 63.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (1, 0.0, 0, "QQSQQ", [2, 5, 2, 0]),
+        (1, 0.0, 1, "QQSQQ", [2, 5, 2, 0]),
+        (1, 0.0, 2, "QQQQQ", [2, 6, 1, 0]),
+        (1, 0.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (1, 2.0, 0, "QQSQQ", [2, 5, 2, 0]),
+        (1, 2.0, 1, "QQSQQ", [2, 5, 2, 0]),
+        (1, 2.0, 2, "QQQQQ", [2, 6, 1, 0]),
+        (1, 2.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (1, 8.0, 0, "QQSQQ", [2, 5, 2, 0]),
+        (1, 8.0, 1, "QQSQQ", [2, 5, 2, 0]),
+        (1, 8.0, 2, "QQQQQ", [2, 6, 1, 0]),
+        (1, 8.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (1, 63.0, 0, "SSSQQ", [3, 3, 4, 0]),
+        (1, 63.0, 1, "SSSQQ", [3, 3, 4, 0]),
+        (1, 63.0, 2, "SSSXX", [2, 1, 4, 2]),
+        (1, 63.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (2, 0.0, 0, "QQQQQ", [2, 6, 1, 0]),
+        (2, 0.0, 1, "QQQQQ", [2, 6, 1, 0]),
+        (2, 0.0, 2, "QQQQQ", [2, 6, 1, 0]),
+        (2, 0.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (2, 2.0, 0, "QQQQQ", [2, 6, 1, 0]),
+        (2, 2.0, 1, "QQQQQ", [2, 6, 1, 0]),
+        (2, 2.0, 2, "QQQQQ", [2, 6, 1, 0]),
+        (2, 2.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (2, 8.0, 0, "QQQQQ", [2, 6, 1, 0]),
+        (2, 8.0, 1, "QQQQQ", [2, 6, 1, 0]),
+        (2, 8.0, 2, "QQQQQ", [2, 6, 1, 0]),
+        (2, 8.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (2, 63.0, 0, "QQQQQ", [2, 6, 1, 0]),
+        (2, 63.0, 1, "QQQQQ", [2, 6, 1, 0]),
+        (2, 63.0, 2, "QQQQQ", [2, 6, 1, 0]),
+        (2, 63.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (3, 0.0, 0, "SQSQQ", [3, 4, 3, 0]),
+        (3, 0.0, 1, "SQSQQ", [3, 4, 3, 0]),
+        (3, 0.0, 2, "SSSXX", [2, 1, 4, 2]),
+        (3, 0.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (3, 2.0, 0, "SSSSS", [2, 1, 6, 0]),
+        (3, 2.0, 1, "SSSSS", [2, 1, 6, 0]),
+        (3, 2.0, 2, "SSSXX", [2, 1, 4, 2]),
+        (3, 2.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (3, 8.0, 0, "SSSSS", [2, 1, 6, 0]),
+        (3, 8.0, 1, "SSSSS", [2, 1, 6, 0]),
+        (3, 8.0, 2, "SSSSS", [2, 1, 6, 0]),
+        (3, 8.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (3, 63.0, 0, "SSSSS", [2, 1, 6, 0]),
+        (3, 63.0, 1, "SSSSS", [2, 1, 6, 0]),
+        (3, 63.0, 2, "SSSSS", [2, 1, 6, 0]),
+        (3, 63.0, 3, "XXXXX", [1, 1, 1, 5]),
+    ];
+
+    #[test]
+    fn one_decision_body_routes_as_the_two_it_replaced() {
+        let fixtures: [fn(f64) -> SharingSignals; 4] =
+            [signals, flat_signals, tiny_signals, disk_signals];
+        for (fixture, crowd, deadline, outcomes, counters) in PINS {
+            assert_eq!(
+                pin_sequence(fixtures[fixture], crowd, deadline),
+                (outcomes.to_string(), counters),
+                "fixture {fixture}, crowd {crowd}, deadline {deadline}"
+            );
+        }
     }
 }

@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use workshare_common::agg::Aggregator;
+use workshare_common::bind::BoundQuery;
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
 use workshare_common::{CostModel, StarQuery};
@@ -22,37 +23,39 @@ use workshare_qpipe::ops::finish_aggregate;
 use workshare_sim::{CostKind, SimCtx};
 use workshare_storage::{StorageError, StorageManager};
 
-/// Execute `q` start-to-finish on the calling vthread; returns result rows.
-/// Panics on an unrecoverable page read — use [`try_run_volcano_query`]
-/// where a typed error outcome is wanted (the engine's submission path).
+/// Bind `q` and execute it start-to-finish on the calling vthread; returns
+/// result rows. Panics on a bind error or an unrecoverable page read — the
+/// engine's submission path binds once in its driver and calls
+/// [`try_run_volcano_query`], which reports a failed read as a typed error.
 pub fn run_volcano_query(
     ctx: &SimCtx,
     storage: &StorageManager,
     q: &StarQuery,
     cost: &CostModel,
 ) -> Vec<Row> {
-    match try_run_volcano_query(ctx, storage, q, cost) {
+    let bound = storage
+        .bind_query(q)
+        .unwrap_or_else(|e| panic!("bind failed for query {}: {e}", q.id));
+    match try_run_volcano_query(ctx, storage, q, &bound, cost) {
         Ok(rows) => rows,
         Err(e) => panic!("volcano query {}: {e}", q.id),
     }
 }
 
-/// [`run_volcano_query`] with unrecoverable page reads surfaced as typed
-/// [`StorageError`]s instead of panics (transient faults are already
-/// retried with backoff inside the storage manager).
+/// Execute `q`, already bound to `bound`, with unrecoverable page reads
+/// surfaced as typed [`StorageError`]s instead of panics (transient faults
+/// are already retried with backoff inside the storage manager).
 pub fn try_run_volcano_query(
     ctx: &SimCtx,
     storage: &StorageManager,
     q: &StarQuery,
+    bound: &BoundQuery,
     cost: &CostModel,
 ) -> Result<Vec<Row>, StorageError> {
     let fact_t = storage.table(&q.fact);
     let fact_schema = storage.schema(fact_t);
     let dim_ts: Vec<_> = q.dims.iter().map(|d| storage.table(&d.dim)).collect();
     let dim_schemas: Vec<_> = dim_ts.iter().map(|&t| storage.schema(t)).collect();
-    let bound = storage
-        .bind_query(q)
-        .unwrap_or_else(|e| panic!("bind failed for query {}: {e}", q.id));
 
     // Build one private hash table per dimension (sequentially, as a
     // single-threaded executor would).
@@ -95,7 +98,7 @@ pub fn try_run_volcano_query(
     }
 
     // Scan the fact table, filter, probe every dimension, aggregate.
-    let mut agg = Aggregator::new(&bound);
+    let mut agg = Aggregator::new(bound);
     let stream = storage.new_stream();
     let fact_terms = q.fact_pred.term_count();
     for p in 0..storage.page_count(fact_t) {

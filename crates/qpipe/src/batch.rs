@@ -62,11 +62,6 @@ impl TupleBatch {
         debug_assert_eq!(sel.len(), self.rows.len());
         sel.iter_ones().map(|i| &self.rows[i])
     }
-
-    /// Materialize the selected rows as a new batch (recomputing bytes).
-    pub fn gather(&self, sel: &SelVec) -> TupleBatch {
-        TupleBatch::new(self.selected_rows(sel).cloned().collect())
-    }
 }
 
 /// Accumulates output rows and emits page-sized batches through a closure.
@@ -174,8 +169,5 @@ mod tests {
         sel.retain(|i| i % 4 == 0);
         let got: Vec<i64> = b.selected_rows(&sel).map(|r| r[0].as_int()).collect();
         assert_eq!(got, vec![0, 4, 8]);
-        let gathered = b.gather(&sel);
-        assert_eq!(gathered.len(), 3);
-        assert_eq!(gathered.bytes, 3 * (8 + 2 + 3));
     }
 }

@@ -28,23 +28,6 @@ impl Wop {
             Wop::Linear => !host_closed,
         }
     }
-
-    /// Fraction of the host's results a satellite arriving at progress
-    /// `p ∈ [0,1]` gains (Figure 2b's y-axis). Purely informational —
-    /// used by reports and tests of the WoP semantics.
-    pub fn gain(self, progress: f64) -> f64 {
-        let p = progress.clamp(0.0, 1.0);
-        match self {
-            Wop::Step => {
-                if p == 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Wop::Linear => 1.0 - p,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -63,18 +46,5 @@ mod tests {
         assert!(Wop::Linear.can_attach(0, false));
         assert!(Wop::Linear.can_attach(1_000, false));
         assert!(!Wop::Linear.can_attach(5, true));
-    }
-
-    #[test]
-    fn gain_shapes_match_figure_2b() {
-        // Step: all-or-nothing.
-        assert_eq!(Wop::Step.gain(0.0), 1.0);
-        assert_eq!(Wop::Step.gain(0.01), 0.0);
-        // Linear: complementary ramp.
-        assert_eq!(Wop::Linear.gain(0.0), 1.0);
-        assert!((Wop::Linear.gain(0.25) - 0.75).abs() < 1e-12);
-        assert_eq!(Wop::Linear.gain(1.0), 0.0);
-        // Clamping.
-        assert_eq!(Wop::Linear.gain(2.0), 0.0);
     }
 }

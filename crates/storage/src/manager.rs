@@ -119,11 +119,6 @@ impl StorageManager {
         self.inner.config
     }
 
-    /// Cost model used for latch charging.
-    pub fn cost_model(&self) -> CostModel {
-        self.inner.cost
-    }
-
     /// Register a table from pre-built pages (the datagen loaders call this).
     pub fn create_table(
         &self,

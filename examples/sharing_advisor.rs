@@ -3,10 +3,10 @@
 //!
 //! Give it a concurrency level, a similarity level and a residency and it
 //! (a) prints the governor's a-priori routing analysis — predicted
-//! query-centric vs shared response times and the estimated concurrency
-//! crossover — then (b) measures the three execution policies (always
-//! query-centric, always shared, adaptive) on a matching synthetic
-//! workload plus the paper's named configurations, and compares.
+//! query-centric vs shared response times and the route it would pick —
+//! then (b) measures the three execution policies (always query-centric,
+//! always shared, adaptive) on a matching synthetic workload plus the
+//! paper's named configurations, and compares.
 //!
 //! ```sh
 //! cargo run --release --example sharing_advisor -- 64 high disk
@@ -76,20 +76,15 @@ fn main() {
         )
     };
     let governor = SharingGovernor::new(cfg.cost, GovernorConfig::default());
-    let qc_pred = governor.predicted_ns(Route::QueryCentric, &signals) / 1e9;
-    let sh_pred = governor.predicted_ns(Route::Shared, &signals) / 1e9;
-    let crossover = governor.crossover(&signals);
+    let shape = queries[0].shape_signature();
+    let qc_pred = governor.predicted_ns_keyed(shape, Route::QueryCentric, &signals) / 1e9;
+    let sh_pred = governor.predicted_ns_keyed(shape, Route::Shared, &signals) / 1e9;
     println!("Governor a-priori at {concurrency} concurrent queries:");
     println!("  predicted query-centric response: {qc_pred:.4}s");
     println!("  predicted shared response:        {sh_pred:.4}s");
     println!(
-        "  estimated sharing crossover:      {} quer{}",
-        crossover,
-        if crossover == 1 { "y" } else { "ies" }
-    );
-    println!(
         "  a-priori route:                   {:?}\n",
-        governor.decide(&signals)
+        governor.decide_keyed(shape, &signals)
     );
 
     // ---- measured: the three policies + the paper's configs -----------
