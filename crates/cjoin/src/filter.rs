@@ -42,10 +42,11 @@ use workshare_common::{BitmapBank, QueryBitmap, SelVec};
 use workshare_storage::TableId;
 
 /// One dimension tuple admitted into a shared filter: the row payload plus
-/// the bitmap of queries whose dimension predicate selected it. `Clone` is
-/// cheap-ish (one `Arc` bump plus the bitmap words) and exists for the
-/// copy-on-write epoch publication in `crate::stage`: admission clones
-/// only the filter cores it touches via `Arc::make_mut`.
+/// the bitmap of queries whose dimension predicate selected it. `Clone`
+/// backs the copy-on-write epoch publication in `crate::stage`: a publish
+/// copies each filter core it mutates (`Arc::make_mut`), which is one hash
+/// table allocation plus, per entry, one `Arc` bump and the bitmap — inline
+/// up to 64 query slots, one more allocation per entry above that.
 #[derive(Clone)]
 pub struct DimEntry {
     /// The dimension row (shared with every joined output).
@@ -75,6 +76,39 @@ pub struct FilterCore {
     /// Queries referencing this filter's dimension; non-referencing queries
     /// pass through untouched.
     pub referencing: QueryBitmap,
+}
+
+impl FilterCore {
+    /// Drop query `slot` from the filter behind `core`: clear its
+    /// `referencing` bit and its bit in every entry, dropping the entries
+    /// that go empty — copy-on-write, so a core an earlier epoch still
+    /// shares is copied first. When `slot` is the filter's only reference
+    /// every entry goes (an entry's bits are a subset of `referencing`), so
+    /// a fresh empty core with the same identity and `referencing` width
+    /// replaces it instead: the result `retain` would leave, without
+    /// copying a table only to empty it.
+    pub fn release(core: &mut Arc<FilterCore>, slot: usize) {
+        if !core.referencing.get(slot) {
+            return;
+        }
+        if core.referencing.count_ones() == 1 {
+            debug_assert!(core.hash.values().all(|e| e.bits.iter_ones().all(|q| q == slot)));
+            *core = Arc::new(FilterCore {
+                dim: core.dim,
+                fact_fk_idx: core.fact_fk_idx,
+                dim_pk_idx: core.dim_pk_idx,
+                hash: FxHashMap::default(),
+                referencing: QueryBitmap::zeros(core.referencing.capacity()),
+            });
+            return;
+        }
+        let f = Arc::make_mut(core);
+        f.referencing.clear(slot);
+        f.hash.retain(|_, entry| {
+            entry.bits.clear(slot);
+            entry.bits.any()
+        });
+    }
 }
 
 /// Per-worker reusable working state of the vectorized kernel. Allocations
@@ -764,6 +798,45 @@ mod tests {
                     pages_equal(&filters, &sp, &op);
                 }
             }
+        }
+    }
+
+    /// Everything a filter holds, in comparable form.
+    type FilterView = (TableId, usize, usize, QueryBitmap, Vec<(i64, Row, QueryBitmap)>);
+
+    fn view(f: &FilterCore) -> FilterView {
+        let mut entries: Vec<_> =
+            f.hash.iter().map(|(k, e)| (*k, (*e.row).clone(), e.bits.clone())).collect();
+        entries.sort_by_key(|e| e.0);
+        (f.dim, f.fact_fk_idx, f.dim_pk_idx, f.referencing.clone(), entries)
+    }
+
+    /// What `release` replaced: clear the slot everywhere, drop empty entries.
+    fn retained(f: &FilterCore, slot: usize) -> FilterView {
+        let mut f = f.clone();
+        f.referencing.clear(slot);
+        f.hash.retain(|_, entry| {
+            entry.bits.clear(slot);
+            entry.bits.any()
+        });
+        view(&f)
+    }
+
+    #[test]
+    fn a_release_leaves_the_filter_retain_would_have_left() {
+        // Slot 70 makes the bitmaps two words wide; [3, 4] releases one of
+        // two references, the others the last one.
+        for (slots, slot) in [(&[3][..], 3), (&[70], 70), (&[3, 70], 70), (&[3, 4], 3)] {
+            let mut f = mk_filter(1, 13, slots);
+            Arc::make_mut(&mut f).dim_pk_idx = 2;
+            let epoch = Arc::clone(&f);
+            let want = retained(&f, slot);
+            FilterCore::release(&mut f, slot);
+            assert_eq!(view(&f), want, "slots {slots:?} releasing {slot}");
+            assert_eq!(f.hash.is_empty(), slots.len() == 1);
+            assert!(epoch.referencing.get(slot) && !epoch.hash.is_empty(), "readers keep theirs");
+            FilterCore::release(&mut f, slot);
+            assert_eq!(view(&f), want, "releasing an unreferenced slot changes nothing");
         }
     }
 

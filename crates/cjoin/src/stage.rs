@@ -398,8 +398,12 @@ impl StageInner {
     /// Read-copy-publish the filter epoch: run `f` over the control plane
     /// and a clone of the current epoch, then publish the clone as the next
     /// epoch (one pointer swap, [`EpochCell::publish`]). The control mutex
-    /// serializes writers; the clone is cheap — filter cores are
-    /// `Arc`-shared, `f` uses [`Arc::make_mut`] on the ones it mutates.
+    /// serializes writers. The epoch clone copies only the filter list,
+    /// probe order and query map — filter cores are `Arc`-shared — but `f`
+    /// copies each core it mutates ([`Arc::make_mut`]): its whole dimension
+    /// hash table, one allocation for the table plus one per entry only
+    /// when the stage has more than 64 query slots ([`crate::filter::DimEntry`]).
+    /// The readers that drop the last snapshot holding an old core free it.
     ///
     /// **No virtual-time operation (charge/emit) may happen inside `f`**:
     /// the closure runs under the control lock, and a parked holder would
@@ -1084,6 +1088,8 @@ fn fail_fact_page(inner: &Arc<StageInner>, ctx: &SimCtx, msg: &str) {
 /// from every filter's `referencing` set and entry bitmaps (dropping
 /// entries that go empty) and release the slot for reuse. Shared by
 /// `finalize_query`'s cleanup and the admission failure paths' rollback.
+/// A filter the slot was the only reference of gets a fresh empty core
+/// ([`FilterCore::release`]) instead of a copy that would only be emptied.
 ///
 /// A stage nobody references is a fresh stage: when that was the last
 /// reference to the last referenced filter, the filter list and its index
@@ -1094,16 +1100,8 @@ fn fail_fact_page(inner: &Arc<StageInner>, ctx: &SimCtx, msg: &str) {
 /// Nothing can hold an index across the reset — admission locates a filter
 /// and sets its `referencing` bit inside one [`StageInner::mutate_epoch`].
 pub(crate) fn release_slot(c: &mut GqpControl, e: &mut FilterEpoch, slot: u32) {
-    let sl = slot as usize;
     for f in &mut e.filters {
-        if f.referencing.get(sl) {
-            let f = Arc::make_mut(f);
-            f.referencing.clear(sl);
-            f.hash.retain(|_, entry| {
-                entry.bits.clear(sl);
-                entry.bits.any()
-            });
-        }
+        FilterCore::release(f, slot as usize);
     }
     if !e.filters.iter().any(|f| f.referencing.any()) {
         e.filters.clear();

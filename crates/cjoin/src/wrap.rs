@@ -156,11 +156,7 @@ impl WrapLedger {
         let hi = self.words_hi.load(Ordering::Relaxed).max(1).min(self.active.len());
         // Word-wise copy — this runs on every mask change, so it must
         // cost what the seed's mask clone cost, not a per-bit rebuild.
-        let mut words = Vec::with_capacity(hi);
-        for word in &self.active[..hi] {
-            words.push(word.load(Ordering::Acquire));
-        }
-        QueryBitmap::from_words(words)
+        QueryBitmap::from_words(self.active[..hi].iter().map(|w| w.load(Ordering::Acquire)))
     }
 
     /// Per-page stamp with allocation reuse: reload the mask words

@@ -1,0 +1,139 @@
+//! Heap allocations on the shared filter's copy, release and probe paths,
+//! counted by a counting global allocator. The counts are per thread, so
+//! tests running in parallel do not see each other's allocations.
+//!
+//! What is held: an epoch publish copies a filter core with one allocation
+//! for its table, not one per entry, while bitmaps fit one word (≤ 64 query
+//! slots); releasing a filter's last reference copies nothing; and a
+//! steady-state page through the vectorized kernel allocates a small
+//! constant, not one per tuple (the zero-alloc invariant).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use workshare_cjoin::{filter_page_vectorized, DimEntry, FilterCore, FilterScratch, WrapLedger};
+use workshare_common::fxhash::FxHashMap;
+use workshare_common::value::Row;
+use workshare_common::{QueryBitmap, Value};
+use workshare_storage::TableId;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread's allocations during its own teardown go uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: both methods forward to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees are ours; counting touches only a
+// const-initialised thread-local `Cell`, which never allocates. The default
+// `alloc_zeroed` and `realloc` go through `alloc`, so they are counted too.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Run `f` and count the allocations it made on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let r = f();
+    (r, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// A filter on fact column `fk` over `entries` dimension keys, every one
+/// selected by `slot`, which is the filter's only reference.
+fn filter(fk: usize, entries: i64, slot: usize) -> FilterCore {
+    let mut referencing = QueryBitmap::zeros(64);
+    referencing.set(slot);
+    let hash: FxHashMap<i64, DimEntry> = (0..entries)
+        .map(|key| {
+            let row: Row = vec![Value::Int(key), Value::Int(key * 3)];
+            (key, DimEntry { row: Arc::new(row), bits: referencing.clone() })
+        })
+        .collect();
+    FilterCore { dim: TableId(1), fact_fk_idx: fk, dim_pk_idx: 0, hash, referencing }
+}
+
+#[test]
+fn copying_a_filter_of_one_word_entries_allocates_once_for_the_table() {
+    let core = filter(0, 2_000, 5);
+    let (copy, n) = allocations(|| core.clone());
+    assert_eq!(copy.hash.len(), 2_000);
+    assert!(n <= 2, "{n} allocations to copy 2 000 one-word entries");
+    // Above 64 query slots each entry's bitmap is its own allocation, and
+    // the counter sees them.
+    let wide = filter(0, 2_000, 70);
+    let (_, n) = allocations(|| wide.clone());
+    assert!(n > 2_000, "{n} allocations to copy 2 000 two-word entries");
+}
+
+#[test]
+fn releasing_a_filters_last_reference_copies_no_entry() {
+    let mut core = Arc::new(filter(0, 2_000, 5));
+    // A published epoch still shares the core, as a reader's does.
+    let epoch = Arc::clone(&core);
+    let ((), n) = allocations(|| FilterCore::release(&mut core, 5));
+    assert!(core.hash.is_empty() && !core.referencing.any());
+    assert_eq!(epoch.hash.len(), 2_000);
+    assert!(n <= 2, "{n} allocations to release a 2 000-entry filter");
+}
+
+#[test]
+fn a_steady_state_page_allocates_a_constant_not_one_per_tuple() {
+    // Four filters over 64 members, each referenced by every member, on a
+    // 366-row page of scattered keys (no key runs to amortise over).
+    let filters: Vec<Arc<FilterCore>> = (0..4)
+        .map(|fk| {
+            let mut f = filter(fk, 40, 0);
+            f.referencing = QueryBitmap::ones(64);
+            for e in f.hash.values_mut() {
+                e.bits = QueryBitmap::ones(64);
+            }
+            Arc::new(f)
+        })
+        .collect();
+    let rows: Vec<Row> = (0..366i64)
+        .map(|i| (0..4).map(|c| Value::Int((i * (7 + 2 * c) + c) % 48)).collect())
+        .collect();
+    let members = QueryBitmap::ones(64);
+    let mut scratch = FilterScratch::default();
+    // The first page grows the scratch to its high-water mark.
+    filter_page_vectorized(&filters, &rows, &members, &mut scratch);
+    let ((page, counters), n) =
+        allocations(|| filter_page_vectorized(&filters, &rows, &members, &mut scratch));
+    assert!(!page.selected.is_empty() && counters.probes >= rows.len() as u64);
+    assert!(n < 40, "{n} allocations for a {}-row page", rows.len());
+}
+
+#[test]
+fn one_word_member_stamps_stay_off_the_heap() {
+    let ledger = WrapLedger::new(64);
+    ledger.activate(3, 10);
+    ledger.activate(60, 10);
+    let (stamp, n) = allocations(|| {
+        let stamp = ledger.snapshot();
+        let mut staged = QueryBitmap::zeros(64);
+        staged.set(9);
+        staged.or_assign(&stamp);
+        (stamp.clone(), staged)
+    });
+    assert_eq!(stamp.0.iter_ones().collect::<Vec<_>>(), [3, 60]);
+    assert_eq!(stamp.1.count_ones(), 3);
+    assert_eq!(n, 0);
+}

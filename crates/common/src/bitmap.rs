@@ -3,17 +3,94 @@
 //! carries one bit per active query; shared hash-joins AND the bitmaps of
 //! joined tuples; the distributor routes on the surviving bits.
 
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+
 /// A dynamically sized bitmap over query slots.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+///
+/// A bitmap of one word (up to 64 query slots) lives inline, so cloning
+/// it — a filter entry's bits in an epoch copy, a page's member stamp, a
+/// staged admission entry — allocates nothing; any other width is one heap
+/// slice. Equality, hashing and `Debug` see only the words, never which
+/// form holds them: a bitmap hashes as its `[u64]` word slice.
+#[derive(Clone)]
 pub struct QueryBitmap {
-    words: Box<[u64]>,
+    words: Words,
+}
+
+/// The words of a [`QueryBitmap`]. `Many` holds widths 0 and ≥ 2, never 1,
+/// so a one-word bitmap is always inline; both variants fit the 16 bytes
+/// of a boxed slice.
+#[derive(Clone)]
+enum Words {
+    One(u64),
+    Many(Box<[u64]>),
+}
+
+impl Words {
+    /// `n` zero words.
+    fn zeroed(n: usize) -> Words {
+        match n {
+            1 => Words::One(0),
+            n => Words::Many(vec![0u64; n].into_boxed_slice()),
+        }
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::One(w) => std::slice::from_ref(w),
+            Words::Many(ws) => ws,
+        }
+    }
+}
+
+impl DerefMut for Words {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Words::One(w) => std::slice::from_mut(w),
+            Words::Many(ws) => ws,
+        }
+    }
+}
+
+impl PartialEq for QueryBitmap {
+    fn eq(&self, other: &QueryBitmap) -> bool {
+        *self.words == *other.words
+    }
+}
+
+impl Eq for QueryBitmap {}
+
+impl Hash for QueryBitmap {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (*self.words).hash(state);
+    }
+}
+
+impl std::fmt::Debug for QueryBitmap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryBitmap")
+            .field("words", &self.words())
+            .finish()
+    }
+}
+
+impl Default for QueryBitmap {
+    fn default() -> QueryBitmap {
+        QueryBitmap {
+            words: Words::Many(Box::default()),
+        }
+    }
 }
 
 impl QueryBitmap {
     /// All-zero bitmap able to hold `nbits` query slots.
     pub fn zeros(nbits: usize) -> QueryBitmap {
         QueryBitmap {
-            words: vec![0u64; nbits.div_ceil(64)].into_boxed_slice(),
+            words: Words::zeroed(nbits.div_ceil(64)),
         }
     }
 
@@ -26,13 +103,17 @@ impl QueryBitmap {
         b
     }
 
-    /// Bitmap adopting `words` as its backing storage — word-level
+    /// Bitmap adopting `words` as its backing words — word-level
     /// construction for hot paths that already hold the words (the
-    /// preprocessor's per-page mask snapshot), skipping per-bit `set`.
-    pub fn from_words(words: Vec<u64>) -> QueryBitmap {
-        QueryBitmap {
-            words: words.into_boxed_slice(),
-        }
+    /// preprocessor's per-page mask snapshot), skipping per-bit `set`. One
+    /// word is stored inline, with no allocation.
+    pub fn from_words(words: impl IntoIterator<Item = u64>) -> QueryBitmap {
+        let mut it = words.into_iter().fuse();
+        let words = match (it.next(), it.next()) {
+            (Some(w), None) => Words::One(w),
+            (first, second) => Words::Many(first.into_iter().chain(second).chain(it).collect()),
+        };
+        QueryBitmap { words }
     }
 
     /// Capacity in bits (a multiple of 64).
@@ -69,10 +150,11 @@ impl QueryBitmap {
     /// Grow capacity to at least `nbits`.
     pub fn grow(&mut self, nbits: usize) {
         let need = nbits.div_ceil(64);
-        if need > self.words.len() {
-            let mut v = self.words.to_vec();
-            v.resize(need, 0);
-            self.words = v.into_boxed_slice();
+        let have = self.words.len();
+        if need > have {
+            let mut grown = Words::zeroed(need);
+            grown[..have].copy_from_slice(&self.words);
+            self.words = grown;
         }
     }
 
@@ -81,13 +163,11 @@ impl QueryBitmap {
     pub fn and_assign(&mut self, other: &QueryBitmap) -> bool {
         let n = self.words.len().min(other.words.len());
         let mut any = 0u64;
-        for i in 0..n {
-            self.words[i] &= other.words[i];
-            any |= self.words[i];
+        for (w, o) in self.words.iter_mut().zip(other.words()) {
+            *w &= o;
+            any |= *w;
         }
-        for w in self.words[n..].iter_mut() {
-            *w = 0;
-        }
+        self.words[n..].fill(0);
         any != 0
     }
 
@@ -96,8 +176,8 @@ impl QueryBitmap {
         if other.words.len() > self.words.len() {
             self.grow(other.capacity());
         }
-        for (i, w) in other.words.iter().enumerate() {
-            self.words[i] |= w;
+        for (w, o) in self.words.iter_mut().zip(other.words()) {
+            *w |= o;
         }
     }
 
@@ -113,12 +193,14 @@ impl QueryBitmap {
         entry: Option<&QueryBitmap>,
         referencing: &QueryBitmap,
     ) -> bool {
+        let entry = entry.map_or(&[][..], QueryBitmap::words);
+        let referencing = referencing.words();
         let mut any = 0u64;
-        for i in 0..self.words.len() {
-            let e = entry.and_then(|b| b.words.get(i)).copied().unwrap_or(0);
-            let r = referencing.words.get(i).copied().unwrap_or(0);
-            self.words[i] &= e | !r;
-            any |= self.words[i];
+        for (i, w) in self.words.iter_mut().enumerate() {
+            let e = entry.get(i).copied().unwrap_or(0);
+            let r = referencing.get(i).copied().unwrap_or(0);
+            *w &= e | !r;
+            any |= *w;
         }
         any != 0
     }
@@ -470,9 +552,7 @@ impl BitmapBank {
 
     /// Copy tuple `i`'s bitmap out as a standalone [`QueryBitmap`].
     pub fn to_query_bitmap(&self, i: usize) -> QueryBitmap {
-        QueryBitmap {
-            words: self.row(i).to_vec().into_boxed_slice(),
-        }
+        QueryBitmap::from_words(self.row(i).iter().copied())
     }
 
     /// Append one tuple bitmap (scalar reference path compatibility); the
@@ -508,6 +588,11 @@ mod tests {
         b.clear(3);
         assert!(!b.get(3));
         assert!(!b.get(1000), "out-of-range get is false");
+    }
+
+    #[test]
+    fn a_bitmap_is_the_size_of_a_boxed_slice() {
+        assert_eq!(std::mem::size_of::<QueryBitmap>(), 16);
     }
 
     #[test]

@@ -77,7 +77,8 @@ struct TableData {
     name: String,
     schema: Arc<Schema>,
     pages: Arc<Vec<Page>>,
-    /// Per-page FNV-1a checksums, verified on read when faults are armed.
+    /// Per-page FNV-1a checksums, verified on read when the plan arms a
+    /// page-read site; empty otherwise.
     sums: Arc<Vec<u64>>,
     rows: usize,
 }
@@ -133,7 +134,13 @@ impl StorageManager {
             "table '{name}' already exists"
         );
         let id = TableId(tables.len() as u32);
-        let sums = pages.iter().map(|p| page_checksum(p.bytes())).collect();
+        // Only an armed plan verifies a read, and the plan is fixed for the
+        // manager's life: an unarmed mount hashes nothing.
+        let sums = if self.inner.config.faults.arms_page_reads() {
+            pages.iter().map(|p| page_checksum(p.bytes())).collect()
+        } else {
+            Vec::new()
+        };
         tables.push(TableData {
             name: name.to_string(),
             schema: Arc::new(schema),
@@ -635,5 +642,27 @@ mod tests {
         // other pages, but the first scan's casualties all heal).
         try_scan_all(&m, &sm, t);
         assert!(sm.fault_stats().pages_rebuilt >= fs.pages_quarantined, "{fs:?}");
+    }
+
+    #[test]
+    fn only_a_manager_that_verifies_reads_checksums_its_pages() {
+        let sums = |sm: &StorageManager| sm.inner.tables.read()[0].sums.len();
+        let unarmed = faulted_manager(FaultPlan {
+            scan_stall_stride: Some(1),
+            ..Default::default()
+        });
+        unarmed.create_table("t", schema(), build_table(5000));
+        assert_eq!(sums(&unarmed), 0, "no page-read site armed: nothing hashed");
+        let m = machine();
+        let armed = faulted_manager(FaultPlan {
+            seed: 3,
+            torn_page_stride: Some(5),
+            ..Default::default()
+        });
+        let t = armed.create_table("t", schema(), build_table(5000));
+        assert_eq!(sums(&armed), armed.page_count(t));
+        let (_, errs) = try_scan_all(&m, &armed, t);
+        assert!(!errs.is_empty());
+        assert_eq!(armed.fault_stats().pages_quarantined, errs.len() as u64);
     }
 }

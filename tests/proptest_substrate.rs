@@ -123,6 +123,109 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// QueryBitmap vs a word-vector model, across the inline / heap boundary
+// ---------------------------------------------------------------------------
+
+/// The model of a bitmap is its words; a bit past the end reads as zero,
+/// and setting one zero-extends.
+fn model_set(m: &mut Vec<u64>, i: usize) {
+    if i / 64 >= m.len() {
+        m.resize(i / 64 + 1, 0);
+    }
+    m[i / 64] |= 1 << (i % 64);
+}
+
+fn model_word(m: &[u64], i: usize) -> u64 {
+    m.get(i).copied().unwrap_or(0)
+}
+
+fn model_ones(m: &[u64]) -> Vec<usize> {
+    (0..m.len() * 64).filter(|&i| m[i / 64] >> (i % 64) & 1 == 1).collect()
+}
+
+fn hash_of<T: std::hash::Hash + ?Sized>(t: &T) -> u64 {
+    use std::hash::Hasher;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish()
+}
+
+/// A bitmap of `words` words with `sets` set (growing past `words` when a
+/// slot lies beyond it), and its model.
+fn modelled_bitmap(words: usize, sets: &[usize]) -> (QueryBitmap, Vec<u64>) {
+    let mut b = QueryBitmap::zeros(words * 64);
+    let mut m = vec![0u64; words];
+    for &i in sets {
+        b.set(i);
+        model_set(&mut m, i);
+    }
+    (b, m)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Widths of 0–3 words: one word is stored inline, the rest on the heap,
+    /// and `set` grows a bitmap across that boundary.
+    #[test]
+    fn bitmap_words_match_a_word_vector_model(
+        widths in (0usize..4, 0usize..4, 0usize..4),
+        sa in proptest::collection::vec(0usize..192, 0..10),
+        sb in proptest::collection::vec(0usize..192, 0..10),
+        sr in proptest::collection::vec(0usize..192, 0..10),
+        clears in proptest::collection::vec(0usize..200, 0..6),
+    ) {
+        let (mut a, mut ma) = modelled_bitmap(widths.0, &sa);
+        for &i in &clears {
+            a.clear(i);
+            if i / 64 < ma.len() {
+                ma[i / 64] &= !(1 << (i % 64));
+            }
+        }
+        prop_assert_eq!(a.words(), &ma[..]);
+        prop_assert_eq!(a.capacity(), ma.len() * 64);
+        for i in 0..200 {
+            prop_assert_eq!(a.get(i), model_word(&ma, i / 64) >> (i % 64) & 1 == 1);
+        }
+        prop_assert_eq!(a.iter_ones().collect::<Vec<_>>(), model_ones(&ma));
+        prop_assert_eq!(a.count_ones(), model_ones(&ma).len());
+
+        // Equality and hashing see the words alone: a bitmap hashes as its
+        // word slice, whichever form holds it.
+        let rebuilt = QueryBitmap::from_words(ma.clone());
+        prop_assert_eq!(&rebuilt, &a);
+        prop_assert_eq!(hash_of(&a), hash_of(&ma[..]));
+        prop_assert_eq!(hash_of(&rebuilt), hash_of(&a));
+        let (b, mb) = modelled_bitmap(widths.1, &sb);
+        prop_assert_eq!(a == b, ma == mb);
+
+        let mut and = a.clone();
+        let any = and.and_assign(&b);
+        let mand: Vec<u64> = (0..ma.len()).map(|i| ma[i] & model_word(&mb, i)).collect();
+        prop_assert_eq!(and.words(), &mand[..]);
+        prop_assert_eq!(any, mand.iter().any(|w| *w != 0));
+
+        let mut or = a.clone();
+        or.or_assign(&b);
+        let mor: Vec<u64> = (0..ma.len().max(mb.len()))
+            .map(|i| model_word(&ma, i) | model_word(&mb, i))
+            .collect();
+        prop_assert_eq!(or.words(), &mor[..]);
+
+        let (r, mr) = modelled_bitmap(widths.2, &sr);
+        for (entry, me) in [(Some(&b), &mb[..]), (None, &[][..])] {
+            let mut t = a.clone();
+            let any = t.and_filtered(entry, &r);
+            let mt: Vec<u64> = (0..ma.len())
+                .map(|i| ma[i] & (model_word(me, i) | !model_word(&mr, i)))
+                .collect();
+            prop_assert_eq!(t.words(), &mt[..]);
+            prop_assert_eq!(any, mt.iter().any(|w| *w != 0));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Predicate evaluation vs naive model
 // ---------------------------------------------------------------------------
 
