@@ -11,6 +11,9 @@
 //! failure) at 1.5×, because this is wall-clock time on a shared runner. A
 //! scattered-FK page (runs of ~1, per-run probing degenerates to
 //! per-tuple) is also reported for transparency as `speedup_scattered/N`.
+//! One more line, `in_place_clustered/64`, times the vectorized kernel on
+//! the clustered page encoded and read in place (what the CJOIN filter
+//! workers run) beside the same kernel on decoded rows; it is not gated.
 
 use std::sync::Arc;
 
@@ -18,9 +21,10 @@ use workshare_bench::json::Json;
 use workshare_cjoin::{
     filter_page_scalar, filter_page_vectorized, DimEntry, FilterCore, FilterScratch,
 };
+use workshare_common::codec::PageBuilder;
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
-use workshare_common::{QueryBitmap, Value};
+use workshare_common::{ColType, Column, QueryBitmap, Schema, Value};
 
 const PAGE_ROWS: usize = 4096;
 const DIM_KEYS: i64 = 64;
@@ -93,6 +97,27 @@ fn mk_rows_scattered() -> Vec<Row> {
         .collect()
 }
 
+/// Median ns per page of `page`, over `samples` timed blocks of `iters`
+/// calls.
+fn median_ns(mut page: impl FnMut()) -> f64 {
+    use std::time::Instant;
+    let (iters, samples) = (20u32, 15usize);
+    let mut ns: Vec<f64> = (0..samples)
+        .map(|_| {
+            let t = Instant::now();
+            (0..iters).for_each(|_| page());
+            t.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    ns.sort_by(|a, b| a.total_cmp(b));
+    ns[ns.len() / 2]
+}
+
+/// Round `x` to `1 / scale`.
+fn rounded(x: f64, scale: f64) -> Json {
+    Json::Num((x * scale).round() / scale)
+}
+
 /// Directly measured scalar/vectorized ratio, printed as its own JSON line
 /// and returned (medians over `samples` timed blocks of `iters` pages).
 fn report_speedup(label: &str, rows: &[Row], n_queries: usize) -> f64 {
@@ -122,7 +147,6 @@ fn report_speedup(label: &str, rows: &[Row], n_queries: usize) -> f64 {
         vec_ns.push(t.elapsed().as_nanos() as f64 / iters as f64);
     }
     let (s, v) = (median(scalar_ns), median(vec_ns));
-    let rounded = |x: f64, scale: f64| Json::Num((x * scale).round() / scale);
     let bench = format!("cjoin_filter_page/speedup_{label}/{n_queries}");
     let line = Json::obj([
         ("bench", Json::Str(bench)),
@@ -132,6 +156,42 @@ fn report_speedup(label: &str, rows: &[Row], n_queries: usize) -> f64 {
     ]);
     println!("{}", line.render());
     s / v
+}
+
+/// The vectorized kernel on `rows` encoded into one page and read in place
+/// — what the CJOIN filter workers run — beside the same kernel on the
+/// decoded rows. Printed, never gated.
+fn report_in_place(label: &str, rows: &[Row], n_queries: usize) {
+    let schema = Schema::new(
+        ["fk0", "fk1", "id"]
+            .iter()
+            .map(|n| Column::new(n, ColType::Int))
+            .collect(),
+    );
+    let mut builder = PageBuilder::with_page_size(&schema, 4 + rows.len() * schema.row_width());
+    rows.iter().for_each(|r| builder.push(r));
+    let page = builder.finish().remove(0);
+    let filters = vec![mk_filter(0, n_queries), mk_filter(1, n_queries)];
+    let members = QueryBitmap::ones(n_queries);
+    let mut scratch = FilterScratch::default();
+    let decoded = median_ns(|| {
+        let (p, _) = filter_page_vectorized(&filters, rows, &members, &mut scratch);
+        std::hint::black_box(p.selected.len());
+    });
+    let in_place = median_ns(|| {
+        let (p, _) = filter_page_vectorized(&filters, &page.rows(&schema), &members, &mut scratch);
+        std::hint::black_box(p.selected.len());
+    });
+    let line = Json::obj([
+        (
+            "bench",
+            Json::Str(format!("cjoin_filter_page/in_place_{label}/{n_queries}")),
+        ),
+        ("decoded_ns", rounded(decoded, 10.0)),
+        ("in_place_ns", rounded(in_place, 10.0)),
+        ("ratio", rounded(decoded / in_place, 100.0)),
+    ]);
+    println!("{}", line.render());
 }
 
 fn main() {
@@ -145,6 +205,7 @@ fn main() {
         }
         report_speedup("scattered", &scattered, n_queries);
     }
+    report_in_place("clustered", &clustered, 64);
     if at_64 < 1.5 {
         eprintln!(
             "FAIL: vectorized filter only {at_64:.2}x of scalar at 64 queries on the clustered page; bar is 1.5x"

@@ -33,12 +33,18 @@
 //! survivor-aligned bitmap bank, and the matched dimension rows) that reads
 //! the same to the distributor: equal survivors and bitmaps, and equal
 //! matches at every pair a surviving query reads.
+//!
+//! The vectorized kernel reads one foreign key per (tuple, filter) through
+//! [`Tuples::int`], so it runs on decoded rows or on a fact page read in
+//! place ([`workshare_common::codec::PageRows`]). The stage's filter
+//! workers hand it the page in place and decode no row; the scalar oracle
+//! reads decoded rows.
 
 use std::sync::Arc;
 
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
-use workshare_common::{BitmapBank, QueryBitmap, SelVec};
+use workshare_common::{BitmapBank, QueryBitmap, SelVec, Tuples};
 use workshare_storage::TableId;
 
 /// One dimension tuple admitted into a shared filter: the row payload plus
@@ -261,9 +267,9 @@ pub fn filter_page_scalar(
 /// only for a `q` in `j`'s final bits with `fi` among `q`'s own filters.
 /// Such a `q` references `fi`, and final bits are a subset of the bits
 /// `j` carried into `fi`, so the pair was probed.
-pub fn filter_page_vectorized(
+pub fn filter_page_vectorized<T: Tuples + ?Sized>(
     filters: &[Arc<FilterCore>],
-    rows: &[Row],
+    rows: &T,
     members: &QueryBitmap,
     scratch: &mut FilterScratch,
 ) -> (FilteredPage, FilterCounters) {
@@ -283,10 +289,10 @@ pub(crate) fn probe_order(filters: &[Arc<FilterCore>]) -> Vec<usize> {
 
 /// [`filter_page_vectorized`], probing the filters in `order` (a
 /// permutation of their indices). Match codes stay indexed by filter index.
-pub(crate) fn filter_page_in_order(
+pub(crate) fn filter_page_in_order<T: Tuples + ?Sized>(
     filters: &[Arc<FilterCore>],
     order: impl IntoIterator<Item = usize>,
-    rows: &[Row],
+    rows: &T,
     members: &QueryBitmap,
     scratch: &mut FilterScratch,
 ) -> (FilteredPage, FilterCounters) {
@@ -352,7 +358,7 @@ pub(crate) fn filter_page_in_order(
                     skipped += 1;
                     return true;
                 }
-                let key = rows[i][fk].as_int();
+                let key = rows.int(i, fk);
                 if !in_run || key != run_key {
                     run_key = key;
                     in_run = true;
@@ -379,7 +385,7 @@ pub(crate) fn filter_page_in_order(
                     skipped += 1;
                     return true;
                 }
-                let key = rows[i][fk].as_int();
+                let key = rows.int(i, fk);
                 if !in_run || key != run_key {
                     run_key = key;
                     in_run = true;
@@ -677,9 +683,13 @@ mod tests {
     /// The kernel-level oracle: over random filter sets, query key sets,
     /// batch members, FK shapes and probe orders the vectorized kernel shows
     /// a reader the page [`filter_page_scalar`] builds, and never probes
-    /// more runs than tuples.
+    /// more runs than tuples — on decoded rows, and on the same tuples
+    /// encoded into a page it reads in place while the oracle reads the
+    /// page's `decode_all`.
     mod scalar_oracle {
         use super::*;
+        use workshare_common::codec::PageBuilder;
+        use workshare_common::{ColType, Column, Schema};
         use proptest::collection::vec;
         use proptest::prelude::*;
         use std::cell::RefCell;
@@ -727,11 +737,20 @@ mod tests {
             }
             Arc::new(FilterCore {
                 dim: TableId(0),
-                fact_fk_idx: col % ncols,
+                fact_fk_idx: 1 + col % ncols,
                 dim_pk_idx: 0,
                 hash,
                 referencing,
             })
+        }
+
+        /// The fact schema of a case: a string tag ahead of `ncols` key
+        /// columns, so a key's byte offset in the page is not a multiple of
+        /// the key width.
+        fn fact_schema(ncols: usize) -> Schema {
+            let tag = std::iter::once(Column::new("tag", ColType::Str(3)));
+            let keys = (0..ncols).map(|c| Column::new(&format!("fk{c}"), ColType::Int));
+            Schema::new(tag.chain(keys).collect())
         }
 
         /// An FK of row `i` under shape `(kind, param, hot)`: kind 0 is
@@ -777,11 +796,13 @@ mod tests {
                     .iter()
                     .enumerate()
                     .map(|(i, &(a, b, c))| {
-                        [a, b, c][..ncols]
-                            .iter()
+                        let tag = Value::str(&"t".repeat(i % 4));
+                        let keys = [a, b, c]
+                            .into_iter()
+                            .take(ncols)
                             .zip(&shapes)
-                            .map(|(&s, &shape)| Value::Int(fk(shape, i, s)))
-                            .collect()
+                            .map(|(s, &shape)| Value::Int(fk(shape, i, s)));
+                        std::iter::once(tag).chain(keys).collect()
                     })
                     .collect();
                 let (sp, _) = filter_page_scalar(&filters, &rows, &members);
@@ -790,6 +811,20 @@ mod tests {
                 });
                 pages_equal(&filters, &sp, &vp);
                 prop_assert!(vc.key_runs <= vc.probes, "{vc:?}");
+                // The same tuples as an encoded page: the kernel reads it in
+                // place, the oracle reads what it decodes to.
+                let schema = fact_schema(ncols);
+                let mut builder = PageBuilder::new(&schema);
+                rows.iter().for_each(|r| builder.push(r));
+                for page in builder.finish() {
+                    let (sp, _) = filter_page_scalar(&filters, &page.decode_all(&schema), &members);
+                    let (pp, pc) = SCRATCH.with(|s| {
+                        let rows = page.rows(&schema);
+                        filter_page_vectorized(&filters, &rows, &members, &mut s.borrow_mut())
+                    });
+                    pages_equal(&filters, &sp, &pp);
+                    prop_assert_eq!(pc, vc);
+                }
                 // Any probe order is observably the same page.
                 for order in [probe_order(&filters), (0..filters.len()).rev().collect()] {
                     let (op, _) = SCRATCH.with(|s| {

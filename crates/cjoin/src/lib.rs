@@ -29,11 +29,13 @@
 //!   [`workshare_common::BitmapBank`], dimension hashes are probed once per
 //!   key run, and a per-worker scratch keeps the steady-state loop free of
 //!   per-tuple heap allocations (the tuple-at-a-time [`filter_page_scalar`]
-//!   is the kernel-level oracle; no engine path runs it).
+//!   is the kernel-level oracle; no engine path runs it). The workers read
+//!   each fact page in place and decode no row.
 //! * **Distributor parts** (the paper's fix for the single-threaded
 //!   distributor bottleneck) route surviving tuples to the queries whose bit
 //!   is set, applying per-query fact predicates (evaluated on CJOIN output,
-//!   §3.2) and per-query projections.
+//!   §3.2) and per-query projections — on the fact page in place, building
+//!   a row only for a joined output tuple.
 //! * **SP over CJOIN packets** (§3.3): a new query identical to an in-flight
 //!   one attaches to the host packet's output exchange instead of being
 //!   admitted — skipping admission, bitmap extension, and all per-query

@@ -8,7 +8,7 @@ use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
 use workshare_common::bind::BoundQuery;
 use workshare_common::cell::CompletionCell;
 use workshare_common::fxhash::FxHashMap;
-use workshare_common::value::Row;
+use workshare_common::codec::Page;
 use workshare_common::{CostModel, FaultPlan, Predicate, QueryBitmap, SelVec, StarQuery};
 
 use crate::admission::{admit_batch_serial, admit_batch_shared};
@@ -282,22 +282,23 @@ impl Admission {
 }
 
 /// One fact page stamped with the active query set, flowing from the
-/// preprocessor to a filter worker **undecoded**: the circular-scan thread
-/// only reads and stamps pages; tuple decode happens in the (parallel)
-/// worker tier, so the scan thread is never the decode bottleneck. The
-/// membership bitmap is shared by `Arc`: the preprocessor snapshots
-/// `active_bits` once per page and every downstream stage reads the same
-/// copy.
+/// preprocessor to a filter worker: the circular-scan thread only reads and
+/// stamps pages; the (parallel) worker tier reads the tuples, so the scan
+/// thread never touches one. The membership bitmap is shared by `Arc`: the
+/// preprocessor snapshots `active_bits` once per page and every downstream
+/// stage reads the same copy.
 struct WorkBatch {
-    page: workshare_common::codec::Page,
+    page: Page,
     members: Arc<QueryBitmap>,
 }
 
-/// A filtered page flowing to the distributor: the decoded rows (decoded
-/// once, by the filter worker) plus the survivor indices / bitmap bank /
-/// dimension matches produced by the filter kernel.
+/// A filtered page flowing to the distributor: the fact page itself (an
+/// `Arc` of its bytes, never decoded into rows) plus the survivor indices /
+/// bitmap bank / dimension matches produced by the filter kernel. The
+/// distributor reads the page in place and builds a `Row` only for a joined
+/// output tuple.
 struct DistBatch {
-    rows: Vec<Row>,
+    fact: Page,
     members: Arc<QueryBitmap>,
     page: FilteredPage,
 }
@@ -698,9 +699,10 @@ impl CjoinStage {
                     continue;
                 }
                 // Produce one fact page. Only the fetch/pin cost lands on
-                // the circular-scan thread — tuple decode is deferred to
-                // the parallel filter workers, so the scan thread never
-                // becomes the decode bottleneck of a crowded stage.
+                // the circular-scan thread — every tuple read happens in
+                // the parallel filter workers and distributor parts, so
+                // the scan thread never becomes the bottleneck of a
+                // crowded stage.
                 let page = match inner.storage.try_read_page(ctx, inner.fact, pos, stream) {
                     Ok(page) => page,
                     Err(e) => {
@@ -821,11 +823,11 @@ impl CjoinStage {
                 // an admission published a new epoch.
                 let mut reader = inner.epoch.reader();
                 while let Some(batch) = inner.worker_q.pop() {
-                    // Decode the page here, in the parallel tier (once per
-                    // page — each page is popped by exactly one worker),
-                    // keeping the circular-scan thread free of per-tuple
-                    // work.
-                    let rows = batch.page.decode_all(&schema);
+                    // Read the page in place, in the parallel tier (each page
+                    // is popped by exactly one worker): the kernel reads one
+                    // foreign key per tuple and filter straight from the
+                    // page bytes, and no row is decoded.
+                    let rows = batch.page.rows(&schema);
                     // Lock-free filter probe: the epoch observed here is at
                     // least as new as the one whose activation stamped this
                     // page's members (publish happens-before activate
@@ -850,14 +852,16 @@ impl CjoinStage {
                         let run_len = counters.probes as f64 / counters.key_runs as f64;
                         inner.key_run_ewma.fold(run_len, 0.1);
                     }
-                    // The page's decode cost and the shared-operator
+                    // The page's scan cost and the shared-operator
                     // bookkeeping costs (the §5.2.2 overhead), charged as one
                     // CPU job once the kernel has run and its counters are
-                    // known: per key run + per bank word.
+                    // known: per key run + per bank word. V still charges
+                    // `scan_tuple_ns` for every row of the page, however few
+                    // columns the in-place reads touch.
                     ctx.charge_many(&[
                         (
                             CostKind::Scan,
-                            inner.cost.scan_tuple_ns * rows.len() as f64,
+                            inner.cost.scan_tuple_ns * batch.page.row_count() as f64,
                         ),
                         (
                             CostKind::Hashing,
@@ -869,7 +873,7 @@ impl CjoinStage {
                         ),
                     ]);
                     let dist = DistBatch {
-                        rows,
+                        fact: batch.page.clone(),
                         members: Arc::clone(&batch.members),
                         page,
                     };
@@ -896,6 +900,7 @@ impl CjoinStage {
                 // predicate selection (both over survivor positions).
                 let mut slot_sel = SelVec::new();
                 let mut pred_sel = SelVec::new();
+                let schema = inner.storage.schema(inner.fact);
                 // Per-thread epoch reader (see the filter worker): the
                 // runtime snapshot below is lock-free at steady state.
                 let mut reader = inner.epoch.reader();
@@ -910,7 +915,7 @@ impl CjoinStage {
                             .collect()
                     };
                     let page = &batch.page;
-                    let rows = &batch.rows;
+                    let rows = batch.fact.rows(&schema);
                     let mut routed = 0u64;
                     let mut out_rows = 0u64;
                     for qrt in &runtimes {
@@ -923,11 +928,12 @@ impl CjoinStage {
                             continue;
                         }
                         // Fact predicates on CJOIN output (§3.2): narrow the
-                        // routing column batch-at-a-time — only rows this
-                        // query actually routes are evaluated.
+                        // routing column batch-at-a-time on the page in
+                        // place — only rows this query actually routes are
+                        // evaluated.
                         pred_sel.copy_from(&slot_sel);
                         qrt.fact_pred.restrict_batch_gather(
-                            rows,
+                            &rows,
                             &page.selected,
                             &mut pred_sel,
                         );
@@ -938,8 +944,8 @@ impl CjoinStage {
                         {
                             let mut builder = qrt.builder.lock();
                             for j in pred_sel.iter_ones() {
-                                let row = &rows[page.selected[j] as usize];
-                                let mut joined = qrt.bound.project_fact(row);
+                                let i = page.selected[j] as usize;
+                                let mut joined = qrt.bound.project_fact_at(&rows, i);
                                 for (fi, payload_idx) in &qrt.dim_filters {
                                     let dim_row = page
                                         .dim_match(j, *fi)
@@ -1134,7 +1140,7 @@ pub(crate) mod tests {
     use super::*;
     use workshare_common::codec::PageBuilder;
     use workshare_common::{
-        AggSpec, ColRef, ColType, Column, DimJoin, OrderKey, Schema, Value,
+        AggSpec, ColRef, ColType, Column, DimJoin, OrderKey, Row, Schema, Value,
     };
     use workshare_qpipe::ops::run_aggregate;
     use workshare_sim::MachineConfig;

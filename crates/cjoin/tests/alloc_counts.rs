@@ -4,9 +4,10 @@
 //!
 //! What is held: an epoch publish copies a filter core with one allocation
 //! for its table, not one per entry, while bitmaps fit one word (≤ 64 query
-//! slots); releasing a filter's last reference copies nothing; and a
+//! slots); releasing a filter's last reference copies nothing; a
 //! steady-state page through the vectorized kernel allocates a small
-//! constant, not one per tuple (the zero-alloc invariant).
+//! constant, not one per tuple (the zero-alloc invariant); and a fact page
+//! read in place is filtered and restricted without decoding a row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,7 +16,8 @@ use std::sync::Arc;
 use workshare_cjoin::{filter_page_vectorized, DimEntry, FilterCore, FilterScratch, WrapLedger};
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
-use workshare_common::{QueryBitmap, Value};
+use workshare_common::codec::{Page, PageBuilder};
+use workshare_common::{CmpOp, ColType, Column, Predicate, QueryBitmap, Schema, SelVec, Value};
 use workshare_storage::TableId;
 
 struct Counting;
@@ -119,6 +121,67 @@ fn a_steady_state_page_allocates_a_constant_not_one_per_tuple() {
         allocations(|| filter_page_vectorized(&filters, &rows, &members, &mut scratch));
     assert!(!page.selected.is_empty() && counters.probes >= rows.len() as u64);
     assert!(n < 40, "{n} allocations for a {}-row page", rows.len());
+}
+
+/// A 366-row page of an 11-integer-column fact table shaped like SSB's
+/// `lineorder`: keys in columns 2–5, scattered over 48 values.
+fn lineorder_page() -> (Schema, Page) {
+    let names = [
+        "orderkey", "linenumber", "custkey", "partkey", "suppkey", "orderdate", "quantity",
+        "extendedprice", "discount", "revenue", "supplycost",
+    ];
+    let schema = Schema::new(names.iter().map(|n| Column::new(n, ColType::Int)).collect());
+    let mut builder = PageBuilder::new(&schema);
+    for i in 0..366i64 {
+        let row: Row = (0..11i64).map(|c| Value::Int((i * (7 + 2 * c) + c) % 48)).collect();
+        builder.push(&row);
+    }
+    let mut pages = builder.finish();
+    assert_eq!((pages.len(), pages[0].row_count()), (1, 366));
+    (schema, pages.remove(0))
+}
+
+#[test]
+fn a_page_read_in_place_is_filtered_and_restricted_without_decoding_a_row() {
+    let (schema, page) = lineorder_page();
+    let filters: Vec<Arc<FilterCore>> = (2..6)
+        .map(|fk| {
+            let mut f = filter(fk, 40, 0);
+            f.referencing = QueryBitmap::ones(64);
+            for e in f.hash.values_mut() {
+                e.bits = QueryBitmap::ones(64);
+            }
+            Arc::new(f)
+        })
+        .collect();
+    let members = QueryBitmap::ones(64);
+    let mut scratch = FilterScratch::default();
+    filter_page_vectorized(&filters, &page.rows(&schema), &members, &mut scratch);
+    let ((filtered, counters), n) = allocations(|| {
+        let rows = page.rows(&schema);
+        filter_page_vectorized(&filters, &rows, &members, &mut scratch)
+    });
+    assert!(!filtered.selected.is_empty() && counters.probes >= page.row_count() as u64);
+    assert!(n < 40, "{n} allocations to read and filter a 366-row page in place");
+
+    // A distributor's fact predicate over the survivors, on the page.
+    let pred = Predicate::and(vec![
+        Predicate::between(8, 1i64, 30i64),
+        Predicate::Cmp { col: 6, op: CmpOp::Lt, val: Value::Int(40) },
+        Predicate::Not(Box::new(Predicate::in_set(9, vec![Value::Int(3), Value::Int(5)]))),
+    ]);
+    let mut sel = SelVec::new();
+    sel.reset(filtered.selected.len(), true);
+    let ((), n) = allocations(|| {
+        pred.restrict_batch_gather(&page.rows(&schema), &filtered.selected, &mut sel)
+    });
+    assert!(sel.any() && sel.count() < filtered.selected.len(), "the test must select");
+    assert_eq!(n, 0);
+
+    // What the filter worker paid before it read pages in place.
+    let (rows, n) = allocations(|| page.decode_all(&schema));
+    assert_eq!(rows.len(), 366);
+    assert!(n >= 367, "{n} allocations to decode a 366-row page");
 }
 
 #[test]

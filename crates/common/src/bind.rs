@@ -13,7 +13,7 @@
 
 use crate::plan::{AggExpr, AggFn, AggSpec, ColRef, ColSource, StarQuery};
 use crate::schema::Schema;
-use crate::value::{Row, Value};
+use crate::value::{OneRow, Row, Tuples, Value};
 
 /// A fully resolved aggregate input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,12 +56,15 @@ impl BoundQuery {
     /// Project a full fact row to the working prefix
     /// `[fks… | fact payload…]`.
     pub fn project_fact(&self, fact_row: &[Value]) -> Row {
+        self.project_fact_at(&OneRow(fact_row), 0)
+    }
+
+    /// Project tuple `i` of `rows` to the working prefix
+    /// `[fks… | fact payload…]`, reading only the columns it carries.
+    pub fn project_fact_at<T: Tuples + ?Sized>(&self, rows: &T, i: usize) -> Row {
         let mut out = Row::with_capacity(self.joined_arity);
-        for &i in &self.fact_fk_idx {
-            out.push(fact_row[i].clone());
-        }
-        for &i in &self.fact_payload_idx {
-            out.push(fact_row[i].clone());
+        for &c in self.fact_fk_idx.iter().chain(&self.fact_payload_idx) {
+            out.push(rows.with_value(i, c, Value::clone));
         }
         out
     }

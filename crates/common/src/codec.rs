@@ -4,11 +4,18 @@
 //! followed by fixed-width rows (width determined by the table's [`Schema`]).
 //! This is the layout the storage manager persists and the layout whose byte
 //! volume the simulated disk charges for.
+//!
+//! A page is read two ways. [`Page::rows`] reads it in place: a
+//! [`PageRows`] decodes one column of one tuple per read, straight from the
+//! bytes, and is what the CJOIN filter workers and distributor run on.
+//! [`Page::decode_all`] decodes every column of every tuple into a
+//! [`Row`] each; Volcano, the QPipe scan and admission read pages that
+//! way, and it is the oracle the in-place reader is tested against.
 
 use std::sync::Arc;
 
 use crate::schema::{ColType, Schema};
-use crate::value::{Row, Value};
+use crate::value::{Row, Tuples, Value};
 use crate::PAGE_SIZE;
 
 /// Encode `row` at the end of `buf` according to `schema`.
@@ -84,27 +91,36 @@ pub fn try_decode_row(
                 pos += 8;
             }
             ColType::Str(n) => {
-                let hdr = buf.get(pos..pos + 2).ok_or(CodecError {
-                    reason: "row overruns page",
-                })?;
-                let len = u16::from_le_bytes([hdr[0], hdr[1]]) as usize;
-                if len > n {
-                    return Err(CodecError {
-                        reason: "string length exceeds declared width",
-                    });
-                }
-                let raw = buf.get(pos + 2..pos + 2 + len).ok_or(CodecError {
-                    reason: "row overruns page",
-                })?;
-                let s = std::str::from_utf8(raw).map_err(|_| CodecError {
-                    reason: "invalid utf-8",
-                })?;
-                row.push(Value::str(s));
+                row.push(Value::str(try_decode_str(n, buf, pos)?));
                 pos += 2 + n;
             }
         }
     }
     Ok(row)
+}
+
+/// The error of a read past the end of a page.
+const OVERRUN: CodecError = CodecError {
+    reason: "row overruns page",
+};
+
+/// The `Str(n)` value starting at `buf[pos..]`: a 2-byte length, then that
+/// many bytes of UTF-8, padded to `n`.
+// Out of line on purpose: inlined into `try_decode_row`, it slowed an
+// all-integer `decode_all` by about a third.
+#[inline(never)]
+fn try_decode_str(n: usize, buf: &[u8], pos: usize) -> Result<&str, CodecError> {
+    let hdr = buf.get(pos..pos + 2).ok_or(OVERRUN)?;
+    let len = u16::from_le_bytes([hdr[0], hdr[1]]) as usize;
+    if len > n {
+        return Err(CodecError {
+            reason: "string length exceeds declared width",
+        });
+    }
+    let raw = buf.get(pos + 2..pos + 2 + len).ok_or(OVERRUN)?;
+    std::str::from_utf8(raw).map_err(|_| CodecError {
+        reason: "invalid utf-8",
+    })
 }
 
 /// Decode one row starting at `buf[offset..]`; panics on corrupt bytes
@@ -141,6 +157,30 @@ impl Page {
         &self.bytes
     }
 
+    /// Read the page's tuples in place, refusing a page whose row count
+    /// overruns its bytes (the error [`Page::try_decode_all`] gives).
+    pub fn try_rows<'a>(&'a self, schema: &'a Schema) -> Result<PageRows<'a>, CodecError> {
+        let width = schema.row_width();
+        if 4 + self.rows as usize * width > self.bytes.len() {
+            return Err(OVERRUN);
+        }
+        Ok(PageRows {
+            bytes: &self.bytes,
+            schema,
+            width,
+            rows: self.rows as usize,
+        })
+    }
+
+    /// Read the page's tuples in place; panics where
+    /// [`Page::try_rows`] refuses.
+    pub fn rows<'a>(&'a self, schema: &'a Schema) -> PageRows<'a> {
+        match self.try_rows(schema) {
+            Ok(rows) => rows,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
     /// Decode every row in the page, surfacing corruption as a typed error.
     pub fn try_decode_all(&self, schema: &Schema) -> Result<Vec<Row>, CodecError> {
         let width = schema.row_width();
@@ -159,6 +199,59 @@ impl Page {
             out.push(decode_row(schema, &self.bytes, 4 + i * width));
         }
         out
+    }
+}
+
+/// A page's tuples read in place ([`Page::rows`]): each read decodes one
+/// column of one tuple from the page bytes. An `Int` or `Float` read
+/// allocates nothing; a `Str` read builds its [`Value`] when it is read.
+/// The page's length was checked once against its row count, so a read
+/// cannot overrun it; a corrupt string panics as [`decode_row`] does.
+#[derive(Clone, Copy)]
+pub struct PageRows<'a> {
+    bytes: &'a [u8],
+    schema: &'a Schema,
+    width: usize,
+    rows: usize,
+}
+
+impl PageRows<'_> {
+    /// Byte position of column `col` of tuple `i`.
+    #[inline]
+    fn at(&self, i: usize, col: usize) -> usize {
+        debug_assert!(i < self.rows, "tuple {i} of {}", self.rows);
+        4 + i * self.width + self.schema.offset(col)
+    }
+
+    /// The 8 bytes at `at`, which [`Page::try_rows`] has shown are there.
+    #[inline]
+    fn word(&self, at: usize) -> [u8; 8] {
+        self.bytes[at..at + 8].try_into().expect("a slice of 8 bytes")
+    }
+}
+
+impl Tuples for PageRows<'_> {
+    fn len(&self) -> usize {
+        self.rows
+    }
+
+    #[inline]
+    fn int(&self, i: usize, col: usize) -> i64 {
+        let ty = self.schema.columns()[col].ty;
+        assert_eq!(ty, ColType::Int, "expected an Int column");
+        i64::from_le_bytes(self.word(self.at(i, col)))
+    }
+
+    fn with_value<R>(&self, i: usize, col: usize, f: impl FnOnce(&Value) -> R) -> R {
+        let at = self.at(i, col);
+        match self.schema.columns()[col].ty {
+            ColType::Int => f(&Value::Int(i64::from_le_bytes(self.word(at)))),
+            ColType::Float => f(&Value::Float(f64::from_le_bytes(self.word(at)))),
+            ColType::Str(n) => match try_decode_str(n, self.bytes, at) {
+                Ok(s) => f(&Value::str(s)),
+                Err(e) => panic!("{e}"),
+            },
+        }
     }
 }
 
@@ -264,6 +357,57 @@ mod tests {
         assert!(pages.len() > 1, "expected multiple pages");
         let decoded: Vec<Row> = pages.iter().flat_map(|p| p.decode_all(&s)).collect();
         assert_eq!(decoded, rows);
+    }
+
+    #[test]
+    fn a_page_read_in_place_reads_what_it_decodes_to() {
+        let s = schema();
+        let mut b = PageBuilder::with_page_size(&s, 256);
+        for i in 0..9 {
+            b.push(&row(i));
+        }
+        for page in b.finish() {
+            let decoded = page.decode_all(&s);
+            let rows = page.rows(&s);
+            assert_eq!(rows.len(), decoded.len());
+            for (i, want) in decoded.iter().enumerate() {
+                assert_eq!(rows.int(i, 0), want[0].as_int());
+                for (c, v) in want.iter().enumerate() {
+                    assert!(rows.with_value(i, c, |got| got == v), "tuple {i} column {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_count_past_the_pages_bytes_is_refused_as_decode_refuses_it() {
+        let s = schema();
+        let mut b = PageBuilder::with_page_size(&s, 256);
+        (0..3).for_each(|i| b.push(&row(i)));
+        let page = b.finish().remove(0);
+        assert!(page.try_rows(&s).is_ok());
+        // The header claims one tuple more than the bytes hold.
+        let lying = Page {
+            bytes: Arc::clone(&page.bytes),
+            rows: page.rows + 1,
+        };
+        let want = lying.try_decode_all(&s).expect_err("decode refuses it");
+        assert_eq!(lying.try_rows(&s).err(), Some(want.clone()));
+        assert_eq!(want.reason, "row overruns page");
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt page: row overruns page")]
+    fn reading_an_overrunning_page_in_place_panics() {
+        let s = schema();
+        let mut b = PageBuilder::with_page_size(&s, 256);
+        b.push(&row(0));
+        let page = b.finish().remove(0);
+        let lying = Page {
+            bytes: page.bytes,
+            rows: 2,
+        };
+        lying.rows(&s);
     }
 
     #[test]

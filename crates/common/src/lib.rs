@@ -4,7 +4,10 @@
 //!
 //! * [`Value`] / [`Row`] — the runtime tuple representation.
 //! * [`Schema`] / [`ColType`] — table layouts with fixed-width encoding.
-//! * [`codec`] — row ⇄ bytes page codec (32 KB pages, as in the paper).
+//! * [`codec`] — row ⇄ bytes page codec (32 KB pages, as in the paper),
+//!   and [`codec::PageRows`], which reads a page's columns in place.
+//! * [`Tuples`] — a batch read column by column, decoded rows or a page in
+//!   place; the batch predicate paths and the projection are written over it.
 //! * [`Predicate`] — selection predicate AST with evaluation and structural
 //!   hashing (the basis of SP's identical-sub-plan detection).
 //! * [`StarQuery`] — the query spec every engine configuration consumes
@@ -42,7 +45,7 @@ pub use fault::{FaultPlan, FaultSite};
 pub use plan::{AggExpr, AggFn, AggSpec, ColRef, ColSource, DimJoin, OrderKey, StarQuery};
 pub use predicate::{CmpOp, Predicate};
 pub use schema::{ColType, Column, Schema};
-pub use value::{Row, Value};
+pub use value::{Row, Tuples, Value};
 
 /// Page size used throughout the system (the paper uses 32 KB pages for both
 /// storage and exchange buffers).

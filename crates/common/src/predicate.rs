@@ -7,7 +7,7 @@
 use std::hash::{Hash, Hasher};
 
 use crate::bitmap::{BitmapBank, SelVec};
-use crate::value::{Row, Value};
+use crate::value::{OneRow, Row, Tuples, Value};
 
 /// Comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,36 +124,48 @@ impl Predicate {
 
     /// Evaluate against a row.
     pub fn eval(&self, row: &[Value]) -> bool {
+        self.eval_at(&OneRow(row), 0)
+    }
+
+    /// Evaluate against tuple `i` of `rows` — the one row-at-a-time
+    /// evaluator, behind [`Predicate::eval`] and the `Or` / `Not` arm of
+    /// the batch paths.
+    fn eval_at<T: Tuples + ?Sized>(&self, rows: &T, i: usize) -> bool {
         match self {
             Predicate::True => true,
-            Predicate::Cmp { col, op, val } => op.apply(&row[*col], val),
-            Predicate::InSet { col, vals } => vals.binary_search(&row[*col]).is_ok(),
-            Predicate::Between { col, lo, hi } => &row[*col] >= lo && &row[*col] <= hi,
-            Predicate::And(ps) => ps.iter().all(|p| p.eval(row)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.eval(row)),
-            Predicate::Not(p) => !p.eval(row),
+            Predicate::Cmp { col, op, val } => rows.with_value(i, *col, |v| op.apply(v, val)),
+            Predicate::InSet { col, vals } => {
+                rows.with_value(i, *col, |v| vals.binary_search(v).is_ok())
+            }
+            Predicate::Between { col, lo, hi } => {
+                rows.with_value(i, *col, |v| v >= lo && v <= hi)
+            }
+            Predicate::And(ps) => ps.iter().all(|p| p.eval_at(rows, i)),
+            Predicate::Or(ps) => ps.iter().any(|p| p.eval_at(rows, i)),
+            Predicate::Not(p) => !p.eval_at(rows, i),
         }
     }
 
     /// Batch evaluation: returns the selection bitmap of rows satisfying the
     /// predicate. Convenience wrapper over [`Predicate::eval_batch_into`].
-    pub fn eval_batch(&self, rows: &[Row]) -> SelVec {
+    pub fn eval_batch<T: Tuples + ?Sized>(&self, rows: &T) -> SelVec {
         let mut sel = SelVec::new();
         self.eval_batch_into(rows, &mut sel);
         sel
     }
 
     /// Batch evaluation into a reusable selection bitmap (zero allocations
-    /// once `sel`'s capacity has grown to the batch size).
+    /// once `sel`'s capacity has grown to the batch size, and none per
+    /// tuple on a page read in place unless a string column is read).
     ///
     /// The common shapes take vectorized fast paths: `True` is a bulk fill,
     /// `Cmp` dispatches the operator once and runs a tight loop over the
     /// still-selected rows, and `And` narrows the selection term by term
     /// (rows deselected by an earlier conjunct are never touched again —
     /// word-level skipping makes low-selectivity conjunctions cheap).
-    pub fn eval_batch_into(&self, rows: &[Row], sel: &mut SelVec) {
+    pub fn eval_batch_into<T: Tuples + ?Sized>(&self, rows: &T, sel: &mut SelVec) {
         sel.reset(rows.len(), true);
-        self.restrict(&|i| &rows[i], sel);
+        self.restrict(rows, |i| i, sel);
     }
 
     /// Evaluate **many predicates** over one batch in a single pass,
@@ -190,17 +202,27 @@ impl Predicate {
     }
 
     /// Narrow an existing selection over a gathered subset: position `j` of
-    /// `sel` corresponds to `rows[idx[j]]`; rows already deselected are
-    /// never evaluated. This is how the CJOIN distributor applies per-query
-    /// fact predicates to exactly the rows in the query's routing column,
-    /// without materializing the survivors.
-    pub fn restrict_batch_gather(&self, rows: &[Row], idx: &[u32], sel: &mut SelVec) {
+    /// `sel` corresponds to tuple `idx[j]` of `rows`; tuples already
+    /// deselected are never evaluated. This is how the CJOIN distributor
+    /// applies per-query fact predicates to exactly the tuples in the
+    /// query's routing column, on the fact page read in place.
+    pub fn restrict_batch_gather<T: Tuples + ?Sized>(
+        &self,
+        rows: &T,
+        idx: &[u32],
+        sel: &mut SelVec,
+    ) {
         debug_assert_eq!(sel.len(), idx.len());
-        self.restrict(&|j| &rows[idx[j] as usize], sel);
+        self.restrict(rows, |j| idx[j] as usize, sel);
     }
 
-    /// Narrow `sel` to rows (as mapped by `row_at`) satisfying `self`.
-    fn restrict<'a>(&self, row_at: &dyn Fn(usize) -> &'a Row, sel: &mut SelVec) {
+    /// Narrow `sel` to the positions whose tuple (`at` maps a position to a
+    /// tuple of `rows`) satisfies `self`.
+    fn restrict<T, A>(&self, rows: &T, at: A, sel: &mut SelVec)
+    where
+        T: Tuples + ?Sized,
+        A: Fn(usize) -> usize + Copy,
+    {
         match self {
             Predicate::True => {}
             Predicate::Cmp { col, op, val } => {
@@ -216,47 +238,46 @@ impl Predicate {
                         CmpOp::Gt => |a, b| a > b,
                         CmpOp::Ge => |a, b| a >= b,
                     };
-                    sel.retain(|i| match &row_at(i)[col] {
-                        Value::Int(v) => f(*v, k),
-                        other => op.apply(other, val),
+                    sel.retain(|j| {
+                        rows.with_value(at(j), col, |v| match v {
+                            Value::Int(v) => f(*v, k),
+                            other => op.apply(other, val),
+                        })
                     });
                 } else {
                     let op = *op;
-                    sel.retain(|i| op.apply(&row_at(i)[col], val));
+                    sel.retain(|j| rows.with_value(at(j), col, |v| op.apply(v, val)));
                 }
             }
             Predicate::Between { col, lo, hi } => {
                 let col = *col;
                 if let (Value::Int(lo), Value::Int(hi)) = (lo, hi) {
                     let (lo, hi) = (*lo, *hi);
-                    sel.retain(|i| match &row_at(i)[col] {
-                        Value::Int(v) => (lo..=hi).contains(v),
-                        other => {
-                            other >= &Value::Int(lo) && other <= &Value::Int(hi)
-                        }
+                    sel.retain(|j| {
+                        rows.with_value(at(j), col, |v| match v {
+                            Value::Int(v) => (lo..=hi).contains(v),
+                            other => other >= &Value::Int(lo) && other <= &Value::Int(hi),
+                        })
                     });
                 } else {
-                    sel.retain(|i| {
-                        let v = &row_at(i)[col];
-                        v >= lo && v <= hi
-                    });
+                    sel.retain(|j| rows.with_value(at(j), col, |v| v >= lo && v <= hi));
                 }
             }
             Predicate::InSet { col, vals } => {
                 let col = *col;
-                sel.retain(|i| vals.binary_search(&row_at(i)[col]).is_ok());
+                sel.retain(|j| rows.with_value(at(j), col, |v| vals.binary_search(v).is_ok()));
             }
             Predicate::And(ps) => {
                 for p in ps {
                     if !sel.any() {
                         break;
                     }
-                    p.restrict(row_at, sel);
+                    p.restrict(rows, at, sel);
                 }
             }
             other => {
                 // Or / Not: fall back to row-at-a-time over the survivors.
-                sel.retain(|i| other.eval(row_at(i)));
+                sel.retain(|j| other.eval_at(rows, at(j)));
             }
         }
     }

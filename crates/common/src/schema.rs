@@ -57,6 +57,8 @@ impl Column {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Schema {
     cols: Vec<Column>,
+    /// Byte offset of each column within an encoded row.
+    offsets: Vec<usize>,
 }
 
 impl Schema {
@@ -67,7 +69,15 @@ impl Schema {
                 assert_ne!(c.name, other.name, "duplicate column '{}'", c.name);
             }
         }
-        Schema { cols }
+        let offsets = cols
+            .iter()
+            .scan(0, |at, c| {
+                let off = *at;
+                *at += c.ty.width();
+                Some(off)
+            })
+            .collect();
+        Schema { cols, offsets }
     }
 
     /// Columns in declaration order.
@@ -95,6 +105,11 @@ impl Schema {
     /// Column names in order.
     pub fn names(&self) -> Vec<&str> {
         self.cols.iter().map(|c| c.name.as_str()).collect()
+    }
+
+    /// Byte offset of column `col` within an encoded row.
+    pub fn offset(&self, col: usize) -> usize {
+        self.offsets[col]
     }
 
     /// Encoded row width in bytes (fixed for the whole table).
@@ -134,6 +149,7 @@ mod tests {
         let s = sample();
         assert_eq!(s.row_width(), 8 + 8 + 12);
         assert_eq!(s.arity(), 3);
+        assert_eq!((0..3).map(|c| s.offset(c)).collect::<Vec<_>>(), [0, 8, 16]);
     }
 
     #[test]

@@ -141,6 +141,79 @@ impl From<&str> for Value {
 /// A tuple: one value per schema column.
 pub type Row = Vec<Value>;
 
+/// A batch of tuples read one column of one tuple at a time: decoded rows
+/// (`[Row]`) or a storage page read in place
+/// ([`PageRows`](crate::codec::PageRows)). The batch evaluators of
+/// [`Predicate`](crate::Predicate), the projection
+/// [`BoundQuery::project_fact_at`](crate::bind::BoundQuery::project_fact_at)
+/// and the CJOIN filter kernel are written once over it.
+pub trait Tuples {
+    /// Number of tuples.
+    fn len(&self) -> usize;
+
+    /// Whether the batch holds no tuple.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The integer at column `col` of tuple `i`; panics unless the column
+    /// holds integers (key columns, where the schema guarantees it).
+    fn int(&self, i: usize, col: usize) -> i64;
+
+    /// `f` of the value at column `col` of tuple `i`. Decoded rows lend
+    /// theirs; a page builds it, allocating only for a string.
+    fn with_value<R>(&self, i: usize, col: usize, f: impl FnOnce(&Value) -> R) -> R;
+}
+
+impl Tuples for [Row] {
+    fn len(&self) -> usize {
+        <[Row]>::len(self)
+    }
+
+    #[inline]
+    fn int(&self, i: usize, col: usize) -> i64 {
+        self[i][col].as_int()
+    }
+
+    fn with_value<R>(&self, i: usize, col: usize, f: impl FnOnce(&Value) -> R) -> R {
+        f(&self[i][col])
+    }
+}
+
+/// Forwards to `[Row]`, so a `&Vec<Row>` argument needs no slicing.
+impl Tuples for Vec<Row> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    #[inline]
+    fn int(&self, i: usize, col: usize) -> i64 {
+        self[..].int(i, col)
+    }
+
+    fn with_value<R>(&self, i: usize, col: usize, f: impl FnOnce(&Value) -> R) -> R {
+        self[..].with_value(i, col, f)
+    }
+}
+
+/// One row as a batch of one: how the row-at-a-time entry points reach the
+/// evaluators written over [`Tuples`].
+pub(crate) struct OneRow<'a>(pub(crate) &'a [Value]);
+
+impl Tuples for OneRow<'_> {
+    fn len(&self) -> usize {
+        1
+    }
+
+    fn int(&self, _: usize, col: usize) -> i64 {
+        self.0[col].as_int()
+    }
+
+    fn with_value<R>(&self, _: usize, col: usize, f: impl FnOnce(&Value) -> R) -> R {
+        f(&self.0[col])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

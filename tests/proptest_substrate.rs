@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use workshare_common::codec::{decode_row, encode_row, PageBuilder};
-use workshare_common::{ColType, Column, Predicate, QueryBitmap, Schema, Value};
+use workshare_common::{CmpOp, ColType, Column, Predicate, QueryBitmap, Schema, SelVec, Tuples, Value};
 use workshare_sim::{CostKind, Machine, MachineConfig};
 
 // ---------------------------------------------------------------------------
@@ -66,6 +66,126 @@ proptest! {
         let pages = b.finish();
         let decoded: Vec<_> = pages.iter().flat_map(|p| p.decode_all(&schema)).collect();
         prop_assert_eq!(decoded, rows);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A page read in place vs the same page decoded
+// ---------------------------------------------------------------------------
+
+/// A value of type `ty` drawn from `w`: small ranges so predicates select
+/// some tuples and not others, and strings that are empty, full-width or
+/// anything between.
+fn value_of(ty: ColType, w: u64) -> Value {
+    match ty {
+        ColType::Int => Value::Int((w % 16) as i64 - 8),
+        ColType::Float => Value::Float(((w % 16) as f64 - 8.0) / 2.0),
+        ColType::Str(n) => {
+            let len = match w % 3 {
+                0 => 0,
+                1 => n,
+                _ => (w >> 8) as usize % (n + 1),
+            };
+            let c = (b'a' + ((w >> 16) % 3) as u8) as char;
+            Value::str(&c.to_string().repeat(len))
+        }
+    }
+}
+
+/// A predicate over `tys` built from `words`: `Cmp`, `Between` and `InSet`
+/// leaves over every column type (literals mostly of the column's type, one
+/// in eight an `Int` whatever the column), under `And`, `Or` and `Not` up
+/// to `depth` deep.
+fn pred_of(tys: &[ColType], words: &mut dyn Iterator<Item = u64>, depth: u32) -> Predicate {
+    let mut w = || words.next().unwrap_or(0);
+    let kind = w() % if depth == 0 { 3 } else { 6 };
+    let col = w() as usize % tys.len();
+    let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+    let op = ops[w() as usize % ops.len()];
+    let set_len = 1 + w() as usize % 4;
+    let mut lit = || {
+        let x = w();
+        value_of(if x % 8 == 0 { ColType::Int } else { tys[col] }, x >> 3)
+    };
+    match kind {
+        0 => Predicate::Cmp { col, op, val: lit() },
+        1 => {
+            let (a, b) = (lit(), lit());
+            Predicate::Between { col, lo: a.clone().min(b.clone()), hi: a.max(b) }
+        }
+        2 => Predicate::in_set(col, (0..set_len).map(|_| lit()).collect()),
+        k => {
+            let mut sub = || pred_of(tys, words, depth - 1);
+            match k {
+                3 => Predicate::And(vec![sub(), sub()]),
+                4 => Predicate::Or(vec![sub(), sub()]),
+                _ => Predicate::Not(Box::new(sub())),
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn a_page_read_in_place_reads_and_selects_as_decoded(
+        tys in proptest::collection::vec(arb_coltype(), 1..7),
+        cells in proptest::collection::vec(any::<u64>(), 0..400),
+        page_size in 64usize..1024,
+        pred_words in proptest::collection::vec(any::<u64>(), 16..64),
+        gather in any::<u64>(),
+    ) {
+        let cols: Vec<Column> = tys
+            .iter()
+            .enumerate()
+            .map(|(i, ty)| Column::new(&format!("c{i}"), *ty))
+            .collect();
+        let schema = Schema::new(cols);
+        let mut builder = PageBuilder::with_page_size(&schema, page_size.max(schema.row_width() + 4));
+        for row in cells.chunks_exact(tys.len()) {
+            let row: Vec<Value> = row.iter().zip(&tys).map(|(&w, &ty)| value_of(ty, w)).collect();
+            builder.push(&row);
+        }
+        let preds: Vec<Predicate> = {
+            let mut words = pred_words.into_iter();
+            (0..4).map(|_| pred_of(&tys, &mut words, 2)).collect()
+        };
+        for page in builder.finish() {
+            let decoded = page.decode_all(&schema);
+            let rows = page.rows(&schema);
+            prop_assert_eq!(rows.len(), decoded.len());
+            for (i, row) in decoded.iter().enumerate() {
+                for (col, want) in row.iter().enumerate() {
+                    prop_assert!(rows.with_value(i, col, |v| v == want), "tuple {i} column {col}");
+                    if tys[col] == ColType::Int {
+                        prop_assert_eq!(rows.int(i, col), want.as_int());
+                    }
+                }
+            }
+            // The tuples a gather visits, and which of them start selected.
+            let idx: Vec<u32> = (0..rows.len() as u32).filter(|i| gather >> (i % 64) & 1 == 1).collect();
+            let mut from_page = SelVec::new();
+            let mut from_rows = SelVec::new();
+            for p in &preds {
+                p.eval_batch_into(&rows, &mut from_page);
+                p.eval_batch_into(&decoded, &mut from_rows);
+                let want: Vec<usize> = (0..decoded.len()).filter(|&i| p.eval(&decoded[i])).collect();
+                prop_assert_eq!(from_page.iter_ones().collect::<Vec<_>>(), want.clone(), "{:?}", p);
+                prop_assert_eq!(from_rows.iter_ones().collect::<Vec<_>>(), want, "{:?}", p);
+                for sel in [&mut from_page, &mut from_rows] {
+                    sel.reset(idx.len(), true);
+                    (0..idx.len()).filter(|j| j % 3 == 2).for_each(|j| sel.clear(j));
+                }
+                p.restrict_batch_gather(&rows, &idx, &mut from_page);
+                p.restrict_batch_gather(&decoded, &idx, &mut from_rows);
+                let want: Vec<usize> = (0..idx.len())
+                    .filter(|&j| j % 3 != 2 && p.eval(&decoded[idx[j] as usize]))
+                    .collect();
+                prop_assert_eq!(from_page.iter_ones().collect::<Vec<_>>(), want.clone(), "{:?}", p);
+                prop_assert_eq!(from_rows.iter_ones().collect::<Vec<_>>(), want, "{:?}", p);
+            }
+        }
     }
 }
 
