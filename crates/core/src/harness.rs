@@ -255,6 +255,9 @@ pub struct ThroughputReport {
     /// Fault-injection and self-healing accounting (all-zero with the
     /// default, fully-off [`crate::config::FaultPlan`]).
     pub health: crate::health::HealthStats,
+    /// Virtual CPU charged by kind from the engine's creation to the virtual
+    /// instant the last client finished.
+    pub cpu: CpuBreakdown,
 }
 
 impl ThroughputReport {
@@ -345,6 +348,17 @@ impl ClientTally {
     }
 }
 
+/// The machine's counters at the virtual instant the last client finished,
+/// read by the clients' own vthread. A thread outside the machine reading
+/// them later races the engine's trailing work (a stage's charge that no
+/// client waits for), so its figures would vary from run to run.
+struct MachineAtEnd {
+    now_ns: f64,
+    busy_core_secs: f64,
+    cpu: CpuBreakdown,
+    disk: DiskStats,
+}
+
 /// Service-loop run: drive the engine with `load` (closed- or open-loop
 /// arrivals, multi-tenant) through the bounded-admission front door
 /// ([`Engine::try_submit`]), reporting shed counts by reason, p50/p99
@@ -373,7 +387,7 @@ where
     let tenants = load.tenants.max(1);
 
     let e2 = engine.clone();
-    let tallies: Vec<(usize, ClientTally)> = machine
+    let (tallies, at_end): (Vec<(usize, ClientTally)>, MachineAtEnd) = machine
         .spawn("clients", move |ctx| {
             let window_end_ns = ctx.machine().now_ns() + load.window_secs * 1e9;
             let workers: Vec<_> = (0..load.clients)
@@ -444,10 +458,18 @@ where
                     })
                 })
                 .collect();
-            workers
+            let tallies = workers
                 .into_iter()
                 .map(|w| w.join().expect("client panicked"))
-                .collect()
+                .collect();
+            let m = ctx.machine();
+            let at_end = MachineAtEnd {
+                now_ns: m.now_ns(),
+                busy_core_secs: m.busy_core_secs(),
+                cpu: m.cpu_breakdown(),
+                disk: m.disk_stats(),
+            };
+            (tallies, at_end)
         })
         .join()
         .expect("client harness panicked");
@@ -479,8 +501,8 @@ where
         row.errors += tally.errors;
     }
 
-    let window_ns = machine.now_ns().min(load.window_secs * 1e9).max(1.0);
-    let disk = machine.disk_stats().delta(&disk0);
+    let window_ns = at_end.now_ns.min(load.window_secs * 1e9).max(1.0);
+    let disk = at_end.disk.delta(&disk0);
     let per_hour = |n: u64| n as f64 / (load.window_secs / 3600.0);
     let report = ThroughputReport {
         config: config.label(),
@@ -500,14 +522,14 @@ where
         },
         p50_latency_secs: hist.quantile(0.5),
         p99_latency_secs: hist.quantile(0.99),
-        avg_cores_used: (machine.busy_core_secs() / (window_ns / 1e9))
-            .min(config.cores as f64),
+        avg_cores_used: (at_end.busy_core_secs / (window_ns / 1e9)).min(config.cores as f64),
         read_rate_mbps: disk.read_rate_mbps(window_ns),
         tenants: per_tenant,
         governor: engine.governor_stats(),
         stages: engine.stage_rows(),
         fabric: engine.fabric_stats(),
         health: engine.health_stats(),
+        cpu: at_end.cpu,
     };
     engine.shutdown();
     report

@@ -6,10 +6,10 @@
 //! paper measures. Instead, the execution engine runs on a *virtual-time*
 //! machine:
 //!
-//! * Engine threads are real OS threads (*vthreads*) that perform their data
-//!   work (hash joins, predicate evaluation, page copies) **for real**, and
-//!   account for it by *charging* calibrated virtual CPU cost
-//!   ([`SimCtx::charge`]).
+//! * Engine threads are *vthreads* — coroutines that one carrier OS thread
+//!   per machine runs one at a time — that perform their data work (hash
+//!   joins, predicate evaluation, page copies) **for real**, and account for
+//!   it by *charging* calibrated virtual CPU cost ([`SimCtx::charge`]).
 //! * A **processor-sharing scheduler** advances a virtual clock: when `J`
 //!   vthreads have outstanding CPU demand on a machine with `C` cores, each
 //!   progresses at rate `min(1, C/J)`. This is the classic fluid approximation
@@ -24,7 +24,11 @@
 //!
 //! Virtual time only advances when every live vthread is parked (charging,
 //! sleeping, doing I/O, or blocked on a [`WaitSet`] or [`SimQueue`]); the
-//! last thread to park drives the event loop. All per-category CPU charges
+//! last thread to park drives the event loop. Ready vthreads run in the
+//! order they were woken, so the schedule, and every virtual time, is a
+//! function of the inputs. A vthread must never block on an OS primitive
+//! that only another vthread of its machine can release (the `machine`
+//! module docs give the rule). All per-category CPU charges
 //! are accumulated in [`CpuBreakdown`], which is also the source for the
 //! paper's Figure 11/12 CPU-time breakdowns.
 //!
@@ -33,7 +37,7 @@
 //! Two primitives block a vthread outside the scheduler's own events, and
 //! they share one mechanism: a waiter lists its thread id where the notifier
 //! will find it, then parks; the notifier hands the ids to the scheduler,
-//! which unparks those that are parked and leaves the others a *token* that
+//! which makes ready those that are parked and leaves the others a *token* that
 //! makes their next park return at once. The token belongs to the thread,
 //! not to what it waits on, and ids are reused after a vthread exits — so a
 //! park may end early, and every wait loops on its condition.
@@ -60,6 +64,7 @@
 //! assert!((m.now_secs() - 0.001).abs() < 1e-9);
 //! ```
 
+mod coro;
 pub mod disk;
 mod machine;
 mod queue;

@@ -2,13 +2,45 @@
 //!
 //! ## Execution model
 //!
-//! Every vthread is a real OS thread. Virtual time is **frozen while any
-//! vthread executes user code** and advances only when all of them are parked
-//! (charging CPU cost, sleeping, waiting for disk I/O, or blocked on a
-//! [`WaitSet`](crate::WaitSet) or a [`SimQueue`](crate::SimQueue)). The last
-//! thread to park *drives* the event loop: it advances the clock to the next
-//! completion, wakes the affected threads, and repeats until some thread is
-//! running again.
+//! Every vthread is a stackful coroutine (`coro.rs`), and all vthreads of a
+//! machine run on one OS thread, its *carrier*, **one at a time**. Virtual
+//! time is **frozen while a vthread executes user code** and advances only
+//! when every one is parked (charging CPU cost, sleeping, waiting for disk
+//! I/O, or blocked on a [`WaitSet`](crate::WaitSet) or a
+//! [`SimQueue`](crate::SimQueue)). The last vthread to park *drives* the
+//! event loop: it advances the clock to the next completion, makes the
+//! affected vthreads ready, and repeats until one is.
+//!
+//! The carrier is started by a spawn that finds none and exits when the last
+//! live vthread has; the next spawn starts another. It pops the next ready
+//! vthread, resumes it, and when that one parks or exits takes the next.
+//! With nothing ready and nothing pending in virtual time (every live
+//! vthread waits for input from outside the machine) it sleeps on a condition
+//! variable until a thread that is no vthread of the machine spawns,
+//! notifies, pushes or closes.
+//!
+//! **Ready order.** Vthreads run in the order they were made ready: FIFO in
+//! wake order, and events due at one virtual instant wake in the order of
+//! the scheduler's heaps (finish credit or due time, then thread id). Given
+//! the same spawns and the same input from outside, a machine therefore
+//! runs the same schedule every time — one seed, one schedule.
+//!
+//! **The blocking rule.** Because one carrier runs them all, a vthread must
+//! never block on an OS primitive (a lock held across a park, a channel, a
+//! condition variable, a spin) that only another vthread of the *same*
+//! machine can release: that vthread cannot run while the carrier is
+//! blocked, so the machine deadlocks. Short critical sections are fine — no
+//! other vthread of the machine can hold the lock meanwhile — and so is
+//! blocking on a thread outside the machine: the harness, or a vthread of
+//! another machine, which has its own carrier (its join from here is a real
+//! wait, as for any outside thread). The rule held before too: a lock held
+//! across a park deadlocked the OS-thread scheduler, whose blocked thread
+//! counted as running and froze the clock.
+//!
+//! Threads that are not vthreads (tests, the ledger's load thread,
+//! `Ticket::wait`) never run vthread code: they block on real condition
+//! variables inside [`WaitSet`](crate::WaitSet),
+//! [`SimQueue`](crate::SimQueue) and [`JoinHandle::join`].
 //!
 //! ## Processor sharing
 //!
@@ -22,11 +54,10 @@
 //!
 //! ## Handoffs
 //!
-//! Every park and every wake-up is a futex call and, on a host with fewer
-//! CPUs than vthreads, a context switch: host time the virtual clock never
-//! sees, and most of what a simulated query costs to run. Three things keep
-//! the count and the price down; [`Machine::handoff_counts`] reports what is
-//! left.
+//! A park is a switch from the vthread's stack to its carrier's, a wake-up a
+//! push onto the ready queue: no futex, no OS context switch. What is left
+//! costs a scheduler-lock pass and two stack switches, and three things
+//! keep the count down; [`Machine::handoff_counts`] reports it.
 //!
 //! * **One job per burst of work.** [`SimCtx::charge_many`] enters several
 //!   kinds of CPU work as one processor-sharing job. It returns at the
@@ -34,8 +65,10 @@
 //!   again the moment a charge completes never leaves the job set in between
 //!   (no virtual time passes while it runs), so `J`, and with it everyone's
 //!   rate, is the same at every instant either way.
-//! * **A lock-free parker.** A carrier parks on an atomic flag plus
-//!   [`std::thread::park`]; a wake-up is one store and one `unpark`.
+//! * **No switch to resume oneself.** A vthread whose park drove the clock
+//!   and made itself the first ready vthread goes on without leaving its
+//!   stack: the carrier would have resumed it next anyway, so the order is
+//!   the same.
 //! * **Wake one.** Blocking queues keep their own waiters and wake exactly
 //!   the vthread an item is for (`queue.rs`).
 //!
@@ -54,14 +87,14 @@
 use std::any::Any;
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
+use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::coro::{self, Body};
 use crate::disk::{DiskConfig, DiskCounters, DiskState, DiskStats, StreamId};
 use crate::stats::{CostKind, CpuBreakdown, CpuCounters};
 use crate::waitset::WaitSet;
@@ -95,7 +128,7 @@ impl Default for MachineConfig {
 /// Lifecycle state of a vthread (exposed for diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadState {
-    /// Executing user code; virtual time is frozen.
+    /// Executing user code, or ready to; virtual time is frozen.
     Running,
     /// Parked with an outstanding CPU charge.
     Charging,
@@ -109,48 +142,24 @@ pub enum ThreadState {
     Exited,
 }
 
-/// OS-level park/unpark cell of one carrier thread: a flag plus
-/// [`std::thread::park`], i.e. one futex wait per park and at most one futex
-/// wake per unpark, with no lock on either side. `unpark` may arrive before
-/// `park` (the flag is the wake-up; `thread::park` alone may return
-/// spuriously).
-#[derive(Debug, Default)]
-struct Parker {
-    notified: AtomicBool,
-    /// The carrier thread, bound by the carrier itself before it runs user
-    /// code — so before anything can have seen it parked.
-    thread: OnceLock<Thread>,
-}
-
-impl Parker {
-    fn bind_current(&self) {
-        let _ = self.thread.set(std::thread::current());
-    }
-
-    /// `Acquire` pairs with the `Release` in [`Parker::unpark`]: whatever
-    /// the waker wrote before waking is visible once `park` returns.
-    fn park(&self) {
-        while !self.notified.swap(false, Ordering::Acquire) {
-            std::thread::park();
-        }
-    }
-
-    fn unpark(&self) {
-        self.notified.store(true, Ordering::Release);
-        self.thread
-            .get()
-            .expect("a vthread parks only on its own, bound carrier")
-            .unpark();
-    }
-}
-
 struct ThreadSlot {
     name: String,
     state: ThreadState,
     /// Pre-posted wake-up for the thread's next [`MachineInner::park_waiting`]
     /// (see `waitset.rs` for the protocol). Per thread, not per wait set.
     ws_token: bool,
-    parker: Arc<Parker>,
+    /// The vthread's body until the carrier first resumes it.
+    start: Option<Body>,
+}
+
+/// Whether the machine has a carrier thread, and whether it is blocked on
+/// [`MachineInner::input`] waiting for a thread that is no vthread to give
+/// it something to run.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum CarrierState {
+    Absent,
+    Busy,
+    Idle,
 }
 
 /// CPU job keyed by the service credit at which it completes.
@@ -213,12 +222,16 @@ struct Sched {
     /// are listed in `free` and reused by later spawns.
     threads: Vec<ThreadSlot>,
     free: Vec<Tid>,
-    /// Vthreads currently executing user code.
+    /// Vthreads ready to run, in the order the carrier resumes them.
+    ready: VecDeque<Tid>,
+    /// Vthreads ready or running: `ready.len()`, plus one while a vthread
+    /// executes user code.
     running_real: usize,
     /// Vthreads not yet exited.
     live: usize,
     /// ∫ min(runnable CPU jobs, cores) dt — total core-busy virtual ns.
     busy_core_ns: f64,
+    carrier: CarrierState,
 }
 
 /// Simulator handoffs since the machine was created
@@ -233,8 +246,8 @@ pub struct HandoffCounts {
     /// [`SimQueue`](crate::SimQueue) (a wait that found a pre-posted token
     /// and returned at once is not counted).
     pub parks: u64,
-    /// Carrier threads unparked, for any reason: a finished charge, timer or
-    /// disk request, or a notification.
+    /// Vthreads made ready to run again, for any reason: a finished charge,
+    /// timer or disk request, or a notification.
     pub wakes: u64,
     /// Vthreads spawned.
     pub spawns: u64,
@@ -251,6 +264,9 @@ struct HandoffCounters {
 pub(crate) struct MachineInner {
     cores: u32,
     sched: Mutex<Sched>,
+    /// Where an idle carrier waits for a spawn or a wake-up from a thread
+    /// that is no vthread of this machine.
+    input: Condvar,
     pub(crate) cpu: CpuCounters,
     pub(crate) io: DiskCounters,
     handoffs: HandoffCounters,
@@ -327,8 +343,35 @@ impl MachineInner {
         );
         slot.state = ThreadState::Running;
         s.running_real += 1;
-        slot.parker.unpark();
+        s.ready.push_back(tid);
+        self.rouse_carrier(s);
         self.handoffs.wakes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Something was made ready: an idle carrier must look again.
+    fn rouse_carrier(&self, s: &mut Sched) {
+        if s.carrier == CarrierState::Idle {
+            s.carrier = CarrierState::Busy;
+            self.input.notify_one();
+        }
+    }
+
+    /// Stop running the calling vthread `tid`, whose state already says what
+    /// it waits for, and return once it has been woken. The last vthread to
+    /// stop drives the clock; if that leaves `tid` itself first in `ready`,
+    /// the carrier would resume it next anyway and it simply goes on.
+    /// Otherwise it gives the carrier back.
+    fn park(&self, mut s: MutexGuard<'_, Sched>, tid: Tid) {
+        s.running_real -= 1;
+        if s.running_real == 0 {
+            self.drive(&mut s);
+            if s.ready.front() == Some(&tid) {
+                s.ready.pop_front();
+                return;
+            }
+        }
+        drop(s);
+        coro::suspend();
     }
 
     /// Park the calling vthread with `park_state` after running `enqueue`
@@ -339,19 +382,10 @@ impl MachineInner {
         park_state: ThreadState,
         enqueue: impl FnOnce(&mut Sched),
     ) {
-        let parker;
-        {
-            let mut s = self.sched.lock();
-            enqueue(&mut s);
-            let slot = &mut s.threads[tid];
-            slot.state = park_state;
-            parker = Arc::clone(&slot.parker);
-            s.running_real -= 1;
-            if s.running_real == 0 {
-                self.drive(&mut s);
-            }
-        }
-        parker.park();
+        let mut s = self.sched.lock();
+        enqueue(&mut s);
+        s.threads[tid].state = park_state;
+        self.park(s, tid);
     }
 
     /// Park until notified: consumes a pre-posted token instead of parking
@@ -360,23 +394,15 @@ impl MachineInner {
     /// earlier wait (or for a previous owner of a reused slot) ends this one;
     /// every caller re-checks and parks again.
     pub(crate) fn park_waiting(&self, tid: Tid) {
-        let parker;
-        {
-            let mut s = self.sched.lock();
-            let slot = &mut s.threads[tid];
-            if slot.ws_token {
-                slot.ws_token = false;
-                return;
-            }
-            slot.state = ThreadState::Waiting;
-            parker = Arc::clone(&slot.parker);
-            s.running_real -= 1;
-            if s.running_real == 0 {
-                self.drive(&mut s);
-            }
+        let mut s = self.sched.lock();
+        let slot = &mut s.threads[tid];
+        if slot.ws_token {
+            slot.ws_token = false;
+            return;
         }
+        slot.state = ThreadState::Waiting;
         self.handoffs.parks.fetch_add(1, Ordering::Relaxed);
-        parker.park();
+        self.park(s, tid);
     }
 
     /// Wake every tid in `tids` that is parked in
@@ -449,10 +475,13 @@ impl Machine {
                     disk: DiskState::new(config.disk),
                     threads: Vec::new(),
                     free: Vec::new(),
+                    ready: VecDeque::new(),
                     running_real: 0,
                     live: 0,
                     busy_core_ns: 0.0,
+                    carrier: CarrierState::Absent,
                 }),
+                input: Condvar::new(),
                 cpu: CpuCounters::default(),
                 io: DiskCounters::default(),
                 handoffs: HandoffCounters::default(),
@@ -522,75 +551,121 @@ impl Machine {
     /// Spawn a vthread. The closure receives the thread's [`SimCtx`]; the
     /// same context is also installed thread-locally so blocking primitives
     /// ([`WaitSet`](crate::WaitSet), [`SimQueue`](crate::SimQueue), joins)
-    /// integrate automatically.
+    /// integrate automatically. The vthread is ready at once and runs when
+    /// the machine's carrier gets to it; a spawn that finds no carrier
+    /// starts one.
     pub fn spawn<T, F>(&self, name: &str, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
         F: FnOnce(&SimCtx) -> T + Send + 'static,
     {
-        let parker = Arc::new(Parker::default());
-        let slot = ThreadSlot {
-            name: name.to_string(),
-            state: ThreadState::Running,
-            ws_token: false,
-            parker: Arc::clone(&parker),
-        };
-        let tid;
-        {
-            let mut s = self.inner.sched.lock();
-            // Reuse the slot of an exited vthread when there is one. A tid
-            // the previous owner left behind in some wait list can then only
-            // earn the new owner a token or a wake-up it did not need, and
-            // every wait re-checks its condition.
-            match s.free.pop() {
-                Some(t) => {
-                    s.threads[t] = slot;
-                    tid = t;
-                }
-                None => {
-                    tid = s.threads.len();
-                    s.threads.push(slot);
-                }
-            }
-            s.running_real += 1;
-            s.live += 1;
-        }
-        self.inner.handoffs.spawns.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::new(JoinShared {
             result: Mutex::new(None),
             cv: Condvar::new(),
             done: AtomicBool::new(false),
             ws: WaitSet::new(self),
         });
+        let joined = Arc::clone(&shared);
+        let machine = self.clone();
+        let start_carrier = {
+            let mut s = self.inner.sched.lock();
+            // Reuse the slot of an exited vthread when there is one. A tid
+            // the previous owner left behind in some wait list can then only
+            // earn the new owner a token or a wake-up it did not need, and
+            // every wait re-checks its condition.
+            let tid = s.free.pop().unwrap_or(s.threads.len());
+            let slot = ThreadSlot {
+                name: name.to_string(),
+                state: ThreadState::Running,
+                ws_token: false,
+                start: Some(Box::new(move || {
+                    vthread_main(SimCtx { machine, tid }, f, &joined)
+                })),
+            };
+            if tid == s.threads.len() {
+                s.threads.push(slot);
+            } else {
+                s.threads[tid] = slot;
+            }
+            s.running_real += 1;
+            s.live += 1;
+            s.ready.push_back(tid);
+            let absent = s.carrier == CarrierState::Absent;
+            if absent {
+                s.carrier = CarrierState::Busy;
+            } else {
+                self.inner.rouse_carrier(&mut s);
+            }
+            absent
+        };
+        self.inner.handoffs.spawns.fetch_add(1, Ordering::Relaxed);
+        if start_carrier {
+            let inner = Arc::clone(&self.inner);
+            // Detached: the carrier exits by itself once no vthread is live,
+            // and its own code panics only on a broken scheduler invariant
+            // (a vthread's panic is caught on the vthread's stack).
+            std::thread::Builder::new()
+                .name("vt-carrier".to_string())
+                .spawn(move || carrier_main(&inner))
+                .expect("failed to start a carrier thread");
+        }
+        JoinHandle { shared }
+    }
+}
+
+/// A vthread's whole life on its coroutine: the user closure, the result
+/// handed to the joiner, and leaving the scheduler.
+fn vthread_main<T, F>(ctx: SimCtx, f: F, shared: &JoinShared<T>)
+where
+    F: FnOnce(&SimCtx) -> T,
+{
+    let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
+    *shared.result.lock() = Some(result);
+    shared.done.store(true, Ordering::Release);
+    shared.cv.notify_all();
+    shared.ws.notify_all();
+    let inner = &ctx.machine.inner;
+    let mut s = inner.sched.lock();
+    s.threads[ctx.tid].state = ThreadState::Exited;
+    s.free.push(ctx.tid);
+    s.running_real -= 1;
+    s.live -= 1;
+    if s.running_real == 0 {
+        inner.drive(&mut s);
+    }
+}
+
+/// The carrier thread: resumes ready vthreads one at a time, in `ready`
+/// order, until none is live. The vthread that stops last (parks or exits)
+/// has already driven the clock, so with nothing ready nothing is pending in
+/// virtual time either: every live vthread waits for input from outside the
+/// machine, and the carrier sleeps on `input` until it comes.
+fn carrier_main(inner: &Arc<MachineInner>) {
+    let mut coros = coro::Carrier::default();
+    let mut s = inner.sched.lock();
+    loop {
+        let Some(tid) = s.ready.pop_front() else {
+            if s.live == 0 {
+                s.carrier = CarrierState::Absent;
+                return;
+            }
+            debug_assert_eq!(s.running_real, 0, "nothing ready, nothing running");
+            s.carrier = CarrierState::Idle;
+            inner.input.wait(&mut s);
+            s.carrier = CarrierState::Busy;
+            continue;
+        };
+        let start = s.threads[tid].start.take();
+        drop(s);
         let ctx = SimCtx {
-            machine: self.clone(),
+            machine: Machine {
+                inner: Arc::clone(inner),
+            },
             tid,
         };
-        let shared2 = Arc::clone(&shared);
-        let inner = Arc::clone(&self.inner);
-        std::thread::Builder::new()
-            .name(format!("vt-{name}"))
-            .stack_size(256 * 1024)
-            .spawn(move || {
-                parker.bind_current();
-                CURRENT.with(|c| *c.borrow_mut() = Some(ctx.clone()));
-                let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-                CURRENT.with(|c| *c.borrow_mut() = None);
-                *shared2.result.lock() = Some(result);
-                shared2.done.store(true, Ordering::Release);
-                shared2.cv.notify_all();
-                shared2.ws.notify_all();
-                let mut s = inner.sched.lock();
-                s.threads[tid].state = ThreadState::Exited;
-                s.free.push(tid);
-                s.running_real -= 1;
-                s.live -= 1;
-                if s.running_real == 0 {
-                    inner.drive(&mut s);
-                }
-            })
-            .expect("failed to spawn vthread carrier");
-        JoinHandle { shared }
+        CURRENT.with(|c| *c.borrow_mut() = Some(ctx));
+        coros.run(tid, start);
+        s = inner.sched.lock();
     }
 }
 
@@ -947,7 +1022,7 @@ mod tests {
             m.spawn(&format!("w{i}"), |ctx| ctx.charge(CostKind::Misc, 10.0))
                 .join()
                 .unwrap();
-            // The slot is freed in the carrier's last step, after the result
+            // The slot is freed in the vthread's last step, after the result
             // is published: wait for it so the next spawn finds it.
             while m.live_threads() > 0 {
                 std::thread::yield_now();
@@ -993,14 +1068,232 @@ mod tests {
         second.join().unwrap();
     }
 
+    fn wait_until(mut cond: impl FnMut() -> bool) {
+        while !cond() {
+            std::thread::yield_now();
+        }
+    }
+
+    fn carrier_is(m: &Machine, state: CarrierState) -> bool {
+        m.inner.sched.lock().carrier == state
+    }
+
+    #[test]
+    fn an_external_spawn_rouses_an_idle_carrier() {
+        let m = machine(1);
+        let ws = WaitSet::new(&m);
+        let go = Arc::new(AtomicBool::new(false));
+        let (w, g) = (ws.clone(), Arc::clone(&go));
+        let waiter = m.spawn("waiter", move |_| {
+            w.wait_until(|| g.load(Ordering::Acquire))
+        });
+        // The waiter is parked and nothing is pending: the carrier sleeps
+        // until a thread outside the machine gives it work.
+        wait_until(|| carrier_is(&m, CarrierState::Idle));
+        let late = m.spawn("late", |ctx| {
+            ctx.charge(CostKind::Misc, 1e3);
+            5
+        });
+        assert_eq!(late.join().unwrap(), 5);
+        assert!(!waiter.is_finished());
+        go.store(true, Ordering::Release);
+        ws.notify_all();
+        waiter.join().unwrap();
+    }
+
+    #[test]
+    fn the_carrier_exits_with_its_last_vthread_and_a_spawn_starts_another() {
+        let m = machine(2);
+        let carrier_of = |m: &Machine| {
+            m.spawn("w", |ctx| {
+                ctx.charge(CostKind::Misc, 1e3);
+                std::thread::current().id()
+            })
+            .join()
+            .unwrap()
+        };
+        let first = carrier_of(&m);
+        wait_until(|| carrier_is(&m, CarrierState::Absent));
+        assert_eq!(m.live_threads(), 0);
+        let second = carrier_of(&m);
+        assert_ne!(first, second, "a new carrier thread");
+        // Vthreads spawned while a carrier runs share it.
+        let outer = m.spawn("outer", |ctx| {
+            let inner = ctx
+                .machine()
+                .spawn("inner", |_| std::thread::current().id());
+            (std::thread::current().id(), inner.join().unwrap())
+        });
+        let (a, b) = outer.join().unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn ten_thousand_concurrent_vthreads_reuse_their_stacks() {
+        const N: usize = 10_000;
+        let m = machine(8);
+        // One parent runs both rounds, so one carrier does and keeps the
+        // first round's stacks for the second.
+        let rounds = spawn_batch(&m, 1, |_, ctx| {
+            (0..2)
+                .map(|_| {
+                    // All N are live at once: the parent spawns them without
+                    // parking, and each parks on its charge before any ends.
+                    let hs: Vec<_> = (0..N)
+                        .map(|i| {
+                            ctx.machine().spawn(&format!("w{i}"), move |c| {
+                                c.charge(CostKind::Misc, 1e3 + (i % 7) as f64);
+                                // Where this frame sits: the same offset into
+                                // whichever stack the vthread got.
+                                let probe = 0u8;
+                                std::hint::black_box(&probe) as *const u8 as usize
+                            })
+                        })
+                        .collect();
+                    let mut frames: Vec<usize> =
+                        hs.into_iter().map(|h| h.join().unwrap()).collect();
+                    frames.sort_unstable();
+                    frames
+                })
+                .collect::<Vec<_>>()
+        })
+        .remove(0);
+        let distinct = |f: &[usize]| f.windows(2).filter(|w| w[0] != w[1]).count() + 1;
+        assert_eq!(distinct(&rounds[0]), N, "one stack each");
+        assert_eq!(
+            rounds[0], rounds[1],
+            "the second round ran on the first round's stacks"
+        );
+        let gap = rounds[0].windows(2).map(|w| w[1] - w[0]).min().unwrap();
+        assert!(gap >= coro::STACK_SIZE, "stacks {gap} bytes apart");
+    }
+
+    #[test]
+    fn a_deep_panic_reaches_join_and_the_machine_runs_on() {
+        fn dive(ctx: &SimCtx, depth: u32) -> u32 {
+            if depth == 0 {
+                ctx.charge(CostKind::Misc, 1e3);
+                panic!("bottom of the stack");
+            }
+            let mut pad = [depth; 64];
+            pad[depth as usize % 64] += dive(ctx, depth - 1);
+            std::hint::black_box(pad)[0]
+        }
+        let m = machine(2);
+        let ws = WaitSet::new(&m);
+        let go = Arc::new(AtomicBool::new(false));
+        let (w, g) = (ws.clone(), Arc::clone(&go));
+        let sibling = m.spawn("sibling", move |ctx| {
+            w.wait_until(|| g.load(Ordering::Acquire));
+            ctx.charge(CostKind::Misc, 1e3);
+            7
+        });
+        let err = m.spawn("diver", |ctx| dive(ctx, 200)).join().unwrap_err();
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"bottom of the stack"));
+        go.store(true, Ordering::Release);
+        ws.notify_all();
+        assert_eq!(sibling.join().unwrap(), 7);
+        assert_eq!(m.spawn("after", |_| 8).join().unwrap(), 8);
+    }
+
+    #[test]
+    fn a_vthread_joins_a_vthread_of_another_machine() {
+        let (a, b) = (machine(1), machine(1));
+        let b2 = b.clone();
+        let outer = a.spawn("outer", move |ctx| {
+            let inner = b2.spawn("inner", |c| {
+                c.charge(CostKind::Misc, 1e6);
+                41
+            });
+            // Another machine's vthread is external to this one: the join
+            // blocks this carrier in real time, and this clock stays put.
+            let v = inner.join().unwrap() + 1;
+            (v, ctx.machine().now_ns())
+        });
+        assert_eq!(outer.join().unwrap(), (42, 0.0));
+        assert!((b.now_ns() - 1e6).abs() < 10.0);
+    }
+
+    #[test]
+    fn vthreads_woken_at_one_instant_run_in_the_same_order_every_time() {
+        let order = || {
+            let m = machine(4);
+            let ws = WaitSet::new(&m);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let (w, l) = (ws.clone(), Arc::clone(&log));
+            spawn_batch(&m, 65, move |i, ctx| {
+                if i == 64 {
+                    // Notify once every waiter has registered, all at one
+                    // instant.
+                    ctx.sleep(1e6);
+                    w.notify_all();
+                    return;
+                }
+                // Register in an order no tid gives away.
+                ctx.charge(CostKind::Misc, 1e3 * ((i * 37) % 64 + 1) as f64);
+                let mut woken = false;
+                w.wait_until(|| std::mem::replace(&mut woken, true));
+                l.lock().push(i);
+                // Ties inside the processor-sharing heap, too.
+                ctx.charge(CostKind::Misc, 1e3);
+                l.lock().push(100 + i);
+            });
+            let log = log.lock().clone();
+            log
+        };
+        let first = order();
+        assert_eq!(first.len(), 128);
+        for run in 1..5 {
+            assert_eq!(order(), first, "run {run}");
+        }
+    }
+
+    #[test]
+    fn external_notifies_and_pushes_land_while_the_carrier_is_busy() {
+        let m = machine(2);
+        let q = crate::SimQueue::unbounded(&m);
+        let ws = WaitSet::new(&m);
+        let flag = Arc::new(AtomicBool::new(false));
+        let q2 = q.clone();
+        let popper = m.spawn("popper", move |_| q2.pop());
+        let (w, f) = (ws.clone(), Arc::clone(&flag));
+        let waiter = m.spawn("waiter", move |_| {
+            w.wait_until(|| f.load(Ordering::Acquire))
+        });
+        wait_until(|| m.handoff_counts().parks == 2);
+        // A vthread that runs until this thread says so: the carrier is busy
+        // for as long as the push and the notify take.
+        let (spinning, released) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let (s, r) = (Arc::clone(&spinning), Arc::clone(&released));
+        let spinner = m.spawn("spinner", move |_| {
+            s.store(true, Ordering::Release);
+            while !r.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+        });
+        wait_until(|| spinning.load(Ordering::Acquire));
+        assert!(carrier_is(&m, CarrierState::Busy));
+        q.push(7u32).unwrap();
+        flag.store(true, Ordering::Release);
+        ws.notify_all();
+        assert_eq!(m.inner.sched.lock().ready.len(), 2, "both made ready");
+        released.store(true, Ordering::Release);
+        spinner.join().unwrap();
+        assert_eq!(popper.join().unwrap(), Some(7));
+        waiter.join().unwrap();
+    }
+
     #[test]
     fn dump_threads_reports_states() {
         let m = machine(1);
         let h = m.spawn("worker", |ctx| ctx.charge(CostKind::Misc, 1e3));
         h.join().unwrap();
         // join() returns when the result is published; the state flips to
-        // Exited in the carrier thread's final step immediately after —
-        // poll briefly to avoid racing that last transition.
+        // Exited in the vthread's final step immediately after — poll
+        // briefly to avoid racing that last transition.
         for _ in 0..200 {
             if m.live_threads() == 0 {
                 break;

@@ -26,7 +26,7 @@
 //! * No wake-up is lost: registration and the state change are ordered by the
 //!   queue mutex, and the wake-up itself goes through
 //!   `MachineInner::notify_tids`, which under the scheduler lock either
-//!   unparks a parked waiter or leaves it a token that makes its next park
+//!   makes a parked waiter ready or leaves it a token that makes its next park
 //!   return at once (the register → park race of `waitset.rs`).
 //! * A woken waiter may find nothing to do — a `try_pop` or a later arrival
 //!   got there first, or the token that ended its park was posted for an
@@ -441,8 +441,9 @@ mod tests {
         assert_eq!(all, expect);
     }
 
-    /// Lost wake-ups depend on the real-time schedule: run a scenario often
-    /// enough for the carriers to interleave differently.
+    /// Lost wake-ups depend on the schedule: run a scenario often enough for
+    /// the spawns from the test thread to meet the carrier at different
+    /// points.
     const SCHEDULE_RUNS: usize = 200;
 
     fn wait_until(mut cond: impl FnMut() -> bool) {

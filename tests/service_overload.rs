@@ -3,8 +3,8 @@
 //! routing policy, weighted tenant lockout, bind errors surfacing as
 //! per-query error outcomes, a lone closed-loop client repeating exactly —
 //! with star queries and with dimension-less ones, which ride the same
-//! stage — and the health monitor parking on an idle engine whose stage
-//! stays built.
+//! stage — sixteen clients repeating exactly too, and the health monitor
+//! parking on an idle engine whose stage stays built.
 
 use std::sync::OnceLock;
 
@@ -216,6 +216,53 @@ fn lone_closed_loop_client_repeats_bit_for_bit() {
         assert_eq!(
             again.p99_latency_secs.to_bits(),
             first.p99_latency_secs.to_bits()
+        );
+    }
+}
+
+#[test]
+fn sixteen_closed_loop_clients_repeat_bit_for_bit() {
+    // Sixteen clients on 8 cores: queries join scans in flight and wait in
+    // admission windows, so every run is full of vthreads made ready at one
+    // virtual instant. The machine resumes them one at a time in the order
+    // they were woken, and the harness reads the machine's counters at the
+    // instant the last client finishes, so one seed gives one report. (When
+    // the host's scheduler picked the order, no two runs agreed.)
+    let mut cfg = RunConfig::governed(ExecPolicy::Adaptive);
+    cfg.cores = 8;
+    let run = || {
+        run_service(ssb(), &cfg, "lineorder", load(16, 1, 0.03), |id, rng| {
+            match id % 3 {
+                0 => workload::ssb_q1_1(id, rng),
+                1 => workload::ssb_q2_1(id, rng),
+                _ => workload::ssb_q3_2(id, rng),
+            }
+        })
+    };
+    let first = run();
+    assert!(first.completed >= 100, "{first:?}");
+    assert!(first.is_conserved(), "{first:?}");
+    for _ in 0..2 {
+        let again = run();
+        assert_eq!(again.completed, first.completed);
+        assert_eq!(
+            again.p50_latency_secs.to_bits(),
+            first.p50_latency_secs.to_bits(),
+            "p50 {} vs {}",
+            again.p50_latency_secs,
+            first.p50_latency_secs
+        );
+        assert_eq!(
+            again.p99_latency_secs.to_bits(),
+            first.p99_latency_secs.to_bits(),
+            "p99 {} vs {}",
+            again.p99_latency_secs,
+            first.p99_latency_secs
+        );
+        assert_eq!(again.cpu, first.cpu);
+        assert_eq!(
+            again.avg_cores_used.to_bits(),
+            first.avg_cores_used.to_bits()
         );
     }
 }
