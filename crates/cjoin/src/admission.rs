@@ -23,8 +23,8 @@
 //! however many stages — over one `(dimension table, pk column)` pair. The
 //! unit scans the dimension once, evaluates every predicate per decoded
 //! page via [`Predicate::eval_batch_multi`], and stages one merged
-//! [`DimEntry`] insert per selected row **per stage filter**, delivered
-//! as a single filter-epoch publish per stage ([`crate::epoch`]).
+//! [`DimEntry`] insert per selected row **per stage filter**, merged into
+//! the stage's filters in one in-place mutation per stage.
 
 // Atomics come through the swappable sync layer: `run_scan_unit` shares
 // page counters with the fabric, whose `--cfg interleave` build swaps the
@@ -42,9 +42,7 @@ use workshare_storage::{StorageError, TableId};
 
 use crate::filter::DimEntry;
 use crate::memo::{MemoHit, Selected};
-use crate::stage::{
-    activate_query, alloc_slot, locate_filter, release_slot, Admission, StageInner,
-};
+use crate::stage::{activate_query, Admission, StageInner};
 use crate::window::ScanAttempt;
 
 /// One pending query's participation in a shared admission scan.
@@ -117,7 +115,7 @@ pub(crate) fn fold_dim_selectivity(inner: &StageInner, dim: TableId, sample: f64
 }
 
 /// Phase 1 of a shared admission batch: slots, shared-filter registration
-/// and `referencing` bits for the whole batch under one epoch publish, plus
+/// and `referencing` bits for the whole batch in one state mutation, plus
 /// the batch-fixed and per-query bookkeeping charges. `referencing` is
 /// idempotent per scan; the slots are not active yet, so no in-flight page
 /// carries their bits.
@@ -154,16 +152,14 @@ pub(crate) fn prepare_batch(
     let mut slots = Vec::with_capacity(pending.len());
     let mut dim_filters: Vec<Vec<(usize, Vec<usize>)>> = Vec::with_capacity(pending.len());
     let mut parts: Vec<LocalPart> = Vec::new();
-    inner.mutate_epoch(|control, epoch| {
+    inner.mutate_state(|state| {
         for (qi, adm) in pending.iter().enumerate() {
-            let slot = alloc_slot(control, &inner.wrap);
+            let slot = state.alloc_slot(&inner.wrap);
             let mut dfs = Vec::with_capacity(adm.query.dims.len());
             for (k, dj) in adm.query.dims.iter().enumerate() {
                 let (dim_t, fk_idx, pk_idx) = metas[qi][k];
-                let fi = locate_filter(control, epoch, dim_t, fk_idx, pk_idx);
-                Arc::make_mut(&mut epoch.filters[fi])
-                    .referencing
-                    .set(slot as usize);
+                let fi = state.locate_filter(dim_t, fk_idx, pk_idx);
+                state.filter_mut(fi).referencing.set(slot as usize);
                 parts.push(LocalPart {
                     fi,
                     dim: dim_t,
@@ -226,9 +222,9 @@ pub(crate) const SCAN_STALL_NS: f64 = 8_000_000.0;
 /// Each page is decoded once, all predicates are evaluated over it in one
 /// pass into a per-query selection bank, and each selected row is staged as
 /// one merged insert per `(stage, filter)` carrying every selecting query's
-/// slot bit. Staged inserts are merged into each stage's live filters via a
-/// single epoch publish per stage at the end of the scan (no virtual-time
-/// operation happens while the writer lock is held).
+/// slot bit. Staged inserts are merged into each stage's live filters in
+/// one state mutation per stage at the end of the scan (no virtual-time
+/// operation happens while the state lock is held).
 ///
 /// `pages` restricts the scan to a page subrange: the fabric partitions a
 /// large unit across parallel subscans (dimension primary keys are unique,
@@ -395,22 +391,20 @@ pub(crate) fn run_scan_unit(
                 .fetch_add(rows_scanned * count, Ordering::Relaxed);
         }
     }
-    // One epoch publish per participating stage: merge its staged entries
-    // into a copy of the live filters and swap it in. Entries merge
-    // *before* the batch's slots activate (`activate_batch` sets the
-    // scan-visible bits afterwards) — the publish-entries-then-activate
-    // order model-checked on [`crate::epoch::EpochFilterSpec`] by
-    // `tests/interleave_core.rs`.
+    // One state mutation per participating stage: merge its staged
+    // entries into the live filters in place. Entries merge *before* the
+    // batch's slots activate (`activate_batch` sets the scan-visible bits
+    // afterwards): entries-then-activate.
     for (si, stage) in stages.iter().enumerate() {
         if !buckets.iter().any(|((s, _), _)| *s == si) {
             continue;
         }
-        stage.mutate_epoch(|_, e| {
+        stage.mutate_state(|state| {
             for ((bs, fi), entries) in
                 buckets.iter_mut().filter(|((s, _), _)| *s == si)
             {
                 debug_assert_eq!(*bs, si);
-                let filter = Arc::make_mut(&mut e.filters[*fi]);
+                let filter = state.filter_mut(*fi);
                 for (key, row, bits) in entries.drain(..) {
                     match filter.hash.entry(key) {
                         std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -435,8 +429,8 @@ pub(crate) fn run_scan_unit(
 /// scan. One charge on the window's worker — the filter writer lock plus the
 /// hash insert / bit-extend of each selected row, per part — then, per
 /// stage, the logical counters a scan keeps (`admission_dim_rows`, one
-/// `selected ÷ rows` selectivity sample per part) and **one** epoch publish.
-/// Runs before [`activate_batch`], like any scan's publish.
+/// `selected ÷ rows` selectivity sample per part) and **one** state mutation.
+/// Runs before [`activate_batch`], like any scan's merge.
 pub(crate) fn stage_memo_hits(ctx: &SimCtx, stages: &[&StageInner], hits: &[MemoPart]) {
     let cost = &stages[hits[0].part.stage_idx].cost;
     let selected: usize = hits.iter().map(|h| h.hit.selected.len()).sum();
@@ -458,9 +452,9 @@ pub(crate) fn stage_memo_hits(ctx: &SimCtx, stages: &[&StageInner], hits: &[Memo
                 fold_dim_selectivity(stage, h.dim, sample);
             }
         }
-        stage.mutate_epoch(|_, e| {
+        stage.mutate_state(|state| {
             for h in mine() {
-                let filter = Arc::make_mut(&mut e.filters[h.part.fi]);
+                let filter = state.filter_mut(h.part.fi);
                 for (key, row) in h.hit.selected.iter() {
                     let entry = filter.hash.entry(*key).or_insert_with(|| DimEntry {
                         row: Arc::clone(row),
@@ -478,8 +472,7 @@ pub(crate) fn stage_memo_hits(ctx: &SimCtx, stages: &[&StageInner], hits: &[Memo
 /// Must run strictly after [`run_scan_unit`] has merged the batch's staged
 /// filter entries: activation is what lets in-flight pages route rows to
 /// these slots, so activating first would let a page probe a filter whose
-/// entries aren't published yet (the `ActivateBeforePublish` mutation of
-/// [`crate::epoch::EpochFilterSpec`], caught by `tests/interleave_core.rs`).
+/// entries aren't merged yet, and the query would lose those rows.
 pub(crate) fn activate_batch(inner: &StageInner, prepared: PreparedBatch) {
     let PreparedBatch {
         pending,
@@ -498,7 +491,7 @@ pub(crate) fn activate_batch(inner: &StageInner, prepared: PreparedBatch) {
 /// thread:
 ///
 /// 1. Slot allocation and shared-filter registration for the whole batch
-///    under one epoch publish ([`prepare_batch`]).
+///    in one state mutation ([`prepare_batch`]).
 /// 2. One physical scan per distinct dimension table referenced by the
 ///    batch, evaluating *all* pending predicates against each decoded page
 ///    ([`run_scan_unit`]).
@@ -549,9 +542,9 @@ pub(crate) fn admit_batch_shared(inner: &StageInner, ctx: &SimCtx, pending: Vec<
 /// an *error*, never an abort or a stuck ticket.
 pub(crate) fn fail_batch(inner: &StageInner, prepared: PreparedBatch, msg: &str) {
     let PreparedBatch { pending, slots, .. } = prepared;
-    inner.mutate_epoch(|control, epoch| {
+    inner.mutate_state(|state| {
         for &slot in &slots {
-            release_slot(control, epoch, slot);
+            state.release_slot(slot);
         }
     });
     if let Some(h) = &inner.health {
@@ -579,12 +572,7 @@ pub(crate) fn admit_batch_serial(inner: &StageInner, ctx: &SimCtx, pending: Vec<
             inner.cost.admission_query_fixed_ns / 10.0,
         );
         let q = &adm.query;
-        // Allocation touches only the control plane — no epoch publish
-        // needed until the filters actually change below.
-        let slot = {
-            let mut c = inner.control.lock();
-            alloc_slot(&mut c, &inner.wrap)
-        };
+        let slot = inner.mutate_state(|state| state.alloc_slot(&inner.wrap));
         let mut dim_filters = Vec::with_capacity(q.dims.len());
         // A typed storage fault mid-scan fails *this* query (the serial
         // path's blast radius is one query): its partial filter
@@ -596,14 +584,12 @@ pub(crate) fn admit_batch_serial(inner: &StageInner, ctx: &SimCtx, pending: Vec<
             let fact_schema = inner.storage.schema(inner.fact);
             let fk_idx = fact_schema.col(&dj.fact_fk);
             let pk_idx = dim_schema.col(&dj.dim_pk);
-            let fi = inner.mutate_epoch(|control, epoch| {
-                let fi = locate_filter(control, epoch, dim_t, fk_idx, pk_idx);
+            let fi = inner.mutate_state(|state| {
+                let fi = state.locate_filter(dim_t, fk_idx, pk_idx);
                 // `referencing` is idempotent per scan: set once up front
                 // instead of once per page. The slot is not active yet, so
                 // no in-flight page carries its bit.
-                Arc::make_mut(&mut epoch.filters[fi])
-                    .referencing
-                    .set(slot as usize);
+                state.filter_mut(fi).referencing.set(slot as usize);
                 fi
             });
             // Scan the dimension table, evaluate this query's predicate,
@@ -654,10 +640,10 @@ pub(crate) fn admit_batch_serial(inner: &StageInner, ctx: &SimCtx, pending: Vec<
             inner
                 .admission_dim_pages
                 .fetch_add(npages as u64, Ordering::Relaxed);
-            // One epoch publish per scan: merge the staged entries instead
-            // of publishing once per page.
-            inner.mutate_epoch(|_, epoch| {
-                let filter = Arc::make_mut(&mut epoch.filters[fi]);
+            // One state mutation per scan: merge the staged entries instead
+            // of once per page.
+            inner.mutate_state(|state| {
+                let filter = state.filter_mut(fi);
                 for (key, row) in staged {
                     let entry = filter.hash.entry(key).or_insert_with(|| DimEntry {
                         row: Arc::new(row),
@@ -669,9 +655,7 @@ pub(crate) fn admit_batch_serial(inner: &StageInner, ctx: &SimCtx, pending: Vec<
             dim_filters.push((fi, adm.bound.dim_payload_idx[k].clone()));
         }
         if let Some(msg) = failed {
-            inner.mutate_epoch(|control, epoch| {
-                release_slot(control, epoch, slot);
-            });
+            inner.mutate_state(|state| state.release_slot(slot));
             if let Some(h) = &inner.health {
                 h.count_batch_failed(1);
             }

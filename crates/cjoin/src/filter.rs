@@ -48,12 +48,8 @@ use workshare_common::{BitmapBank, QueryBitmap, SelVec, Tuples};
 use workshare_storage::TableId;
 
 /// One dimension tuple admitted into a shared filter: the row payload plus
-/// the bitmap of queries whose dimension predicate selected it. `Clone`
-/// backs the copy-on-write epoch publication in `crate::stage`: a publish
-/// copies each filter core it mutates (`Arc::make_mut`), which is one hash
-/// table allocation plus, per entry, one `Arc` bump and the bitmap — inline
-/// up to 64 query slots, one more allocation per entry above that.
-#[derive(Clone)]
+/// the bitmap of queries whose dimension predicate selected it (inline up
+/// to 64 query slots).
 pub struct DimEntry {
     /// The dimension row (shared with every joined output).
     pub row: Arc<Row>,
@@ -65,11 +61,9 @@ pub struct DimEntry {
 /// `(dimension, fk, pk)` triple): identity plus probe-side state. The
 /// kernels only read `fact_fk_idx` / `hash` / `referencing`; the identity
 /// fields let admission deduplicate filters without a parallel metadata
-/// vector. Shared as `Arc<FilterCore>` inside the epoch-published filter
-/// state ([`crate::epoch`]); `Clone` backs the `Arc::make_mut`
-/// copy-on-write that admission uses to build the next epoch without
-/// blocking readers.
-#[derive(Clone)]
+/// vector. The stage holds each core as the only reference to an
+/// `Arc<FilterCore>` and edits it in place; a core is never copied, so it
+/// is not `Clone`.
 pub struct FilterCore {
     /// The dimension table this filter joins.
     pub dim: TableId,
@@ -85,32 +79,24 @@ pub struct FilterCore {
 }
 
 impl FilterCore {
-    /// Drop query `slot` from the filter behind `core`: clear its
+    /// Drop query `slot` from this filter, in place: clear its
     /// `referencing` bit and its bit in every entry, dropping the entries
-    /// that go empty — copy-on-write, so a core an earlier epoch still
-    /// shares is copied first. When `slot` is the filter's only reference
-    /// every entry goes (an entry's bits are a subset of `referencing`), so
-    /// a fresh empty core with the same identity and `referencing` width
-    /// replaces it instead: the result `retain` would leave, without
-    /// copying a table only to empty it.
-    pub fn release(core: &mut Arc<FilterCore>, slot: usize) {
-        if !core.referencing.get(slot) {
+    /// that go empty. When `slot` is the filter's only reference every
+    /// entry goes (an entry's bits are a subset of `referencing`), so the
+    /// table is swapped for an empty one without walking it: the result
+    /// `retain` would leave.
+    pub fn release(&mut self, slot: usize) {
+        if !self.referencing.get(slot) {
             return;
         }
-        if core.referencing.count_ones() == 1 {
-            debug_assert!(core.hash.values().all(|e| e.bits.iter_ones().all(|q| q == slot)));
-            *core = Arc::new(FilterCore {
-                dim: core.dim,
-                fact_fk_idx: core.fact_fk_idx,
-                dim_pk_idx: core.dim_pk_idx,
-                hash: FxHashMap::default(),
-                referencing: QueryBitmap::zeros(core.referencing.capacity()),
-            });
+        let last = self.referencing.count_ones() == 1;
+        self.referencing.clear(slot);
+        if last {
+            debug_assert!(self.hash.values().all(|e| e.bits.iter_ones().all(|q| q == slot)));
+            self.hash = FxHashMap::default();
             return;
         }
-        let f = Arc::make_mut(core);
-        f.referencing.clear(slot);
-        f.hash.retain(|_, entry| {
+        self.hash.retain(|_, entry| {
             entry.bits.clear(slot);
             entry.bits.any()
         });
@@ -280,11 +266,12 @@ pub fn filter_page_vectorized<T: Tuples + ?Sized>(
 /// ties in insertion order. A filter every query joins goes first and
 /// clears the bits that would otherwise make the narrower filters after it
 /// probe; with one query, or any set of queries referencing every filter,
-/// this is insertion order. The stage computes it once per epoch publish.
-pub(crate) fn probe_order(filters: &[Arc<FilterCore>]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..filters.len()).collect();
+/// this is insertion order. The stage writes it into `order` after every
+/// mutation of its filter state.
+pub(crate) fn probe_order(filters: &[Arc<FilterCore>], order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..filters.len());
     order.sort_by_key(|&fi| std::cmp::Reverse(filters[fi].referencing.count_ones()));
-    order
 }
 
 /// [`filter_page_vectorized`], probing the filters in `order` (a
@@ -654,9 +641,12 @@ mod tests {
             mk_filter(1, 11, &[1, 2]),
             mk_filter(1, 11, &[0, 1, 3]),
         ];
-        assert_eq!(probe_order(&filters), [1, 3, 2, 0]);
+        let mut order = vec![7; 9];
+        probe_order(&filters, &mut order);
+        assert_eq!(order, [1, 3, 2, 0]);
         let one_query: Vec<_> = (0..3).map(|c| mk_filter(c, 13, &[4])).collect();
-        assert_eq!(probe_order(&one_query), [0, 1, 2]);
+        probe_order(&one_query, &mut order);
+        assert_eq!(order, [0, 1, 2]);
     }
 
     #[test]
@@ -826,7 +816,9 @@ mod tests {
                     prop_assert_eq!(pc, vc);
                 }
                 // Any probe order is observably the same page.
-                for order in [probe_order(&filters), (0..filters.len()).rev().collect()] {
+                let mut by_reference = Vec::new();
+                probe_order(&filters, &mut by_reference);
+                for order in [by_reference, (0..filters.len()).rev().collect()] {
                     let (op, _) = SCRATCH.with(|s| {
                         filter_page_in_order(&filters, order, &rows, &members, &mut s.borrow_mut())
                     });
@@ -848,13 +840,13 @@ mod tests {
 
     /// What `release` replaced: clear the slot everywhere, drop empty entries.
     fn retained(f: &FilterCore, slot: usize) -> FilterView {
-        let mut f = f.clone();
-        f.referencing.clear(slot);
-        f.hash.retain(|_, entry| {
-            entry.bits.clear(slot);
-            entry.bits.any()
+        let (dim, fk, pk, mut referencing, mut entries) = view(f);
+        referencing.clear(slot);
+        entries.retain_mut(|(_, _, bits)| {
+            bits.clear(slot);
+            bits.any()
         });
-        view(&f)
+        (dim, fk, pk, referencing, entries)
     }
 
     #[test]
@@ -863,15 +855,14 @@ mod tests {
         // two references, the others the last one.
         for (slots, slot) in [(&[3][..], 3), (&[70], 70), (&[3, 70], 70), (&[3, 4], 3)] {
             let mut f = mk_filter(1, 13, slots);
-            Arc::make_mut(&mut f).dim_pk_idx = 2;
-            let epoch = Arc::clone(&f);
-            let want = retained(&f, slot);
-            FilterCore::release(&mut f, slot);
-            assert_eq!(view(&f), want, "slots {slots:?} releasing {slot}");
+            let f = Arc::get_mut(&mut f).expect("the only reference");
+            f.dim_pk_idx = 2;
+            let want = retained(f, slot);
+            f.release(slot);
+            assert_eq!(view(f), want, "slots {slots:?} releasing {slot}");
             assert_eq!(f.hash.is_empty(), slots.len() == 1);
-            assert!(epoch.referencing.get(slot) && !epoch.hash.is_empty(), "readers keep theirs");
-            FilterCore::release(&mut f, slot);
-            assert_eq!(view(&f), want, "releasing an unreferenced slot changes nothing");
+            f.release(slot);
+            assert_eq!(view(f), want, "releasing an unreferenced slot changes nothing");
         }
     }
 

@@ -50,7 +50,6 @@
 //! one per fact table and keeps it until engine shutdown.
 
 mod admission;
-pub mod epoch;
 pub mod fabric;
 pub mod filter;
 pub mod health;
@@ -59,7 +58,6 @@ mod stage;
 pub mod window;
 pub mod wrap;
 
-pub use epoch::{EpochCell, EpochReader};
 pub use fabric::{AdmissionFabric, FabricStats, UNIT_REDISPATCH_DEADLINE_NS};
 pub use filter::{
     filter_page_scalar, filter_page_vectorized, DimEntry, FilterCore, FilterCounters,

@@ -5,7 +5,7 @@
 //! identical *packets* — SP on the CJOIN stage, §3.2 — applied one level
 //! down, to identical dimension predicates).
 //!
-//! The memo lives **beside** the filter epoch, never inside it: a stage's
+//! The memo lives **beside** the stage's filter state, never inside it: a stage's
 //! filter list is still emptied when its last referencing query finishes
 //! (`release_slot`), so no stale entry is ever probed; a later query with a
 //! remembered predicate has its entries staged from here instead of from a

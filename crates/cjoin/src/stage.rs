@@ -12,7 +12,6 @@ use workshare_common::codec::Page;
 use workshare_common::{CostModel, FaultPlan, Predicate, QueryBitmap, SelVec, StarQuery};
 
 use crate::admission::{admit_batch_serial, admit_batch_shared};
-use crate::epoch::EpochCell;
 use crate::fabric::AdmissionFabric;
 use crate::health::{AdmissionHealth, LadderRung};
 use crate::window::ShardedSlot;
@@ -214,7 +213,8 @@ pub(crate) struct QueryRuntime {
 
 /// Slot capacity of a stage's [`WrapLedger`]. Slots are recycled on query
 /// completion, so this bounds *concurrently resident* queries (active or
-/// mid-admission), not lifetime admissions; [`alloc_slot`] asserts it.
+/// mid-admission), not lifetime admissions; [`GqpState::alloc_slot`]
+/// asserts it.
 /// Sized for the worst observed crowd — the `overload` figure's unbounded
 /// engine holds several thousand queries in flight at 4× capacity —
 /// with generous headroom. Cost is memory only (512 KiB of budget words
@@ -222,40 +222,114 @@ pub(crate) struct QueryRuntime {
 /// high-water mark, not this capacity.
 const WRAP_SLOT_CAPACITY: usize = 65_536;
 
-/// The epoch-published hot-path state: everything the filter workers and
-/// the distributor probe per page. Each published snapshot is immutable;
-/// admission builds the next one copy-on-write (`Arc`-shared filter cores,
-/// [`Arc::make_mut`] on the touched ones) under the control mutex and
-/// publishes it through the stage's [`EpochCell`] as one pointer swap —
-/// the protocol model-checked in [`crate::epoch`]. The former `GqpState`
-/// `RwLock` (read by every worker on every page, written by every
-/// admission) is retired: readers now pay one `Acquire` load per page.
+/// The GQP's shared state, one value mutated in place: the filters the
+/// filter workers probe and the order they probe them in, the runtimes the
+/// distributor routes to, and the admission bookkeeping (slots, filter
+/// index). It lives behind [`StageInner`]'s state mutex and is reached only
+/// through [`StageInner::mutate_state`] and [`StageInner::read_state`].
+///
+/// Every writer is a vthread of the stage's machine, and a machine runs its
+/// vthreads one at a time on one carrier, so no page is ever read while a
+/// writer is half done: a filter worker or distributor part reads the state
+/// as it stands when it pops its page. The mutex is uncontended inside the
+/// machine; it orders the few readers outside it (stats, tests) against the
+/// carrier.
 ///
 /// The active-query mask and per-slot wrap budgets deliberately live
-/// *outside* the epoch, in the stage's atomic [`WrapLedger`] — the
-/// preprocessor mutates them once per fact page, far too hot to re-publish
-/// an epoch for.
-#[derive(Clone, Default)]
-pub(crate) struct FilterEpoch {
+/// *outside* it, in the stage's [`WrapLedger`]: the preprocessor updates
+/// them once per fact page.
+#[derive(Default)]
+pub(crate) struct GqpState {
     pub(crate) filters: Vec<Arc<FilterCore>>,
     /// The order the filter workers probe `filters` in ([`probe_order`]),
-    /// recomputed on every publish.
+    /// recomputed after every mutation.
     pub(crate) probe_order: Vec<usize>,
     pub(crate) queries: FxHashMap<u32, Arc<QueryRuntime>>,
-}
-
-/// The admission control plane: slot bookkeeping plus the filter index.
-/// Off the hot path — only writers (admission, finalize) touch it, under
-/// [`StageInner::control`], which doubles as the epoch writer lock.
-pub(crate) struct GqpControl {
-    /// `(dim, fact_fk_idx, dim_pk_idx)` → index into the epoch's `filters`:
-    /// O(1) shared-filter lookup during admission. Filters are append-only
+    /// `(dim, fact_fk_idx, dim_pk_idx)` → index into `filters`: O(1)
+    /// shared-filter lookup during admission. Filters are append-only
     /// while any query references one, so the indices a query holds are
-    /// stable for its whole life; [`release_slot`] empties both when the
-    /// last reference goes.
+    /// stable for its whole life; [`GqpState::release_slot`] empties both
+    /// when the last reference goes.
     pub(crate) filter_index: FxHashMap<(TableId, usize, usize), usize>,
     pub(crate) free_slots: Vec<u32>,
     pub(crate) next_slot: u32,
+}
+
+impl GqpState {
+    /// Filter `fi`, to edit in place. The kernels borrow the filter list and
+    /// nothing else holds a core, so a second reference is a bug, never a
+    /// copy to make.
+    pub(crate) fn filter_mut(&mut self, fi: usize) -> &mut FilterCore {
+        Arc::get_mut(&mut self.filters[fi]).expect("a filter core is shared outside the stage")
+    }
+
+    /// Allocate a query slot (recycling freed slots first). Slots index the
+    /// stage's fixed-capacity [`WrapLedger`]; the assertion replaces the
+    /// seed's unbounded `active_bits.grow`.
+    pub(crate) fn alloc_slot(&mut self, wrap: &WrapLedger) -> u32 {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            let sl = self.next_slot;
+            self.next_slot += 1;
+            sl
+        });
+        assert!(
+            (slot as usize) < wrap.capacity(),
+            "slot {slot} exceeds the wrap ledger capacity {} — raise WRAP_SLOT_CAPACITY",
+            wrap.capacity()
+        );
+        slot
+    }
+
+    /// Locate or create the shared filter for `(dim, fk, pk)` through the
+    /// keyed filter index — O(1) instead of the former linear scan over
+    /// `filters`.
+    pub(crate) fn locate_filter(
+        &mut self,
+        dim: TableId,
+        fact_fk_idx: usize,
+        dim_pk_idx: usize,
+    ) -> usize {
+        if let Some(&fi) = self.filter_index.get(&(dim, fact_fk_idx, dim_pk_idx)) {
+            return fi;
+        }
+        self.filters.push(Arc::new(FilterCore {
+            dim,
+            fact_fk_idx,
+            dim_pk_idx,
+            hash: FxHashMap::default(),
+            referencing: QueryBitmap::zeros(64),
+        }));
+        let fi = self.filters.len() - 1;
+        self.filter_index.insert((dim, fact_fk_idx, dim_pk_idx), fi);
+        fi
+    }
+
+    /// Remove a never-activated (or failed) slot from the GQP: clear its bit
+    /// from every filter's `referencing` set and entry bitmaps (dropping
+    /// entries that go empty) and release the slot for reuse. Shared by
+    /// `finalize_query`'s cleanup and the admission failure paths' rollback.
+    /// A filter the slot was the only reference of swaps its table for an
+    /// empty one instead of walking it ([`FilterCore::release`]).
+    ///
+    /// A stage nobody references is a fresh stage: when that was the last
+    /// reference to the last referenced filter, the filter list and its
+    /// index are emptied in the same mutation. The vectorized kernel does
+    /// not visit a filter no page member references, but every filter still
+    /// widens each page's match codes and the scalar oracle probes it, so a
+    /// long-lived stage would otherwise carry each dimension any earlier
+    /// query joined. Nothing can hold an index across the reset — admission
+    /// locates a filter and sets its `referencing` bit inside one
+    /// [`StageInner::mutate_state`].
+    pub(crate) fn release_slot(&mut self, slot: u32) {
+        for fi in 0..self.filters.len() {
+            self.filter_mut(fi).release(slot as usize);
+        }
+        if !self.filters.iter().any(|f| f.referencing.any()) {
+            self.filters.clear();
+            self.filter_index.clear();
+        }
+        self.free_slots.push(slot);
+    }
 }
 
 pub(crate) struct Admission {
@@ -314,20 +388,15 @@ pub(crate) struct StageInner {
     pub(crate) config: CjoinConfig,
     pub(crate) fact: TableId,
     pub(crate) fact_pages: u64,
-    /// The epoch-published filter state ([`FilterEpoch`]): hot-path readers
-    /// hold a per-thread [`crate::epoch::EpochReader`] and pay one `Acquire`
-    /// load per page at steady state; writers publish the next snapshot via
-    /// [`StageInner::mutate_epoch`].
-    pub(crate) epoch: EpochCell<FilterEpoch>,
+    /// The GQP's filters, runtimes and slots ([`GqpState`]). Private: a
+    /// guard never leaves [`StageInner::mutate_state`] and
+    /// [`StageInner::read_state`], because a vthread that parked holding it
+    /// would stop its whole machine.
+    state: Mutex<GqpState>,
     /// Lock-free active mask + per-slot wrap budgets ([`crate::wrap`]): the
     /// circular scan's per-page bookkeeping, formerly a `state.write()` on
     /// every fact page.
     pub(crate) wrap: WrapLedger,
-    /// Control plane **and** epoch writer lock: every read-copy-publish of
-    /// `epoch` runs under this mutex ([`StageInner::mutate_epoch`]), so
-    /// concurrent admissions cannot lose each other's updates. Never taken
-    /// on the per-page hot path.
-    pub(crate) control: Mutex<GqpControl>,
     /// Pending admissions awaiting the next batch window, sharded so
     /// concurrent submitters don't serialize on one mutex. The atomic
     /// per-shard drain protocol lives in [`ShardedSlot`] (model-checked by
@@ -396,29 +465,37 @@ impl StageInner {
         }
     }
 
-    /// Read-copy-publish the filter epoch: run `f` over the control plane
-    /// and a clone of the current epoch, then publish the clone as the next
-    /// epoch (one pointer swap, [`EpochCell::publish`]). The control mutex
-    /// serializes writers. The epoch clone copies only the filter list,
-    /// probe order and query map — filter cores are `Arc`-shared — but `f`
-    /// copies each core it mutates ([`Arc::make_mut`]): its whole dimension
-    /// hash table, one allocation for the table plus one per entry only
-    /// when the stage has more than 64 query slots ([`crate::filter::DimEntry`]).
-    /// The readers that drop the last snapshot holding an old core free it.
+    /// Mutate the GQP state in place: run `f` over it under the state lock,
+    /// then recompute the probe order into its existing `Vec`.
     ///
-    /// **No virtual-time operation (charge/emit) may happen inside `f`**:
-    /// the closure runs under the control lock, and a parked holder would
-    /// block admission in real time and freeze the virtual clock.
-    pub(crate) fn mutate_epoch<R>(
-        &self,
-        f: impl FnOnce(&mut GqpControl, &mut FilterEpoch) -> R,
-    ) -> R {
-        let mut control = self.control.lock();
-        let mut next = (*self.epoch.load()).clone();
-        let r = f(&mut control, &mut next);
-        next.probe_order = probe_order(&next.filters);
-        self.epoch.publish(Arc::new(next));
+    /// Only a vthread of the stage's machine may mutate (checked in debug
+    /// builds): the machine runs its vthreads one at a time, so no filter
+    /// worker or distributor part can be reading a page while `f` runs, and
+    /// every page reads the state as it stood when the page was popped.
+    ///
+    /// **No virtual-time operation (charge/sleep/emit) may happen inside
+    /// `f`**: a vthread that parks holding the lock deadlocks its machine's
+    /// carrier the moment any other vthread reads the state.
+    pub(crate) fn mutate_state<R>(&self, f: impl FnOnce(&mut GqpState) -> R) -> R {
+        debug_assert!(
+            self.machine.is_current(),
+            "the GQP state is mutated only by a vthread of the stage's machine"
+        );
+        let mut state = self.state.lock();
+        let r = f(&mut state);
+        let GqpState {
+            filters,
+            probe_order: order,
+            ..
+        } = &mut *state;
+        probe_order(filters, order);
         r
+    }
+
+    /// Read the GQP state: run `f` over it under the state lock. The same
+    /// rule as [`StageInner::mutate_state`]: `f` must not park.
+    pub(crate) fn read_state<R>(&self, f: impl FnOnce(&GqpState) -> R) -> R {
+        f(&self.state.lock())
     }
 }
 
@@ -468,13 +545,8 @@ impl CjoinStage {
             config,
             fact,
             fact_pages: storage.page_count(fact) as u64,
-            epoch: EpochCell::new(FilterEpoch::default()),
+            state: Mutex::new(GqpState::default()),
             wrap: WrapLedger::new(WRAP_SLOT_CAPACITY),
-            control: Mutex::new(GqpControl {
-                filter_index: FxHashMap::default(),
-                free_slots: Vec::new(),
-                next_slot: 0,
-            }),
             pending: ShardedSlot::new(4),
             wake: WaitSet::new(machine),
             worker_q: SimQueue::bounded(machine, PIPELINE_DEPTH),
@@ -585,7 +657,7 @@ impl CjoinStage {
 
     /// Number of queries currently in the GQP.
     pub fn active_queries(&self) -> usize {
-        self.inner.epoch.load().queries.len()
+        self.inner.read_state(|s| s.queries.len())
     }
 
     /// Live workload-shape signals for the sharing governor.
@@ -818,32 +890,25 @@ impl CjoinStage {
                 // tuple (allocations grow to the high-water batch size and
                 // stay).
                 let mut scratch = FilterScratch::default();
-                // Per-thread epoch reader: one `Acquire` version load per
-                // page at steady state; the slot lock is touched only when
-                // an admission published a new epoch.
-                let mut reader = inner.epoch.reader();
                 while let Some(batch) = inner.worker_q.pop() {
                     // Read the page in place, in the parallel tier (each page
                     // is popped by exactly one worker): the kernel reads one
                     // foreign key per tuple and filter straight from the
                     // page bytes, and no row is decoded.
                     let rows = batch.page.rows(&schema);
-                    // Lock-free filter probe: the epoch observed here is at
-                    // least as new as the one whose activation stamped this
-                    // page's members (publish happens-before activate
-                    // happens-before the stamp), so every stamped slot's
-                    // entries are present. The epoch carries its probe order,
-                    // computed when it was published.
-                    let (page, counters) = {
-                        let epoch = reader.current(&inner.epoch);
+                    // The kernel runs on the state as it stands: every
+                    // stamped slot was activated after its entries were
+                    // merged (entries-then-activate), and a slot's entries
+                    // stay until its last page is distributed.
+                    let (page, counters) = inner.read_state(|s| {
                         filter_page_in_order(
-                            &epoch.filters,
-                            epoch.probe_order.iter().copied(),
+                            &s.filters,
+                            s.probe_order.iter().copied(),
                             &rows,
                             &batch.members,
                             &mut scratch,
                         )
-                    };
+                    });
                     // Observed skew signal for the governor: this batch's
                     // tuples probed per actual hash probe (key run),
                     // EWMA-folded so shifts in page clustering show up
@@ -901,19 +966,10 @@ impl CjoinStage {
                 let mut slot_sel = SelVec::new();
                 let mut pred_sel = SelVec::new();
                 let schema = inner.storage.schema(inner.fact);
-                // Per-thread epoch reader (see the filter worker): the
-                // runtime snapshot below is lock-free at steady state.
-                let mut reader = inner.epoch.reader();
                 while let Some(batch) = inner.dist_q.pop() {
-                    // Snapshot the runtimes of the member queries.
-                    let runtimes: Vec<Arc<QueryRuntime>> = {
-                        let epoch = reader.current(&inner.epoch);
-                        batch
-                            .members
-                            .iter_ones()
-                            .filter_map(|slot| epoch.queries.get(&(slot as u32)).cloned())
-                            .collect()
-                    };
+                    // The runtimes of the member queries; emitting parks, so
+                    // they are collected before the state lock is let go.
+                    let runtimes = member_runtimes(&inner, &batch.members);
                     let page = &batch.page;
                     let rows = batch.fact.rows(&schema);
                     let mut routed = 0u64;
@@ -992,52 +1048,11 @@ impl CjoinStage {
     }
 }
 
-/// Allocate a query slot (recycling freed slots first). Slots index the
-/// stage's fixed-capacity [`WrapLedger`]; the assertion replaces the seed's
-/// unbounded `active_bits.grow`.
-pub(crate) fn alloc_slot(c: &mut GqpControl, wrap: &WrapLedger) -> u32 {
-    let slot = c.free_slots.pop().unwrap_or_else(|| {
-        let sl = c.next_slot;
-        c.next_slot += 1;
-        sl
-    });
-    assert!(
-        (slot as usize) < wrap.capacity(),
-        "slot {slot} exceeds the wrap ledger capacity {} — raise WRAP_SLOT_CAPACITY",
-        wrap.capacity()
-    );
-    slot
-}
-
-/// Locate or create the shared filter for `(dim, fk, pk)` through the keyed
-/// filter index — O(1) instead of the former linear scan over `filters`.
-pub(crate) fn locate_filter(
-    c: &mut GqpControl,
-    e: &mut FilterEpoch,
-    dim: TableId,
-    fact_fk_idx: usize,
-    dim_pk_idx: usize,
-) -> usize {
-    if let Some(&fi) = c.filter_index.get(&(dim, fact_fk_idx, dim_pk_idx)) {
-        return fi;
-    }
-    e.filters.push(Arc::new(FilterCore {
-        dim,
-        fact_fk_idx,
-        dim_pk_idx,
-        hash: FxHashMap::default(),
-        referencing: QueryBitmap::zeros(64),
-    }));
-    let fi = e.filters.len() - 1;
-    c.filter_index.insert((dim, fact_fk_idx, dim_pk_idx), fi);
-    fi
-}
-
-/// Activate one admitted query: build its runtime, publish it in the
-/// next filter epoch (distributor visibility), then raise its wrap-ledger
-/// bit (preprocessor visibility). The publish is sequenced **before** the
-/// activation — entries-then-activate ([`crate::epoch`]): a scan that
-/// stamps the slot always finds its runtime and filter entries.
+/// Activate one admitted query: insert its runtime into the GQP state
+/// (distributor visibility), then raise its wrap-ledger bit (preprocessor
+/// visibility). The insert is sequenced **before** the activation —
+/// entries-then-activate: a scan that stamps the slot always finds its
+/// runtime and filter entries.
 pub(crate) fn activate_query(
     inner: &StageInner,
     adm: &Admission,
@@ -1056,13 +1071,20 @@ pub(crate) fn activate_query(
         process_left: AtomicU64::new(inner.fact_pages.max(1)),
         fault: Arc::clone(&adm.fault),
     });
-    inner.mutate_epoch(|_, e| {
-        e.queries.insert(slot, Arc::clone(&qrt));
+    inner.mutate_state(|s| {
+        s.queries.insert(slot, Arc::clone(&qrt));
     });
-    // Budget-then-activate inside, publish-then-activate outside: the
-    // `Release` bit-set pairs with the scan's `Acquire` snapshot, carrying
-    // the epoch publish above with it.
     inner.wrap.activate(slot as usize, inner.fact_pages.max(1));
+}
+
+/// The runtimes of the queries whose bits `members` carries.
+fn member_runtimes(inner: &StageInner, members: &QueryBitmap) -> Vec<Arc<QueryRuntime>> {
+    inner.read_state(|s| {
+        members
+            .iter_ones()
+            .filter_map(|slot| s.queries.get(&(slot as u32)).cloned())
+            .collect()
+    })
 }
 
 /// Unrecoverable fact-page fault on the circular scan: set the typed error
@@ -1072,13 +1094,7 @@ pub(crate) fn activate_query(
 /// outcome instead of waiting forever for a page that cannot be read.
 fn fail_fact_page(inner: &Arc<StageInner>, ctx: &SimCtx, msg: &str) {
     let members = inner.wrap.snapshot();
-    let runtimes: Vec<Arc<QueryRuntime>> = {
-        let epoch = inner.epoch.load();
-        members
-            .iter_ones()
-            .filter_map(|slot| epoch.queries.get(&(slot as u32)).cloned())
-            .collect()
-    };
+    let runtimes = member_runtimes(inner, &members);
     for qrt in &runtimes {
         qrt.fault.complete_error(msg);
     }
@@ -1090,32 +1106,6 @@ fn fail_fact_page(inner: &Arc<StageInner>, ctx: &SimCtx, msg: &str) {
     }
 }
 
-/// Remove a never-activated (or failed) slot from the GQP: clear its bit
-/// from every filter's `referencing` set and entry bitmaps (dropping
-/// entries that go empty) and release the slot for reuse. Shared by
-/// `finalize_query`'s cleanup and the admission failure paths' rollback.
-/// A filter the slot was the only reference of gets a fresh empty core
-/// ([`FilterCore::release`]) instead of a copy that would only be emptied.
-///
-/// A stage nobody references is a fresh stage: when that was the last
-/// reference to the last referenced filter, the filter list and its index
-/// are emptied in the same epoch. The vectorized kernel does not visit a
-/// filter no page member references, but every filter still widens each
-/// page's match codes and the scalar oracle probes it, so a long-lived
-/// stage would otherwise carry each dimension any earlier query joined.
-/// Nothing can hold an index across the reset — admission locates a filter
-/// and sets its `referencing` bit inside one [`StageInner::mutate_epoch`].
-pub(crate) fn release_slot(c: &mut GqpControl, e: &mut FilterEpoch, slot: u32) {
-    for f in &mut e.filters {
-        FilterCore::release(f, slot as usize);
-    }
-    if !e.filters.iter().any(|f| f.referencing.any()) {
-        e.filters.clear();
-        c.filter_index.clear();
-    }
-    c.free_slots.push(slot);
-}
-
 fn finalize_query(inner: &StageInner, ctx: &SimCtx, qrt: &QueryRuntime) {
     // Flush the tail page and close the packet's output. A fault recorded
     // on the query's cell is the reader's to check once the stream ends.
@@ -1124,12 +1114,11 @@ fn finalize_query(inner: &StageInner, ctx: &SimCtx, qrt: &QueryRuntime) {
         qrt.out.emit(ctx, rest);
     }
     qrt.out.close();
-    // Remove from the GQP: publish an epoch without the query — its bit
-    // cleared from every filter entry, empty entries dropped, the slot
-    // released for reuse.
-    inner.mutate_epoch(|control, epoch| {
-        release_slot(control, epoch, qrt.slot);
-        epoch.queries.remove(&qrt.slot);
+    // Remove from the GQP: its bit cleared from every filter entry, empty
+    // entries dropped, the slot released for reuse.
+    inner.mutate_state(|s| {
+        s.release_slot(qrt.slot);
+        s.queries.remove(&qrt.slot);
     });
     inner.retire_host(qrt.sig, qrt.qid);
     ctx.charge(CostKind::Admission, inner.cost.admission_query_fixed_ns / 4.0);
@@ -1259,10 +1248,15 @@ pub(crate) mod tests {
 
     /// Reference evaluation with plain nested loops.
     fn expected(a_even_only: bool) -> Vec<Row> {
+        expected_over(10, a_even_only)
+    }
+
+    /// [`expected`] over a `dima` of `dima_rows` rows.
+    fn expected_over(dima_rows: i64, a_even_only: bool) -> Vec<Row> {
         use std::collections::BTreeMap;
         let mut groups: BTreeMap<(String, String), f64> = BTreeMap::new();
         for i in 0..3000i64 {
-            let a = i % 10;
+            let a = i % dima_rows;
             let b = i % 7;
             let atag = format!("a{}", a % 2);
             let btag = format!("b{}", b % 2);
@@ -1458,7 +1452,7 @@ pub(crate) mod tests {
     fn a_reused_stage_probes_no_stale_filter() {
         // Run `q` alone on `stage`, to completion. Returns its rows, the
         // Hashing + Join CPU spent meanwhile, and how many filters the
-        // epoch that held it active carried.
+        // state held while it was active.
         fn run_alone(m: &Machine, stage: &CjoinStage, q: StarQuery) -> (Vec<Row>, f64, usize) {
             let cpu0 = m.cpu_breakdown();
             let st = stage.clone();
@@ -1471,15 +1465,17 @@ pub(crate) mod tests {
                         run_aggregate(ctx, outp.reader, &bound, &order, &cost)
                     });
                     let filters = loop {
-                        let e = st.inner.epoch.load();
-                        if !e.queries.is_empty() {
-                            break e.filters.len();
+                        let active = st.inner.read_state(|s| {
+                            (!s.queries.is_empty()).then_some(s.filters.len())
+                        });
+                        if let Some(filters) = active {
+                            break filters;
                         }
                         ctx.sleep(10_000.0);
                     };
                     let rows = agg.join().unwrap();
                     // Finalisation drops the query and releases its slot in
-                    // one epoch, after it closed the stream.
+                    // one mutation, after it closed the stream.
                     while st.active_queries() > 0 {
                         ctx.sleep(10_000.0);
                     }
@@ -1548,27 +1544,42 @@ pub(crate) mod tests {
         );
     }
 
+    #[test]
+    fn a_query_admitted_while_its_dimension_is_scanned_misses_no_row() {
+        // A 1 000-row `dima` spans several pages, so the second query's
+        // admission scan takes virtual time while the first query's fact
+        // pages flow. Its entries are merged before its slot activates;
+        // activating first would stamp pages that probe a filter missing
+        // its keys, and the query would lose their rows.
+        let queries = vec![query(1, false), query(2, true)];
+        let (res, _, _) =
+            run_queries_on(setup_sized(1000, 7), CjoinConfig::default(), queries, 2e5);
+        assert_eq!(res[0], expected_over(1000, false));
+        assert_eq!(res[1], expected_over(1000, true));
+    }
+
     /// Canonical view of a stage's shared-filter state: per filter, the
     /// referencing slots plus every entry's key, row, and selecting slots.
     #[allow(clippy::type_complexity)]
     fn filter_snapshot(
         stage: &CjoinStage,
     ) -> Vec<(Vec<usize>, std::collections::BTreeMap<i64, (Row, Vec<usize>)>)> {
-        let e = stage.inner.epoch.load();
-        e.filters
-            .iter()
-            .map(|f| {
-                (
-                    f.referencing.iter_ones().collect(),
-                    f.hash
-                        .iter()
-                        .map(|(k, e)| {
-                            ((*k), ((*e.row).clone(), e.bits.iter_ones().collect()))
-                        })
-                        .collect(),
-                )
-            })
-            .collect()
+        stage.inner.read_state(|s| {
+            s.filters
+                .iter()
+                .map(|f| {
+                    (
+                        f.referencing.iter_ones().collect(),
+                        f.hash
+                            .iter()
+                            .map(|(k, e)| {
+                                ((*k), ((*e.row).clone(), e.bits.iter_ones().collect()))
+                            })
+                            .collect(),
+                    )
+                })
+                .collect()
+        })
     }
 
     #[test]
@@ -1770,11 +1781,32 @@ pub(crate) mod tests {
             }
             assert_eq!(st.active_queries(), 0);
             // Slots were reused: next_slot never exceeded round count 1.
-            assert!(st.inner.control.lock().next_slot <= 2);
+            assert!(st.inner.read_state(|s| s.next_slot) <= 2);
         })
         .join()
         .unwrap();
         stage.shutdown();
+    }
+
+    #[test]
+    fn only_a_vthread_of_the_stages_machine_mutates_its_state() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (m, sm) = setup();
+        let stage = CjoinStage::new(&m, &sm, "fact", CjoinConfig::default(), CostModel::default());
+        let mutate = |st: &CjoinStage| {
+            catch_unwind(AssertUnwindSafe(|| st.inner.mutate_state(|s| s.next_slot))).is_ok()
+        };
+        let st = stage.clone();
+        let on_its_machine = m.spawn("owner", move |_| mutate(&st)).join().unwrap();
+        let st = stage.clone();
+        let other = Machine::new(MachineConfig::default());
+        let on_another_machine = other.spawn("stranger", move |_| mutate(&st)).join().unwrap();
+        let on_an_os_thread = mutate(&stage);
+        stage.shutdown();
+        assert!(on_its_machine);
+        // The rule is a `debug_assert!`: a release build does not check it.
+        let checked = cfg!(debug_assertions);
+        assert_eq!((on_another_machine, on_an_os_thread), (!checked, !checked));
     }
 
     #[test]

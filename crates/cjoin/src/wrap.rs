@@ -104,9 +104,8 @@ impl WrapLedger {
     }
 
     /// Activate `slot` with a budget of `pages`: budget store first, then
-    /// the `Release` bit-set (budget-then-activate; the caller publishes
-    /// the slot's filter entries even earlier — entries-then-activate,
-    /// [`crate::epoch`]).
+    /// the `Release` bit-set (budget-then-activate; the caller merges the
+    /// slot's filter entries even earlier — entries-then-activate).
     pub fn activate(&self, slot: usize, pages: u64) {
         self.words_hi
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |hi| {
@@ -116,7 +115,7 @@ impl WrapLedger {
         self.emit_left[slot].store(pages, Ordering::Relaxed);
         // `Release` on the bit: an `Acquire` mask read that observes it
         // also observes the budget store above (and, transitively, the
-        // epoch publish sequenced before this call).
+        // filter-entry merge sequenced before this call).
         self.active[slot / 64]
             .fetch_update(Ordering::Release, Ordering::Relaxed, |w| {
                 Some(w | 1u64 << (slot % 64))

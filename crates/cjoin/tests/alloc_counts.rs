@@ -1,11 +1,10 @@
-//! Heap allocations on the shared filter's copy, release and probe paths,
+//! Heap allocations on the shared filter's release and probe paths,
 //! counted by a counting global allocator. The counts are per thread, so
 //! tests running in parallel do not see each other's allocations.
 //!
-//! What is held: an epoch publish copies a filter core with one allocation
-//! for its table, not one per entry, while bitmaps fit one word (≤ 64 query
-//! slots); releasing a filter's last reference copies nothing; a
-//! steady-state page through the vectorized kernel allocates a small
+//! What is held: releasing a query from a filter edits the core in place
+//! and allocates nothing, whether it was the filter's last reference or
+//! not; a steady-state page through the vectorized kernel allocates a small
 //! constant, not one per tuple (the zero-alloc invariant); and a fact page
 //! read in place is filtered and restricted without decoding a row.
 
@@ -73,27 +72,26 @@ fn filter(fk: usize, entries: i64, slot: usize) -> FilterCore {
 }
 
 #[test]
-fn copying_a_filter_of_one_word_entries_allocates_once_for_the_table() {
-    let core = filter(0, 2_000, 5);
-    let (copy, n) = allocations(|| core.clone());
-    assert_eq!(copy.hash.len(), 2_000);
-    assert!(n <= 2, "{n} allocations to copy 2 000 one-word entries");
-    // Above 64 query slots each entry's bitmap is its own allocation, and
-    // the counter sees them.
-    let wide = filter(0, 2_000, 70);
-    let (_, n) = allocations(|| wide.clone());
-    assert!(n > 2_000, "{n} allocations to copy 2 000 two-word entries");
+fn releasing_a_filters_last_reference_copies_no_entry() {
+    let mut core = filter(0, 2_000, 5);
+    let ((), n) = allocations(|| core.release(5));
+    assert!(core.hash.is_empty() && !core.referencing.any());
+    assert_eq!(n, 0, "{n} allocations to release a 2 000-entry filter");
 }
 
 #[test]
-fn releasing_a_filters_last_reference_copies_no_entry() {
-    let mut core = Arc::new(filter(0, 2_000, 5));
-    // A published epoch still shares the core, as a reader's does.
-    let epoch = Arc::clone(&core);
-    let ((), n) = allocations(|| FilterCore::release(&mut core, 5));
-    assert!(core.hash.is_empty() && !core.referencing.any());
-    assert_eq!(epoch.hash.len(), 2_000);
-    assert!(n <= 2, "{n} allocations to release a 2 000-entry filter");
+fn releasing_one_of_two_references_edits_the_filter_in_place() {
+    let mut core = filter(0, 2_000, 5);
+    core.referencing.set(9);
+    for (key, entry) in core.hash.iter_mut() {
+        if key % 2 == 0 {
+            entry.bits.set(9);
+        }
+    }
+    let ((), n) = allocations(|| core.release(5));
+    assert_eq!(core.referencing.iter_ones().collect::<Vec<_>>(), [9]);
+    assert_eq!(core.hash.len(), 1_000, "the entries only slot 5 selected go");
+    assert_eq!(n, 0, "{n} allocations to release one of two references");
 }
 
 #[test]

@@ -9,10 +9,10 @@ use std::ops::{Deref, DerefMut};
 /// A dynamically sized bitmap over query slots.
 ///
 /// A bitmap of one word (up to 64 query slots) lives inline, so cloning
-/// it — a filter entry's bits in an epoch copy, a page's member stamp, a
-/// staged admission entry — allocates nothing; any other width is one heap
-/// slice. Equality, hashing and `Debug` see only the words, never which
-/// form holds them: a bitmap hashes as its `[u64]` word slice.
+/// it — a filter entry's staged bits, a page's member stamp — allocates
+/// nothing; any other width is one heap slice. Equality, hashing and
+/// `Debug` see only the words, never which form holds them: a bitmap
+/// hashes as its `[u64]` word slice.
 #[derive(Clone)]
 pub struct QueryBitmap {
     words: Words,

@@ -232,11 +232,10 @@ impl CostModel {
         let admission_own = self.select_term_vec_ns * s.dim_tuples;
         let admission = self.admission_query_fixed_ns + admission_scan + admission_own;
         // Queueing behind the other in-flight arrivals' *serialized* state
-        // work. With the lock-free filter epoch, the only serialized
-        // per-arrival step is the copy-on-write publish under the writer
-        // lock — the per-page state writes the old RwLock imposed are gone
-        // — so the fixed-term share is a sliver of the fixed admission
-        // charge, not a tenth of it.
+        // work. The only serialized per-arrival step is the in-place
+        // mutation of the stage's filter state — the per-page state writes
+        // the old RwLock imposed are gone — so the fixed-term share is a
+        // sliver of the fixed admission charge, not a tenth of it.
         let admission_queue =
             (self.admission_query_fixed_ns / 16.0 + admission_own) * s.stage_in_flight / 2.0;
         // The circular-scan thread only fetches/stamps pages; tuple decode

@@ -11,10 +11,11 @@
 //!
 //! Only code that is meant to be model-checked should import from here;
 //! everything else keeps using `parking_lot` / `std::sync` directly.
-//! (Conversely, model-checked protocols — e.g. the lock-free epoch/wrap
-//! machinery in `workshare_cjoin` — must take *every* primitive from this
-//! layer: a std atomic mixed into a shimmed protocol is invisible to the
-//! checker's happens-before tracking and silently weakens the model.)
+//! (Conversely, model-checked protocols — e.g. the lock-free wrap ledger
+//! and sharded pending sets in `workshare_cjoin` — must take *every*
+//! primitive from this layer: a std atomic mixed into a shimmed protocol is
+//! invisible to the checker's happens-before tracking and silently weakens
+//! the model.)
 
 #[cfg(not(interleave))]
 pub use parking_lot::{Mutex, MutexGuard};

@@ -548,6 +548,13 @@ impl Machine {
         self.inner.sched.lock().live
     }
 
+    /// Whether the caller is a vthread of this machine, i.e. runs on its
+    /// carrier: state only such callers touch is never touched by two at
+    /// once.
+    pub fn is_current(&self) -> bool {
+        self.inner.current_tid().is_some()
+    }
+
     /// Spawn a vthread. The closure receives the thread's [`SimCtx`]; the
     /// same context is also installed thread-locally so blocking primitives
     /// ([`WaitSet`](crate::WaitSet), [`SimQueue`](crate::SimQueue), joins)

@@ -14,9 +14,9 @@
 //!    scenario 9 is the same race, `TornDrain` mutation and
 //!    [`WindowLedger`] balance included, on the type production runs.
 //!    Numbers stay stable.)*
-//! 3. *(retired — the lock-based publish-then-activate spec; scenario 7
-//!    checks the same discipline, `ActivateBeforePublish` mutation
-//!    included, on the production `EpochCell`. Numbers stay stable.)*
+//! 3. *(retired — the lock-based publish-then-activate spec, later checked
+//!    on the production `EpochCell` by scenario 7, itself retired since.
+//!    Numbers stay stable.)*
 //! 4. [`ServiceSlots`] claim/rollback CAS pair (the bounded admission
 //!    queue): caps never overshoot, shed claims roll back exactly.
 //! 5. [`CompletionCell`] complete vs racing error-complete vs polling
@@ -26,10 +26,13 @@
 //!    exactly-once handshake): racing original and re-dispatched attempts
 //!    publish a scan unit exactly once, never zero times, and `done` never
 //!    precedes the publish.
-//! 7. [`EpochFilterSpec`] lock-free epoch publish vs probing reader (the
-//!    stage's epoch-published filter state): publish is one pointer swap,
-//!    and a probe gated on the active mask never observes an active slot
-//!    whose keys are missing.
+//! 7. *(retired — the lock-free epoch publish of the stage's filter state
+//!    (`EpochFilterSpec` over `EpochCell` / `EpochReader`). A machine runs
+//!    its vthreads one at a time on one carrier, so the stage mutates one
+//!    filter state in place and no reader can overlap a writer; the
+//!    entries-then-activate order it checked is held end to end by the
+//!    stage test `a_query_admitted_while_its_dimension_is_scanned_misses_no_row`.
+//!    Numbers stay stable.)*
 //! 8. [`WrapLedger`] atomic wrap bookkeeping (the circular scan's lock-free
 //!    `active_bits`/`emit_left`): racing page recorders consume the page
 //!    budget exactly, complete a slot exactly once, and an observed active
@@ -48,7 +51,6 @@
 use loom::thread;
 use loom::{Builder, Report};
 
-use workshare_cjoin::epoch::{EpochFilterSpec, EpochMutation};
 use workshare_cjoin::window::{
     RedispatchMutation, ScanAttempt, ShardMutation, ShardedSlot, WindowLedger,
 };
@@ -303,73 +305,6 @@ fn redispatch_claim_is_exactly_once_holds() {
 #[test]
 fn redispatch_mutation_torn_claim_is_caught() {
     assert!(catches(redispatch_scenario(RedispatchMutation::TornClaim)));
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 7: lock-free epoch publish vs probing reader
-// ---------------------------------------------------------------------------
-
-/// The stage's epoch-published filter state: slot 0 is established before
-/// the race, then an admitter publishes slot 1 (clone entries → one-swap
-/// publish → `Release` active bit) while a reader with a cached
-/// [`EpochReader`] probes both slots. Invariants: a probe that observes a
-/// slot active always finds its published keys (entries-then-activate
-/// carried by the `Acquire` mask / `Release` publish pairing), and
-/// established entries never vanish mid-publish. The TornSwap mutation is
-/// caught through the reader's cache: a refresh between the torn version
-/// bump and the value swap pins the stale entries under the new version
-/// forever.
-fn epoch_scenario(mutation: EpochMutation) -> impl Fn() + Send + Sync + 'static {
-    move || {
-        let spec = Arc::new(EpochFilterSpec::with_mutation(mutation));
-        spec.admit(0, &[10]);
-        let admitter = {
-            let spec = Arc::clone(&spec);
-            thread::spawn(move || spec.admit(1, &[20]))
-        };
-        let prober = {
-            let spec = Arc::clone(&spec);
-            thread::spawn(move || {
-                let mut reader = spec.reader();
-                for _ in 0..2 {
-                    assert_eq!(
-                        spec.probe_if_active(&mut reader, 0, 10),
-                        Some(true),
-                        "established slot 0 lost its key mid-publish"
-                    );
-                    if let Some(hit) = spec.probe_if_active(&mut reader, 1, 20) {
-                        assert!(hit, "slot 1 active without its published key");
-                    }
-                }
-            })
-        };
-        admitter.join().unwrap();
-        prober.join().unwrap();
-        // Post-join: both slots active with their keys, through a fresh
-        // reader and through a reader that lived across the race.
-        let mut reader = spec.reader();
-        assert_eq!(spec.probe_if_active(&mut reader, 0, 10), Some(true));
-        assert_eq!(
-            spec.probe_if_active(&mut reader, 1, 20),
-            Some(true),
-            "slot 1's keys must be published once its bit is set"
-        );
-    }
-}
-
-#[test]
-fn epoch_publish_before_activate_holds() {
-    check_exhaustive(epoch_scenario(EpochMutation::None));
-}
-
-#[test]
-fn epoch_mutation_torn_swap_is_caught() {
-    assert!(catches(epoch_scenario(EpochMutation::TornSwap)));
-}
-
-#[test]
-fn epoch_mutation_activate_before_publish_is_caught() {
-    assert!(catches(epoch_scenario(EpochMutation::ActivateBeforePublish)));
 }
 
 // ---------------------------------------------------------------------------
