@@ -506,21 +506,16 @@ pub(crate) fn admit_batch_shared(inner: &StageInner, ctx: &SimCtx, pending: Vec<
     let units = build_units(std::slice::from_ref(&prepared));
     let mut failure: Option<String> = None;
     for unit in &units {
-        // With faults armed, an injected scan-unit panic is caught here and
-        // downgraded to a failed batch with typed per-query errors; with
-        // faults off the legacy propagate-and-crash semantics are kept so a
-        // genuine bug still fails loudly.
-        let outcome = if inner.config.faults.is_armed() {
-            match catch_unwind(AssertUnwindSafe(|| {
-                run_scan_unit(ctx, &[inner], unit, None, None, None, true)
-            })) {
-                Ok(r) => r.map(drop).map_err(|e| e.to_string()),
-                Err(_) => Err("admission scan unit panicked".to_string()),
-            }
-        } else {
+        // A scan-unit panic, injected or a genuine bug, fails the batch: its
+        // slots roll back and every query of it ends in a typed error that
+        // carries the panic's message. Left to unwind, it would end this
+        // vthread alone, in a handle nobody joins, and the batch's queries
+        // would wait forever.
+        let outcome = match catch_unwind(AssertUnwindSafe(|| {
             run_scan_unit(ctx, &[inner], unit, None, None, None, true)
-                .map(drop)
-                .map_err(|e| e.to_string())
+        })) {
+            Ok(r) => r.map(drop).map_err(|e| e.to_string()),
+            Err(panic) => Err(format!("admission scan unit panicked: {}", panic_message(&*panic))),
         };
         if let Err(msg) = outcome {
             failure = Some(msg);
@@ -530,6 +525,15 @@ pub(crate) fn admit_batch_shared(inner: &StageInner, ctx: &SimCtx, pending: Vec<
     match failure {
         None => activate_batch(inner, prepared),
         Some(msg) => fail_batch(inner, prepared, &msg),
+    }
+}
+
+/// The message a panic was raised with (`panic!` with a literal or with
+/// format arguments), or a placeholder for any other payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s,
+        None => payload.downcast_ref::<String>().map_or("a non-string payload", String::as_str),
     }
 }
 

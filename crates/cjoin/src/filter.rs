@@ -232,9 +232,10 @@ pub fn filter_page_scalar(
 /// Inner-loop discipline: the AND mask `entry | !referencing` is computed
 /// once per *key run*, so the per-tuple work is one FK extraction, one key
 /// compare, one 4-byte run-code store, and `stride` word ANDs. Dimension
-/// matches are resolved from run codes at compaction, so `Arc` clones
-/// (atomic RMWs) are paid only for survivors, never for tuples the filters
-/// kill.
+/// matches are resolved from run codes at compaction: one `Arc` clone (an
+/// atomic RMW) per key run with a hash hit, at every filter. That includes
+/// runs whose tuples a later filter kills, so a page with short runs pays
+/// more clones than it has survivors.
 ///
 /// **Skip rule.** A tuple whose bitmap shares no bit with a filter's
 /// `referencing` is not probed there, since the AND would be the identity:

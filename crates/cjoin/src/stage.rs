@@ -9,7 +9,7 @@ use workshare_common::bind::BoundQuery;
 use workshare_common::cell::CompletionCell;
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::codec::Page;
-use workshare_common::{CostModel, FaultPlan, Predicate, QueryBitmap, SelVec, StarQuery};
+use workshare_common::{CostModel, FaultPlan, Predicate, QueryBitmap, RouteColumns, StarQuery};
 
 use crate::admission::{admit_batch_serial, admit_batch_shared};
 use crate::fabric::AdmissionFabric;
@@ -960,11 +960,10 @@ impl CjoinStage {
             .machine
             .clone()
             .spawn(&format!("cjoin-dist-{idx}"), move |ctx| {
-                // Reusable routing scratch: the query's routing column out
-                // of the bitmap bank, and the batch-evaluated fact
-                // predicate selection (both over survivor positions).
-                let mut slot_sel = SelVec::new();
-                let mut pred_sel = SelVec::new();
+                // Reusable routing scratch: the member queries' slots and
+                // their routing columns (over survivor positions).
+                let mut slots = Vec::new();
+                let mut routes = RouteColumns::new();
                 let schema = inner.storage.schema(inner.fact);
                 while let Some(batch) = inner.dist_q.pop() {
                     // The runtimes of the member queries; emitting parks, so
@@ -974,11 +973,13 @@ impl CjoinStage {
                     let rows = batch.fact.rows(&schema);
                     let mut routed = 0u64;
                     let mut out_rows = 0u64;
-                    for qrt in &runtimes {
-                        // Routing column: survivors carrying this query's
-                        // bit (extracted as one pass over the bank).
-                        page.bank.extract_column(qrt.slot as usize, &mut slot_sel);
-                        let routed_q = slot_sel.count() as u64;
+                    // Routing columns: the survivors carrying each member
+                    // query's bit, all filled in one pass over the bank.
+                    slots.clear();
+                    slots.extend(runtimes.iter().map(|qrt| qrt.slot as usize));
+                    let cols = routes.route(&page.bank, &slots);
+                    for (qrt, sel) in runtimes.iter().zip(cols.iter_mut()) {
+                        let routed_q = sel.count() as u64;
                         routed += routed_q;
                         if routed_q == 0 {
                             continue;
@@ -987,19 +988,14 @@ impl CjoinStage {
                         // routing column batch-at-a-time on the page in
                         // place — only rows this query actually routes are
                         // evaluated.
-                        pred_sel.copy_from(&slot_sel);
-                        qrt.fact_pred.restrict_batch_gather(
-                            &rows,
-                            &page.selected,
-                            &mut pred_sel,
-                        );
-                        out_rows += pred_sel.count() as u64;
+                        qrt.fact_pred.restrict_batch_gather(&rows, &page.selected, sel);
+                        out_rows += sel.count() as u64;
                         // Joined pages are collected under the builder
                         // lock and emitted once it is released.
                         let mut pages = Vec::new();
                         {
                             let mut builder = qrt.builder.lock();
-                            for j in pred_sel.iter_ones() {
+                            for j in sel.iter_ones() {
                                 let i = page.selected[j] as usize;
                                 let mut joined = qrt.bound.project_fact_at(&rows, i);
                                 for (fi, payload_idx) in &qrt.dim_filters {
@@ -1556,6 +1552,60 @@ pub(crate) mod tests {
             run_queries_on(setup_sized(1000, 7), CjoinConfig::default(), queries, 2e5);
         assert_eq!(res[0], expected_over(1000, false));
         assert_eq!(res[1], expected_over(1000, true));
+    }
+
+    /// A genuine bug in an admission scan, with faults off: the batch's
+    /// scan unit panics on a dimension whose pk is not an `Int`. Every
+    /// query of the batch must end in a typed error carrying the panic's
+    /// message, its slot rolled back, and a later healthy query must run.
+    #[test]
+    fn a_panicking_admission_scan_fails_its_batch_instead_of_hanging_it() {
+        let (m, sm) = setup();
+        let ds = Schema::new(vec![
+            Column::new("pk", ColType::Str(4)),
+            Column::new("tag", ColType::Str(8)),
+        ]);
+        let mut db = PageBuilder::new(&ds);
+        for i in 0..10 {
+            db.push(&[Value::str(&i.to_string()), Value::str("s")]);
+        }
+        let pages = db.finish();
+        sm.create_table("dims", ds, pages);
+        let broken = |id| {
+            let mut q = single_dim_query(id, 0);
+            q.dims[0].dim = "dims".into();
+            q
+        };
+        let stage = CjoinStage::new(&m, &sm, "fact", CjoinConfig::default(), CostModel::default());
+        let st = stage.clone();
+        let (errors, late) = m
+            .spawn("coord", move |ctx| {
+                // One batch: no virtual time passes between submissions.
+                let outputs: Vec<CjoinOutput> = [broken(1), broken(2)]
+                    .iter()
+                    .map(|q| st.submit(q, bound_for(&st, q)))
+                    .collect();
+                let mut errors = Vec::new();
+                for mut o in outputs {
+                    assert!(o.reader.next(ctx).is_none(), "a failed batch emits nothing");
+                    errors.push(o.fault.error());
+                }
+                let q = query(3, true);
+                let bound = bound_for(&st, &q);
+                let outp = st.submit(&q, Arc::clone(&bound));
+                let rows = run_aggregate(ctx, outp.reader, &bound, &q.order_by, &st.inner.cost);
+                (errors, (rows, outp.fault.error()))
+            })
+            .join()
+            .unwrap();
+        for e in &errors {
+            let msg = e.as_deref().expect("the batch failed");
+            assert!(msg.contains("panicked") && msg.contains("expected Int"), "{msg}");
+        }
+        assert_eq!(late, (expected(true), None), "the later query runs on freed slots");
+        assert_eq!(stage.stats().admitted, 1, "the later query alone");
+        assert_eq!(stage.active_queries(), 0);
+        stage.shutdown();
     }
 
     /// Canonical view of a stage's shared-filter state: per filter, the

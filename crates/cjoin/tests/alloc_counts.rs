@@ -5,8 +5,10 @@
 //! What is held: releasing a query from a filter edits the core in place
 //! and allocates nothing, whether it was the filter's last reference or
 //! not; a steady-state page through the vectorized kernel allocates a small
-//! constant, not one per tuple (the zero-alloc invariant); and a fact page
-//! read in place is filtered and restricted without decoding a row.
+//! constant, not one per tuple (the zero-alloc invariant); a fact page
+//! read in place is filtered and restricted without decoding a row; the
+//! distributor routes a filtered page to its member queries, and the
+//! aggregator folds a row into a group it has seen, without allocating.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,7 +18,11 @@ use workshare_cjoin::{filter_page_vectorized, DimEntry, FilterCore, FilterScratc
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
 use workshare_common::codec::{Page, PageBuilder};
-use workshare_common::{CmpOp, ColType, Column, Predicate, QueryBitmap, Schema, SelVec, Value};
+use workshare_common::agg::Aggregator;
+use workshare_common::bind::{BoundAgg, BoundAggExpr, BoundQuery};
+use workshare_common::{
+    AggFn, CmpOp, ColType, Column, Predicate, QueryBitmap, RouteColumns, Schema, SelVec, Value,
+};
 use workshare_storage::TableId;
 
 struct Counting;
@@ -197,4 +203,62 @@ fn one_word_member_stamps_stay_off_the_heap() {
     assert_eq!(stamp.0.iter_ones().collect::<Vec<_>>(), [3, 60]);
     assert_eq!(stamp.1.count_ones(), 3);
     assert_eq!(n, 0);
+}
+
+#[test]
+fn routing_a_warmed_page_allocates_nothing() {
+    let (schema, page) = lineorder_page();
+    let filters: Vec<Arc<FilterCore>> = (2..4)
+        .map(|fk| {
+            let mut f = filter(fk, 40, 0);
+            f.referencing = QueryBitmap::ones(64);
+            for (key, e) in f.hash.iter_mut() {
+                // Entry `key` keeps three slots of every four.
+                let bits = 0x7777_7777_7777_7777u64.rotate_left(*key as u32);
+                e.bits = QueryBitmap::from_words([bits]);
+            }
+            Arc::new(f)
+        })
+        .collect();
+    let mut scratch = FilterScratch::default();
+    let members = QueryBitmap::ones(64);
+    let rows = page.rows(&schema);
+    let (filtered, _) = filter_page_vectorized(&filters, &rows, &members, &mut scratch);
+    let mut routes = RouteColumns::new();
+    for slots in [(0..64).collect::<Vec<usize>>(), vec![17]] {
+        routes.route(&filtered.bank, &slots);
+        let (routed, n) = allocations(|| {
+            let cols = routes.route(&filtered.bank, &slots);
+            cols.iter().map(SelVec::count).sum::<usize>()
+        });
+        assert!(routed > 0 && routed < filtered.selected.len() * slots.len(), "{routed}");
+        assert_eq!(n, 0, "{n} allocations to route a warmed page to {} queries", slots.len());
+    }
+}
+
+#[test]
+fn folding_a_row_into_a_group_already_seen_allocates_nothing() {
+    // Grouped by a string and an integer, summing and counting.
+    let bound = BoundQuery {
+        fact_fk_idx: vec![],
+        fact_payload_idx: vec![],
+        dim_pk_idx: vec![],
+        dim_payload_idx: vec![],
+        group_idx: vec![2, 0],
+        aggs: vec![
+            BoundAgg { func: AggFn::Sum, expr: Some(BoundAggExpr::Mul(1, 0)) },
+            BoundAgg { func: AggFn::Count, expr: None },
+        ],
+        joined_arity: 3,
+    };
+    let tags = ["ASIA", "EUROPE", "AMERICA"].map(Value::str);
+    let rows: Vec<Row> = (0..600i64)
+        .map(|i| vec![Value::Int(i % 7), Value::Float(i as f64), tags[i as usize % 3].clone()])
+        .collect();
+    let mut agg = Aggregator::new(&bound);
+    rows.iter().for_each(|r| agg.update(r));
+    assert_eq!(agg.group_count(), 21);
+    let ((), n) = allocations(|| rows.iter().for_each(|r| agg.update(r)));
+    assert_eq!(agg.group_count(), 21);
+    assert_eq!(n, 0, "{n} allocations to fold {} rows into existing groups", rows.len());
 }

@@ -2,11 +2,16 @@
 //!
 //! QPipe's aggregate stage, CJOIN's query-centric tail and the Volcano
 //! baseline all aggregate identically; only their *cost charging* differs
-//! (done by the callers). The accumulator is deliberately simple: group key =
-//! vector of group-by values, accumulators per [`AggFn`].
+//! (done by the callers). A row's group key is hashed in place, straight
+//! from the row's group-by columns, and compared against the stored keys of
+//! the groups with that hash: a key is cloned only when it opens a new
+//! group, so folding a row into a group already seen allocates nothing.
+//! Keys and accumulators are stored flat, one slice per group.
+
+use std::hash::{Hash, Hasher};
 
 use crate::bind::{BoundAgg, BoundAggExpr, BoundQuery};
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::plan::{AggFn, OrderKey};
 use crate::value::{Row, Value};
 
@@ -60,11 +65,33 @@ fn eval_expr(e: &BoundAggExpr, row: &[Value]) -> f64 {
     }
 }
 
+/// The key hash as the group table sees it. The unit tests swap in a seam
+/// that can narrow every hash to a few values, to force collisions.
+#[cfg(not(test))]
+#[inline(always)]
+fn seam(hash: u64) -> u64 {
+    hash
+}
+#[cfg(test)]
+use tests::seam;
+
+/// End of a collision chain in [`Aggregator::next`].
+const NO_GROUP: u32 = u32::MAX;
+
 /// Streaming hash aggregator over joined rows.
 pub struct Aggregator {
     group_idx: Vec<usize>,
     aggs: Vec<BoundAgg>,
-    groups: FxHashMap<Vec<Value>, Vec<Acc>>,
+    /// Group keys, flat: group `g`'s key is
+    /// `keys[g * group_idx.len()..][..group_idx.len()]`.
+    keys: Vec<Value>,
+    /// Accumulators, flat: group `g`'s are `accs[g * aggs.len()..][..aggs.len()]`.
+    accs: Vec<Acc>,
+    /// Key hash → the newest group with that hash.
+    heads: FxHashMap<u64, u32>,
+    /// Per group, the next older group with the same key hash (or
+    /// [`NO_GROUP`]): distinct keys that collide chain here.
+    next: Vec<u32>,
 }
 
 impl Aggregator {
@@ -73,19 +100,23 @@ impl Aggregator {
         Aggregator {
             group_idx: bound.group_idx.clone(),
             aggs: bound.aggs.clone(),
-            groups: FxHashMap::default(),
+            keys: Vec::new(),
+            accs: Vec::new(),
+            heads: FxHashMap::default(),
+            next: Vec::new(),
         }
     }
 
     /// Fold one joined row into the accumulator table.
     pub fn update(&mut self, row: &[Value]) {
-        let key: Vec<Value> = self.group_idx.iter().map(|&i| row[i].clone()).collect();
-        let aggs = &self.aggs;
-        let accs = self
-            .groups
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(|a| Acc::new(a.func)).collect());
-        for (acc, spec) in accs.iter_mut().zip(aggs) {
+        let hash = self.key_hash(row);
+        let g = match self.find(hash, row) {
+            Some(g) => g,
+            None => self.open_group(hash, row),
+        };
+        let width = self.aggs.len();
+        let accs = &mut self.accs[g * width..][..width];
+        for (acc, spec) in accs.iter_mut().zip(&self.aggs) {
             match &spec.expr {
                 Some(e) => acc.update(eval_expr(e, row)),
                 None => acc.update(0.0), // Count ignores the value
@@ -93,20 +124,57 @@ impl Aggregator {
         }
     }
 
+    /// Hash of `row`'s group key, read from the row in place.
+    fn key_hash(&self, row: &[Value]) -> u64 {
+        let mut h = FxHasher::default();
+        for &i in &self.group_idx {
+            row[i].hash(&mut h);
+        }
+        seam(h.finish())
+    }
+
+    /// The group whose key equals `row`'s group columns, among those with
+    /// key hash `hash`.
+    fn find(&self, hash: u64, row: &[Value]) -> Option<usize> {
+        let k = self.group_idx.len();
+        let mut g = *self.heads.get(&hash)?;
+        while g != NO_GROUP {
+            let key = &self.keys[g as usize * k..][..k];
+            if key.iter().zip(&self.group_idx).all(|(v, &i)| *v == row[i]) {
+                return Some(g as usize);
+            }
+            g = self.next[g as usize];
+        }
+        None
+    }
+
+    /// Open a group for `row`'s key: the only place a key is cloned.
+    fn open_group(&mut self, hash: u64, row: &[Value]) -> usize {
+        let g = self.next.len();
+        self.keys.extend(self.group_idx.iter().map(|&i| row[i].clone()));
+        self.accs.extend(self.aggs.iter().map(|a| Acc::new(a.func)));
+        let head = self.heads.entry(hash).or_insert(NO_GROUP);
+        self.next.push(*head);
+        *head = u32::try_from(g).expect("fewer than 2^32 - 1 groups");
+        g
+    }
+
     /// Current group count.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.next.len()
     }
 
     /// Produce output rows `[group_by… | aggs…]`, sorted by `order` (then by
     /// the full row for determinism).
     pub fn finish(self, order: &[OrderKey]) -> Vec<Row> {
-        let mut out: Vec<Row> = self
-            .groups
-            .into_iter()
-            .map(|(mut key, accs)| {
-                key.extend(accs.into_iter().map(Acc::finish));
-                key
+        let (k, width) = (self.group_idx.len(), self.aggs.len());
+        let mut keys = self.keys.into_iter();
+        let mut out: Vec<Row> = (0..self.next.len())
+            .map(|g| {
+                let mut row = Vec::with_capacity(k + width);
+                row.extend(keys.by_ref().take(k));
+                row.extend(self.accs[g * width..][..width].iter().map(|a| a.finish()));
+                row
             })
             .collect();
         out.sort_by(|a, b| {
@@ -127,6 +195,17 @@ impl Aggregator {
 mod tests {
     use super::*;
     use crate::bind::BoundQuery;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// ANDed into every key hash of this thread's aggregators: 0 makes
+        /// every key collide, a small mask a few buckets' worth.
+        static HASH_MASK: Cell<u64> = const { Cell::new(u64::MAX) };
+    }
+
+    pub(super) fn seam(hash: u64) -> u64 {
+        hash & HASH_MASK.with(Cell::get)
+    }
 
     fn bound(group_idx: Vec<usize>, aggs: Vec<BoundAgg>) -> BoundQuery {
         BoundQuery {
@@ -255,5 +334,126 @@ mod tests {
         let b = bound(vec![0], vec![sum_col(1)]);
         let a = Aggregator::new(&b);
         assert!(a.finish(&[]).is_empty());
+    }
+
+    #[test]
+    fn colliding_keys_stay_distinct_groups() {
+        HASH_MASK.with(|m| m.set(0));
+        let b = bound(vec![0, 1], vec![sum_col(2)]);
+        let mut a = Aggregator::new(&b);
+        for (g, s, v) in [(1, "x", 1.0), (2, "x", 2.0), (1, "y", 4.0), (1, "x", 8.0)] {
+            a.update(&[Value::Int(g), Value::str(s), Value::Float(v)]);
+        }
+        HASH_MASK.with(|m| m.set(u64::MAX));
+        assert_eq!(a.group_count(), 3);
+        let row = |g, s, v| vec![Value::Int(g), Value::str(s), Value::Float(v)];
+        assert_eq!(a.finish(&[]), vec![row(1, "x", 9.0), row(1, "y", 4.0), row(2, "x", 2.0)]);
+    }
+
+    /// The aggregator against a reference fold keyed by a `BTreeMap` of
+    /// cloned group keys, over random `Int` / `Float` / `Str` group
+    /// columns, with every hash distinct, narrowed to four values, or all
+    /// equal (every key collides).
+    mod reference_fold {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// A value of column type `ty` (0 `Int`, 1 `Float`, 2 `Str`) from a
+        /// small domain, so groups repeat. Floats include both zeros and a
+        /// NaN (distinct keys under `total_cmp`), strings one longer than a
+        /// hash word.
+        fn value(ty: u8, pick: u8) -> Value {
+            match ty {
+                0 => Value::Int(pick as i64 % 4 - 1),
+                1 => Value::Float([0.0, -0.0, 1.5, f64::NAN][pick as usize % 4]),
+                _ => Value::str(["", "a", "ab", "a longer string"][pick as usize % 4]),
+            }
+        }
+
+        fn func(f: u8) -> AggFn {
+            [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max, AggFn::Avg][f as usize % 5]
+        }
+
+        /// The reference: per key, each aggregate's inputs in arrival order,
+        /// folded the way [`Acc`] folds them.
+        fn reference(b: &BoundQuery, rows: &[Row]) -> Vec<Row> {
+            let mut groups: BTreeMap<Vec<Value>, Vec<Vec<f64>>> = BTreeMap::new();
+            for row in rows {
+                let key = b.group_idx.iter().map(|&i| row[i].clone()).collect();
+                let inputs = groups.entry(key).or_insert_with(|| vec![Vec::new(); b.aggs.len()]);
+                for (input, spec) in inputs.iter_mut().zip(&b.aggs) {
+                    input.push(spec.expr.as_ref().map_or(0.0, |e| eval_expr(e, row)));
+                }
+            }
+            groups
+                .into_iter()
+                .map(|(mut key, inputs)| {
+                    for (input, spec) in inputs.iter().zip(&b.aggs) {
+                        let sum = input.iter().fold(0.0, |s, v| s + v);
+                        let min = input.iter().fold(f64::INFINITY, |m, v| m.min(*v));
+                        let max = input.iter().fold(f64::NEG_INFINITY, |m, v| m.max(*v));
+                        key.push(match spec.func {
+                            AggFn::Sum => Value::Float(sum),
+                            AggFn::Count => Value::Int(input.len() as i64),
+                            AggFn::Min => Value::Float(min),
+                            AggFn::Max => Value::Float(max),
+                            AggFn::Avg => Value::Float(sum / input.len() as f64),
+                        });
+                    }
+                    key
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn the_aggregator_folds_as_a_btreemap_of_cloned_keys(
+                types in vec(0u8..3, 1..5),
+                group_cols in vec(0usize..8, 0..4),
+                specs in vec((0u8..5, 0u8..3), 0..4),
+                mask in prop_oneof![Just(u64::MAX), Just(3u64), Just(0u64)],
+                cells in vec((vec(any::<u8>(), 5..6), -50i64..50), 0..200),
+            ) {
+                // Key columns of the drawn types, then an `Int` and a
+                // `Float` measure.
+                let ncols = types.len() + 2;
+                let rows: Vec<Row> = cells
+                    .iter()
+                    .map(|(picks, m)| {
+                        let mut row: Row =
+                            types.iter().zip(picks).map(|(&t, &p)| value(t, p)).collect();
+                        row.push(Value::Int(*m));
+                        row.push(Value::Float(*m as f64 / 4.0));
+                        row
+                    })
+                    .collect();
+                let (int_m, float_m) = (ncols - 2, ncols - 1);
+                let mut group_idx: Vec<usize> = group_cols.iter().map(|c| c % ncols).collect();
+                group_idx.dedup();
+                let aggs = specs
+                    .iter()
+                    .map(|&(f, e)| BoundAgg {
+                        func: func(f),
+                        expr: match e {
+                            0 => Some(BoundAggExpr::Col(int_m)),
+                            1 => Some(BoundAggExpr::Col(float_m)),
+                            _ => Some(BoundAggExpr::Mul(int_m, float_m)),
+                        },
+                    })
+                    .collect();
+                let b = BoundQuery { joined_arity: ncols, ..bound(group_idx, aggs) };
+                HASH_MASK.with(|m| m.set(mask));
+                let mut a = Aggregator::new(&b);
+                rows.iter().for_each(|r| a.update(r));
+                HASH_MASK.with(|m| m.set(u64::MAX));
+                let want = reference(&b, &rows);
+                prop_assert_eq!(a.group_count(), want.len());
+                prop_assert_eq!(a.finish(&[]), want);
+            }
+        }
     }
 }

@@ -523,21 +523,6 @@ impl BitmapBank {
         self.words.iter().any(|w| *w != 0)
     }
 
-    /// Write bit `bit` of every tuple into `out` (`out[i] = bank[i].bit`):
-    /// the distributor's per-query routing column.
-    pub fn extract_column(&self, bit: usize, out: &mut SelVec) {
-        out.reset(self.len, false);
-        let (wi, mask) = (bit / 64, 1u64 << (bit % 64));
-        if wi >= self.stride {
-            return;
-        }
-        for i in 0..self.len {
-            if self.words[i * self.stride + wi] & mask != 0 {
-                out.set(i);
-            }
-        }
-    }
-
     /// Keep only the tuples selected in `keep`, in order (stable
     /// compaction), producing the survivor-aligned bank of a filtered page.
     pub fn compact_into(&self, keep: &SelVec, dst: &mut BitmapBank) {
@@ -574,10 +559,110 @@ impl BitmapBank {
     }
 }
 
+/// The distributor's routing columns: one [`SelVec`] per routed query slot
+/// over the tuples of a bank, selecting the tuples whose bitmap carries the
+/// slot's bit. [`RouteColumns::route`] fills them all in one pass over the
+/// bank, so routing a page costs its tuples plus its set bits, not tuples ×
+/// queries. The buffers are reused page after page: once they reach a
+/// page's size, routing allocates nothing.
+#[derive(Debug, Default)]
+pub struct RouteColumns {
+    cols: Vec<SelVec>,
+    /// Column index of each routed slot (entries of other slots are stale).
+    col_of: Vec<u32>,
+    /// The routed slots' bits, one word per bank word.
+    mask: Vec<u64>,
+}
+
+impl RouteColumns {
+    /// Empty scratch.
+    pub fn new() -> RouteColumns {
+        RouteColumns::default()
+    }
+
+    /// Route `bank`: column `k` of the result selects tuple `i` iff bit
+    /// `slots[k]` of tuple `i`'s bitmap is set (a slot past the bank's
+    /// stride routes nothing). `slots` must be distinct.
+    pub fn route(&mut self, bank: &BitmapBank, slots: &[usize]) -> &mut [SelVec] {
+        if self.cols.len() < slots.len() {
+            self.cols.resize_with(slots.len(), SelVec::new);
+        }
+        let cols = &mut self.cols[..slots.len()];
+        for col in cols.iter_mut() {
+            col.reset(bank.len, false);
+        }
+        // A default bank has stride 0 and no words.
+        let stride = bank.stride.max(1);
+        if let [slot] = *slots {
+            // One query: its column is one bit of each tuple, gathered 64
+            // tuples to a word store.
+            let (wi, b) = (slot / 64, slot % 64);
+            if wi < bank.stride {
+                let chunks = bank.words.chunks(64 * stride);
+                for (out, chunk) in cols[0].words.iter_mut().zip(chunks) {
+                    let bits = chunk.iter().skip(wi).step_by(stride);
+                    *out = bits.enumerate().fold(0, |w, (k, x)| w | ((x >> b) & 1) << k);
+                }
+            }
+            return cols;
+        }
+        let RouteColumns { col_of, mask, .. } = self;
+        mask.clear();
+        mask.resize(stride, 0);
+        col_of.resize(64 * stride, u32::MAX);
+        for (k, &slot) in slots.iter().enumerate() {
+            if slot / 64 < stride {
+                mask[slot / 64] |= 1 << (slot % 64);
+                col_of[slot] = k as u32;
+            }
+        }
+        // Each tuple's routed bits, lowest first, each to its column.
+        if stride == 1 {
+            // Up to 64 query slots: a tuple's bitmap is one word.
+            let mask0 = mask[0];
+            for (i, &w) in bank.words.iter().enumerate() {
+                let mut bits = w & mask0;
+                while bits != 0 {
+                    cols[col_of[bits.trailing_zeros() as usize] as usize].set(i);
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            for (i, row) in bank.words.chunks(stride).enumerate() {
+                for (wi, (&w, &m)) in row.iter().zip(&mask[..]).enumerate() {
+                    let mut bits = w & m;
+                    while bits != 0 {
+                        let slot = wi * 64 + bits.trailing_zeros() as usize;
+                        cols[col_of[slot] as usize].set(i);
+                        bits &= bits - 1;
+                    }
+                }
+            }
+        }
+        cols
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    /// Bit `bit` of every tuple of `bank` into `out`: one routing column,
+    /// read one tuple at a time (the oracle [`RouteColumns::route`] is
+    /// compared against).
+    fn extract_column(bank: &BitmapBank, bit: usize, out: &mut SelVec) {
+        out.reset(bank.len, false);
+        let (wi, mask) = (bit / 64, 1u64 << (bit % 64));
+        if wi >= bank.stride {
+            return;
+        }
+        for i in 0..bank.len {
+            if bank.words[i * bank.stride + wi] & mask != 0 {
+                out.set(i);
+            }
+        }
+    }
 
     #[test]
     fn set_get_clear_roundtrip() {
@@ -773,12 +858,12 @@ mod tests {
         bank.and_mask_row(1, &[!1]);
         bank.and_mask_row(3, &[!1]);
         let mut col = SelVec::new();
-        bank.extract_column(0, &mut col);
+        extract_column(&bank, 0, &mut col);
         assert_eq!(col.iter_ones().collect::<Vec<_>>(), vec![0, 2]);
-        bank.extract_column(1, &mut col);
+        extract_column(&bank, 1, &mut col);
         assert_eq!(col.count(), 4);
         // Out-of-stride column reads as all-zero.
-        bank.extract_column(64 * bank.stride() + 5, &mut col);
+        extract_column(&bank, 64 * bank.stride() + 5, &mut col);
         assert_eq!(col.count(), 0);
         // Compact down to rows 0 and 2.
         let mut keep = SelVec::new();
@@ -828,5 +913,59 @@ mod tests {
         assert_eq!(bank.len(), 2);
         assert!(bank.get(0, 5) && !bank.get(0, 64));
         assert!(bank.get(1, 64) && !bank.get(1, 200));
+    }
+
+    /// One-pass routing against one [`extract_column`] per slot, at
+    /// strides 1 and 2, over random banks, slot sets (one slot, several,
+    /// none, some past the stride) and page sizes, with one scratch reused
+    /// across cases so stale columns would show.
+    mod routing_oracle {
+        use super::*;
+        use proptest::collection::{btree_set, vec};
+        use proptest::prelude::*;
+        use std::cell::RefCell;
+
+        thread_local! {
+            static ROUTES: RefCell<RouteColumns> = RefCell::new(RouteColumns::new());
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn one_pass_routing_equals_a_column_per_slot(
+                stride in 1usize..3,
+                words in vec((any::<u64>(), any::<u64>(), 0u8..4), 0..300),
+                slots in btree_set(0usize..140, 0..6),
+                one in 0usize..140,
+                single in any::<bool>(),
+            ) {
+                // Sparse, dense and empty bitmaps, so columns both fill and
+                // stay empty.
+                let mut bank = BitmapBank::new();
+                bank.reset_empty(stride);
+                for &(a, b, density) in &words {
+                    let thin = |w: u64| match density {
+                        0 => 0,
+                        1 => w & w.rotate_left(17) & w.rotate_left(31),
+                        _ => w,
+                    };
+                    let bits = QueryBitmap::from_words([thin(a), thin(b)].into_iter().take(stride));
+                    bank.push_bitmap(&bits);
+                }
+                let slots: Vec<usize> =
+                    if single { vec![one] } else { slots.into_iter().collect() };
+                ROUTES.with(|r| {
+                    let mut routes = r.borrow_mut();
+                    let cols = routes.route(&bank, &slots);
+                    prop_assert_eq!(cols.len(), slots.len());
+                    let mut want = SelVec::new();
+                    for (col, &slot) in cols.iter().zip(&slots) {
+                        extract_column(&bank, slot, &mut want);
+                        prop_assert_eq!(col, &want, "slot {} of {:?}", slot, slots);
+                    }
+                });
+            }
+        }
     }
 }

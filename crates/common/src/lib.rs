@@ -39,7 +39,7 @@ pub mod schema;
 pub mod sync;
 pub mod value;
 
-pub use bitmap::{BitmapBank, QueryBitmap, SelVec};
+pub use bitmap::{BitmapBank, QueryBitmap, RouteColumns, SelVec};
 pub use costs::{CostModel, SharingSignals};
 pub use fault::{FaultPlan, FaultSite};
 pub use plan::{AggExpr, AggFn, AggSpec, ColRef, ColSource, DimJoin, OrderKey, StarQuery};
