@@ -247,8 +247,8 @@ pub(crate) const SCAN_STALL_NS: f64 = 8_000_000.0;
 /// [`try_read_page`](workshare_storage::StorageManager::try_read_page),
 /// surfacing typed [`StorageError`]s to the caller.
 ///
-/// **Re-dispatch claim**: with an `attempt` handle (the fabric's straggler
-/// supervision), every side effect visible outside this call — EWMA folds,
+/// **Re-dispatch claim**: with an `attempt` handle (every fabric subscan
+/// passes one), every side effect visible outside this call — EWMA folds,
 /// page/row counters, filter-entry merges — happens only after winning the
 /// [`ScanAttempt::try_claim`] race, so a straggler and its re-dispatched
 /// replacement publish exactly once between them (the protocol
@@ -515,7 +515,7 @@ pub(crate) fn admit_batch_shared(inner: &StageInner, ctx: &SimCtx, pending: Vec<
             run_scan_unit(ctx, &[inner], unit, None, None, None, true)
         })) {
             Ok(r) => r.map(drop).map_err(|e| e.to_string()),
-            Err(panic) => Err(format!("admission scan unit panicked: {}", panic_message(&*panic))),
+            Err(panic) => Err(scan_panic_error(&*panic)),
         };
         if let Err(msg) = outcome {
             failure = Some(msg);
@@ -528,13 +528,15 @@ pub(crate) fn admit_batch_shared(inner: &StageInner, ctx: &SimCtx, pending: Vec<
     }
 }
 
-/// The message a panic was raised with (`panic!` with a literal or with
-/// format arguments), or a placeholder for any other payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    match payload.downcast_ref::<&str>() {
+/// The error a scan unit's panic fails its batch with, pool and fabric
+/// alike: the message the panic was raised with (`panic!` with a literal or
+/// with format arguments), or a placeholder for any other payload.
+pub(crate) fn scan_panic_error(payload: &(dyn std::any::Any + Send)) -> String {
+    let msg = match payload.downcast_ref::<&str>() {
         Some(s) => s,
         None => payload.downcast_ref::<String>().map_or("a non-string payload", String::as_str),
-    }
+    };
+    format!("admission scan unit panicked: {msg}")
 }
 
 /// Roll back a prepared-but-unactivatable batch and surface one typed error

@@ -23,9 +23,16 @@
 //! whose `(dimension, pk column, predicate)` an earlier window selected is
 //! staged from the memo instead of scanned, so physical pages fall while the
 //! stages' logical counters stay where a scan would have put them. The memo
-//! is bypassed — no lookup, no fill — while any fault site is armed or
-//! windows run supervised, so no seeded fault schedule shifts and no entry
+//! is bypassed — no lookup, no fill — while any fault site is armed (which
+//! every healing plan is), so no seeded fault schedule shifts and no entry
 //! can come from a retried, torn or quarantined read.
+//!
+//! Every window scans the same way, whatever the fault plan: each
+//! (unit × page-range) subscan is a spawned attempt under `catch_unwind`
+//! that publishes through a [`ScanAttempt`] claim, so a storage error or a
+//! panic fails the window's batches with typed per-query errors and the
+//! worker serves the next window. A healing plan adds supervision on top:
+//! a deadline and straggler re-dispatch.
 //!
 //! Stages keep working without a fabric: [`crate::CjoinStage::new`] falls
 //! back to the per-stage pool (one admission worker per stage), which
@@ -44,8 +51,8 @@ use workshare_storage::StorageManager;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::admission::{
-    activate_batch, build_units, fail_batch, prepare_batch, run_scan_unit, stage_memo_hits,
-    MemoPart, PreparedBatch, ScanUnit,
+    activate_batch, build_units, fail_batch, prepare_batch, run_scan_unit, scan_panic_error,
+    stage_memo_hits, MemoPart, PreparedBatch, ScanUnit,
 };
 use crate::health::AdmissionHealth;
 use crate::memo::{AdmissionMemo, Selected, ADMISSION_MEMO_BUDGET_BYTES};
@@ -132,8 +139,8 @@ struct FabricInner {
     machine: Machine,
     /// The seeded fault plan; the fabric's own site is the worker wedge.
     faults: FaultPlan,
-    /// Shared admission-health state; `Some` turns on window supervision
-    /// (subscan deadlines + straggler re-dispatch) and fault accounting.
+    /// Shared admission-health state; `Some` adds subscan deadlines and
+    /// straggler re-dispatch to every window, and fault accounting.
     health: Option<Arc<AdmissionHealth>>,
     /// Batching windows processed across all workers — the wedge site's
     /// injection tick.
@@ -195,12 +202,11 @@ impl AdmissionFabric {
     ///
     /// `faults` is the seeded fault plan (worker-wedge site; any armed site
     /// bypasses the memo) and `health` an optional shared
-    /// [`AdmissionHealth`]. With a health handle every
-    /// window runs under **supervision**: subscans get a virtual deadline
-    /// ([`UNIT_REDISPATCH_DEADLINE_NS`]); a straggler (stalled, panicked,
-    /// or wedged-behind) is re-dispatched idempotently through the
-    /// [`ScanAttempt`] claim protocol, and typed storage errors fail the
-    /// window's batches instead of killing the worker.
+    /// [`AdmissionHealth`]. Without one, a subscan's storage error or panic
+    /// fails its window's batches. With one, subscans also get a virtual
+    /// deadline ([`UNIT_REDISPATCH_DEADLINE_NS`]), and a straggler (stalled,
+    /// dead to an injected panic, or wedged-behind) is re-dispatched
+    /// idempotently through the [`ScanAttempt`] claim protocol.
     pub fn new(
         machine: &Machine,
         capacity: u64,
@@ -470,7 +476,7 @@ fn process_window(
     // overlapped. Activation waits for every subscan: a query's filters
     // span dimensions.
     let storage = &stages[0].inner.storage;
-    let tasks: Vec<(Arc<ScanUnit>, (usize, usize))> = units
+    let tasks: Vec<Subscan> = units
         .into_iter()
         .flat_map(|unit| {
             let npages = storage.page_count(unit.dim);
@@ -478,71 +484,21 @@ fn process_window(
             let per = npages.max(1).div_ceil(chunks);
             let unit = Arc::new(unit);
             (0..chunks)
-                .map(|c| (Arc::clone(&unit), (c * per, ((c + 1) * per).min(npages))))
-                .filter(|(_, (lo, hi))| lo < hi)
+                .map(|c| (c * per, ((c + 1) * per).min(npages)))
+                .filter(|(lo, hi)| lo < hi)
+                .map(|range| Subscan {
+                    unit: Arc::clone(&unit),
+                    range,
+                    attempt: ScanAttempt::new(),
+                    outcome: Mutex::new(None),
+                    died: AtomicBool::new(false),
+                    live: AtomicU64::new(0),
+                })
                 .collect::<Vec<_>>()
         })
         .collect();
-    let task_units: Vec<Arc<ScanUnit>> = tasks.iter().map(|(u, _)| Arc::clone(u)).collect();
-    // Per task, what each of its unit's parts selected (memoized units only).
-    let scan_result: Result<Vec<Vec<Selected>>, String> = if let Some(health) =
-        fabric.health.clone()
-    {
-        supervise_subscans(fabric, &stages, tasks, worker_idx, &health).map(|()| Vec::new())
-    } else if tasks.len() == 1 {
-        run_scan_unit(
-            ctx,
-            &inners,
-            &tasks[0].0,
-            Some(&fabric.admission_dim_pages),
-            Some(tasks[0].1),
-            None,
-            true,
-        )
-        .map(|selected| vec![selected])
-        .map_err(|e| e.to_string())
-    } else {
-        let machine = stages[0].inner.machine.clone();
-        let handles: Vec<_> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(ti, (unit, range))| {
-                let stages = stages.clone();
-                let fabric = Arc::clone(fabric);
-                machine.spawn(
-                    &format!("admission-fabric-{worker_idx}-scan-{ti}"),
-                    move |ctx| {
-                        let inners: Vec<&StageInner> =
-                            stages.iter().map(|s| &*s.inner).collect();
-                        run_scan_unit(
-                            ctx,
-                            &inners,
-                            &unit,
-                            Some(&fabric.admission_dim_pages),
-                            Some(range),
-                            None,
-                            true,
-                        )
-                    },
-                )
-            })
-            .collect();
-        let mut selected = Vec::with_capacity(handles.len());
-        let mut failure = None;
-        for h in handles {
-            match h.join().expect("fabric scan subunit panicked") {
-                Ok(s) => selected.push(s),
-                Err(e) => {
-                    failure.get_or_insert(e.to_string());
-                }
-            }
-        }
-        match failure {
-            None => Ok(selected),
-            Some(msg) => Err(msg),
-        }
-    };
-    match scan_result {
+    let task_units: Vec<Arc<ScanUnit>> = tasks.iter().map(|t| Arc::clone(&t.unit)).collect();
+    match scan_window(fabric, &stages, tasks, worker_idx) {
         Ok(selected) => {
             if let Some(window) = memo_window {
                 fill_memo(fabric, storage, &task_units, selected, window);
@@ -555,7 +511,7 @@ fn process_window(
             }
         }
         Err(msg) => {
-            // A typed, unrecoverable scan failure fails every batch in the
+            // A typed scan failure or a panic fails every batch in the
             // window with per-query errors — the window never activates
             // partially-seeded filters, and no submitter hangs.
             for (stage, prep) in stages.iter().zip(prepared) {
@@ -600,74 +556,65 @@ fn fill_memo(
     }
 }
 
-/// One supervised subscan task: the shared claim/done handle, the fatal
-/// (typed storage) error slot, and the recoverable-death flag an injected
-/// panic sets.
-struct SubscanTask {
+/// One (unit × page-range) subscan of a window, shared by its attempts.
+struct Subscan {
     unit: Arc<ScanUnit>,
     range: (usize, usize),
-    attempt: Arc<ScanAttempt>,
-    err: Arc<Mutex<Option<String>>>,
-    died: Arc<AtomicBool>,
-    /// Attempts spawned and not yet returned. The supervisor only
-    /// activates or fails the window once every task is **quiescent**
-    /// (`live == 0`): a late attempt left running could otherwise publish
-    /// its staged entries after a failed window's slots were rolled back.
-    live: Arc<AtomicU64>,
+    /// The exactly-once publish claim between an attempt and its
+    /// re-dispatched replacement.
+    attempt: ScanAttempt,
+    /// Set once: the publishing attempt's selection, or the task's typed
+    /// failure (a storage error, or a panic no re-dispatch may recover).
+    outcome: Mutex<Option<Result<Vec<Selected>, String>>>,
+    /// Raised when an injected panic ended an attempt the supervisor may
+    /// replace.
+    died: AtomicBool,
+    /// Attempts spawned and not yet returned. A failed window waits for
+    /// every task to be **quiescent** (`live == 0`) before it rolls its
+    /// slots back: a late attempt left running could otherwise publish its
+    /// staged entries into a failed (and soon reused) slot.
+    live: AtomicU64,
 }
 
-impl SubscanTask {
-    /// Whether this task needs no further supervision: some attempt
-    /// published (claim + done) or a fatal error was recorded.
+impl Subscan {
+    /// Whether this task needs no further attempt: one published, or the
+    /// task failed.
     fn settled(&self) -> bool {
-        self.attempt.is_done() || self.err.lock().is_some()
-    }
-
-    /// Whether every spawned attempt has returned.
-    fn quiescent(&self) -> bool {
-        self.live.load(Ordering::Acquire) == 0
+        self.outcome.lock().is_some()
     }
 }
 
-/// Run a window's subscans under deadline supervision: spawn one attempt
-/// per task, and when a task is still unsettled at the re-dispatch deadline
-/// — or its attempt died to an injected panic — spawn a second,
-/// injection-suppressed attempt over the same unit. The [`ScanAttempt`]
-/// claim makes the pair publish exactly once; typed storage errors settle
-/// the task fatally and fail the window. Every path terminates: a healthy
-/// attempt publishes, a stalled one loses the claim and exits, a re-dispatch
-/// (no injection) either publishes or surfaces a storage error.
-fn supervise_subscans(
+/// Scan a window's tasks, each as a spawned attempt under `catch_unwind`
+/// that publishes through its task's [`ScanAttempt`] claim, and return what
+/// every task selected, in task order — or the first failure in task order,
+/// once every attempt has stopped. A storage error, or a panic nobody
+/// re-dispatches, fails its task. An empty window spawns nothing.
+///
+/// Under a healing plan (`FabricInner::health` is `Some`) the window is
+/// **supervised**: a task still unsettled at [`UNIT_REDISPATCH_DEADLINE_NS`],
+/// or whose first attempt died to an injected panic, gets a second,
+/// injection-free attempt over the same range; the claim makes the pair
+/// publish exactly once. Every path terminates: a healthy attempt
+/// publishes, a stalled one loses the claim and exits, a re-dispatch
+/// publishes or fails its task.
+fn scan_window(
     fabric: &Arc<FabricInner>,
     stages: &[CjoinStage],
-    tasks: Vec<(Arc<ScanUnit>, (usize, usize))>,
+    tasks: Vec<Subscan>,
     worker_idx: usize,
-    health: &Arc<AdmissionHealth>,
-) -> Result<(), String> {
+) -> Result<Vec<Vec<Selected>>, String> {
+    if tasks.is_empty() {
+        return Ok(Vec::new());
+    }
     let machine = stages[0].inner.machine.clone();
-    let ws = Arc::new(WaitSet::new(&machine));
-    let tasks: Vec<SubscanTask> = tasks
-        .into_iter()
-        .map(|(unit, range)| SubscanTask {
-            unit,
-            range,
-            attempt: Arc::new(ScanAttempt::new()),
-            err: Arc::new(Mutex::new(None)),
-            died: Arc::new(AtomicBool::new(false)),
-            live: Arc::new(AtomicU64::new(0)),
-        })
-        .collect();
-    let spawn_attempt = |task: &SubscanTask, ti: usize, attempt_no: u32, inject: bool| {
+    let ws = WaitSet::new(&machine);
+    let tasks: Vec<Arc<Subscan>> = tasks.into_iter().map(Arc::new).collect();
+    let spawn_attempt = |ti: usize, attempt_no: u32, inject: bool| {
+        let task = Arc::clone(&tasks[ti]);
         let stages = stages.to_vec();
         let fabric = Arc::clone(fabric);
-        let unit = Arc::clone(&task.unit);
-        let range = task.range;
-        let attempt = Arc::clone(&task.attempt);
-        let err = Arc::clone(&task.err);
-        let died = Arc::clone(&task.died);
-        let live = Arc::clone(&task.live);
-        let ws = Arc::clone(&ws);
-        live.fetch_add(1, Ordering::AcqRel);
+        let ws = ws.clone();
+        task.live.fetch_add(1, Ordering::AcqRel);
         machine.spawn(
             &format!("admission-fabric-{worker_idx}-scan-{ti}-a{attempt_no}"),
             move |ctx| {
@@ -676,110 +623,98 @@ fn supervise_subscans(
                     run_scan_unit(
                         ctx,
                         &inners,
-                        &unit,
+                        &task.unit,
                         Some(&fabric.admission_dim_pages),
-                        Some(range),
-                        Some(&attempt),
+                        Some(task.range),
+                        Some(&task.attempt),
                         inject,
                     )
                 }));
-                match outcome {
-                    Ok(Ok(_)) => {}
-                    Ok(Err(e)) => {
-                        let mut slot = err.lock();
-                        if slot.is_none() {
-                            *slot = Some(e.to_string());
-                        }
+                let settled = match outcome {
+                    // A loser of the claim settles nothing; its winner does.
+                    Ok(Ok(selected)) => task.attempt.is_done().then_some(Ok(selected)),
+                    Ok(Err(e)) => Some(Err(e.to_string())),
+                    // An injected panic under supervision is a straggler:
+                    // flag it for re-dispatch. Any other panic is a bug and
+                    // fails the window.
+                    Err(_) if inject && fabric.health.is_some() => {
+                        task.died.store(true, Ordering::Release);
+                        None
                     }
-                    Err(_) => {
-                        // An injected panic is recoverable — flag the death
-                        // and let the supervisor re-dispatch. A panic on a
-                        // re-dispatched (injection-free) attempt is a
-                        // genuine bug: settle fatally so nothing hangs.
-                        if inject {
-                            died.store(true, Ordering::Release);
-                        } else {
-                            let mut slot = err.lock();
-                            if slot.is_none() {
-                                *slot = Some("fabric subscan panicked".to_string());
-                            }
-                        }
-                    }
+                    Err(panic) => Some(Err(scan_panic_error(&*panic))),
+                };
+                if let Some(settled) = settled {
+                    task.outcome.lock().get_or_insert(settled);
                 }
-                live.fetch_sub(1, Ordering::AcqRel);
+                task.live.fetch_sub(1, Ordering::AcqRel);
                 ws.notify_all();
             },
         );
     };
-    for (ti, task) in tasks.iter().enumerate() {
-        spawn_attempt(task, ti, 1, true);
+    for ti in 0..tasks.len() {
+        spawn_attempt(ti, 1, true);
     }
-    // Deadline timer: WaitSet has no timed wait, so a watchdog vthread
-    // sleeps the deadline away and wakes the supervisor.
-    let timeout = Arc::new(AtomicBool::new(false));
-    {
-        let timeout = Arc::clone(&timeout);
-        let ws = Arc::clone(&ws);
-        machine.spawn(
-            &format!("admission-fabric-{worker_idx}-watchdog"),
-            move |ctx| {
-                ctx.sleep(UNIT_REDISPATCH_DEADLINE_NS);
-                timeout.store(true, Ordering::Release);
-                ws.notify_all();
-            },
-        );
-    }
-    let mut redispatched = vec![false; tasks.len()];
-    loop {
-        {
-            let redispatched = &redispatched;
-            ws.wait_until(|| {
-                tasks.iter().all(SubscanTask::settled)
-                    || tasks.iter().enumerate().any(|(i, t)| {
-                        !redispatched[i]
-                            && !t.settled()
-                            && (t.died.load(Ordering::Acquire)
-                                || timeout.load(Ordering::Acquire))
-                    })
-            });
-        }
-        if tasks.iter().all(SubscanTask::settled) {
-            break;
-        }
-        for (ti, task) in tasks.iter().enumerate() {
-            if !redispatched[ti]
-                && !task.settled()
-                && (task.died.load(Ordering::Acquire) || timeout.load(Ordering::Acquire))
+    let all_settled = || tasks.iter().all(|t| t.settled());
+    match &fabric.health {
+        None => ws.wait_until(all_settled),
+        Some(health) => {
+            // Deadline timer: WaitSet has no timed wait, so a watchdog
+            // vthread sleeps the deadline away and wakes the supervisor.
+            let timeout = Arc::new(AtomicBool::new(false));
             {
-                redispatched[ti] = true;
-                health.count_redispatch();
-                spawn_attempt(task, ti, 2, false);
+                let timeout = Arc::clone(&timeout);
+                let ws = ws.clone();
+                machine.spawn(
+                    &format!("admission-fabric-{worker_idx}-watchdog"),
+                    move |ctx| {
+                        ctx.sleep(UNIT_REDISPATCH_DEADLINE_NS);
+                        timeout.store(true, Ordering::Release);
+                        ws.notify_all();
+                    },
+                );
+            }
+            let mut redispatched = vec![false; tasks.len()];
+            let due = |redispatched: &[bool], ti: usize| {
+                !redispatched[ti]
+                    && !tasks[ti].settled()
+                    && (tasks[ti].died.load(Ordering::Acquire) || timeout.load(Ordering::Acquire))
+            };
+            loop {
+                ws.wait_until(|| {
+                    all_settled() || (0..tasks.len()).any(|ti| due(&redispatched, ti))
+                });
+                if all_settled() {
+                    break;
+                }
+                for ti in 0..tasks.len() {
+                    if due(&redispatched, ti) {
+                        redispatched[ti] = true;
+                        health.count_redispatch();
+                        spawn_attempt(ti, 2, false);
+                    }
+                }
             }
         }
     }
-    let failure = tasks
+    let outcomes: Result<Vec<Vec<Selected>>, String> = tasks
         .iter()
-        .find(|t| !t.attempt.is_done())
-        .and_then(|t| t.err.lock().clone());
-    match failure {
-        None => Ok(()),
-        Some(msg) => {
-            // Quiesce before failing: the window's slots are about to be
-            // rolled back, so wait out any still-running attempt — it must
-            // not publish staged entries into a failed (and soon reused)
-            // slot. Success needs no such barrier: a late loser cannot
-            // publish, having lost the claim.
-            ws.wait_until(|| tasks.iter().all(SubscanTask::quiescent));
-            Err(msg)
-        }
+        .map(|t| t.outcome.lock().take().expect("every task settled"))
+        .collect();
+    if outcomes.is_err() {
+        // Quiesce before failing: the window's slots are about to be rolled
+        // back, so wait out any still-running attempt. Success needs no
+        // such barrier: a late loser cannot publish, having lost the claim.
+        ws.wait_until(|| tasks.iter().all(|t| t.live.load(Ordering::Acquire) == 0));
     }
+    outcomes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::LadderRung;
     use crate::stage::tests::shared_admission_oracle::build_query;
-    use crate::stage::tests::{bound_for, query, setup_sized};
+    use crate::stage::tests::{add_str_pk_dim, bound_for, expected, query, setup, setup_sized};
     use crate::stage::{CjoinConfig, CjoinStats};
     use proptest::prelude::*;
     use workshare_common::cell::CompletionCell;
@@ -970,6 +905,33 @@ mod tests {
         assert!(fs.memo_hits > 0 && fs.memo_misses > 6, "{fs:?}");
     }
 
+    /// Run one window of `queries` on `stage` by hand, on the calling
+    /// vthread, as the fabric's worker would.
+    fn window_by_hand(
+        ctx: &SimCtx,
+        fabric: &AdmissionFabric,
+        stage: &CjoinStage,
+        queries: Vec<StarQuery>,
+    ) {
+        let cost = stage.inner.cost;
+        let pending = queries
+            .into_iter()
+            .map(|q| Admission {
+                bound: bound_for(stage, &q),
+                out: Exchange::new(ExchangeKind::Spl, &stage.inner.machine, cost, 1),
+                sig: q.cjoin_signature(),
+                fault: Arc::new(CompletionCell::new()),
+                query: q,
+            })
+            .collect();
+        let req = FabricRequest {
+            stage: stage.clone(),
+            pending,
+        };
+        process_window(&fabric.inner, ctx, vec![req], 0);
+        fabric.inner.windows.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Two windows driven by hand on a stage whose queries never finish
     /// (`cap_pages: 1`, no reader): the first misses — two equal queries,
     /// four parts, two entries — the second is served by the memo alone.
@@ -987,30 +949,9 @@ mod tests {
         let (st, fab, mm) = (stage.clone(), fabric.clone(), m.clone());
         let (admission_s, spawns) = m
             .spawn("driver", move |ctx| {
-                let window = |ids: &[u64]| {
-                    let pending = ids
-                        .iter()
-                        .map(|&id| {
-                            let q = query(id, true);
-                            Admission {
-                                bound: bound_for(&st, &q),
-                                out: Exchange::new(ExchangeKind::Spl, &st.inner.machine, cost, 1),
-                                sig: q.cjoin_signature(),
-                                fault: Arc::new(CompletionCell::new()),
-                                query: q,
-                            }
-                        })
-                        .collect();
-                    let req = FabricRequest {
-                        stage: st.clone(),
-                        pending,
-                    };
-                    process_window(&fab.inner, ctx, vec![req], 0);
-                    fab.inner.windows.fetch_add(1, Ordering::Relaxed);
-                };
-                window(&[1, 2]);
+                window_by_hand(ctx, &fab, &st, vec![query(1, true), query(2, true)]);
                 let (cpu, handoffs) = (mm.cpu_breakdown(), mm.handoff_counts());
-                window(&[3]);
+                window_by_hand(ctx, &fab, &st, vec![query(3, true)]);
                 (
                     mm.cpu_breakdown().delta(&cpu).secs(CostKind::Admission),
                     mm.handoff_counts().spawns - handoffs.spawns,
@@ -1045,6 +986,124 @@ mod tests {
             3 * (3000 + 7),
             "logical rows"
         );
+        stage.shutdown();
+        fabric.shutdown();
+    }
+
+    /// A window with nothing to scan under a healing plan — dimension-less
+    /// queries, on a fabric with a health handle — spawns neither a subscan
+    /// nor a deadline watchdog, and activates its batch.
+    #[test]
+    fn a_supervised_window_with_nothing_to_scan_spawns_no_vthread() {
+        let (m, sm) = setup();
+        let heals = FaultPlan {
+            scan_stall_stride: Some(u64::MAX),
+            self_heal: true,
+            ..FaultPlan::default()
+        };
+        assert!(heals.heals());
+        let health = Arc::new(AdmissionHealth::new(LadderRung::Fabric));
+        let fabric = AdmissionFabric::new(&m, u64::MAX, heals, Some(health));
+        let config = CjoinConfig {
+            cap_pages: 1,
+            ..Default::default()
+        };
+        let stage = CjoinStage::with_admission(
+            &m,
+            &sm,
+            "fact",
+            config,
+            CostModel::default(),
+            Some(fabric.clone()),
+            None,
+        );
+        let no_dims = |id| StarQuery {
+            dims: vec![],
+            group_by: vec![],
+            order_by: vec![],
+            ..query(id, false)
+        };
+        let (st, fab, mm) = (stage.clone(), fabric.clone(), m.clone());
+        let spawns = m
+            .spawn("driver", move |ctx| {
+                let handoffs = mm.handoff_counts();
+                window_by_hand(ctx, &fab, &st, vec![no_dims(1), no_dims(2)]);
+                mm.handoff_counts().spawns - handoffs.spawns
+            })
+            .join()
+            .unwrap();
+        assert_eq!(spawns, 0, "a window with no scan part spawned a vthread");
+        assert_eq!(fabric.stats().batches, 1);
+        assert_eq!(stage.stats().admitted, 2);
+        stage.shutdown();
+        fabric.shutdown();
+    }
+
+    /// A genuine bug in a fabric scan, with faults off and no health
+    /// handle: a window whose dimension has a `Str` pk fans out to several
+    /// page-range subscans, each of which panics. Both queries of the
+    /// window end in a typed error carrying the panic's message, and the
+    /// fabric's one worker survives to serve a later window.
+    #[test]
+    fn a_panicking_fabric_scan_fails_its_window_instead_of_hanging_the_fabric() {
+        let (m, sm) = setup();
+        let broken = add_str_pk_dim(&sm, 9000);
+        let dims_pages = sm.page_count(sm.table("dims"));
+        assert!(dims_pages > 1, "the window must fan out: {dims_pages} page");
+        let fabric = AdmissionFabric::new(&m, u64::MAX, FaultPlan::default(), None);
+        let stage = CjoinStage::with_admission(
+            &m,
+            &sm,
+            "fact",
+            CjoinConfig::default(),
+            CostModel::default(),
+            Some(fabric.clone()),
+            None,
+        );
+        let (st, fab) = (stage.clone(), fabric.clone());
+        let (errors, windows_failed, late) = m
+            .spawn("coord", move |ctx| {
+                // One window: no virtual time passes between submissions.
+                let outputs: Vec<_> = [broken(1), broken(2)]
+                    .iter()
+                    .map(|q| st.submit(q, bound_for(&st, q)))
+                    .collect();
+                let mut errors = Vec::new();
+                for mut o in outputs {
+                    assert!(
+                        o.reader.next(ctx).is_none(),
+                        "a failed window emits nothing"
+                    );
+                    errors.push(o.fault.error());
+                }
+                let windows_failed = fab.windows_processed();
+                let q = query(3, true);
+                let bound = bound_for(&st, &q);
+                let outp = st.submit(&q, Arc::clone(&bound));
+                let rows = run_aggregate(ctx, outp.reader, &bound, &q.order_by, &st.inner.cost);
+                (errors, windows_failed, (rows, outp.fault.error()))
+            })
+            .join()
+            .unwrap();
+        for e in &errors {
+            let msg = e.as_deref().expect("the window failed");
+            assert!(
+                msg.contains("admission scan unit panicked") && msg.contains("expected Int"),
+                "{msg}"
+            );
+        }
+        assert_eq!(
+            late,
+            (expected(true), None),
+            "the later query runs on freed slots"
+        );
+        assert_eq!(windows_failed, 1);
+        assert!(
+            fabric.windows_processed() > windows_failed,
+            "the worker served a window after the failed one"
+        );
+        assert_eq!(stage.stats().admitted, 1, "the later query alone");
+        assert_eq!(stage.active_queries(), 0);
         stage.shutdown();
         fabric.shutdown();
     }

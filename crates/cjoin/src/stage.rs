@@ -1182,7 +1182,7 @@ pub(crate) mod tests {
         (m, sm)
     }
 
-    fn setup() -> (Machine, StorageManager) {
+    pub(crate) fn setup() -> (Machine, StorageManager) {
         setup_sized(10, 7)
     }
 
@@ -1243,7 +1243,7 @@ pub(crate) mod tests {
     }
 
     /// Reference evaluation with plain nested loops.
-    fn expected(a_even_only: bool) -> Vec<Row> {
+    pub(crate) fn expected(a_even_only: bool) -> Vec<Row> {
         expected_over(10, a_even_only)
     }
 
@@ -1554,6 +1554,27 @@ pub(crate) mod tests {
         assert_eq!(res[1], expected_over(1000, true));
     }
 
+    /// Create `dims`, a dimension of `rows` rows whose pk is a `Str` — so
+    /// an admission scan that reads it as an `Int` pk panics — and return a
+    /// maker of single-dimension queries that join it.
+    pub(crate) fn add_str_pk_dim(sm: &StorageManager, rows: usize) -> impl Fn(u64) -> StarQuery {
+        let ds = Schema::new(vec![
+            Column::new("pk", ColType::Str(4)),
+            Column::new("tag", ColType::Str(8)),
+        ]);
+        let mut db = PageBuilder::new(&ds);
+        for i in 0..rows {
+            db.push(&[Value::str(&i.to_string()), Value::str("s")]);
+        }
+        let pages = db.finish();
+        sm.create_table("dims", ds, pages);
+        |id| {
+            let mut q = single_dim_query(id, 0);
+            q.dims[0].dim = "dims".into();
+            q
+        }
+    }
+
     /// A genuine bug in an admission scan, with faults off: the batch's
     /// scan unit panics on a dimension whose pk is not an `Int`. Every
     /// query of the batch must end in a typed error carrying the panic's
@@ -1561,21 +1582,7 @@ pub(crate) mod tests {
     #[test]
     fn a_panicking_admission_scan_fails_its_batch_instead_of_hanging_it() {
         let (m, sm) = setup();
-        let ds = Schema::new(vec![
-            Column::new("pk", ColType::Str(4)),
-            Column::new("tag", ColType::Str(8)),
-        ]);
-        let mut db = PageBuilder::new(&ds);
-        for i in 0..10 {
-            db.push(&[Value::str(&i.to_string()), Value::str("s")]);
-        }
-        let pages = db.finish();
-        sm.create_table("dims", ds, pages);
-        let broken = |id| {
-            let mut q = single_dim_query(id, 0);
-            q.dims[0].dim = "dims".into();
-            q
-        };
+        let broken = add_str_pk_dim(&sm, 10);
         let stage = CjoinStage::new(&m, &sm, "fact", CjoinConfig::default(), CostModel::default());
         let st = stage.clone();
         let (errors, late) = m

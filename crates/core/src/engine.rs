@@ -554,10 +554,10 @@ impl Engine {
         config: &RunConfig,
         fact_table: &str,
     ) -> Engine {
-        // Self-healing machinery (ladder + supervised fabric windows +
-        // monitor) is built only when the fault plan asks for it; the
-        // default plan leaves `health` at `None` and every constructor
-        // below degrades to its legacy form bit-for-bit.
+        // Self-healing machinery (ladder, the fabric's subscan deadline and
+        // straggler re-dispatch, monitor) is built only when the fault plan
+        // asks for it; otherwise `health` is `None`. Either way the fabric
+        // scans a window the same way: a failed subscan fails its window.
         let has_fabric = config.admission_fabric && !config.cjoin_serial_admission;
         let health = config.faults.heals().then(|| {
             Arc::new(AdmissionHealth::new(if has_fabric {

@@ -280,40 +280,54 @@ fn an_armed_plan_bypasses_the_admission_memo_and_keeps_its_schedule() {
 /// No-recovery baseline: the same storage fault schedule with `self_heal`
 /// off turns every injected transient fault into a first-attempt typed
 /// error — queries fail instead of healing, but conservation still holds
-/// (degraded, never wrong: no lost queries, no hang). The wedge site stays
-/// unarmed here: a wedged fabric with no monitor holds its queued work
-/// forever by design, which is exactly what the healed variant above — and
-/// the faulted overload gate — measure against.
+/// (degraded, never wrong: no lost queries, no hang). So does an injected
+/// fabric subscan panic: with no health handle nothing re-dispatches it,
+/// and it fails its window's queries. The wedge site stays unarmed here: a
+/// wedged fabric with no monitor holds its queued work forever by design,
+/// which is exactly what the healed variant above — and the faulted
+/// overload gate — measure against.
 #[test]
 fn no_recovery_baseline_fails_queries_but_conserves() {
-    let faults = FaultPlan {
+    let storage_faults = FaultPlan {
         seed: 42,
         transient_page_stride: Some(9),
         self_heal: false,
         ..FaultPlan::default()
     };
-    let mut cfg = RunConfig::governed(ExecPolicy::Shared);
-    cfg.admission_fabric = true;
-    cfg.faults = faults;
-    let load = ServiceLoad {
-        clients: 3,
-        arrivals_per_sec: None,
-        tenants: 1,
-        window_secs: 0.3,
-        seed: 11,
+    let scan_panics = FaultPlan {
+        seed: 42,
+        scan_panic_stride: Some(7),
+        self_heal: false,
+        ..FaultPlan::default()
     };
-    let rep = run_service(ssb(), &cfg, "lineorder", load, |id, rng| {
-        workload::ssb_q3_2(id, rng)
-    });
-    let h = &rep.health;
+    for faults in [storage_faults, scan_panics] {
+        let mut cfg = RunConfig::governed(ExecPolicy::Shared);
+        cfg.admission_fabric = true;
+        cfg.faults = faults;
+        let load = ServiceLoad {
+            clients: 3,
+            arrivals_per_sec: None,
+            tenants: 1,
+            window_secs: 0.3,
+            seed: 11,
+        };
+        let rep = run_service(ssb(), &cfg, "lineorder", load, |id, rng| {
+            workload::ssb_q3_2(id, rng)
+        });
+        let h = &rep.health;
 
-    assert!(rep.is_conserved(), "{rep:?}");
-    assert!(rep.errors > 0, "unretried faults must fail queries: {rep:?}");
-    assert_eq!(h.storage.retries, 0, "self_heal off must not retry: {h:?}");
-    assert_eq!(
-        h.admission.demotions, 0,
-        "no monitor without self_heal: {h:?}"
-    );
+        assert!(rep.is_conserved(), "{faults:?}: {rep:?}");
+        assert!(
+            rep.errors > 0,
+            "unrecovered faults must fail queries: {rep:?}"
+        );
+        assert_eq!(h.storage.retries, 0, "self_heal off must not retry: {h:?}");
+        assert_eq!(
+            (h.admission.demotions, h.admission.redispatches),
+            (0, 0),
+            "no monitor, no supervision without self_heal: {h:?}"
+        );
+    }
 }
 
 /// Dimension-less scan-aggregates under a permanent page fault, on both
