@@ -3,7 +3,10 @@
 //! with a `BitmapBank` and key-run probing), at 1 / 16 / 64 / 256 concurrent
 //! queries — the concurrency axis of the paper's §5.2 experiments, where
 //! per-tuple bookkeeping is exactly what makes shared operators lose at low
-//! concurrency.
+//! concurrency. The vectorized side is the kernel the CJOIN stage's filter
+//! workers run, `filter_page_survivors` (survivors and bitmaps, no
+//! dimension row); the scalar oracle also resolves every match, as
+//! `filter_page_vectorized` does for the readers that want one.
 //!
 //! The design target of key-run probing is ≥2× scalar throughput at 64
 //! concurrent queries on the clustered-FK page; see the
@@ -19,7 +22,7 @@ use std::sync::Arc;
 
 use workshare_bench::json::Json;
 use workshare_cjoin::{
-    filter_page_scalar, filter_page_vectorized, DimEntry, FilterCore, FilterScratch,
+    filter_page_scalar, filter_page_survivors, DimEntry, FilterCore, FilterScratch,
 };
 use workshare_common::codec::PageBuilder;
 use workshare_common::fxhash::FxHashMap;
@@ -141,7 +144,7 @@ fn report_speedup(label: &str, rows: &[Row], n_queries: usize) -> f64 {
         scalar_ns.push(t.elapsed().as_nanos() as f64 / iters as f64);
         let t = Instant::now();
         for _ in 0..iters {
-            let (p, _) = filter_page_vectorized(&filters, rows, &members, &mut scratch);
+            let (p, _) = filter_page_survivors(&filters, 0..2, rows, &members, &mut scratch);
             std::hint::black_box(p.selected.len());
         }
         vec_ns.push(t.elapsed().as_nanos() as f64 / iters as f64);
@@ -158,8 +161,8 @@ fn report_speedup(label: &str, rows: &[Row], n_queries: usize) -> f64 {
     s / v
 }
 
-/// The vectorized kernel on `rows` encoded into one page and read in place
-/// — what the CJOIN filter workers run — beside the same kernel on the
+/// The stage's kernel on `rows` encoded into one page and read in place —
+/// what the CJOIN filter workers run — beside the same kernel on the
 /// decoded rows. Printed, never gated.
 fn report_in_place(label: &str, rows: &[Row], n_queries: usize) {
     let schema = Schema::new(
@@ -175,11 +178,12 @@ fn report_in_place(label: &str, rows: &[Row], n_queries: usize) {
     let members = QueryBitmap::ones(n_queries);
     let mut scratch = FilterScratch::default();
     let decoded = median_ns(|| {
-        let (p, _) = filter_page_vectorized(&filters, rows, &members, &mut scratch);
+        let (p, _) = filter_page_survivors(&filters, 0..2, rows, &members, &mut scratch);
         std::hint::black_box(p.selected.len());
     });
     let in_place = median_ns(|| {
-        let (p, _) = filter_page_vectorized(&filters, &page.rows(&schema), &members, &mut scratch);
+        let rows = page.rows(&schema);
+        let (p, _) = filter_page_survivors(&filters, 0..2, &rows, &members, &mut scratch);
         std::hint::black_box(p.selected.len());
     });
     let line = Json::obj([

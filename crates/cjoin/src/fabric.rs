@@ -139,8 +139,9 @@ struct FabricInner {
     machine: Machine,
     /// The seeded fault plan; the fabric's own site is the worker wedge.
     faults: FaultPlan,
-    /// Shared admission-health state; `Some` adds subscan deadlines and
-    /// straggler re-dispatch to every window, and fault accounting.
+    /// Shared admission-health state; `Some` under an armed plan adds fault
+    /// accounting, and under a self-healing one ([`FabricInner::supervisor`])
+    /// subscan deadlines and straggler re-dispatch to every window.
     health: Option<Arc<AdmissionHealth>>,
     /// Batching windows processed across all workers — the wedge site's
     /// injection tick.
@@ -156,6 +157,13 @@ struct FabricInner {
 }
 
 impl FabricInner {
+    /// The health handle that supervises windows: present only under a
+    /// self-healing plan (a handle that only counts faults supervises
+    /// nothing).
+    fn supervisor(&self) -> Option<&Arc<AdmissionHealth>> {
+        self.health.as_ref().filter(|_| self.faults.heals())
+    }
+
     /// Whether this worker should wedge now (injected fault, fires once).
     fn wedge_due(&self) -> bool {
         let Some(n) = self.faults.fabric_wedge_after else {
@@ -202,8 +210,9 @@ impl AdmissionFabric {
     ///
     /// `faults` is the seeded fault plan (worker-wedge site; any armed site
     /// bypasses the memo) and `health` an optional shared
-    /// [`AdmissionHealth`]. Without one, a subscan's storage error or panic
-    /// fails its window's batches. With one, subscans also get a virtual
+    /// [`AdmissionHealth`] that counts the fabric's faults. A subscan's
+    /// storage error or panic fails its window's batches, unless the plan
+    /// self-heals and a handle is given: then subscans also get a virtual
     /// deadline ([`UNIT_REDISPATCH_DEADLINE_NS`]), and a straggler (stalled,
     /// dead to an injected panic, or wedged-behind) is re-dispatched
     /// idempotently through the [`ScanAttempt`] claim protocol.
@@ -590,7 +599,7 @@ impl Subscan {
 /// once every attempt has stopped. A storage error, or a panic nobody
 /// re-dispatches, fails its task. An empty window spawns nothing.
 ///
-/// Under a healing plan (`FabricInner::health` is `Some`) the window is
+/// Under a healing plan (`FabricInner::supervisor` is `Some`) the window is
 /// **supervised**: a task still unsettled at [`UNIT_REDISPATCH_DEADLINE_NS`],
 /// or whose first attempt died to an injected panic, gets a second,
 /// injection-free attempt over the same range; the claim makes the pair
@@ -637,7 +646,7 @@ fn scan_window(
                     // An injected panic under supervision is a straggler:
                     // flag it for re-dispatch. Any other panic is a bug and
                     // fails the window.
-                    Err(_) if inject && fabric.health.is_some() => {
+                    Err(_) if inject && fabric.supervisor().is_some() => {
                         task.died.store(true, Ordering::Release);
                         None
                     }
@@ -655,7 +664,7 @@ fn scan_window(
         spawn_attempt(ti, 1, true);
     }
     let all_settled = || tasks.iter().all(|t| t.settled());
-    match &fabric.health {
+    match fabric.supervisor() {
         None => ws.wait_until(all_settled),
         Some(health) => {
             // Deadline timer: WaitSet has no timed wait, so a watchdog

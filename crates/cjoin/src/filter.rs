@@ -12,7 +12,7 @@
 //! This module provides two interchangeable kernels over the same
 //! [`FilterCore`] state:
 //!
-//! * [`filter_page_vectorized`] — the production path. Tuple bitmaps live in
+//! * [`filter_page_survivors`] — the production path. Tuple bitmaps live in
 //!   one word-strided [`BitmapBank`]; filters are applied filter-major
 //!   (outer loop over filters, inner over the still-alive tuples of the
 //!   batch), probing the dimension hash once per *key run* (consecutive
@@ -29,12 +29,18 @@
 //!   below compares the vectorized kernel against, and the baseline the
 //!   `filter_vectorized` bench measures. It probes every pair.
 //!
-//! Both kernels produce a [`FilteredPage`] (survivor indices, a
-//! survivor-aligned bitmap bank, and the matched dimension rows) that reads
-//! the same to the distributor: equal survivors and bitmaps, and equal
-//! matches at every pair a surviving query reads.
+//! The production kernel produces [`Survivors`]: survivor indices and a
+//! survivor-aligned bitmap bank, and no dimension row. As in the paper's
+//! pipeline, a surviving tuple's foreign keys are its pointers to the
+//! dimension tuples it joins: the distributor looks a payload row up
+//! ([`FilterCore::match_of`]) only for an output row it emits, and only at
+//! a dimension whose payload the query reads. [`filter_page_vectorized`]
+//! is that kernel plus the same lookup for every (survivor, filter) pair a
+//! surviving query reads, into a [`FilteredPage`] that reads like the
+//! scalar oracle's: equal survivors and bitmaps, and equal matches at
+//! every pair a surviving query reads.
 //!
-//! The vectorized kernel reads one foreign key per (tuple, filter) through
+//! The production kernel reads one foreign key per (tuple, filter) through
 //! [`Tuples::int`], so it runs on decoded rows or on a fact page read in
 //! place ([`workshare_common::codec::PageRows`]). The stage's filter
 //! workers hand it the page in place and decode no row; the scalar oracle
@@ -79,6 +85,14 @@ pub struct FilterCore {
 }
 
 impl FilterCore {
+    /// The dimension row tuple `i` of `rows` joins at this filter, if any:
+    /// one probe of `hash` with the tuple's foreign key, read in place. The
+    /// distributor's payload lookup and [`filter_page_vectorized`]'s
+    /// resolve step both go through here.
+    pub fn match_of<T: Tuples + ?Sized>(&self, rows: &T, i: usize) -> Option<&Arc<Row>> {
+        self.hash.get(&rows.int(i, self.fact_fk_idx)).map(|e| &e.row)
+    }
+
     /// Drop query `slot` from this filter, in place: clear its
     /// `referencing` bit and its bit in every entry, dropping the entries
     /// that go empty. When `slot` is the filter's only reference every
@@ -108,35 +122,39 @@ impl FilterCore {
 /// the zero-alloc invariant of the steady-state filter loop.
 #[derive(Default)]
 pub struct FilterScratch {
+    /// One membership bitmap per tuple of the page, ANDed down in place.
     bank: BitmapBank,
+    /// The tuples still alive.
     alive: SelVec,
     /// `!referencing` of the current filter, zero-extended to the bank
     /// stride.
     notref: Vec<u64>,
     /// `entry | !referencing` of the current key run.
     mask: Vec<u64>,
-    /// Per-(tuple, filter) matched key-run code: 0 = no match, else a
-    /// 1-based index into the batch's run-hit list. Borrowed entry
-    /// references cannot live in reusable scratch, so the hot loop stores
-    /// 4-byte codes and resolves them to `Arc` clones at compaction.
-    match_run: Vec<u32>,
 }
 
-/// A filtered page: the indices of surviving tuples (into the source page),
-/// their bitmaps compacted into a survivor-aligned bank, and the matched
-/// dimension rows. Matches are stored as one shared `Arc<Row>` per *key
-/// run* plus 4-byte per-survivor codes — a page with long runs pays a
-/// handful of `Arc` clones instead of one per survivor × filter.
+/// What the production kernel ([`filter_page_survivors`]) hands the
+/// distributor: the indices of surviving tuples (into the source page) and
+/// their bitmaps, compacted into a survivor-aligned bank. It holds no
+/// dimension row; the page's foreign keys point at them.
+pub struct Survivors {
+    /// Indices of surviving tuples into the source page's rows.
+    pub selected: Vec<u32>,
+    /// One membership bitmap per survivor, aligned with `selected`.
+    pub bank: BitmapBank,
+}
+
+/// A filtered page with its dimension matches resolved: survivors and
+/// bitmaps as in [`Survivors`], plus the matched dimension row of each
+/// (survivor, filter) pair — what the scalar oracle builds, and what
+/// [`filter_page_vectorized`] builds for the pairs a surviving query reads.
 pub struct FilteredPage {
     /// Indices of surviving tuples into the source page's rows.
     pub selected: Vec<u32>,
     /// One membership bitmap per survivor, aligned with `selected`.
     pub bank: BitmapBank,
-    /// Survivor-major match codes (`j * nfilters + fi`): 0 = no match,
-    /// else 1-based index into `run_rows`.
-    match_codes: Vec<u32>,
-    /// Matched dimension rows, one per key run with a hash hit.
-    run_rows: Vec<Arc<Row>>,
+    /// Survivor-major matched rows (`j * nfilters + fi`).
+    matches: Vec<Option<Arc<Row>>>,
     /// Number of filters the page was probed through.
     pub nfilters: usize,
 }
@@ -144,10 +162,7 @@ pub struct FilteredPage {
 impl FilteredPage {
     /// Matched dimension row of survivor `j` at filter `fi`.
     pub fn dim_match(&self, j: usize, fi: usize) -> Option<&Arc<Row>> {
-        match self.match_codes[j * self.nfilters + fi] {
-            0 => None,
-            code => Some(&self.run_rows[code as usize - 1]),
-        }
+        self.matches[j * self.nfilters + fi].as_ref()
     }
 }
 
@@ -179,8 +194,7 @@ pub fn filter_page_scalar(
     let mut selected = Vec::new();
     let mut bank = BitmapBank::new();
     bank.reset_empty(members.word_count());
-    let mut match_codes: Vec<u32> = Vec::new();
-    let mut run_rows: Vec<Arc<Row>> = Vec::new();
+    let mut matches: Vec<Option<Arc<Row>>> = Vec::new();
     let mut row_matches: Vec<Option<Arc<Row>>> = vec![None; nfilters];
     for (i, row) in rows.iter().enumerate() {
         let mut bits = members.clone();
@@ -203,64 +217,65 @@ pub fn filter_page_scalar(
         if alive {
             selected.push(i as u32);
             bank.push_bitmap(&bits);
-            for m in &mut row_matches {
-                match m.take() {
-                    None => match_codes.push(0),
-                    Some(r) => {
-                        run_rows.push(r);
-                        match_codes.push(run_rows.len() as u32);
-                    }
-                }
-            }
+            matches.extend(row_matches.iter_mut().map(Option::take));
         }
     }
     (
         FilteredPage {
             selected,
             bank,
-            match_codes,
-            run_rows,
+            matches,
             nfilters,
         },
         counters,
     )
 }
 
-/// Vectorized batch-at-a-time kernel, probing the filters in insertion
-/// order. See the module docs for the loop structure.
-///
-/// Inner-loop discipline: the AND mask `entry | !referencing` is computed
-/// once per *key run*, so the per-tuple work is one FK extraction, one key
-/// compare, one 4-byte run-code store, and `stride` word ANDs. Dimension
-/// matches are resolved from run codes at compaction: one `Arc` clone (an
-/// atomic RMW) per key run with a hash hit, at every filter. That includes
-/// runs whose tuples a later filter kills, so a page with short runs pays
-/// more clones than it has survivors.
-///
-/// **Skip rule.** A tuple whose bitmap shares no bit with a filter's
-/// `referencing` is not probed there, since the AND would be the identity:
-/// it stays alive, its match code at that filter stays 0, and the key-run
-/// state carries across it (the mask depends only on the key, so
-/// `key_runs` counts exactly the runs probed). A filter whose
-/// `referencing` shares no bit with `members` is not visited at all, and
-/// one every member references runs no per-tuple test, since no tuple can
-/// be skipped there. Survivors and bitmaps therefore equal
-/// [`filter_page_scalar`]'s.
+/// [`filter_page_survivors`] in insertion order, then every (survivor `j`,
+/// filter `fi`) pair that one of `j`'s surviving queries references
+/// resolved through [`FilterCore::match_of`]. The stage runs the kernel
+/// alone; this is for readers that want the oracle's page (the ledger's
+/// layer sweep and the tests), and it clones one `Arc` per resolved match.
 ///
 /// **Reader contract.** [`FilteredPage::dim_match`]`(j, fi)` equals the
 /// oracle's wherever a query `q` in survivor `j`'s bitmap references
-/// filter `fi`; elsewhere it may be `None`. That covers every reader: the
-/// stage's distributor and the ledger's layer sweep read `dim_match(j, fi)`
-/// only for a `q` in `j`'s final bits with `fi` among `q`'s own filters.
-/// Such a `q` references `fi`, and final bits are a subset of the bits
-/// `j` carried into `fi`, so the pair was probed.
+/// filter `fi`, and is `None` elsewhere. That covers every reader: the
+/// ledger's layer sweep reads `dim_match(j, fi)` only for a `q` in `j`'s
+/// final bits with `fi` among `q`'s own filters, and the stage's
+/// distributor makes the same lookup for the same pairs.
 pub fn filter_page_vectorized<T: Tuples + ?Sized>(
     filters: &[Arc<FilterCore>],
     rows: &T,
     members: &QueryBitmap,
     scratch: &mut FilterScratch,
 ) -> (FilteredPage, FilterCounters) {
-    filter_page_in_order(filters, 0..filters.len(), rows, members, scratch)
+    let (survivors, counters) =
+        filter_page_survivors(filters, 0..filters.len(), rows, members, scratch);
+    (resolve(filters, rows, survivors), counters)
+}
+
+/// `survivors` of `rows` with the match of every pair a surviving query
+/// reads looked up (see [`filter_page_vectorized`]).
+fn resolve<T: Tuples + ?Sized>(
+    filters: &[Arc<FilterCore>],
+    rows: &T,
+    Survivors { selected, bank }: Survivors,
+) -> FilteredPage {
+    let nfilters = filters.len();
+    let mut matches = Vec::with_capacity(selected.len() * nfilters);
+    for (j, &i) in selected.iter().enumerate() {
+        let bits = bank.row(j);
+        matches.extend(filters.iter().map(|f| {
+            let read = bits.iter().zip(f.referencing.words()).any(|(b, r)| b & r != 0);
+            read.then(|| f.match_of(rows, i as usize).cloned()).flatten()
+        }));
+    }
+    FilteredPage {
+        selected,
+        bank,
+        matches,
+        nfilters,
+    }
 }
 
 /// Probe order of `filters`: descending population count of `referencing`,
@@ -275,17 +290,32 @@ pub(crate) fn probe_order(filters: &[Arc<FilterCore>], order: &mut Vec<usize>) {
     order.sort_by_key(|&fi| std::cmp::Reverse(filters[fi].referencing.count_ones()));
 }
 
-/// [`filter_page_vectorized`], probing the filters in `order` (a
-/// permutation of their indices). Match codes stay indexed by filter index.
-pub(crate) fn filter_page_in_order<T: Tuples + ?Sized>(
+/// The production kernel, probing the filters in `order` (a permutation of
+/// their indices): the survivors of `rows` and their bitmaps. See the
+/// module docs for the loop structure.
+///
+/// Inner-loop discipline: the AND mask `entry | !referencing` is computed
+/// once per *key run*, so the per-tuple work is one FK extraction, one key
+/// compare and `stride` word ANDs. The kernel keeps no dimension row and
+/// touches no entry's `Arc`: a page whose runs a later filter kills costs
+/// nothing at compaction, and a dropped page frees two vectors.
+///
+/// **Skip rule.** A tuple whose bitmap shares no bit with a filter's
+/// `referencing` is not probed there, since the AND would be the identity:
+/// it stays alive, and the key-run state carries across it (the mask
+/// depends only on the key, so `key_runs` counts exactly the runs
+/// probed). A filter whose `referencing` shares no bit with `members` is
+/// not visited at all, and one every member references runs no per-tuple
+/// test, since no tuple can be skipped there. Survivors and bitmaps
+/// therefore equal [`filter_page_scalar`]'s, in any probe order.
+pub fn filter_page_survivors<T: Tuples + ?Sized>(
     filters: &[Arc<FilterCore>],
     order: impl IntoIterator<Item = usize>,
     rows: &T,
     members: &QueryBitmap,
     scratch: &mut FilterScratch,
-) -> (FilteredPage, FilterCounters) {
+) -> (Survivors, FilterCounters) {
     let n = rows.len();
-    let nfilters = filters.len();
     let mut counters = FilterCounters::default();
     // Split-borrow the scratch fields so the retain closure can mutate the
     // bank and masks while the selection vector drives iteration.
@@ -294,17 +324,10 @@ pub(crate) fn filter_page_in_order<T: Tuples + ?Sized>(
         alive,
         notref,
         mask,
-        match_run,
     } = scratch;
     bank.reset(n, members);
     alive.reset(n, members.any());
     let stride = bank.stride();
-    match_run.clear();
-    match_run.resize(n * nfilters, 0);
-    // The matched dimension entry of every key run with a hash hit, across
-    // all filters (codes in `match_run` are 1-based indices into this).
-    // Sized by runs, not tuples — the only per-batch allocation in the loop.
-    let mut run_hits: Vec<&DimEntry> = Vec::new();
     let mw = members.words();
     for fi in order {
         let f = &filters[fi];
@@ -326,11 +349,8 @@ pub(crate) fn filter_page_in_order<T: Tuples + ?Sized>(
         // pages and join-product skew both collapse into long runs, so the
         // hash lookup and mask construction amortize across the run.
         let mut run_key = 0i64;
-        let mut run_code = 0u32;
         let mut in_run = false;
         let fk = f.fact_fk_idx;
-        let mrow = &mut match_run[..];
-        let hits = &mut run_hits;
         // Every still-alive tuple is visited exactly once by this pass and
         // its bitmap words read, by the skip test or the AND; only tuples
         // that some referencing query still needs count as probes.
@@ -351,20 +371,9 @@ pub(crate) fn filter_page_in_order<T: Tuples + ?Sized>(
                     run_key = key;
                     in_run = true;
                     counters.key_runs += 1;
-                    match f.hash.get(&key) {
-                        Some(e) => {
-                            hits.push(e);
-                            run_code = hits.len() as u32;
-                            mask0 =
-                                notref0 | e.bits.words().first().copied().unwrap_or(0);
-                        }
-                        None => {
-                            run_code = 0;
-                            mask0 = notref0;
-                        }
-                    }
+                    let hit = f.hash.get(&key).and_then(|e| e.bits.words().first());
+                    mask0 = notref0 | hit.copied().unwrap_or(0);
                 }
-                mrow[i * nfilters + fi] = run_code;
                 bank.and_word(i, mask0)
             });
         } else {
@@ -378,15 +387,7 @@ pub(crate) fn filter_page_in_order<T: Tuples + ?Sized>(
                     run_key = key;
                     in_run = true;
                     counters.key_runs += 1;
-                    let entry = f.hash.get(&key);
-                    match entry {
-                        Some(e) => {
-                            hits.push(e);
-                            run_code = hits.len() as u32;
-                        }
-                        None => run_code = 0,
-                    }
-                    let ew = entry.map(|e| e.bits.words()).unwrap_or(&[]);
+                    let ew = f.hash.get(&key).map(|e| e.bits.words()).unwrap_or(&[]);
                     mask.clear();
                     mask.extend(
                         notref
@@ -395,32 +396,20 @@ pub(crate) fn filter_page_in_order<T: Tuples + ?Sized>(
                             .map(|(j, nr)| nr | ew.get(j).copied().unwrap_or(0)),
                     );
                 }
-                mrow[i * nfilters + fi] = run_code;
                 bank.and_mask_row(i, mask)
             });
         }
         counters.probes += visited - skipped;
     }
-    // Compact survivors out of the scratch (per-batch allocations only).
-    // Match codes copy over verbatim; the `Arc` clones are one per key run
-    // with a hit, regardless of how many survivors share the run.
-    let survivors = alive.count();
-    let mut selected = Vec::with_capacity(survivors);
-    let mut match_codes = Vec::with_capacity(survivors * nfilters);
-    for i in alive.iter_ones() {
-        selected.push(i as u32);
-        match_codes.extend_from_slice(&match_run[i * nfilters..(i + 1) * nfilters]);
-    }
-    let run_rows: Vec<Arc<Row>> = run_hits.iter().map(|e| Arc::clone(&e.row)).collect();
+    // Compact survivors out of the scratch: the page's two allocations.
+    let mut selected = Vec::with_capacity(alive.count());
+    selected.extend(alive.iter_ones().map(|i| i as u32));
     let mut out_bank = BitmapBank::new();
     bank.compact_into(alive, &mut out_bank);
     (
-        FilteredPage {
+        Survivors {
             selected,
             bank: out_bank,
-            match_codes,
-            run_rows,
-            nfilters,
         },
         counters,
     )
@@ -476,10 +465,8 @@ mod tests {
 
     /// `page` shows a reader what `oracle` does: the same survivors and
     /// bitmaps, and the same match of survivor `j` at filter `fi` wherever
-    /// one of `j`'s surviving queries references `fi`. Elsewhere the
-    /// vectorized kernel may have skipped the pair, so it holds `None` — or
-    /// the oracle's row, when a query a later filter dropped still needed
-    /// the probe.
+    /// one of `j`'s surviving queries references `fi`. Elsewhere no reader
+    /// looks, and the resolve step leaves `None`.
     fn pages_equal(filters: &[Arc<FilterCore>], oracle: &FilteredPage, page: &FilteredPage) {
         assert_eq!(oracle.selected, page.selected);
         assert_eq!(oracle.nfilters, page.nfilters);
@@ -492,7 +479,7 @@ mod tests {
                 if bits.iter_ones().any(|q| f.referencing.get(q)) {
                     assert_eq!(want, got, "match of survivor {j} filter {fi}");
                 } else {
-                    assert!(got.is_none() || got == want, "survivor {j} filter {fi}");
+                    assert!(got.is_none(), "survivor {j} filter {fi}");
                 }
             }
         }
@@ -820,10 +807,11 @@ mod tests {
                 let mut by_reference = Vec::new();
                 probe_order(&filters, &mut by_reference);
                 for order in [by_reference, (0..filters.len()).rev().collect()] {
-                    let (op, _) = SCRATCH.with(|s| {
-                        filter_page_in_order(&filters, order, &rows, &members, &mut s.borrow_mut())
+                    let (survivors, oc) = SCRATCH.with(|s| {
+                        filter_page_survivors(&filters, order, &rows, &members, &mut s.borrow_mut())
                     });
-                    pages_equal(&filters, &sp, &op);
+                    pages_equal(&filters, &sp, &resolve(&filters, &rows, survivors));
+                    prop_assert!(oc.key_runs <= oc.probes, "{oc:?}");
                 }
             }
         }

@@ -30,12 +30,14 @@
 //!   key run, and a per-worker scratch keeps the steady-state loop free of
 //!   per-tuple heap allocations (the tuple-at-a-time [`filter_page_scalar`]
 //!   is the kernel-level oracle; no engine path runs it). The workers read
-//!   each fact page in place and decode no row.
+//!   each fact page in place, decode no row, and hand the distributor
+//!   survivors and bitmaps only ([`filter_page_survivors`]).
 //! * **Distributor parts** (the paper's fix for the single-threaded
 //!   distributor bottleneck) route surviving tuples to the queries whose bit
 //!   is set, applying per-query fact predicates (evaluated on CJOIN output,
-//!   §3.2) and per-query projections — on the fact page in place, building
-//!   a row only for a joined output tuple.
+//!   §3.2) and per-query projections — on the fact page in place, looking
+//!   a dimension payload up by foreign key and building a row only for a
+//!   joined output tuple.
 //! * **SP over CJOIN packets** (§3.3): a new query identical to an in-flight
 //!   one attaches to the host packet's output exchange instead of being
 //!   admitted — skipping admission, bitmap extension, and all per-query
@@ -60,8 +62,8 @@ pub mod wrap;
 
 pub use fabric::{AdmissionFabric, FabricStats, UNIT_REDISPATCH_DEADLINE_NS};
 pub use filter::{
-    filter_page_scalar, filter_page_vectorized, DimEntry, FilterCore, FilterCounters,
-    FilterScratch, FilteredPage,
+    filter_page_scalar, filter_page_survivors, filter_page_vectorized, DimEntry, FilterCore,
+    FilterCounters, FilterScratch, FilteredPage, Survivors,
 };
 pub use health::{AdmissionHealth, AdmissionHealthSnapshot, LadderRung};
 pub use stage::{

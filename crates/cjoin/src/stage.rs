@@ -16,7 +16,7 @@ use crate::fabric::AdmissionFabric;
 use crate::health::{AdmissionHealth, LadderRung};
 use crate::window::ShardedSlot;
 use crate::wrap::WrapLedger;
-use crate::filter::{filter_page_in_order, probe_order, FilterCore, FilterScratch, FilteredPage};
+use crate::filter::{filter_page_survivors, probe_order, FilterCore, FilterScratch, Survivors};
 use workshare_qpipe::batch::BatchBuilder;
 use workshare_qpipe::exchange::{Exchange, ExchangeKind, ExchangeReader};
 use workshare_sim::{CostKind, Machine, SimCtx, SimQueue, WaitSet};
@@ -314,12 +314,11 @@ impl GqpState {
     /// A stage nobody references is a fresh stage: when that was the last
     /// reference to the last referenced filter, the filter list and its
     /// index are emptied in the same mutation. The vectorized kernel does
-    /// not visit a filter no page member references, but every filter still
-    /// widens each page's match codes and the scalar oracle probes it, so a
-    /// long-lived stage would otherwise carry each dimension any earlier
-    /// query joined. Nothing can hold an index across the reset — admission
-    /// locates a filter and sets its `referencing` bit inside one
-    /// [`StageInner::mutate_state`].
+    /// not visit a filter no page member references, but the scalar oracle
+    /// probes it and the probe order sorts it, so a long-lived stage would
+    /// otherwise carry each dimension any earlier query joined. Nothing can
+    /// hold an index across the reset — admission locates a filter and sets
+    /// its `referencing` bit inside one [`StageInner::mutate_state`].
     pub(crate) fn release_slot(&mut self, slot: u32) {
         for fi in 0..self.filters.len() {
             self.filter_mut(fi).release(slot as usize);
@@ -367,14 +366,16 @@ struct WorkBatch {
 }
 
 /// A filtered page flowing to the distributor: the fact page itself (an
-/// `Arc` of its bytes, never decoded into rows) plus the survivor indices /
-/// bitmap bank / dimension matches produced by the filter kernel. The
-/// distributor reads the page in place and builds a `Row` only for a joined
-/// output tuple.
+/// `Arc` of its bytes, never decoded into rows) plus the survivor indices
+/// and bitmap bank the filter kernel produced — no dimension row. A
+/// survivor's foreign keys on the page are its pointers to the dimension
+/// tuples it joins (§2.4): the distributor reads the page in place, looks a
+/// payload row up only for a joined output tuple it builds, and builds a
+/// `Row` only for that tuple.
 struct DistBatch {
     fact: Page,
     members: Arc<QueryBitmap>,
-    page: FilteredPage,
+    page: Survivors,
 }
 
 /// An SP host: its query id, its exchange, and its fault cell — satellites
@@ -417,10 +418,12 @@ pub(crate) struct StageInner {
     /// for standalone stages, which fall back to their own worker.
     fabric: Option<AdmissionFabric>,
     /// Shared admission-health state, installed by a governed engine with
-    /// an armed, self-healing fault plan ([`CjoinStage::with_admission`]).
-    /// When present, the preprocessor routes pending batches by the live
-    /// degradation-ladder rung instead of the static config; when `None`
-    /// the stage behaves exactly as before the fault substrate existed.
+    /// an armed fault plan ([`CjoinStage::with_admission`]): injected scan
+    /// faults and failed batches are counted on it. Under a self-healing
+    /// plan ([`StageInner::ladder`]) the preprocessor also routes pending
+    /// batches by the live degradation-ladder rung instead of the static
+    /// config; otherwise the stage routes exactly as before the fault
+    /// substrate existed.
     pub(crate) health: Option<Arc<AdmissionHealth>>,
     /// Injection tick counter for this stage's scan-unit fault sites
     /// (advances only while a fault plan is armed).
@@ -448,6 +451,13 @@ pub(crate) struct StageInner {
 }
 
 impl StageInner {
+    /// The degradation ladder the preprocessor routes by: the health handle
+    /// under a self-healing plan, `None` otherwise (a handle that only
+    /// counts faults moves no batch).
+    fn ladder(&self) -> Option<&AdmissionHealth> {
+        self.health.as_deref().filter(|_| self.config.faults.heals())
+    }
+
     /// Draw the next injection tick for this stage's scan-unit fault sites.
     pub(crate) fn scan_tick(&self) -> u64 {
         self.scan_ticks.fetch_add(1, Ordering::Relaxed)
@@ -523,8 +533,9 @@ impl CjoinStage {
     /// Create the stage with full admission plumbing: an optional fabric
     /// (the governed engine's cross-stage admission pool, which takes the
     /// stage's pending admissions instead of a per-stage worker) plus an
-    /// optional shared [`AdmissionHealth`] handle. With a health handle the
-    /// preprocessor routes pending batches by the live degradation-ladder
+    /// optional shared [`AdmissionHealth`] handle, which counts the stage's
+    /// admission faults. Under a self-healing fault plan the preprocessor
+    /// also routes pending batches by the handle's live degradation-ladder
     /// rung (fabric → pool → serial) and the stage spawns its own admission
     /// worker even when fabric-served, so the pool rung has somewhere to
     /// land. With neither this is exactly [`CjoinStage::new`].
@@ -575,12 +586,12 @@ impl CjoinStage {
         }
         // The serial path admits inline on the preprocessor; a
         // fabric-served stage hands batches to the engine-level pool. Only
-        // a standalone shared-scan stage needs its own worker — unless a
-        // health handle is installed, in which case the degradation ladder
-        // may demote a fabric-served stage to its own pool at runtime, so
-        // the worker must exist.
+        // a standalone shared-scan stage needs its own worker — unless the
+        // plan self-heals, in which case the degradation ladder may demote
+        // a fabric-served stage to its own pool at runtime, so the worker
+        // must exist.
         if !stage.inner.config.serial_admission
-            && (stage.inner.fabric.is_none() || stage.inner.health.is_some())
+            && (stage.inner.fabric.is_none() || stage.inner.ladder().is_some())
         {
             stage.spawn_admission_worker();
         }
@@ -723,12 +734,12 @@ impl CjoinStage {
                 // stalling the GQP.
                 let pending = inner.pending.drain();
                 if !pending.is_empty() {
-                    // With a health handle installed the live degradation
-                    // ladder picks the admission path; otherwise the static
+                    // Under a self-healing plan the live degradation ladder
+                    // picks the admission path; otherwise the static
                     // config does (legacy behavior, bit-for-bit). The
                     // serial config always means serial — it is the
                     // behavioral oracle and sits below the ladder.
-                    let rung = match (&inner.health, inner.config.serial_admission) {
+                    let rung = match (inner.ladder(), inner.config.serial_admission) {
                         (_, true) => LadderRung::Serial,
                         (Some(h), false) => {
                             let r = h.rung();
@@ -901,7 +912,7 @@ impl CjoinStage {
                     // merged (entries-then-activate), and a slot's entries
                     // stay until its last page is distributed.
                     let (page, counters) = inner.read_state(|s| {
-                        filter_page_in_order(
+                        filter_page_survivors(
                             &s.filters,
                             s.probe_order.iter().copied(),
                             &rows,
@@ -990,27 +1001,41 @@ impl CjoinStage {
                         // evaluated.
                         qrt.fact_pred.restrict_batch_gather(&rows, &page.selected, sel);
                         out_rows += sel.count() as u64;
-                        // Joined pages are collected under the builder
-                        // lock and emitted once it is released.
-                        let mut pages = Vec::new();
-                        {
+                        // Joined pages are collected under the state guard
+                        // (taken once per query and page) and the builder
+                        // lock, and emitted once both are released. A
+                        // payload row is looked up by the survivor's foreign
+                        // key, read from the page in place, only for a row
+                        // this query emits and a dimension whose payload it
+                        // reads. The entry is still there: a surviving bit
+                        // of this query at one of its filters means the
+                        // entry carried that bit when the page was
+                        // filtered, and the query's slot cannot be released
+                        // — nor its bit cleared — while this page still
+                        // counts in its `process_left`. Admission only adds
+                        // entries and bits meanwhile.
+                        let pages = inner.read_state(|s| {
+                            let mut pages = Vec::new();
                             let mut builder = qrt.builder.lock();
                             for j in sel.iter_ones() {
                                 let i = page.selected[j] as usize;
                                 let mut joined = qrt.bound.project_fact_at(&rows, i);
                                 for (fi, payload_idx) in &qrt.dim_filters {
-                                    let dim_row = page
-                                        .dim_match(j, *fi)
-                                        .expect("bit set without dim match");
-                                    for &ci in payload_idx {
-                                        joined.push(dim_row[ci].clone());
+                                    if payload_idx.is_empty() {
+                                        continue;
                                     }
+                                    let dim_row = s.filters[*fi]
+                                        .match_of(&rows, i)
+                                        .expect("a surviving bit's entry outlives its page");
+                                    let payload = payload_idx.iter().map(|&ci| dim_row[ci].clone());
+                                    joined.extend(payload);
                                 }
                                 if let Some(full) = builder.push(joined) {
                                     pages.push(full);
                                 }
                             }
-                        }
+                            pages
+                        });
                         for p in pages {
                             qrt.out.emit(ctx, p);
                         }
@@ -1821,6 +1846,84 @@ pub(crate) mod tests {
                     b
                 );
             }
+        }
+    }
+
+    /// The distributor looks a payload row up when it emits, not when the
+    /// page was filtered. Between the two, while the page waits in
+    /// `dist_q`, admission may merge a new slot's entries and finalisation
+    /// may release another slot — here the one slot referencing a filter,
+    /// so that filter's table is swapped out. Every (survivor, surviving
+    /// query, payload filter of that query) must still resolve to the very
+    /// row the scalar oracle matched before the mutations.
+    #[test]
+    fn a_waiting_pages_payload_rows_survive_admission_and_release() {
+        use crate::filter::{filter_page_scalar, DimEntry};
+        let (a, b, c) = (3usize, 70usize, 5usize);
+        let mut s = GqpState::default();
+        // Slot `slot` joins `dim` on fact column `fk`, selecting `keys`.
+        let admit = |s: &mut GqpState, slot: usize, dim: u32, fk: usize, keys: &[i64]| {
+            let fi = s.locate_filter(TableId(dim), fk, 0);
+            let f = s.filter_mut(fi);
+            f.referencing.set(slot);
+            for &key in keys {
+                let row = || Arc::new(vec![Value::Int(key), Value::str(&format!("{dim}:{key}"))]);
+                f.hash
+                    .entry(key)
+                    .or_insert_with(|| DimEntry {
+                        row: row(),
+                        bits: QueryBitmap::zeros(64),
+                    })
+                    .bits
+                    .set(slot);
+            }
+            fi
+        };
+        let evens: Vec<i64> = (0..13).filter(|k| k % 2 == 0).collect();
+        let a_filters = [
+            admit(&mut s, a, 1, 0, &evens),
+            admit(&mut s, a, 3, 2, &[0, 1, 2, 3, 4, 5]),
+        ];
+        admit(&mut s, b, 1, 0, &[0, 3, 6, 9, 12]);
+        let b_only = admit(&mut s, b, 2, 1, &[0, 1, 2, 3, 4, 5, 6, 7]);
+        // One fact page of three foreign keys, read in place.
+        let schema = Schema::new(
+            ["fk0", "fk1", "fk2"].iter().map(|n| Column::new(n, ColType::Int)).collect(),
+        );
+        let mut builder = PageBuilder::new(&schema);
+        for i in 0..300i64 {
+            builder.push(&[Value::Int(i % 13), Value::Int(i * 7 % 11), Value::Int(i / 3 % 9)]);
+        }
+        let page = builder.finish().remove(0);
+        let rows = page.rows(&schema);
+        let mut members = QueryBitmap::zeros(64);
+        members.set(a);
+        members.set(b);
+        let mut scratch = FilterScratch::default();
+        let (survivors, _) =
+            filter_page_survivors(&s.filters, 0..s.filters.len(), &rows, &members, &mut scratch);
+        let (oracle, _) = filter_page_scalar(&s.filters, &page.decode_all(&schema), &members);
+        assert_eq!(survivors.selected, oracle.selected);
+        let want: Vec<(usize, usize, Arc<Row>)> = (0..survivors.selected.len())
+            .filter(|&j| survivors.bank.get(j, a))
+            .flat_map(|j| a_filters.map(|fi| (j, fi)))
+            .map(|(j, fi)| (j, fi, Arc::clone(oracle.dim_match(j, fi).expect("a's match"))))
+            .collect();
+        assert!(!want.is_empty(), "the page must carry survivors of slot a");
+        assert!(
+            (0..survivors.selected.len()).any(|j| !survivors.bank.get(j, a)),
+            "and survivors of slot b alone"
+        );
+        // Admission merges slot c into a shared filter and a new one, then
+        // finalisation releases b: `b_only` loses its last reference.
+        admit(&mut s, c, 1, 0, &(0..13).collect::<Vec<_>>());
+        admit(&mut s, c, 4, 0, &[1, 2]);
+        s.release_slot(b as u32);
+        assert!(s.filters[b_only].hash.is_empty() && !s.filters[b_only].referencing.any());
+        for (j, fi, row) in want {
+            let i = survivors.selected[j] as usize;
+            let got = s.filters[fi].match_of(&rows, i).expect("the entry outlives the page");
+            assert!(Arc::ptr_eq(got, &row), "survivor {j} filter {fi}");
         }
     }
 

@@ -5,8 +5,10 @@
 //! What is held: releasing a query from a filter edits the core in place
 //! and allocates nothing, whether it was the filter's last reference or
 //! not; a steady-state page through the vectorized kernel allocates a small
-//! constant, not one per tuple (the zero-alloc invariant); a fact page
-//! read in place is filtered and restricted without decoding a row; the
+//! constant, not one per tuple (the zero-alloc invariant); the stage's
+//! kernel allocates only its survivors and their bitmaps and touches no
+//! dimension row's reference count; a fact page read in place is filtered
+//! and restricted without decoding a row; the
 //! distributor routes a filtered page to its member queries, and the
 //! aggregator folds a row into a group it has seen, without allocating.
 
@@ -14,7 +16,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use workshare_cjoin::{filter_page_vectorized, DimEntry, FilterCore, FilterScratch, WrapLedger};
+use workshare_cjoin::{
+    filter_page_survivors, filter_page_vectorized, DimEntry, FilterCore, FilterScratch,
+    WrapLedger,
+};
 use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
 use workshare_common::codec::{Page, PageBuilder};
@@ -148,16 +153,7 @@ fn lineorder_page() -> (Schema, Page) {
 #[test]
 fn a_page_read_in_place_is_filtered_and_restricted_without_decoding_a_row() {
     let (schema, page) = lineorder_page();
-    let filters: Vec<Arc<FilterCore>> = (2..6)
-        .map(|fk| {
-            let mut f = filter(fk, 40, 0);
-            f.referencing = QueryBitmap::ones(64);
-            for e in f.hash.values_mut() {
-                e.bits = QueryBitmap::ones(64);
-            }
-            Arc::new(f)
-        })
-        .collect();
+    let filters = lineorder_filters();
     let members = QueryBitmap::ones(64);
     let mut scratch = FilterScratch::default();
     filter_page_vectorized(&filters, &page.rows(&schema), &members, &mut scratch);
@@ -186,6 +182,44 @@ fn a_page_read_in_place_is_filtered_and_restricted_without_decoding_a_row() {
     let (rows, n) = allocations(|| page.decode_all(&schema));
     assert_eq!(rows.len(), 366);
     assert!(n >= 367, "{n} allocations to decode a 366-row page");
+}
+
+/// Four filters on `lineorder_page`'s key columns, every entry selected by
+/// all 64 members.
+fn lineorder_filters() -> Vec<Arc<FilterCore>> {
+    (2..6)
+        .map(|fk| {
+            let mut f = filter(fk, 40, 0);
+            f.referencing = QueryBitmap::ones(64);
+            for e in f.hash.values_mut() {
+                e.bits = QueryBitmap::ones(64);
+            }
+            Arc::new(f)
+        })
+        .collect()
+}
+
+#[test]
+fn the_stages_kernel_allocates_survivors_and_bitmaps_and_clones_no_row() {
+    let (schema, page) = lineorder_page();
+    let filters = lineorder_filters();
+    let members = QueryBitmap::ones(64);
+    let strong_counts = || -> Vec<usize> {
+        filters.iter().flat_map(|f| f.hash.values().map(|e| Arc::strong_count(&e.row))).collect()
+    };
+    let before = strong_counts();
+    assert!(before.iter().all(|&c| c == 1));
+    let mut scratch = FilterScratch::default();
+    let rows = page.rows(&schema);
+    filter_page_survivors(&filters, 0..filters.len(), &rows, &members, &mut scratch);
+    let ((survivors, counters), n) = allocations(|| {
+        filter_page_survivors(&filters, 0..filters.len(), &rows, &members, &mut scratch)
+    });
+    assert!(!survivors.selected.is_empty() && counters.probes >= page.row_count() as u64);
+    assert!(n <= 2, "{n} allocations for the stage's kernel on a 366-row page");
+    assert_eq!(strong_counts(), before, "the kernel holds no dimension row");
+    drop(survivors);
+    assert_eq!(strong_counts(), before, "dropping its page releases no dimension row");
 }
 
 #[test]

@@ -528,6 +528,7 @@ impl BitmapBank {
     pub fn compact_into(&self, keep: &SelVec, dst: &mut BitmapBank) {
         dst.stride = self.stride;
         dst.words.clear();
+        dst.words.reserve(keep.count() * self.stride);
         dst.len = 0;
         for i in keep.iter_ones() {
             dst.words.extend_from_slice(self.row(i));

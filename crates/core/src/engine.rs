@@ -139,9 +139,11 @@ struct StageRegistry {
     /// [`StageRegistry::shutdown_all`].
     stages: Mutex<FxHashMap<TableId, FactStage>>,
     /// Shared admission-health state (ladder rung + fault/recovery
-    /// counters), present iff [`FaultPlan::heals`](crate::config::FaultPlan)
-    /// — stages route pending batches by its live rung, the fabric runs
-    /// supervised windows under it, and the health monitor drives it.
+    /// counters), present iff [`FaultPlan::is_armed`](crate::config::FaultPlan)
+    /// so injected faults are counted with or without self-healing. Under a
+    /// plan that also [`heals`](crate::config::FaultPlan::heals), stages
+    /// route pending batches by its live rung, the fabric runs supervised
+    /// windows under it, and the health monitor drives it.
     health: Option<Arc<AdmissionHealth>>,
     /// Injection tick of the stage-build site (one per fact table).
     stage_builds: AtomicU64,
@@ -554,12 +556,14 @@ impl Engine {
         config: &RunConfig,
         fact_table: &str,
     ) -> Engine {
-        // Self-healing machinery (ladder, the fabric's subscan deadline and
-        // straggler re-dispatch, monitor) is built only when the fault plan
-        // asks for it; otherwise `health` is `None`. Either way the fabric
-        // scans a window the same way: a failed subscan fails its window.
+        // The health handle counts admission faults whenever a fault site
+        // is armed; otherwise `health` is `None`. The self-healing machinery
+        // that drives it (ladder, the fabric's subscan deadline and
+        // straggler re-dispatch, monitor) runs only when the plan also
+        // heals. Either way the fabric scans a window the same way: a
+        // failed subscan fails its window.
         let has_fabric = config.admission_fabric && !config.cjoin_serial_admission;
-        let health = config.faults.heals().then(|| {
+        let health = config.faults.is_armed().then(|| {
             Arc::new(AdmissionHealth::new(if has_fabric {
                 LadderRung::Fabric
             } else {
@@ -591,7 +595,7 @@ impl Engine {
                         }),
                         health.clone(),
                     ));
-                    if let Some(h) = &health {
+                    if let Some(h) = health.as_ref().filter(|_| config.faults.heals()) {
                         registry.spawn_health_monitor(Arc::clone(h));
                     }
                     registry

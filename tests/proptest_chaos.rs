@@ -281,8 +281,9 @@ fn an_armed_plan_bypasses_the_admission_memo_and_keeps_its_schedule() {
 /// off turns every injected transient fault into a first-attempt typed
 /// error — queries fail instead of healing, but conservation still holds
 /// (degraded, never wrong: no lost queries, no hang). So does an injected
-/// fabric subscan panic: with no health handle nothing re-dispatches it,
-/// and it fails its window's queries. The wedge site stays unarmed here: a
+/// fabric subscan panic: without self-healing nothing re-dispatches it,
+/// and it fails its window's queries — counted on the admission side of
+/// the health report all the same. The wedge site stays unarmed here: a
 /// wedged fabric with no monitor holds its queued work forever by design,
 /// which is exactly what the healed variant above — and the faulted
 /// overload gate — measure against.
@@ -327,6 +328,11 @@ fn no_recovery_baseline_fails_queries_but_conserves() {
             (0, 0),
             "no monitor, no supervision without self_heal: {h:?}"
         );
+        if faults.scan_panic_stride.is_some() {
+            let a = &h.admission;
+            assert!(a.injected_panics > 0 && a.batches_failed > 0, "{h:?}");
+            assert_eq!(a.queries_failed, rep.errors, "{h:?}: {rep:?}");
+        }
     }
 }
 
