@@ -5,7 +5,9 @@
 //! with `--json`, as one JSON object per row on stdout (verdicts then go to
 //! stderr). Every predicate of the figures that ran is evaluated against
 //! `docs/FIGURES.json`; with `--check` a verdict that differs from the
-//! committed one makes the exit code non-zero (marginal ones never do).
+//! committed one makes the exit code non-zero (marginal ones never do), and
+//! so does, at default scale, a figure whose rows differ from its committed
+//! `docs/figures/<id>.jsonl` (a figure without that file is not diffed).
 //! `figures --render-docs` runs nothing: it prints the predicate rows of
 //! `docs/FIGURES.md` and the text of `docs/FIGURES.json` that the
 //! expectations in the code call for.
@@ -13,8 +15,8 @@
 use std::process::ExitCode;
 
 use workshare_bench::figures::{Scale, FIGURES};
-use workshare_bench::pivot;
 use workshare_bench::predicates::{check, doc_row, expected_json, COMMITTED, PREDICATES};
+use workshare_bench::{diff_rows, pivot, COMMITTED_ROWS_DIR};
 
 fn main() -> ExitCode {
     let (mut scale, mut json, mut gate) = (Scale::Default, false, false);
@@ -40,7 +42,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let mut rows = Vec::new();
+    let (mut rows, mut rows_moved) = (Vec::new(), 0);
     for figure in &FIGURES {
         if !ids.is_empty() && !ids.iter().any(|id| id == figure.id) {
             continue;
@@ -57,6 +59,18 @@ fn main() -> ExitCode {
                 figure.title,
                 pivot(&of_figure)
             );
+        }
+        if gate && scale == Scale::Default {
+            let path = format!("{COMMITTED_ROWS_DIR}/{}.jsonl", figure.id);
+            if let Ok(committed) = std::fs::read_to_string(&path) {
+                if let Some(diff) = diff_rows(&of_figure, &committed) {
+                    eprintln!(
+                        "figures: {} rows differ from docs/figures/{}.jsonl: {diff}",
+                        figure.id, figure.id
+                    );
+                    rows_moved += 1;
+                }
+            }
         }
         rows.extend(of_figure);
     }
@@ -75,7 +89,7 @@ fn main() -> ExitCode {
     if moved > 0 {
         eprintln!("figures: {moved} verdict(s) differ from docs/FIGURES.json");
     }
-    if moved > 0 && gate {
+    if (moved > 0 || rows_moved > 0) && gate {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

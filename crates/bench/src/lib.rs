@@ -91,6 +91,28 @@ impl Row {
     }
 }
 
+/// Where `figures --check` finds committed figure rows: `<id>.jsonl`, one
+/// line of `figures <id> --json` per row, at default scale.
+pub const COMMITTED_ROWS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/figures");
+
+/// Diff a figure's rows, rendered as `figures --json` prints them, against
+/// the committed JSON lines: `None` when they agree byte for byte, else a
+/// message naming the first line that differs and both row counts.
+pub fn diff_rows(rows: &[Row], committed: &str) -> Option<String> {
+    let measured: Vec<String> = rows.iter().map(|r| r.to_json().render()).collect();
+    let committed: Vec<&str> = committed.lines().collect();
+    let first = (0..measured.len().max(committed.len()))
+        .find(|&i| measured.get(i).map(String::as_str) != committed.get(i).copied())?;
+    Some(format!(
+        "line {}: committed {}, measured {} ({} rows committed, {} measured)",
+        first + 1,
+        committed.get(first).unwrap_or(&"nothing"),
+        measured.get(first).map_or("nothing", String::as_str),
+        committed.len(),
+        measured.len(),
+    ))
+}
+
 /// A value as a table cell: counts as integers, everything else to four
 /// significant digits (so 6.9 ms and 7.4 ms do not both read `0.007`).
 pub fn cell(value: f64, unit: &str) -> String {
@@ -277,6 +299,23 @@ mod tests {
         assert!(text.contains("figXX · read rate\nMB/s  QPipe"));
         assert!(text.contains("count  1st"));
         assert!(text.contains("  128   97  \n"));
+    }
+
+    #[test]
+    fn committed_rows_diff_by_first_differing_line() {
+        let rows = vec![
+            row("response time", "1", "QPipe", 14.21, "ms"),
+            row("response time", "2", "QPipe", 15.5, "ms"),
+        ];
+        let text: String = rows.iter().map(|r| r.to_json().render() + "\n").collect();
+        assert_eq!(diff_rows(&rows, &text), None);
+        let moved = text.replace("15.5", "15.6");
+        let msg = diff_rows(&rows, &moved).expect("a moved value differs");
+        assert!(msg.starts_with("line 2: committed"), "{msg}");
+        let first_only = text.lines().next().unwrap();
+        let msg = diff_rows(&rows, first_only).expect("a missing row differs");
+        assert!(msg.contains("committed nothing"), "{msg}");
+        assert!(msg.ends_with("(1 rows committed, 2 measured)"), "{msg}");
     }
 
     #[test]

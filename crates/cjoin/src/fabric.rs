@@ -113,11 +113,9 @@ struct FabricInner {
     queue: SimQueue<FabricRequest>,
     /// Queries queued across all stages and not yet activated — the
     /// governor's cross-stage pending signal
-    /// (`SharingSignals::cross_stage_pending`) — plus the depth cap
-    /// advertised via [`AdmissionFabric::has_capacity`] (`u64::MAX` =
-    /// unbounded, the legacy default; the overload-safe service layer
-    /// builds the fabric with its queue cap so submissions are shed at the
-    /// door instead of queueing without bound). The add-before-visible /
+    /// (`SharingSignals::cross_stage_pending`) and the health monitor's
+    /// idle test. No cap: every such query holds an engine queue permit
+    /// when the service layer bounds admission. The add-before-visible /
     /// rollback-on-failed-push protocol lives in [`WindowLedger`]
     /// (model-checked by `tests/interleave_core.rs`).
     ledger: WindowLedger,
@@ -203,11 +201,6 @@ impl AdmissionFabric {
     /// monitor adds a replacement with [`AdmissionFabric::respawn_worker`]
     /// when that worker wedges.
     ///
-    /// `capacity` is a depth cap on the pending-query count (`u64::MAX` =
-    /// unbounded): once `capacity` queries are queued across all stages,
-    /// [`AdmissionFabric::has_capacity`] turns false and the service layer
-    /// sheds further submissions instead of enqueueing them forever.
-    ///
     /// `faults` is the seeded fault plan (worker-wedge site; any armed site
     /// bypasses the memo) and `health` an optional shared
     /// [`AdmissionHealth`] that counts the fabric's faults. A subscan's
@@ -218,13 +211,11 @@ impl AdmissionFabric {
     /// idempotently through the [`ScanAttempt`] claim protocol.
     pub fn new(
         machine: &Machine,
-        capacity: u64,
         faults: FaultPlan,
         health: Option<Arc<AdmissionHealth>>,
     ) -> AdmissionFabric {
         Self::with_memo(
             machine,
-            capacity,
             faults,
             health,
             AdmissionMemo::new(ADMISSION_MEMO_BUDGET_BYTES),
@@ -233,7 +224,6 @@ impl AdmissionFabric {
 
     fn with_memo(
         machine: &Machine,
-        capacity: u64,
         faults: FaultPlan,
         health: Option<Arc<AdmissionHealth>>,
         memo: AdmissionMemo,
@@ -241,7 +231,7 @@ impl AdmissionFabric {
         let fabric = AdmissionFabric {
             inner: Arc::new(FabricInner {
                 queue: SimQueue::unbounded(machine),
-                ledger: WindowLedger::new(capacity),
+                ledger: WindowLedger::default(),
                 batches: AtomicU64::new(0),
                 cross_stage_batches: AtomicU64::new(0),
                 merged_requests: AtomicU64::new(0),
@@ -264,14 +254,6 @@ impl AdmissionFabric {
     /// governor's cross-stage pending-admission signal.
     pub fn pending_queries(&self) -> u64 {
         self.inner.ledger.pending()
-    }
-
-    /// Whether the pending queue is below its depth cap (always true for
-    /// an uncapped fabric). Advisory — the race-free hard cap lives in the
-    /// engine's admission counter; this sheds on queue *depth* so a stalled
-    /// fabric rejects new work before the backlog grows unbounded.
-    pub fn has_capacity(&self) -> bool {
-        self.inner.ledger.has_capacity()
     }
 
     /// Lifetime fabric counters.
@@ -734,7 +716,7 @@ mod tests {
     use workshare_sim::CostKind;
 
     fn fabric_with(m: &Machine, memo: AdmissionMemo) -> AdmissionFabric {
-        AdmissionFabric::with_memo(m, u64::MAX, FaultPlan::default(), None, memo)
+        AdmissionFabric::with_memo(m, FaultPlan::default(), None, memo)
     }
 
     /// Run `queries` on `stage` from `clients` closed-loop clients (query
@@ -1012,7 +994,7 @@ mod tests {
         };
         assert!(heals.heals());
         let health = Arc::new(AdmissionHealth::new(LadderRung::Fabric));
-        let fabric = AdmissionFabric::new(&m, u64::MAX, heals, Some(health));
+        let fabric = AdmissionFabric::new(&m, heals, Some(health));
         let config = CjoinConfig {
             cap_pages: 1,
             ..Default::default()
@@ -1059,7 +1041,7 @@ mod tests {
         let broken = add_str_pk_dim(&sm, 9000);
         let dims_pages = sm.page_count(sm.table("dims"));
         assert!(dims_pages > 1, "the window must fan out: {dims_pages} page");
-        let fabric = AdmissionFabric::new(&m, u64::MAX, FaultPlan::default(), None);
+        let fabric = AdmissionFabric::new(&m, FaultPlan::default(), None);
         let stage = CjoinStage::with_admission(
             &m,
             &sm,

@@ -125,22 +125,13 @@ impl<A> ShardedSlot<A> {
 }
 
 /// The fabric's pending-depth ledger: queries queued across all stages and
-/// not yet activated, with the depth cap behind
-/// [`crate::AdmissionFabric::has_capacity`].
+/// not yet activated.
+#[derive(Default)]
 pub struct WindowLedger {
     pending: AtomicU64,
-    capacity: u64,
 }
 
 impl WindowLedger {
-    /// Ledger with a depth cap (`u64::MAX` = unbounded).
-    pub fn new(capacity: u64) -> Self {
-        WindowLedger {
-            pending: AtomicU64::new(0),
-            capacity,
-        }
-    }
-
     /// Record `n` queries entering the pending queue. Call *before* making
     /// the request visible to a window, so the signal never undercounts.
     pub fn add(&self, n: u64) {
@@ -156,13 +147,6 @@ impl WindowLedger {
     /// Queries currently pending — advisory (governor signal, reports).
     pub fn pending(&self) -> u64 {
         self.pending.load(Ordering::Relaxed)
-    }
-
-    /// Whether the pending depth is below the cap (always true when
-    /// unbounded). Advisory shed signal; the race-free hard cap is the
-    /// engine's admission counter.
-    pub fn has_capacity(&self) -> bool {
-        self.pending.load(Ordering::Relaxed) < self.capacity
     }
 }
 
@@ -285,22 +269,22 @@ mod tests {
 
     #[test]
     fn ledger_balances_and_caps() {
-        let ledger = WindowLedger::new(2);
-        assert!(ledger.has_capacity());
+        // The ledger only counts; the engine's queue cap is the one limit.
+        let ledger = WindowLedger::default();
         ledger.add(2);
         assert_eq!(ledger.pending(), 2);
-        assert!(!ledger.has_capacity(), "at cap");
         ledger.sub(1);
-        assert!(ledger.has_capacity());
+        assert_eq!(ledger.pending(), 1);
         ledger.sub(1);
         assert_eq!(ledger.pending(), 0);
     }
 
     #[test]
     fn unbounded_ledger_always_has_capacity() {
-        let ledger = WindowLedger::new(u64::MAX);
+        // No depth cap: any pending count is recorded as it is.
+        let ledger = WindowLedger::default();
         ledger.add(1 << 40);
-        assert!(ledger.has_capacity());
+        assert_eq!(ledger.pending(), 1 << 40);
     }
 
     #[test]

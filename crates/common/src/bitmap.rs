@@ -312,13 +312,6 @@ impl SelVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Become a copy of `other`, reusing this buffer.
-    pub fn copy_from(&mut self, other: &SelVec) {
-        self.words.clear();
-        self.words.extend_from_slice(&other.words);
-        self.len = other.len;
-    }
-
     /// `self &= other` (both must cover the same batch).
     pub fn and_assign(&mut self, other: &SelVec) {
         debug_assert_eq!(self.len, other.len);

@@ -78,15 +78,11 @@ impl NamedConfig {
     }
 }
 
-/// Maximum distinct tenants the service layer tracks. Fixed so
-/// [`ServiceConfig`] (and therefore [`RunConfig`]) stays `Copy`.
-pub const MAX_TENANTS: usize = 8;
-
 /// Overload-control knobs for the closed-loop service driver. The default
 /// is **fully off**: no queue cap, no deadline, no SLO target — every
 /// submission is admitted exactly as before, preserving the legacy
 /// behavior bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServiceConfig {
     /// Cap on queries concurrently admitted into the governed engine
     /// (in flight anywhere: fabric pending, stage pending, or executing).
@@ -106,55 +102,12 @@ pub struct ServiceConfig {
     /// figure's unbounded engine. Purely an observability/gating knob —
     /// shedding is driven by `deadline_secs`.
     pub slo_p99_secs: Option<f64>,
-    /// Relative admission weight per tenant (tenant id = index, queries
-    /// from tenants ≥ [`MAX_TENANTS`] fold onto the last slot). All-zero
-    /// (the default) disables per-tenant partitioning: every tenant may
-    /// use the whole queue cap. With any weight set, each tenant `t` may
-    /// hold at most `ceil(queue_cap · w_t / Σw)` of the in-flight slots,
-    /// so heavy tenants cannot starve light ones, and zero-weight tenants
-    /// are locked out.
-    pub tenant_weights: [f64; MAX_TENANTS],
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            queue_cap: None,
-            deadline_secs: None,
-            slo_p99_secs: None,
-            tenant_weights: [0.0; MAX_TENANTS],
-        }
-    }
 }
 
 impl ServiceConfig {
     /// Whether any overload control is active. False = legacy behavior.
     pub fn is_active(&self) -> bool {
         self.queue_cap.is_some() || self.deadline_secs.is_some()
-    }
-
-    /// The admission weight of `tenant` (ids beyond the table fold onto
-    /// the last slot; non-positive weights count as zero).
-    pub fn weight(&self, tenant: usize) -> f64 {
-        self.tenant_weights[tenant.min(MAX_TENANTS - 1)].max(0.0)
-    }
-
-    /// Per-tenant share of the queue cap: `ceil(cap · w_t / Σw)`, at least
-    /// 1 for any tenant with positive weight. `None` when no cap is set;
-    /// the whole cap when no weights are set (per-tenant partitioning
-    /// off).
-    pub fn tenant_cap(&self, tenant: usize) -> Option<usize> {
-        let cap = self.queue_cap?;
-        let total: f64 = (0..MAX_TENANTS).map(|t| self.weight(t)).sum();
-        if total <= 0.0 {
-            return Some(cap);
-        }
-        let w = self.weight(tenant);
-        if w <= 0.0 {
-            return Some(0);
-        }
-        let share = (cap as f64 * w / total).ceil() as usize;
-        Some(share.clamp(1, cap))
     }
 
     /// Deadline the governor's SLO mode routes against (`deadline_secs`,
@@ -206,8 +159,8 @@ pub struct RunConfig {
     /// [`cjoin_serial_admission`](RunConfig::cjoin_serial_admission), which
     /// admits inline on the preprocessor.
     pub admission_fabric: bool,
-    /// Overload-control knobs (queue cap, deadline shedding, SLO target,
-    /// tenant weights). Default **off**: legacy unbounded admission.
+    /// Overload-control knobs (queue cap, deadline shedding, SLO target).
+    /// Default **off**: legacy unbounded admission.
     pub service: ServiceConfig,
     /// Seeded fault-injection schedule plus the self-healing machinery it
     /// arms. Default **off**: legacy behavior bit-for-bit.
@@ -367,32 +320,14 @@ mod tests {
         assert!(!rc.service.is_active(), "overload control must default off");
         assert_eq!(rc.service.queue_cap, None);
         assert_eq!(rc.service.deadline_secs, None);
-        assert_eq!(rc.service.tenant_cap(0), None, "no cap without queue_cap");
         assert_eq!(rc.service.slo_target_secs(), None);
-    }
-
-    #[test]
-    fn tenant_caps_follow_weights() {
+        // The SLO target is the deadline, falling back to the p99 target.
         let mut sc = ServiceConfig {
-            queue_cap: Some(8),
+            slo_p99_secs: Some(0.5),
             ..Default::default()
         };
-        // No weights set: per-tenant partitioning is off, every tenant may
-        // use the whole cap.
-        assert_eq!(sc.tenant_cap(0), Some(8));
-        // Equal weights: every tenant gets ceil(8/8) = 1.
-        sc.tenant_weights = [1.0; MAX_TENANTS];
-        assert_eq!(sc.tenant_cap(0), Some(1));
-        assert_eq!(sc.tenant_cap(MAX_TENANTS + 5), Some(1), "ids fold onto last slot");
-        // A heavy tenant gets the lion's share, light ones keep ≥ 1.
-        sc.tenant_weights = [9.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
-        assert_eq!(sc.tenant_cap(0), Some(5)); // ceil(8·9/16)
-        assert_eq!(sc.tenant_cap(1), Some(1)); // ceil(8·1/16) = 1
-        // Zero weight admits nothing; deadline falls back to the p99 target.
-        sc.tenant_weights[2] = 0.0;
-        assert_eq!(sc.tenant_cap(2), Some(0));
-        sc.slo_p99_secs = Some(0.5);
         assert_eq!(sc.slo_target_secs(), Some(0.5));
+        assert!(!sc.is_active(), "a p99 target alone sheds nothing");
         sc.deadline_secs = Some(0.2);
         assert_eq!(sc.slo_target_secs(), Some(0.2));
         assert!(sc.is_active());
@@ -448,7 +383,7 @@ mod tests {
                 engine, cores, exchange, io_mode, buffer_pool_pages, cjoin_serial_admission,
                 cs_prediction, cost, disk, policy, admission_fabric, service, faults,
             }),
-            fields!(ServiceConfig { queue_cap, deadline_secs, slo_p99_secs, tenant_weights }),
+            fields!(ServiceConfig { queue_cap, deadline_secs, slo_p99_secs }),
             fields!(FaultPlan {
                 seed, transient_page_stride, permanent_page_stride, torn_page_stride,
                 scan_stall_stride, scan_panic_stride, fabric_wedge_after, stage_build_stride,

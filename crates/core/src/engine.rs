@@ -59,8 +59,7 @@ const MONITOR_PROMOTE_TICKS: u32 = 16;
 /// Why a submission was shed by [`Engine::try_submit`] instead of admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShedReason {
-    /// The bounded admission queue (engine outstanding count, the tenant's
-    /// weighted share of it, or the admission fabric's pending depth) was
+    /// The bounded admission queue (the engine's outstanding count) was
     /// full.
     QueueFull,
     /// No route's predicted completion met the query's virtual deadline.
@@ -451,8 +450,8 @@ struct Governed {
     /// default, in which case [`Engine::try_submit`] degrades to plain
     /// [`Engine::submit`].
     service: ServiceConfig,
-    /// Bounded-admission occupancy (engine-wide + per-tenant) the queue
-    /// cap CASes on; the claim/rollback/release protocol lives in
+    /// Bounded-admission occupancy the queue cap CASes on; the
+    /// claim/release protocol lives in
     /// [`ServiceSlots`] (model-checked by `tests/interleave_core.rs`).
     slots: Arc<ServiceSlots>,
 }
@@ -581,18 +580,9 @@ impl Engine {
                         config.cost,
                         // One cross-stage admission pool for every stage the
                         // registry will build. The serial oracle admits inline
-                        // on the preprocessor, so it never uses a fabric. With
-                        // a service queue cap, the fabric advertises the same
-                        // cap as its pending depth so try_submit sheds before
-                        // the backlog grows unbounded.
-                        has_fabric.then(|| {
-                            AdmissionFabric::new(
-                                machine,
-                                config.service.queue_cap.map_or(u64::MAX, |cap| cap as u64),
-                                config.faults,
-                                health.clone(),
-                            )
-                        }),
+                        // on the preprocessor, so it never uses a fabric.
+                        has_fabric
+                            .then(|| AdmissionFabric::new(machine, config.faults, health.clone())),
                         health.clone(),
                     ));
                     if let Some(h) = health.as_ref().filter(|_| config.faults.heals()) {
@@ -671,20 +661,20 @@ impl Engine {
         }
     }
 
-    /// Bounded submission on behalf of `tenant`: admit `q` if the service
-    /// queue has room and some route is predicted to meet the deadline,
-    /// otherwise shed it with a typed reason. With
-    /// [`ServiceConfig`] inactive (the default) or on
-    /// an ungoverned engine this degrades to plain [`Engine::submit`] —
-    /// every query is admitted.
-    pub fn try_submit(&self, q: &StarQuery, tenant: usize) -> Outcome {
+    /// Bounded submission: admit `q` if the service queue has room and some
+    /// route is predicted to meet the deadline, otherwise shed it with a
+    /// typed reason. With [`ServiceConfig`] inactive (the default) or on an
+    /// ungoverned engine this degrades to plain [`Engine::submit`] — every
+    /// query is admitted. `_tenant` labels the submitter in the caller's
+    /// reports only: the engine caps no tenant, only the engine-wide queue.
+    pub fn try_submit(&self, q: &StarQuery, _tenant: usize) -> Outcome {
         let EngineKind::Governed(g) = &self.inner.kind else {
             return Outcome::Admitted(self.submit(q));
         };
         if !g.service.is_active() {
             return Outcome::Admitted(self.submit(q));
         }
-        let permit = match self.claim_service_slot(g, tenant) {
+        let permit = match self.claim_service_slot(g) {
             Ok(p) => p,
             Err(reason) => return Outcome::Shed { reason },
         };
@@ -694,31 +684,17 @@ impl Engine {
         }
     }
 
-    /// Reserve one slot in the bounded admission queue for `tenant`.
-    /// The engine-wide and per-tenant caps are claimed by compare-and-swap
-    /// (the `SimQueue::try_push` shape: reserve-or-reject, never block), so
-    /// concurrent submitters cannot overshoot the cap; the fabric's pending
-    /// depth is an advisory front door on top — a stalled fabric rejects
-    /// new work before its backlog grows unbounded.
-    fn claim_service_slot(
-        &self,
-        g: &Governed,
-        tenant: usize,
-    ) -> Result<Option<SlotPermit>, ShedReason> {
+    /// Reserve one slot in the bounded admission queue. The engine-wide cap
+    /// is claimed by compare-and-swap (the `SimQueue::try_push` shape:
+    /// reserve-or-reject, never block), so concurrent submitters cannot
+    /// overshoot it. It is the only cap: a query pending on the fabric holds
+    /// its permit, so the fabric's depth never exceeds it.
+    fn claim_service_slot(&self, g: &Governed) -> Result<Option<SlotPermit>, ShedReason> {
         let Some(cap) = g.service.queue_cap else {
             return Ok(None);
         };
-        if let Some(fabric) = &g.registry.fabric {
-            if !fabric.has_capacity() {
-                return Err(ShedReason::QueueFull);
-            }
-        }
-        let tenant_cap = g.service.tenant_cap(tenant).expect("queue_cap is set") as u64;
-        // The CAS claim / tenant claim / rollback protocol lives in
-        // `ServiceSlots::try_claim` (with its ordering invariants) so the
-        // interleaving checker can explore it exhaustively.
         g.slots
-            .try_claim(cap as u64, tenant, tenant_cap)
+            .try_claim(cap as u64)
             .map(Some)
             .ok_or(ShedReason::QueueFull)
     }

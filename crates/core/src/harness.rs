@@ -302,7 +302,7 @@ pub struct ServiceLoad {
     /// second, without waiting — offered load keeps rising past
     /// saturation, which is what the overload gates sweep.
     pub arrivals_per_sec: Option<f64>,
-    /// Distinct tenants; client `c` submits as tenant `c % tenants`.
+    /// Distinct tenants, report labels only; client `c` is tenant `c % tenants`.
     pub tenants: usize,
     /// Measurement window, virtual seconds.
     pub window_secs: f64,

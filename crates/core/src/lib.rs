@@ -44,7 +44,7 @@ pub mod ticket;
 pub mod volcano;
 pub mod workload;
 
-pub use config::{ExecPolicy, FaultPlan, NamedConfig, RunConfig, ServiceConfig, MAX_TENANTS};
+pub use config::{ExecPolicy, FaultPlan, NamedConfig, RunConfig, ServiceConfig};
 pub use dataset::Dataset;
 pub use engine::{Engine, Outcome, ShedReason, StageRow};
 pub use governor::{GovernorConfig, GovernorStats, Route, SharingGovernor, SloDecision};

@@ -1,16 +1,13 @@
-//! Bounded-admission slot accounting: the compare-and-swap pair behind
+//! Bounded-admission slot accounting: the compare-and-swap behind
 //! [`Engine::try_submit`](crate::Engine::try_submit)'s queue cap, extracted
 //! so the deterministic interleaving checker (`tests/interleave_core.rs`)
-//! can explore it exhaustively. The engine claims one slot in the engine-wide
-//! outstanding count and one in the tenant's weighted share; failure of the
-//! second rolls the first back, and the RAII [`SlotPermit`] releases both.
+//! can explore it exhaustively. The engine claims one slot in the
+//! engine-wide outstanding count, and the RAII [`SlotPermit`] releases it.
 //!
 //! Built on [`workshare_common::sync`], so an `--cfg interleave` build swaps
 //! the atomics for the model-checked shim.
 
 use workshare_common::sync::{Arc, AtomicU64, Ordering};
-
-use crate::config::MAX_TENANTS;
 
 /// Test-only protocol mutations, compiled only under `--cfg interleave`.
 /// Each deliberately breaks one step of the claim/release protocol so the
@@ -21,33 +18,26 @@ pub enum SlotMutation {
     /// The faithful protocol.
     #[default]
     None,
-    /// Skip the engine-wide rollback when the tenant claim fails — the
-    /// historical bug shape this module's rollback exists to prevent:
-    /// shed submissions leak queue slots until the cap wedges shut.
-    LeakOnTenantFull,
     /// Claim the engine-wide slot with a blind `fetch_add` instead of the
     /// guarded `fetch_update`: concurrent submitters overshoot the cap.
     BlindIncrement,
 }
 
 /// The bounded admission queue's occupancy: the engine-wide outstanding
-/// count plus each tenant's slice of it.
+/// count.
 pub struct ServiceSlots {
     /// Queries admitted and not yet completed, engine-wide. The queue cap
     /// is enforced by CAS on this counter ([`ServiceSlots::try_claim`]).
     outstanding: AtomicU64,
-    /// Per-tenant slice of `outstanding` for the weighted per-tenant caps.
-    tenant_outstanding: [AtomicU64; MAX_TENANTS],
     #[cfg(interleave)]
     mutation: SlotMutation,
 }
 
 impl ServiceSlots {
-    /// Fresh, empty occupancy counters.
+    /// Fresh, empty occupancy counter.
     pub fn new() -> Arc<ServiceSlots> {
         Arc::new(ServiceSlots {
             outstanding: AtomicU64::new(0),
-            tenant_outstanding: std::array::from_fn(|_| AtomicU64::new(0)),
             #[cfg(interleave)]
             mutation: SlotMutation::None,
         })
@@ -59,7 +49,6 @@ impl ServiceSlots {
     pub fn with_mutation(mutation: SlotMutation) -> Arc<ServiceSlots> {
         Arc::new(ServiceSlots {
             outstanding: AtomicU64::new(0),
-            tenant_outstanding: std::array::from_fn(|_| AtomicU64::new(0)),
             mutation,
         })
     }
@@ -72,96 +61,55 @@ impl ServiceSlots {
         self.outstanding.load(Ordering::Acquire)
     }
 
-    /// Current occupancy of `tenant` (callers fold ids ≥ [`MAX_TENANTS`]).
-    pub fn tenant_outstanding(&self, tenant: usize) -> u64 {
-        self.tenant_outstanding[tenant.min(MAX_TENANTS - 1)].load(Ordering::Acquire)
-    }
-
-    /// Claim one slot for `tenant`, or `None` when the engine cap or the
-    /// tenant's cap is full (the `SimQueue::try_push` shape:
-    /// reserve-or-reject, never block).
+    /// Claim one slot, or `None` when the cap is full (the
+    /// `SimQueue::try_push` shape: reserve-or-reject, never block).
     ///
     /// Ordering invariants, checked by `tests/interleave_core.rs`:
     ///
-    /// * Both claims are guarded `fetch_update` CAS loops (AcqRel on
-    ///   success, Acquire on the read): concurrent claimants cannot
-    ///   overshoot either cap, because every increment re-validates against
-    ///   the latest value — a blind `fetch_add` would admit `cap + N - 1`
-    ///   queries under N racing submitters.
-    /// * A tenant-cap failure **must** roll the engine-wide claim back
-    ///   (`fetch_sub`) before reporting rejection; otherwise every shed
-    ///   request from a saturated tenant permanently leaks one engine slot
-    ///   and the queue wedges shut for all tenants.
-    /// * AcqRel on the rollback/release pairs the decrement with the claim
-    ///   it undoes, so a subsequent claimant that observes the freed slot
+    /// * The claim is a guarded `fetch_update` CAS loop (AcqRel on success,
+    ///   Acquire on the read): concurrent claimants cannot overshoot the
+    ///   cap, because every increment re-validates against the latest
+    ///   value — a blind `fetch_add` would admit `cap + N - 1` queries
+    ///   under N racing submitters.
+    /// * AcqRel on the release pairs the decrement with the claim it
+    ///   undoes, so a subsequent claimant that observes the freed slot
     ///   also observes everything the releasing thread did before freeing
     ///   it.
-    pub fn try_claim(
-        self: &Arc<Self>,
-        cap: u64,
-        tenant: usize,
-        tenant_cap: u64,
-    ) -> Option<SlotPermit> {
+    pub fn try_claim(self: &Arc<Self>, cap: u64) -> Option<SlotPermit> {
         #[cfg(interleave)]
         if self.mutation == SlotMutation::BlindIncrement {
             if self.outstanding.fetch_add(1, Ordering::AcqRel) >= cap {
                 self.outstanding.fetch_sub(1, Ordering::AcqRel);
                 return None;
             }
-            let tenant = tenant.min(MAX_TENANTS - 1);
-            self.tenant_outstanding[tenant].fetch_add(1, Ordering::AcqRel);
             return Some(SlotPermit {
                 slots: Arc::clone(self),
-                tenant,
             });
         }
-        if self
-            .outstanding
+        self.outstanding
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |o| {
                 (o < cap).then_some(o + 1)
             })
-            .is_err()
-        {
-            return None;
-        }
-        let tenant = tenant.min(MAX_TENANTS - 1);
-        if self.tenant_outstanding[tenant]
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |o| {
-                (o < tenant_cap).then_some(o + 1)
+            .ok()
+            .map(|_| SlotPermit {
+                slots: Arc::clone(self),
             })
-            .is_err()
-        {
-            // Roll the engine-wide claim back: the tenant's weighted share
-            // is exhausted even though the queue as a whole has room.
-            #[cfg(interleave)]
-            if self.mutation == SlotMutation::LeakOnTenantFull {
-                return None; // deliberately leak the engine-wide slot
-            }
-            self.outstanding.fetch_sub(1, Ordering::AcqRel);
-            return None;
-        }
-        Some(SlotPermit {
-            slots: Arc::clone(self),
-            tenant,
-        })
     }
 }
 
 /// RAII claim on the bounded admission queue: one admitted query's slot in
-/// the engine-wide outstanding count and its tenant's count. Released on
-/// drop — the permit rides inside the query's completion closure, so normal
-/// completion, error completion, and a panicking producer (vthread closures
-/// unwind) all free the slot.
+/// the engine-wide outstanding count. Released on drop — the permit rides
+/// inside the query's completion closure, so normal completion, error
+/// completion, and a panicking producer (vthread closures unwind) all free
+/// the slot.
 pub struct SlotPermit {
     slots: Arc<ServiceSlots>,
-    tenant: usize,
 }
 
 impl Drop for SlotPermit {
     fn drop(&mut self) {
         // AcqRel: pairs with the claim CAS (see `try_claim` invariants).
         self.slots.outstanding.fetch_sub(1, Ordering::AcqRel);
-        self.slots.tenant_outstanding[self.tenant].fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -172,33 +120,12 @@ mod tests {
     #[test]
     fn claims_up_to_cap_then_rejects() {
         let slots = ServiceSlots::new();
-        let a = slots.try_claim(2, 0, 2).expect("first slot");
-        let _b = slots.try_claim(2, 0, 2).expect("second slot");
-        assert!(slots.try_claim(2, 0, 2).is_none(), "cap reached");
-        assert_eq!(slots.outstanding(), 2);
+        let a = slots.try_claim(2).expect("first slot");
+        let _b = slots.try_claim(2).expect("second slot");
+        assert!(slots.try_claim(2).is_none(), "cap reached");
+        assert_eq!(slots.outstanding(), 2, "a rejected claim takes nothing");
         drop(a);
         assert_eq!(slots.outstanding(), 1);
-        let _c = slots.try_claim(2, 0, 2).expect("slot freed by drop");
-    }
-
-    #[test]
-    fn tenant_cap_failure_rolls_back_the_engine_claim() {
-        let slots = ServiceSlots::new();
-        let _a = slots.try_claim(4, 0, 1).expect("tenant 0 first");
-        // Tenant 0 is at its cap; the engine-wide count must not leak.
-        assert!(slots.try_claim(4, 0, 1).is_none());
-        assert_eq!(slots.outstanding(), 1, "rejected claim fully rolled back");
-        assert_eq!(slots.tenant_outstanding(0), 1);
-        // Another tenant still gets in.
-        let _b = slots.try_claim(4, 1, 1).expect("tenant 1 unaffected");
-    }
-
-    #[test]
-    fn tenant_ids_fold_onto_the_last_slot() {
-        let slots = ServiceSlots::new();
-        let p = slots.try_claim(4, MAX_TENANTS + 3, 2).expect("folded id");
-        assert_eq!(slots.tenant_outstanding(MAX_TENANTS - 1), 1);
-        drop(p);
-        assert_eq!(slots.tenant_outstanding(MAX_TENANTS - 1), 0);
+        let _c = slots.try_claim(2).expect("slot freed by drop");
     }
 }

@@ -1,6 +1,7 @@
 //! Smoke tests of the service loop — the deterministic CI companions to the
-//! `overload` figure's predicates: queue-full sheds, deadline sheds on every
-//! routing policy, weighted tenant lockout, bind errors surfacing as
+//! `overload` figure's predicates: queue-full sheds, the queue cap as the
+//! one admission limit (with the admitted answers checked against Volcano),
+//! deadline sheds on every routing policy, bind errors surfacing as
 //! per-query error outcomes, a lone closed-loop client repeating exactly —
 //! with star queries and with dimension-less ones, which ride the same
 //! stage — sixteen clients repeating exactly too, and the health monitor
@@ -9,8 +10,10 @@
 use std::sync::OnceLock;
 
 use workshare::harness::{run_service, ServiceLoad};
+use workshare::volcano::volcano_reference;
 use workshare::{
-    workload, Dataset, Engine, ExecPolicy, FaultPlan, RunConfig, ServiceConfig, MAX_TENANTS,
+    workload, Dataset, Engine, ExecPolicy, FaultPlan, Outcome, RunConfig, ServiceConfig,
+    ShedReason,
 };
 use workshare_common::{AggSpec, ColRef, Predicate, StarQuery};
 use workshare_sim::Machine;
@@ -64,6 +67,71 @@ fn queue_cap_sheds_under_concurrency() {
 }
 
 #[test]
+fn the_queue_cap_is_the_one_admission_limit() {
+    // Twelve distinct queries submitted from outside the machine while the
+    // start gate holds every admitted one: the engine-wide cap alone decides
+    // who gets in, and each admitted query holds its permit until it
+    // completes — the fabric needs no depth cap of its own.
+    let mut cfg = RunConfig::governed(ExecPolicy::Shared);
+    cfg.service.queue_cap = Some(4);
+    let mut rng = workload::rng(45);
+    let plan = |q: &StarQuery| StarQuery { id: 0, ..q.clone() };
+    let mut queries: Vec<StarQuery> = Vec::new();
+    while queries.len() < 13 {
+        let q = workload::ssb_q3_2(queries.len() as u64, &mut rng);
+        if queries.iter().all(|p| plan(p) != plan(&q)) {
+            queries.push(q);
+        }
+    }
+    let reference = {
+        let machine = Machine::new(cfg.machine_config());
+        let storage = ssb().instantiate(cfg.storage_config(), cfg.cost);
+        let (qs, cost) = (queries.clone(), cfg.cost);
+        machine
+            .spawn("volcano", move |ctx| {
+                qs.iter()
+                    .map(|q| volcano_reference(ctx, &storage, q, &cost))
+                    .collect::<Vec<_>>()
+            })
+            .join()
+            .expect("volcano vthread panicked")
+    };
+
+    let machine = Machine::new(cfg.machine_config());
+    let storage = ssb().instantiate(cfg.storage_config(), cfg.cost);
+    let engine = Engine::new(&machine, &storage, &cfg, "lineorder");
+    engine.close_gate();
+    let mut admitted = Vec::new();
+    let mut shed = 0;
+    for (i, q) in queries[..12].iter().enumerate() {
+        match engine.try_submit(q, 0) {
+            Outcome::Admitted(ticket) => admitted.push((i, ticket)),
+            Outcome::Shed {
+                reason: ShedReason::QueueFull,
+            } => shed += 1,
+            Outcome::Shed { reason } => panic!("query {i} shed for {reason:?}"),
+        }
+    }
+    assert_eq!((admitted.len(), shed), (4, 8));
+    assert!(
+        admitted.iter().any(|(i, _)| !reference[*i].is_empty()),
+        "every admitted query has an empty answer: nothing is compared"
+    );
+    engine.open_gate();
+    for (i, ticket) in &admitted {
+        let rows = ticket.wait();
+        assert_eq!(ticket.error(), None, "query {i}");
+        assert_eq!(*rows, *reference[*i], "query {i} differs from Volcano");
+    }
+    // Every permit came back with its completion.
+    let Outcome::Admitted(ticket) = engine.try_submit(&queries[12], 0) else {
+        panic!("a 13th query is shed after the first four completed");
+    };
+    assert_eq!(*ticket.wait(), *reference[12]);
+    engine.shutdown();
+}
+
+#[test]
 fn impossible_deadline_sheds_every_submission() {
     // A deadline below any predicted completion: every submission is shed
     // at submit time, on the adaptive (SLO-mode) and both pinned routes.
@@ -90,34 +158,6 @@ fn impossible_deadline_sheds_every_submission() {
             assert_eq!(g.slo_sheds, rep.shed_deadline, "{g:?}");
         }
     }
-}
-
-#[test]
-fn zero_weight_tenant_is_locked_out_under_explicit_weights() {
-    // With weights set, a zero-weight tenant holds no slot under pressure
-    // while the weighted tenants keep completing.
-    let mut weights = [0.0; MAX_TENANTS];
-    weights[0] = 3.0;
-    weights[1] = 1.0;
-    let mut cfg = RunConfig::governed(ExecPolicy::Adaptive);
-    cfg.service = ServiceConfig {
-        queue_cap: Some(4),
-        tenant_weights: weights,
-        ..ServiceConfig::default()
-    };
-    let rep = run_service(ssb(), &cfg, "lineorder", load(3, 3, 0.5), |id, rng| {
-        workload::ssb_q3_2(id, rng)
-    });
-    assert!(rep.is_conserved(), "{rep:?}");
-    let by_tenant = &rep.tenants;
-    assert_eq!(by_tenant.len(), 3);
-    assert!(by_tenant[0].completed > 0, "{rep:?}");
-    assert!(by_tenant[1].completed > 0, "{rep:?}");
-    assert_eq!(
-        by_tenant[2].shed, by_tenant[2].submitted,
-        "zero-weight tenant must shed everything: {rep:?}"
-    );
-    assert!(by_tenant[2].submitted > 0, "{rep:?}");
 }
 
 #[test]
