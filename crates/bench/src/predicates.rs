@@ -3,14 +3,12 @@
 //! Each [`Predicate`] names one sentence of the paper, the panel of the
 //! figure that shows it, a check over that panel's rows and the verdict
 //! expected today. A known miss is `Fails { since }` — a recorded
-//! expectation, not a silent one — and a predicate whose margin at today's
-//! numbers is under 5 % is `Marginal`: printed, never gated, because until
-//! ROADMAP item 1 lands a batch's virtual numbers repeat only to 0.2 %
-//! (disk-resident ones to a few %) and closed-loop ones wander by several %.
-//! `figures --check` compares what it measures with the committed
-//! `docs/FIGURES.json`, which a test holds equal to the expectations written
-//! here, so an engine change that moves a conclusion shows up as a diff of
-//! verdicts.
+//! expectation, not a silent one. Every verdict is gated, however small its
+//! margin: a machine's schedule is a function of its inputs, so the rows a
+//! predicate reads repeat from run to run. `figures --check` compares what
+//! it measures with the committed `docs/FIGURES.json`, which a test holds
+//! equal to the expectations written here, so an engine change that moves a
+//! conclusion shows up as a diff of verdicts.
 
 use std::fmt::Write as _;
 use std::ops::RangeBounds;
@@ -27,10 +25,8 @@ pub enum Expected {
     Fails {
         since: u32,
     },
-    /// Within 5 % of flipping at today's numbers: reported, not gated.
-    Marginal,
 }
-use Expected::{Fails, Holds, Marginal};
+use Expected::{Fails, Holds};
 
 pub struct Predicate {
     /// `<figure>.<what_the_paper_says>`.
@@ -50,12 +46,11 @@ impl Predicate {
         self.id.split('.').next().unwrap_or(self.id)
     }
 
-    /// (`holds` / `fails` / `marginal`, the PR a miss is known since).
+    /// (`holds` / `fails`, the PR a miss is known since).
     fn verdict(&self) -> (&'static str, Option<u32>) {
         match self.expected {
             Holds => ("holds", None),
             Fails { since } => ("fails", Some(since)),
-            Marginal => ("marginal", None),
         }
     }
 }
@@ -87,9 +82,9 @@ pub const COMMITTED: &str = include_str!("../../../docs/FIGURES.json");
 /// Evaluate every predicate of `predicates` whose figure has rows in `rows`
 /// and compare its verdict with the one `committed` (the text of
 /// `docs/FIGURES.json`) records for it. Returns what to print and how many
-/// verdicts moved: a `marginal` entry is reported and never counts; any other
-/// difference — or a predicate the file does not name — is a mismatch,
-/// printed with the paper's sentence and the rows the check read.
+/// verdicts moved: any difference — or a predicate the file does not name —
+/// is a mismatch, printed with the paper's sentence and the rows the check
+/// read.
 pub fn check(
     predicates: &[Predicate],
     rows: &[Row],
@@ -119,7 +114,6 @@ pub fn check(
             .and_then(Json::as_f64)
             .map_or(String::new(), |pr| format!(" since PR {pr}"));
         let _ = match field("verdict").and_then(Json::as_str) {
-            Some("marginal") => writeln!(out, "marginal  {}: {measured} today, not gated", p.id),
             Some(recorded) if recorded == measured => {
                 writeln!(out, "{measured:<8}  {}{since}", p.id)
             }
@@ -306,7 +300,7 @@ pub const PREDICATES: &[Predicate] = &[
         panel: DISK_RESPONSE,
         paper_claim: "… and disk-resident (§5.2.1, Fig. 10)",
         check: |r| wherever(r, 64.0.., |x| lowest(r, x, "CJOIN", &QPIPES)),
-        expected: Marginal,
+        expected: Holds,
     },
     Predicate {
         id: "fig11.cjoin_slower_than_qpipe_sp_at_8_queries",
@@ -330,7 +324,7 @@ pub const PREDICATES: &[Predicate] = &[
                 .iter()
                 .all(|x| below(r, x, "QPipe-SP", "CJOIN"))
         },
-        expected: Marginal,
+        expected: Fails { since: 49 },
     },
     Predicate {
         id: "fig11.admission_grows_with_selectivity",
@@ -425,7 +419,7 @@ pub const PREDICATES: &[Predicate] = &[
         paper_claim: "With only 16 possible plans QPipe-SP evaluates at most 16 and reuses them \
                       for the rest — it even beats CJOIN at the top point (§5.2.4, Fig. 14)",
         check: |r| below(r, top(r), "QPipe-SP", "CJOIN"),
-        expected: Marginal,
+        expected: Fails { since: 49 },
     },
     Predicate {
         id: "fig14.cjoin_sp_improves_cjoin",
@@ -713,21 +707,15 @@ mod tests {
     }
 
     #[test]
-    fn a_marginal_predicate_never_fails_the_run_and_a_dropped_one_does() {
-        let marginal = expected_json(&[Predicate {
-            expected: Marginal,
-            ..A_WINS_TOP
-        }]);
-        let (text, mismatches) = check(&[A_WINS_TOP], &synthetic(), &marginal).unwrap();
-        assert_eq!(mismatches, 0);
-        assert!(text.contains("marginal  figXX.a_wins_at_top: fails today"));
+    fn a_dropped_predicate_fails_the_run_and_a_broken_file_is_an_error() {
+        let only_top = expected_json(&[A_WINS_TOP]);
         // A predicate the committed file does not name is not silently passed.
         let (text, mismatches) =
-            check(&[A_WINS_FIRST, A_WINS_TOP], &synthetic(), &marginal).unwrap();
+            check(&[A_WINS_FIRST, A_WINS_TOP], &synthetic(), &only_top).unwrap();
         assert_eq!(mismatches, 1);
         assert!(text.contains("a_wins_at_first: measured holds, docs/FIGURES.json records nothing"));
         // A figure that was not run is not judged; a broken file is an error.
-        assert_eq!(check(&[A_WINS_TOP], &[], &marginal).unwrap().0, "");
+        assert_eq!(check(&[A_WINS_TOP], &[], &only_top).unwrap().0, "");
         assert!(check(&[A_WINS_TOP], &synthetic(), "{").is_err());
     }
 

@@ -154,7 +154,7 @@ impl CostModel {
     /// The per-row physical rate matches the
     /// [`shared_latency_ns`](CostModel::shared_latency_ns) estimator's
     /// `(scan_tuple_ns + admission_tuple_ns)` admission term, so the
-    /// governor's calibration starts near 1.
+    /// governor's raw estimate prices admission at the rate it is charged.
     pub fn admission_batch_cost(&self, rows: usize, pending: usize, total_terms: usize) -> f64 {
         (self.scan_tuple_ns + self.admission_tuple_ns) * rows as f64
             + pending.max(1) as f64 * self.select_batch_fixed_ns

@@ -197,7 +197,7 @@ impl StarQuery {
     /// including ones differing only in predicate *form*, like an equality
     /// vs. a wide `IN` disjunction with its very different selectivity and
     /// evaluation cost — do not. This is the key the sharing governor's
-    /// per-shape hysteresis and calibration state is kept under: a stream
+    /// per-shape hysteresis incumbent is kept under: a stream
     /// alternating two shapes routes each by its own incumbent instead of
     /// flip-counting a global one.
     pub fn shape_signature(&self) -> u64 {

@@ -389,7 +389,7 @@ mod tests {
                 scan_stall_stride, scan_panic_stride, fabric_wedge_after, stage_build_stride,
                 worker_panic_stride, self_heal,
             }),
-            fields!(GovernorConfig { hysteresis, ewma_alpha }),
+            fields!(GovernorConfig { hysteresis }),
             fields!(CjoinConfig { exchange, cap_pages, sp, serial_admission, faults }),
             fields!(QpipeConfig {
                 exchange, circular_scans, sp_joins, cs_prediction, cap_pages,

@@ -480,53 +480,31 @@ struct EngineInner {
     worker_panic_stride: Option<u64>,
 }
 
-/// Observed-latency feedback plumbing of one adaptive submission: completes
-/// back into the governor (and the in-flight counter) when the query does,
-/// carrying the exact signals — and the workload-shape key — the routing
-/// decision was based on.
-struct RouteFeedback {
-    governor: Arc<SharingGovernor>,
-    route: Route,
-    shape: u64,
-    signals: SharingSignals,
-    in_flight: Arc<AtomicU64>,
-}
+/// One adaptive submission's unit of the engine's in-flight count (the
+/// governor's `concurrency` signal), given back when the query ends.
+struct InFlightClaim(Arc<AtomicU64>);
 
-impl RouteFeedback {
-    fn complete(&self, latency_secs: f64) {
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
-        self.governor
-            .observe_latency_keyed(self.shape, self.route, latency_secs, &self.signals);
-    }
-
-    /// The query never ran (bind error): drop it from the in-flight count
-    /// without feeding its non-latency into the calibration EWMAs.
-    fn abandon(&self) {
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+impl InFlightClaim {
+    fn release(self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
 /// Give back everything a finished query holds on the engine — its stage
-/// lease, its admission-queue permit, its in-flight count and latency
-/// feedback — **before** its completion is published. Publishing wakes the
-/// client in the same virtual instant; a client that resubmits at once then
-/// races, in real time, whatever the producer has not yet released: it
-/// finds its stage's in-flight count one high or not, is shed at the cap or
-/// not, is routed on the old in-flight count or the new. Released first, the
-/// next submission always sees the engine as the finished query left it.
-/// `ok = false` keeps a faulted query's abnormally short non-latency out of
-/// the governor's calibration EWMAs.
+/// lease, its admission-queue permit and its in-flight count — **before**
+/// its completion is published. Publishing wakes the client in the same
+/// virtual instant; a client that resubmits at once then races, in real
+/// time, whatever the producer has not yet released: it finds its stage's
+/// in-flight count one high or not, is shed at the cap or not, is routed on
+/// the old in-flight count or the new. Released first, the next submission
+/// always sees the engine as the finished query left it.
 fn release_claims(
-    feedback: Option<RouteFeedback>,
+    claim: Option<InFlightClaim>,
     lease: Option<StageLease>,
     permit: Option<SlotPermit>,
-    ok: bool,
-    latency_ns: f64,
 ) {
-    match feedback {
-        Some(fb) if ok => fb.complete(latency_ns / 1e9),
-        Some(fb) => fb.abandon(),
-        None => {}
+    if let Some(claim) = claim {
+        claim.release();
     }
     if let Some(lease) = lease {
         lease.release();
@@ -772,11 +750,9 @@ impl Engine {
         permit: Option<SlotPermit>,
         deadline_secs: Option<f64>,
     ) -> Result<Ticket, ShedReason> {
-        let shape = q.shape_signature();
-        // One signals snapshot per submission: the decision, the recorded
-        // route, and the later calibration feedback all see the same state.
-        // Pinned policies need the snapshot too when a deadline is set —
-        // their predicted latency decides shed-vs-admit.
+        // One signals snapshot per submission, for the decision. Pinned
+        // policies need it too when a deadline is set — their predicted
+        // latency decides shed-vs-admit.
         let signals = (g.policy == ExecPolicy::Adaptive || deadline_secs.is_some())
             .then(|| self.live_signals(g, q));
         let route = match g.policy {
@@ -787,9 +763,7 @@ impl Engine {
                     Route::Shared
                 };
                 if let Some(deadline) = deadline_secs {
-                    let predicted =
-                        g.governor
-                            .predicted_ns_keyed(shape, route, signals.as_ref().unwrap());
+                    let predicted = g.governor.predicted_ns(route, signals.as_ref().unwrap());
                     if predicted > deadline * 1e9 {
                         return Err(ShedReason::Deadline);
                     }
@@ -797,35 +771,32 @@ impl Engine {
                 g.governor.record_forced(route);
                 route
             }
-            ExecPolicy::Adaptive => match deadline_secs {
-                None => g.governor.decide_keyed(shape, signals.as_ref().unwrap()),
-                Some(deadline) => {
-                    match g
-                        .governor
-                        .decide_slo_keyed(shape, signals.as_ref().unwrap(), deadline)
-                    {
-                        SloDecision::Route(r) => r,
-                        SloDecision::Shed => return Err(ShedReason::Deadline),
+            ExecPolicy::Adaptive => {
+                let shape = q.shape_signature();
+                match deadline_secs {
+                    None => g.governor.decide_keyed(shape, signals.as_ref().unwrap()),
+                    Some(deadline) => {
+                        match g
+                            .governor
+                            .decide_slo_keyed(shape, signals.as_ref().unwrap(), deadline)
+                        {
+                            SloDecision::Route(r) => r,
+                            SloDecision::Shed => return Err(ShedReason::Deadline),
+                        }
                     }
                 }
-            },
-        };
-        let feedback = (g.policy == ExecPolicy::Adaptive).then(|| {
-            g.in_flight.fetch_add(1, Ordering::AcqRel);
-            RouteFeedback {
-                governor: Arc::clone(&g.governor),
-                route,
-                shape,
-                signals: signals.unwrap(),
-                in_flight: Arc::clone(&g.in_flight),
             }
+        };
+        let claim = (g.policy == ExecPolicy::Adaptive).then(|| {
+            g.in_flight.fetch_add(1, Ordering::AcqRel);
+            InFlightClaim(Arc::clone(&g.in_flight))
         });
         Ok(match route {
-            Route::QueryCentric => self.submit_volcano(q, feedback, permit),
+            Route::QueryCentric => self.submit_volcano(q, claim, permit),
             Route::Shared => {
                 let fact_t = self.inner.storage.table(&q.fact);
                 let (stage, lease) = g.registry.checkout(fact_t, &q.fact);
-                self.submit_cjoin(&stage, q, feedback, Some(lease), permit)
+                self.submit_cjoin(&stage, q, claim, Some(lease), permit)
             }
         })
     }
@@ -844,7 +815,7 @@ impl Engine {
     /// The injected worker panic sits after the gate and **before** the
     /// work, so it unwinds past [`release_claims`]: the guard poisons the
     /// slot and the permit's `Drop` frees its queue slot, but
-    /// [`StageLease`] and [`RouteFeedback`] have no `Drop` and leak. What
+    /// [`StageLease`] and [`InFlightClaim`] have no `Drop` and leak. What
     /// leaks is a count, not a stage: one unit of the stage's `in_flight`
     /// (the governor's `stage_in_flight` reads one high and the health
     /// monitor never idles again for this engine) and one of the engine's.
@@ -856,7 +827,7 @@ impl Engine {
         &self,
         packet: &str,
         q: &StarQuery,
-        feedback: Option<RouteFeedback>,
+        claim: Option<InFlightClaim>,
         lease: Option<StageLease>,
         permit: Option<SlotPermit>,
         plan: impl FnOnce(Arc<BoundQuery>) -> B,
@@ -874,7 +845,7 @@ impl Engine {
         let bound = match inner.storage.bind_query(q) {
             Ok(bound) => Arc::new(bound),
             Err(e) => {
-                release_claims(feedback, lease, permit, false, 0.0);
+                release_claims(claim, lease, permit);
                 slot.complete_error(format!("query {qid}: {e}"), start_ns);
                 return Ticket(slot);
             }
@@ -898,7 +869,7 @@ impl Engine {
             }
             let result = body(ctx);
             let now = ctx.machine().now_ns();
-            release_claims(feedback, lease, permit, result.is_ok(), now - start_ns);
+            release_claims(claim, lease, permit);
             match result {
                 Ok(rows) => slot2.complete(rows, now),
                 Err(msg) => slot2.complete_error(format!("query {qid}: {msg}"), now),
@@ -915,11 +886,11 @@ impl Engine {
         &self,
         qpipe: &QpipeEngine,
         q: &StarQuery,
-        feedback: Option<RouteFeedback>,
+        claim: Option<InFlightClaim>,
         permit: Option<SlotPermit>,
     ) -> Ticket {
         let (order, cost) = (q.order_by.clone(), self.inner.cost);
-        self.drive("agg", q, feedback, None, permit, |bound| {
+        self.drive("agg", q, claim, None, permit, |bound| {
             let stream = qpipe.submit_stream(q, &bound);
             // An unrecoverable read under one of the query's scans is
             // checked after the stream drains (`QpipeStream::aggregate`).
@@ -937,12 +908,12 @@ impl Engine {
         &self,
         stage: &CjoinStage,
         q: &StarQuery,
-        feedback: Option<RouteFeedback>,
+        claim: Option<InFlightClaim>,
         lease: Option<StageLease>,
         permit: Option<SlotPermit>,
     ) -> Ticket {
         let (order, cost) = (q.order_by.clone(), self.inner.cost);
-        self.drive("cj-agg", q, feedback, lease, permit, |bound| {
+        self.drive("cj-agg", q, claim, lease, permit, |bound| {
             let output = stage.submit(q, Arc::clone(&bound));
             move |ctx: &SimCtx| {
                 let rows = run_aggregate(ctx, output.reader, &bound, &order, &cost);
@@ -959,11 +930,11 @@ impl Engine {
     fn submit_volcano(
         &self,
         q: &StarQuery,
-        feedback: Option<RouteFeedback>,
+        claim: Option<InFlightClaim>,
         permit: Option<SlotPermit>,
     ) -> Ticket {
         let (storage, cost, plan) = (self.inner.storage.clone(), self.inner.cost, q.clone());
-        self.drive("volcano", q, feedback, None, permit, |bound| {
+        self.drive("volcano", q, claim, None, permit, |bound| {
             // An unrecoverable page read (permanent fault, torn page past
             // rebuild) ends the query in a typed error outcome instead of a
             // vthread panic.

@@ -23,19 +23,19 @@
 //!    ([`CostModel::query_centric_latency_ns`],
 //!    [`CostModel::shared_latency_ns`] — core saturation, per-stage
 //!    admission queueing and pipeline saturation, pipeline parallelism and
-//!    disk-bandwidth amortization all modeled), each scaled by a
-//!    calibration factor learned from observed response times (EWMA of
-//!    observed / predicted per route).
+//!    disk-bandwidth amortization all modeled). The estimates are the raw
+//!    model: its constants are fitted offline, and the governor learns
+//!    nothing from completions.
 //! 3. Apply **hysteresis**: the losing path must undercut the winning one
 //!    by a margin before the route flips, so queries arriving near the
 //!    crossover do not flap between engines.
 //!
-//! All mutable state — the hysteresis incumbent **and** the calibration
-//! EWMAs — is keyed by a workload-**shape** signature
+//! The only mutable state, the hysteresis incumbent, is keyed by a
+//! workload-**shape** signature
 //! ([`StarQuery::shape_signature`](workshare_common::StarQuery::shape_signature)):
-//! a stream alternating two shapes routes each by its own incumbent and
-//! calibrates each against its own observations, instead of flip-counting
-//! (or mis-calibrating) a single global cell.
+//! a stream alternating two shapes routes each by its own incumbent instead
+//! of flip-counting a single global cell. A decision is a pure function of
+//! the live signals and that incumbent.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -70,9 +70,9 @@ impl Route {
 pub enum SloDecision {
     /// Some route is predicted to finish within the deadline; run it.
     Route(Route),
-    /// Neither route's calibrated estimate meets the deadline: admitting
-    /// the query would only burn capacity on a guaranteed SLO miss — shed
-    /// it at the door.
+    /// Neither route's estimate meets the deadline: admitting the query
+    /// would only burn capacity on a guaranteed SLO miss — shed it at the
+    /// door.
     Shed,
 }
 
@@ -83,16 +83,11 @@ pub struct GovernorConfig {
     /// the current path's estimate before the route flips (0.25 = 25 %
     /// cheaper). Larger values mean stickier routing.
     pub hysteresis: f64,
-    /// EWMA smoothing factor for the observed/predicted calibration.
-    pub ewma_alpha: f64,
 }
 
 impl Default for GovernorConfig {
     fn default() -> Self {
-        GovernorConfig {
-            hysteresis: 0.25,
-            ewma_alpha: 0.2,
-        }
+        GovernorConfig { hysteresis: 0.25 }
     }
 }
 
@@ -108,85 +103,23 @@ pub struct GovernorStats {
     /// summed over shapes (alternating between two shapes with stable
     /// per-shape incumbents contributes nothing).
     pub flips: u64,
-    /// Observed/predicted latency calibration **learned** for the
-    /// query-centric path (observation-weighted mean over shapes; 1.0
-    /// until observed). NB this is the learning signal, not necessarily
-    /// what decisions used: a shape's calibration is *applied* to routing
-    /// only once both routes have been observed for that shape (a
-    /// one-sided correction would bias the comparison).
-    pub query_centric_calibration: f64,
-    /// Observed/predicted latency calibration **learned** for the shared
-    /// path (observation-weighted mean over shapes; 1.0 until observed —
-    /// see [`query_centric_calibration`](GovernorStats::query_centric_calibration)
-    /// for the learned-vs-applied distinction).
-    pub shared_calibration: f64,
-    /// Convergence residual of the query-centric calibration loop: EWMA of
-    /// observed / (predicted × own calibration) at observation time. → 1.0
-    /// as the calibration EWMA converges on a stationary workload.
-    pub query_centric_residual: f64,
-    /// Convergence residual of the shared calibration loop (see
-    /// [`query_centric_residual`](GovernorStats::query_centric_residual)).
+    /// Retired: the residual of the online calibration the governor no
+    /// longer learns. Always 1.0; kept while the benchmark ledger still
+    /// reports it as `core.governor.shared_residual`.
     pub shared_residual: f64,
     /// Distinct workload shapes the governor holds state for.
     pub shapes: u64,
-    /// SLO-mode decisions where **neither** route's calibrated estimate
-    /// met the deadline ([`SloDecision::Shed`]).
+    /// SLO-mode decisions where **neither** route's estimate met the
+    /// deadline ([`SloDecision::Shed`]).
     pub slo_sheds: u64,
 }
 
-/// Per-route learned state of one workload shape.
-#[derive(Default)]
-struct RouteState {
-    /// EWMA of observed-latency / predicted-cost; `None` until this route
-    /// has completed a query of this shape.
-    cal: Option<f64>,
-    /// EWMA of observed / (predicted × `cal`-at-observation-time): the
-    /// calibration loop's convergence residual.
-    residual: Option<f64>,
-    /// Observations folded into the EWMAs (the weight used when shapes are
-    /// aggregated for [`GovernorStats`]).
-    observations: u64,
-}
-
-impl RouteState {
-    fn observe(&mut self, ratio: f64, alpha: f64) {
-        let residual_sample = ratio / self.cal.unwrap_or(1.0);
-        self.residual = Some(match self.residual {
-            None => residual_sample,
-            Some(prev) => (1.0 - alpha) * prev + alpha * residual_sample,
-        });
-        self.cal = Some(match self.cal {
-            None => ratio,
-            Some(prev) => (1.0 - alpha) * prev + alpha * ratio,
-        });
-        self.observations += 1;
-    }
-}
-
-/// Hysteresis + calibration state of one workload shape.
+/// Hysteresis state of one workload shape.
 #[derive(Default)]
 struct ShapeState {
     /// Last route decided for this shape — its hysteresis incumbent.
     route: Option<Route>,
-    qc: RouteState,
-    sh: RouteState,
     flips: u64,
-}
-
-impl ShapeState {
-    /// Calibration pair applied to estimates. Only applied when BOTH routes
-    /// have been observed for this shape: a one-sided correction would bias
-    /// the comparison toward whichever path happens to have run first.
-    fn applied_cals(&self) -> (f64, f64) {
-        match (self.qc.cal, self.sh.cal) {
-            (Some(q), Some(s)) => (q, s),
-            _ => (1.0, 1.0),
-        }
-    }
-}
-
-struct GovState {
-    shapes: FxHashMap<u64, ShapeState>,
 }
 
 /// Per-submission router between query-centric and shared execution. Cheap
@@ -197,7 +130,7 @@ pub struct SharingGovernor {
     routed_qc: AtomicU64,
     routed_sh: AtomicU64,
     slo_sheds: AtomicU64,
-    state: Mutex<GovState>,
+    shapes: Mutex<FxHashMap<u64, ShapeState>>,
 }
 
 impl SharingGovernor {
@@ -209,48 +142,23 @@ impl SharingGovernor {
             routed_qc: AtomicU64::new(0),
             routed_sh: AtomicU64::new(0),
             slo_sheds: AtomicU64::new(0),
-            state: Mutex::new(GovState {
-                shapes: FxHashMap::default(),
-            }),
+            shapes: Mutex::new(FxHashMap::default()),
         }
     }
 
-    /// Uncalibrated model estimate for `route` (the denominator of the
-    /// calibration ratio — calibrating against the calibrated value would
-    /// converge to the square root of the true model error).
-    fn raw_predicted_ns(&self, route: Route, signals: &SharingSignals) -> f64 {
+    /// The cost model's estimate, in virtual nanoseconds, of one query's
+    /// response time via `route` under the live `signals`.
+    pub fn predicted_ns(&self, route: Route, signals: &SharingSignals) -> f64 {
         match route {
             Route::QueryCentric => self.cost.query_centric_latency_ns(signals),
             Route::Shared => self.cost.shared_latency_ns(signals),
         }
     }
 
-    /// Calibrated cost estimate of running one query of `shape` via `route`
-    /// under the live `signals`.
-    pub fn predicted_ns_keyed(
-        &self,
-        shape: u64,
-        route: Route,
-        signals: &SharingSignals,
-    ) -> f64 {
-        let state = self.state.lock();
-        let (qc_cal, sh_cal) = state
-            .shapes
-            .get(&shape)
-            .map(ShapeState::applied_cals)
-            .unwrap_or((1.0, 1.0));
-        drop(state);
-        let cal = match route {
-            Route::QueryCentric => qc_cal,
-            Route::Shared => sh_cal,
-        };
-        self.raw_predicted_ns(route, signals) * cal
-    }
-
     /// Route one submission of workload shape `shape`. Applies hysteresis
     /// around the cost crossover **per shape**: the route flips only when
-    /// the other path's calibrated estimate undercuts the shape's incumbent
-    /// by the configured margin.
+    /// the other path's estimate undercuts the shape's incumbent by the
+    /// configured margin.
     pub fn decide_keyed(&self, shape: u64, signals: &SharingSignals) -> Route {
         self.decide_at(shape, signals, None)
             .expect("only a deadline sheds")
@@ -258,8 +166,8 @@ impl SharingGovernor {
 
     /// SLO-mode routing: like [`decide_keyed`](SharingGovernor::decide_keyed)
     /// but deadline-aware. The hysteresis-preferred route wins when its
-    /// calibrated estimate meets `deadline_secs`; otherwise the other route
-    /// wins **if it meets the deadline** (a genuine flip — the SLO overrides
+    /// estimate meets `deadline_secs`; otherwise the other route wins **if
+    /// it meets the deadline** (a genuine flip — the SLO overrides
     /// stickiness); when neither route is predicted to finish in time the
     /// query is [shed](SloDecision::Shed) without touching the shape's
     /// incumbent (a shed is not evidence about which route is cheaper).
@@ -283,13 +191,13 @@ impl SharingGovernor {
         signals: &SharingSignals,
         deadline_secs: Option<f64>,
     ) -> Option<Route> {
-        let qc = self.predicted_ns_keyed(shape, Route::QueryCentric, signals);
-        let sh = self.predicted_ns_keyed(shape, Route::Shared, signals);
-        let mut state = self.state.lock();
-        let shape_state = state.shapes.entry(shape).or_default();
+        let qc = self.predicted_ns(Route::QueryCentric, signals);
+        let sh = self.predicted_ns(Route::Shared, signals);
+        let mut shapes = self.shapes.lock();
+        let shape_state = shapes.entry(shape).or_default();
         let margin = 1.0 - self.config.hysteresis.clamp(0.0, 0.9);
         let preferred = match shape_state.route {
-            // Cold start for this shape (nothing observed yet): a plain
+            // Cold start for this shape (no incumbent yet): a plain
             // latency comparison — no incumbent to be sticky about.
             None => {
                 if sh < qc {
@@ -326,7 +234,7 @@ impl SharingGovernor {
                 } else if other_ns <= deadline_ns {
                     other
                 } else {
-                    drop(state);
+                    drop(shapes);
                     self.slo_sheds.fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
@@ -336,7 +244,7 @@ impl SharingGovernor {
             shape_state.flips += 1;
         }
         shape_state.route = Some(route);
-        drop(state);
+        drop(shapes);
         match route {
             Route::QueryCentric => self.routed_qc.fetch_add(1, Ordering::Relaxed),
             Route::Shared => self.routed_sh.fetch_add(1, Ordering::Relaxed),
@@ -356,70 +264,15 @@ impl SharingGovernor {
         };
     }
 
-    /// Feed back one completed query's observed response time against the
-    /// (uncalibrated) model estimate for the signals seen at routing time,
-    /// into the calibration state of workload shape `shape`. Updates the
-    /// shape's route calibration EWMA so future estimates absorb queueing
-    /// and model error, and the convergence residual reported via
-    /// [`GovernorStats`].
-    pub fn observe_latency_keyed(
-        &self,
-        shape: u64,
-        route: Route,
-        observed_secs: f64,
-        signals: &SharingSignals,
-    ) {
-        let predicted_ns = self.raw_predicted_ns(route, signals);
-        if predicted_ns <= 0.0 || observed_secs < 0.0 {
-            return;
-        }
-        let ratio = (observed_secs * 1e9) / predicted_ns;
-        let alpha = self.config.ewma_alpha.clamp(0.0, 1.0);
-        let mut state = self.state.lock();
-        let shape_state = state.shapes.entry(shape).or_default();
-        let cell = match route {
-            Route::QueryCentric => &mut shape_state.qc,
-            Route::Shared => &mut shape_state.sh,
-        };
-        cell.observe(ratio, alpha);
-    }
-
-    /// Routing statistics, aggregated over shapes (per-route calibrations
-    /// and residuals are observation-weighted means — exact for the common
-    /// single-shape stream).
+    /// Routing statistics, flips summed over shapes.
     pub fn stats(&self) -> GovernorStats {
-        let state = self.state.lock();
-        let mut flips = 0;
-        let agg = |pick: fn(&ShapeState) -> &RouteState| {
-            let (mut num, mut res_num, mut weight) = (0.0, 0.0, 0u64);
-            for shape in state.shapes.values() {
-                let rs = pick(shape);
-                if let (Some(cal), Some(residual)) = (rs.cal, rs.residual) {
-                    num += cal * rs.observations as f64;
-                    res_num += residual * rs.observations as f64;
-                    weight += rs.observations;
-                }
-            }
-            if weight == 0 {
-                (1.0, 1.0)
-            } else {
-                (num / weight as f64, res_num / weight as f64)
-            }
-        };
-        let (qc_cal, qc_res) = agg(|s| &s.qc);
-        let (sh_cal, sh_res) = agg(|s| &s.sh);
-        for shape in state.shapes.values() {
-            flips += shape.flips;
-        }
+        let shapes = self.shapes.lock();
         GovernorStats {
             routed_query_centric: self.routed_qc.load(Ordering::Relaxed),
             routed_shared: self.routed_sh.load(Ordering::Relaxed),
-            flips,
-            query_centric_calibration: qc_cal,
-            shared_calibration: sh_cal,
-            query_centric_residual: qc_res,
-            shared_residual: sh_res,
-            shapes: state.shapes.len() as u64,
+            flips: shapes.values().map(|s| s.flips).sum(),
+            shared_residual: 1.0,
+            shapes: shapes.len() as u64,
             slo_sheds: self.slo_sheds.load(Ordering::Relaxed),
         }
     }
@@ -479,12 +332,12 @@ mod tests {
         SharingGovernor::new(CostModel::default(), GovernorConfig::default())
     }
 
-    /// The shape key the single-shape tests below decide and observe under.
+    /// The shape key the single-shape tests below decide under.
     const SHAPE: u64 = 0;
 
     #[test]
     fn cold_start_decides_from_the_model_without_history() {
-        // `active_queries == 0`, nothing observed: the decision is a plain
+        // `active_queries == 0`, no incumbent: the decision is a plain
         // latency comparison per workload shape, and stats stay coherent.
         let g = governor();
         assert_eq!(
@@ -612,59 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn per_shape_calibration_is_isolated() {
-        let g = governor();
-        let s = signals(4.0);
-        let raw_sh = CostModel::default().shared_latency_ns(&s);
-        let raw_qc = CostModel::default().query_centric_latency_ns(&s);
-        // Shape 1 learns a 3× shared model error; shape 2 observes nothing.
-        for _ in 0..100 {
-            g.observe_latency_keyed(1, Route::Shared, 3.0 * raw_sh / 1e9, &s);
-            g.observe_latency_keyed(1, Route::QueryCentric, raw_qc / 1e9, &s);
-        }
-        let cal1 = g.predicted_ns_keyed(1, Route::Shared, &s) / raw_sh;
-        let cal2 = g.predicted_ns_keyed(2, Route::Shared, &s) / raw_sh;
-        assert!((cal1 - 3.0).abs() < 0.1, "shape 1 calibrated: {cal1}");
-        assert!((cal2 - 1.0).abs() < 1e-9, "shape 2 untouched: {cal2}");
-    }
-
-    #[test]
-    fn calibration_waits_for_both_routes() {
-        let g = governor();
-        let s = signals(4.0);
-        let base = g.predicted_ns_keyed(SHAPE, Route::Shared, &s);
-        // Observing only the shared route must not change estimates…
-        g.observe_latency_keyed(SHAPE, Route::Shared, 1.0, &s);
-        assert_eq!(g.predicted_ns_keyed(SHAPE, Route::Shared, &s), base);
-        // …but once both routes are observed, calibration applies.
-        g.observe_latency_keyed(SHAPE, Route::QueryCentric, 1.0, &s);
-        assert!(g.stats().shared_calibration > 0.0);
-    }
-
-    #[test]
-    fn calibration_converges_to_the_model_error_not_its_square_root() {
-        let g = governor();
-        let s = signals(4.0);
-        let cost = CostModel::default();
-        let raw_sh = cost.shared_latency_ns(&s);
-        let raw_qc = cost.query_centric_latency_ns(&s);
-        // Reality is 4× the model on the shared path, exact on the other.
-        for _ in 0..200 {
-            g.observe_latency_keyed(SHAPE, Route::Shared, 4.0 * raw_sh / 1e9, &s);
-            g.observe_latency_keyed(SHAPE, Route::QueryCentric, raw_qc / 1e9, &s);
-        }
-        let st = g.stats();
-        assert!((st.shared_calibration - 4.0).abs() < 0.1, "{st:?}");
-        assert!((st.query_centric_calibration - 1.0).abs() < 0.1, "{st:?}");
-        // The calibrated estimate reflects the full 4×, not √4.
-        assert!((g.predicted_ns_keyed(SHAPE, Route::Shared, &s) / raw_sh - 4.0).abs() < 0.1);
-        // And the convergence residuals have settled at 1.0: the
-        // calibration loop fully absorbed the (stationary) model error.
-        assert!((st.shared_residual - 1.0).abs() < 0.05, "{st:?}");
-        assert!((st.query_centric_residual - 1.0).abs() < 0.05, "{st:?}");
-    }
-
-    #[test]
     fn slo_mode_prefers_routes_that_meet_the_deadline() {
         let cost = CostModel::default();
         let g = governor();
@@ -717,29 +517,17 @@ mod tests {
         assert_eq!(g.stats().flips, 0);
     }
 
-    #[test]
-    fn bad_observations_are_ignored() {
-        let g = governor();
-        g.observe_latency_keyed(SHAPE, Route::QueryCentric, -1.0, &signals(4.0));
-        let st = g.stats();
-        assert_eq!(st.shared_calibration, 1.0);
-        assert_eq!(st.query_centric_calibration, 1.0);
-        assert_eq!(st.shared_residual, 1.0);
-    }
-
     /// The shape key every decision of a pin row is filed under.
     const PIN_KEY: u64 = 0x5eed;
 
     /// The decision sequence behind one row of [`PINS`]: `fixture` at
     /// `crowd`, under deadline `deadline` (0 none, 1 roomy — twice the
-    /// larger raw estimate, 2 between the two raw estimates, 3 1e-12 s),
-    /// decided on one shape key five times — cold, against a query-centric
-    /// incumbent, against a shared incumbent, then twice more once both
-    /// routes' calibrations apply (shared observed at 3× its model). The
-    /// incumbents are set by undeadlined decisions on the tiny and the
-    /// crowded disk fixture. Returns the five outcomes (`Q`, `S`, `X` for
-    /// shed) and the final `flips`, `routed_query_centric`,
-    /// `routed_shared` and `slo_sheds`.
+    /// larger estimate, 2 between the two estimates, 3 1e-12 s), decided
+    /// on one shape key three times — cold, against a query-centric
+    /// incumbent, against a shared incumbent. The incumbents are set by
+    /// undeadlined decisions on the tiny and the crowded disk fixture.
+    /// Returns the three outcomes (`Q`, `S`, `X` for shed) and the final
+    /// `flips`, `routed_query_centric`, `routed_shared` and `slo_sheds`.
     fn pin_sequence(
         fixture: fn(f64) -> SharingSignals,
         crowd: f64,
@@ -773,10 +561,6 @@ mod tests {
         push(decide(&s));
         g.decide_keyed(PIN_KEY, &disk_signals(64.0));
         push(decide(&s));
-        g.observe_latency_keyed(PIN_KEY, Route::Shared, 3.0 * sh / 1e9, &s);
-        g.observe_latency_keyed(PIN_KEY, Route::QueryCentric, qc / 1e9, &s);
-        push(decide(&s));
-        push(decide(&s));
         let st = g.stats();
         let counters = [
             st.flips,
@@ -789,74 +573,77 @@ mod tests {
 
     /// `(fixture, crowd, deadline, outcomes, [flips, routed_query_centric,
     /// routed_shared, slo_sheds])` of [`pin_sequence`], fixtures indexed
-    /// `signals`, `flat_signals`, `tiny_signals`, `disk_signals`. Taken from
-    /// the two decision bodies `decide_keyed` and `decide_slo_keyed` had
-    /// before they were merged into one.
+    /// `signals`, `flat_signals`, `tiny_signals`, `disk_signals`. The
+    /// outcomes are the first three of those the two decision bodies
+    /// `decide_keyed` and `decide_slo_keyed` had before they were merged
+    /// into one; the rows were taken from the merged body while it still
+    /// calibrated online, which it never did before a shape's fourth
+    /// decision.
     const PINS: [(usize, f64, usize, &str, [u64; 4]); 64] = [
-        (0, 0.0, 0, "SSSSS", [2, 1, 6, 0]),
-        (0, 0.0, 1, "SSSSS", [2, 1, 6, 0]),
-        (0, 0.0, 2, "SSSXX", [2, 1, 4, 2]),
-        (0, 0.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (0, 2.0, 0, "SSSSS", [2, 1, 6, 0]),
-        (0, 2.0, 1, "SSSSS", [2, 1, 6, 0]),
-        (0, 2.0, 2, "SSSXX", [2, 1, 4, 2]),
-        (0, 2.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (0, 8.0, 0, "SSSSS", [2, 1, 6, 0]),
-        (0, 8.0, 1, "SSSSS", [2, 1, 6, 0]),
-        (0, 8.0, 2, "SSSXX", [2, 1, 4, 2]),
-        (0, 8.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (0, 63.0, 0, "SSSSS", [2, 1, 6, 0]),
-        (0, 63.0, 1, "SSSSS", [2, 1, 6, 0]),
-        (0, 63.0, 2, "SSSSS", [2, 1, 6, 0]),
-        (0, 63.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (1, 0.0, 0, "QQSQQ", [2, 5, 2, 0]),
-        (1, 0.0, 1, "QQSQQ", [2, 5, 2, 0]),
-        (1, 0.0, 2, "QQQQQ", [2, 6, 1, 0]),
-        (1, 0.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (1, 2.0, 0, "QQSQQ", [2, 5, 2, 0]),
-        (1, 2.0, 1, "QQSQQ", [2, 5, 2, 0]),
-        (1, 2.0, 2, "QQQQQ", [2, 6, 1, 0]),
-        (1, 2.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (1, 8.0, 0, "QQSQQ", [2, 5, 2, 0]),
-        (1, 8.0, 1, "QQSQQ", [2, 5, 2, 0]),
-        (1, 8.0, 2, "QQQQQ", [2, 6, 1, 0]),
-        (1, 8.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (1, 63.0, 0, "SSSQQ", [3, 3, 4, 0]),
-        (1, 63.0, 1, "SSSQQ", [3, 3, 4, 0]),
-        (1, 63.0, 2, "SSSXX", [2, 1, 4, 2]),
-        (1, 63.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (2, 0.0, 0, "QQQQQ", [2, 6, 1, 0]),
-        (2, 0.0, 1, "QQQQQ", [2, 6, 1, 0]),
-        (2, 0.0, 2, "QQQQQ", [2, 6, 1, 0]),
-        (2, 0.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (2, 2.0, 0, "QQQQQ", [2, 6, 1, 0]),
-        (2, 2.0, 1, "QQQQQ", [2, 6, 1, 0]),
-        (2, 2.0, 2, "QQQQQ", [2, 6, 1, 0]),
-        (2, 2.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (2, 8.0, 0, "QQQQQ", [2, 6, 1, 0]),
-        (2, 8.0, 1, "QQQQQ", [2, 6, 1, 0]),
-        (2, 8.0, 2, "QQQQQ", [2, 6, 1, 0]),
-        (2, 8.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (2, 63.0, 0, "QQQQQ", [2, 6, 1, 0]),
-        (2, 63.0, 1, "QQQQQ", [2, 6, 1, 0]),
-        (2, 63.0, 2, "QQQQQ", [2, 6, 1, 0]),
-        (2, 63.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (3, 0.0, 0, "SQSQQ", [3, 4, 3, 0]),
-        (3, 0.0, 1, "SQSQQ", [3, 4, 3, 0]),
-        (3, 0.0, 2, "SSSXX", [2, 1, 4, 2]),
-        (3, 0.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (3, 2.0, 0, "SSSSS", [2, 1, 6, 0]),
-        (3, 2.0, 1, "SSSSS", [2, 1, 6, 0]),
-        (3, 2.0, 2, "SSSXX", [2, 1, 4, 2]),
-        (3, 2.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (3, 8.0, 0, "SSSSS", [2, 1, 6, 0]),
-        (3, 8.0, 1, "SSSSS", [2, 1, 6, 0]),
-        (3, 8.0, 2, "SSSSS", [2, 1, 6, 0]),
-        (3, 8.0, 3, "XXXXX", [1, 1, 1, 5]),
-        (3, 63.0, 0, "SSSSS", [2, 1, 6, 0]),
-        (3, 63.0, 1, "SSSSS", [2, 1, 6, 0]),
-        (3, 63.0, 2, "SSSSS", [2, 1, 6, 0]),
-        (3, 63.0, 3, "XXXXX", [1, 1, 1, 5]),
+        (0, 0.0, 0, "SSS", [2, 1, 4, 0]),
+        (0, 0.0, 1, "SSS", [2, 1, 4, 0]),
+        (0, 0.0, 2, "SSS", [2, 1, 4, 0]),
+        (0, 0.0, 3, "XXX", [1, 1, 1, 3]),
+        (0, 2.0, 0, "SSS", [2, 1, 4, 0]),
+        (0, 2.0, 1, "SSS", [2, 1, 4, 0]),
+        (0, 2.0, 2, "SSS", [2, 1, 4, 0]),
+        (0, 2.0, 3, "XXX", [1, 1, 1, 3]),
+        (0, 8.0, 0, "SSS", [2, 1, 4, 0]),
+        (0, 8.0, 1, "SSS", [2, 1, 4, 0]),
+        (0, 8.0, 2, "SSS", [2, 1, 4, 0]),
+        (0, 8.0, 3, "XXX", [1, 1, 1, 3]),
+        (0, 63.0, 0, "SSS", [2, 1, 4, 0]),
+        (0, 63.0, 1, "SSS", [2, 1, 4, 0]),
+        (0, 63.0, 2, "SSS", [2, 1, 4, 0]),
+        (0, 63.0, 3, "XXX", [1, 1, 1, 3]),
+        (1, 0.0, 0, "QQS", [1, 3, 2, 0]),
+        (1, 0.0, 1, "QQS", [1, 3, 2, 0]),
+        (1, 0.0, 2, "QQQ", [2, 4, 1, 0]),
+        (1, 0.0, 3, "XXX", [1, 1, 1, 3]),
+        (1, 2.0, 0, "QQS", [1, 3, 2, 0]),
+        (1, 2.0, 1, "QQS", [1, 3, 2, 0]),
+        (1, 2.0, 2, "QQQ", [2, 4, 1, 0]),
+        (1, 2.0, 3, "XXX", [1, 1, 1, 3]),
+        (1, 8.0, 0, "QQS", [1, 3, 2, 0]),
+        (1, 8.0, 1, "QQS", [1, 3, 2, 0]),
+        (1, 8.0, 2, "QQQ", [2, 4, 1, 0]),
+        (1, 8.0, 3, "XXX", [1, 1, 1, 3]),
+        (1, 63.0, 0, "SSS", [2, 1, 4, 0]),
+        (1, 63.0, 1, "SSS", [2, 1, 4, 0]),
+        (1, 63.0, 2, "SSS", [2, 1, 4, 0]),
+        (1, 63.0, 3, "XXX", [1, 1, 1, 3]),
+        (2, 0.0, 0, "QQQ", [2, 4, 1, 0]),
+        (2, 0.0, 1, "QQQ", [2, 4, 1, 0]),
+        (2, 0.0, 2, "QQQ", [2, 4, 1, 0]),
+        (2, 0.0, 3, "XXX", [1, 1, 1, 3]),
+        (2, 2.0, 0, "QQQ", [2, 4, 1, 0]),
+        (2, 2.0, 1, "QQQ", [2, 4, 1, 0]),
+        (2, 2.0, 2, "QQQ", [2, 4, 1, 0]),
+        (2, 2.0, 3, "XXX", [1, 1, 1, 3]),
+        (2, 8.0, 0, "QQQ", [2, 4, 1, 0]),
+        (2, 8.0, 1, "QQQ", [2, 4, 1, 0]),
+        (2, 8.0, 2, "QQQ", [2, 4, 1, 0]),
+        (2, 8.0, 3, "XXX", [1, 1, 1, 3]),
+        (2, 63.0, 0, "QQQ", [2, 4, 1, 0]),
+        (2, 63.0, 1, "QQQ", [2, 4, 1, 0]),
+        (2, 63.0, 2, "QQQ", [2, 4, 1, 0]),
+        (2, 63.0, 3, "XXX", [1, 1, 1, 3]),
+        (3, 0.0, 0, "SQS", [2, 2, 3, 0]),
+        (3, 0.0, 1, "SQS", [2, 2, 3, 0]),
+        (3, 0.0, 2, "SSS", [2, 1, 4, 0]),
+        (3, 0.0, 3, "XXX", [1, 1, 1, 3]),
+        (3, 2.0, 0, "SSS", [2, 1, 4, 0]),
+        (3, 2.0, 1, "SSS", [2, 1, 4, 0]),
+        (3, 2.0, 2, "SSS", [2, 1, 4, 0]),
+        (3, 2.0, 3, "XXX", [1, 1, 1, 3]),
+        (3, 8.0, 0, "SSS", [2, 1, 4, 0]),
+        (3, 8.0, 1, "SSS", [2, 1, 4, 0]),
+        (3, 8.0, 2, "SSS", [2, 1, 4, 0]),
+        (3, 8.0, 3, "XXX", [1, 1, 1, 3]),
+        (3, 63.0, 0, "SSS", [2, 1, 4, 0]),
+        (3, 63.0, 1, "SSS", [2, 1, 4, 0]),
+        (3, 63.0, 2, "SSS", [2, 1, 4, 0]),
+        (3, 63.0, 3, "XXX", [1, 1, 1, 3]),
     ];
 
     #[test]

@@ -243,10 +243,7 @@ pub struct ThroughputReport {
     /// Per-tenant outcome counts (one row per tenant of the
     /// [`ServiceLoad`]).
     pub tenants: Vec<TenantCounts>,
-    /// Sharing-governor routing statistics (if the run was governed) —
-    /// under closed-loop arrivals the calibration residuals here are the
-    /// check that the latency-feedback EWMA converges outside the batch
-    /// arrival pattern the estimator's queue term assumes.
+    /// Sharing-governor routing statistics (if the run was governed).
     pub governor: Option<crate::governor::GovernorStats>,
     /// Per-fact-table stage rows of a governed run's shared side.
     pub stages: Vec<crate::engine::StageRow>,

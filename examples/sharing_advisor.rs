@@ -77,8 +77,8 @@ fn main() {
     };
     let governor = SharingGovernor::new(cfg.cost, GovernorConfig::default());
     let shape = queries[0].shape_signature();
-    let qc_pred = governor.predicted_ns_keyed(shape, Route::QueryCentric, &signals) / 1e9;
-    let sh_pred = governor.predicted_ns_keyed(shape, Route::Shared, &signals) / 1e9;
+    let qc_pred = governor.predicted_ns(Route::QueryCentric, &signals) / 1e9;
+    let sh_pred = governor.predicted_ns(Route::Shared, &signals) / 1e9;
     println!("Governor a-priori at {concurrency} concurrent queries:");
     println!("  predicted query-centric response: {qc_pred:.4}s");
     println!("  predicted shared response:        {sh_pred:.4}s");
